@@ -32,6 +32,7 @@ from .sequences import (
     SUPER_SMOOTH,
     WELL_POSED,
     ProblemSpec,
+    bias_term,
     scan_bandwidth,
     sum_inv_b_4,
 )
@@ -148,8 +149,7 @@ def classical_upper_radius_sq(
     if d_range is not None:
         best, best_d = math.inf, 0
         for d in sorted(set(int(x) for x in d_range)):
-            spec.check_bandwidth(d)
-            val = smooth.inv_sq(d) + eps2 * math.sqrt(sum_inv_b_4(spec, d))
+            val = bias_term(spec, d) + eps2 * math.sqrt(sum_inv_b_4(spec, d))
             if val < best:
                 best, best_d = val, d
         if best_d == 0:

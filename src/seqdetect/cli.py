@@ -44,6 +44,7 @@ POWER_TOLERANCE = 0.05
 LOG_TOLERANCE = 0.3
 
 _MIN_SIMULATE_REPS = 1_000
+_BOUNDS_HEADER = ["eps", "lower_r2", "upper_r2", "classical_r2", "D_lower", "D_upper"]
 _DIVERGENCE_CHECK_DS = tuple(range(1, 17))
 
 
@@ -146,11 +147,7 @@ def run_bounds(config: ExperimentConfig, out_dir: Path) -> int:
         raise ConfigError("bounds needs a non-empty run.eps_grid")
     problem = config.problem
     rows, fit_grid = _bounds_rows(config, problem)
-    _write_csv(
-        out_dir / "bounds.csv",
-        ["eps", "lower_r2", "upper_r2", "classical_r2", "D_lower", "D_upper"],
-        rows,
-    )
+    _write_csv(out_dir / "bounds.csv", _BOUNDS_HEADER, rows)
 
     ok = True
     summary: list[str] = []
@@ -209,7 +206,6 @@ def run_calibrate(config: ExperimentConfig, out_dir: Path) -> int:
     lines.append(f"D_truncated = {'true' if truncated else 'false'}")
 
     ladder = sorted({1 << j for j in range(d_star.bit_length())} | {d_star})
-    ladder = [d for d in ladder if d <= problem.bandwidth_limit]
     for d in ladder:
         lines.append(f"threshold.D={d} = {_fmt(detector.threshold(constants, problem, d))}")
 
@@ -341,44 +337,16 @@ def run_rates(config: ExperimentConfig, out_dir: Path) -> int:
     if len(config.eps_grid) < 5:
         raise ConfigError("rates needs run.eps_grid with at least 5 values")
     problem = config.problem
-    constants = detector.derive_constants(problem.fourth_moment_bound, config.alpha)
-    c_beta = detector.solve_c_beta(constants, config.beta, config.c_beta_mode)
-
     summary: list[str] = []
     all_ok = True
     for cell in config.cells:
         operator, smoothness, s, t = _cell_families(cell, problem)
         law = bounds_mod.rate_law(operator.kind, smoothness.kind, s=s, t=t)
-        rows: list[list[str]] = []
-        fit_grid: list[tuple[float, float]] = []
-        for eps in config.eps_grid:
-            spec = ProblemSpec(
-                operator=operator,
-                smoothness=smoothness,
-                eps=eps,
-                n_max=problem.n_max,
-                fourth_moment_bound=problem.fourth_moment_bound,
-                d_max=problem.d_max,
-            )
-            rb = bounds_mod.theorem1_bounds(spec, config.alpha, config.beta, c_beta=c_beta)
-            classical, _ = bounds_mod.classical_upper_radius_sq(spec)
-            rows.append(
-                [
-                    _fmt(eps),
-                    _fmt(rb.lower_r2),
-                    _fmt(rb.upper_r2),
-                    _fmt(classical),
-                    str(rb.d_lower),
-                    str(rb.d_upper),
-                ]
-            )
-            fit_grid.append((eps, rb.lower_r2))
-        slug = cell.replace("/", "-")
-        _write_csv(
-            out_dir / f"rates_{slug}.csv",
-            ["eps", "lower_r2", "upper_r2", "classical_r2", "D_lower", "D_upper"],
-            rows,
+        rows, fit_grid = _bounds_rows(
+            config, replace(problem, operator=operator, smoothness=smoothness)
         )
+        slug = cell.replace("/", "-")
+        _write_csv(out_dir / f"rates_{slug}.csv", _BOUNDS_HEADER, rows)
         lines, passed = _fit_summary_lines(cell, law, fit_grid)
         summary.extend(lines)
         summary.append("")

@@ -27,7 +27,8 @@ Schema (dotted keys, one per line, '#' starts a comment line):
 
   test.alpha           type I level in (0, 1), default 0.1
   test.beta            type II level in (0, 1), default 0.1
-  test.D               fixed bandwidth; omit to auto-select
+  test.D               fixed bandwidth, at most the bandwidth limit (D_max,
+                       n); omit to auto-select
   test.c_beta_mode     exact | practical, default exact
 
   run.command          bounds | calibrate | simulate | rates (optional; must
@@ -324,6 +325,11 @@ def parse_config(text: str, source: str = "<config>") -> ExperimentConfig:
         test_d = _parse_int(entry[0], entry[1], "test.D")
         if test_d < 1:
             raise ConfigError(f"{source}, line {entry[1]}: test.D must be positive")
+        if test_d > problem.bandwidth_limit:
+            raise ConfigError(
+                f"{source}, line {entry[1]}: test.D = {test_d} exceeds the bandwidth "
+                f"limit {problem.bandwidth_limit}"
+            )
 
     c_beta_mode = "exact"
     if (entry := take("test.c_beta_mode")) is not None:

@@ -29,7 +29,6 @@ import numpy as np
 
 from .sequences import ProblemSpec, scan_bandwidth, sum_inv_b_sq
 
-_SCAN_PATIENCE = 64
 #: Configurations with 1 - K1/C_beta below this are flagged: the type II
 #: guarantee constant blows up as the margin closes.
 MARGIN_FLAG_LEVEL = 0.1
@@ -167,12 +166,7 @@ def select_bandwidth(spec: ProblemSpec, c_beta: float) -> BandwidthSelection:
     def value_fn(ks: np.ndarray, sums: np.ndarray) -> np.ndarray:
         return c_beta * eps2 * sums + smooth.inv_sq_array(ks)
 
-    result = scan_bandwidth(
-        spec.operator.inv_sq_array,
-        value_fn,
-        spec.bandwidth_limit,
-        patience=_SCAN_PATIENCE,
-    )
+    result = scan_bandwidth(spec.operator.inv_sq_array, value_fn, spec.bandwidth_limit)
     return BandwidthSelection(result.d, result.value, result.truncated)
 
 

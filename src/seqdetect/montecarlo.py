@@ -30,6 +30,7 @@ from .sequences import (
     boundary_signal,
     ellipsoid_membership,
     sum_inv_b_sq,
+    within_cap,
 )
 
 _U64_MASK = (1 << 64) - 1
@@ -145,9 +146,9 @@ def estimate_type2(
         )
     d = config.d
     spec.check_bandwidth(d)
-    w = spec.operator.inv_sq_array(np.arange(1, d + 1))
-    b = np.array([spec.operator.value(k) for k in range(1, d + 1)])
-    shift = b * theta.array(d)
+    ks = np.arange(1, d + 1)
+    w = spec.operator.inv_sq_array(ks)
+    shift = spec.operator.value_array(ks) * theta.array(d)
     eps = spec.eps
     eps2 = eps * eps
     thr = config.threshold
@@ -189,7 +190,7 @@ def guaranteed_detectable_signal(
         spec.check_bandwidth(d)
         r_sq = c_beta * spec.eps**2 * sum_inv_b_sq(spec, d) + bias_term(spec, d)
     for j in range(d, 0, -1):
-        if r_sq <= bias_term(spec, j) * (1.0 + 1e-12):
+        if within_cap(r_sq, bias_term(spec, j)):
             return AlternativeSignal(
                 signal=boundary_signal(spec, j, math.sqrt(r_sq)),
                 d=int(d),
@@ -315,7 +316,7 @@ def worst_case_signal(
     Requires r^2 <= a_D^-2 so the signal stays inside the ellipsoid.
     """
     cap = bias_term(spec, d)
-    if r * r > cap * (1.0 + 1e-12):
+    if not within_cap(r * r, cap):
         raise ValueError(f"radius^2 {r * r:.6g} exceeds the ellipsoid cap {cap:.6g} at D={d}")
     coeffs, rho_sq = _worst_case_coefficients(spec, d, r, sigma_star)
     direction = np.full(d, 1.0 / math.sqrt(d))
@@ -372,8 +373,7 @@ def chi_sq_divergence_mc(
         )
     sigma = sigma_star.submatrix(d)
     coeffs, _ = _worst_case_coefficients(spec, d, r, sigma_star)
-    b = np.array([spec.operator.value(k) for k in range(1, d + 1)])
-    b_theta = b * coeffs
+    b_theta = spec.operator.value_array(np.arange(1, d + 1)) * coeffs
     m = np.linalg.solve(sigma, b_theta)
     eps2 = spec.eps**2
     quad = float(b_theta @ m) / eps2

@@ -7,16 +7,19 @@ through the ellipsoid ``{theta : sum_k a_k^2 theta_k^2 <= 1}``.  Everything
 downstream (thresholds, radius bounds, bandwidth selection) is built from the
 partial sums of ``b_k^-2`` and ``b_k^-4`` defined here.
 
-Sequence values are computed lazily by formula and accumulated with Neumaier
-compensation; exponentially ill-posed spectra overflow to ``+inf`` instead of
-raising, so optimisation loops can simply skip past the overflowed tail.
+Sequences are evaluated by formula over whole index arrays, and every partial
+sum comes from one chunked prefix-sum primitive: a numpy ``cumsum`` inside each
+chunk of indices, with the total of the earlier chunks carried by an exactly
+rounded ``math.fsum``.  Exponentially ill-posed spectra overflow to ``+inf``
+instead of raising, so optimisation loops can simply skip past the overflowed
+tail.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -35,6 +38,8 @@ SMOOTHNESS_KINDS = (ORDINARY_SMOOTH, SUPER_SMOOTH, CUSTOM)
 DEFAULT_D_MAX = 1 << 16
 
 _SCAN_CHUNK = 4096
+#: Consecutive non-improving bandwidths after which a scan stops.
+_SCAN_STALL_LIMIT = 64
 _MEMBERSHIP_SLACK = 1e-12
 
 
@@ -45,11 +50,22 @@ def _exp_or_inf(x: float) -> float:
         return math.inf
 
 
-def _pow_or_inf(base: float, exponent: float) -> float:
+def _fsum_or_inf(terms: Iterable[float]) -> float:
+    """Exactly rounded sum of non-negative terms; +inf once it overflows."""
     try:
-        return math.pow(base, exponent)
+        return math.fsum(terms)
     except OverflowError:
         return math.inf
+
+
+def _custom_at(values: tuple[float, ...], ks: np.ndarray) -> np.ndarray:
+    """values[k - 1] for each index k of a custom sequence."""
+    ks = np.asarray(ks)
+    if ks.size and ks.min() < 1:
+        raise ValueError("sequence indices start at 1")
+    if ks.size and ks.max() > len(values):
+        raise ValueError(f"index {ks.max()} beyond custom sequence of length {len(values)}")
+    return np.asarray(values, dtype=float)[ks - 1]
 
 
 @dataclass(frozen=True)
@@ -105,32 +121,20 @@ class OperatorFamily:
         """Largest valid index, or None when the family is unbounded."""
         return len(self.values) if self.values is not None else None
 
-    def value(self, k: int) -> float:
-        """b_k (underflows to 0.0 for extreme severely ill-posed indices)."""
-        self._check_index(k)
+    def value_array(self, ks: np.ndarray) -> np.ndarray:
+        """b_k over an index array (underflows to 0.0 for extreme severely
+        ill-posed indices)."""
         if self.kind == WELL_POSED:
-            return self.scale
+            return np.full(len(ks), self.scale)
         if self.kind == MILDLY_ILL_POSED:
-            return self.scale * _pow_or_inf(k, -self.exponent)
+            return self.scale * np.asarray(ks, dtype=float) ** -self.exponent
         if self.kind == SEVERELY_ILL_POSED:
-            return self.scale * math.exp(-self.exponent * k)
-        return self.scale * self.values[k - 1]
-
-    def inv_sq(self, k: int) -> float:
-        """b_k^-2, computed directly so ill-posed spectra overflow to +inf."""
-        self._check_index(k)
-        inv_scale_sq = 1.0 / (self.scale * self.scale)
-        if self.kind == WELL_POSED:
-            return inv_scale_sq
-        if self.kind == MILDLY_ILL_POSED:
-            return inv_scale_sq * _pow_or_inf(k, 2.0 * self.exponent)
-        if self.kind == SEVERELY_ILL_POSED:
-            return inv_scale_sq * _exp_or_inf(2.0 * self.exponent * k)
-        v = self.values[k - 1]
-        return inv_scale_sq / (v * v)
+            return self.scale * np.exp(-self.exponent * np.asarray(ks, dtype=float))
+        return self.scale * _custom_at(self.values, ks)
 
     def inv_sq_array(self, ks: np.ndarray) -> np.ndarray:
-        """Vectorised b_k^-2 over an index array (overflow maps to +inf)."""
+        """b_k^-2 over an index array, computed directly so ill-posed spectra
+        overflow to +inf."""
         inv_scale_sq = 1.0 / (self.scale * self.scale)
         with np.errstate(over="ignore"):
             if self.kind == WELL_POSED:
@@ -139,7 +143,7 @@ class OperatorFamily:
                 return inv_scale_sq * np.asarray(ks, dtype=float) ** (2.0 * self.exponent)
             if self.kind == SEVERELY_ILL_POSED:
                 return inv_scale_sq * np.exp(2.0 * self.exponent * np.asarray(ks, dtype=float))
-            vals = np.asarray(self.values, dtype=float)[np.asarray(ks) - 1]
+            vals = _custom_at(self.values, ks)
             return inv_scale_sq / (vals * vals)
 
     def consecutive_ratio(self, k: int) -> float:
@@ -211,33 +215,25 @@ class SmoothnessFamily:
     def max_index(self) -> int | None:
         return len(self.values) if self.values is not None else None
 
-    def value(self, k: int) -> float:
-        """a_k (overflows to +inf for extreme super-smooth indices)."""
-        self._check_index(k)
-        if self.kind == ORDINARY_SMOOTH:
-            return self.scale * _pow_or_inf(k, self.exponent)
-        if self.kind == SUPER_SMOOTH:
-            return self.scale * _exp_or_inf(self.exponent * k)
-        return self.scale * self.values[k - 1]
-
-    def inv_sq(self, k: int) -> float:
-        """a_k^-2; underflows to 0.0 once a_k exceeds the double range."""
-        self._check_index(k)
-        inv_scale_sq = 1.0 / (self.scale * self.scale)
-        if self.kind == ORDINARY_SMOOTH:
-            return inv_scale_sq * math.pow(k, -2.0 * self.exponent)
-        if self.kind == SUPER_SMOOTH:
-            return inv_scale_sq * math.exp(-2.0 * self.exponent * k)
-        v = self.values[k - 1]
-        return inv_scale_sq / (v * v)
+    def value_array(self, ks: np.ndarray) -> np.ndarray:
+        """a_k over an index array (overflows to +inf for extreme super-smooth
+        indices)."""
+        with np.errstate(over="ignore"):
+            if self.kind == ORDINARY_SMOOTH:
+                return self.scale * np.asarray(ks, dtype=float) ** self.exponent
+            if self.kind == SUPER_SMOOTH:
+                return self.scale * np.exp(self.exponent * np.asarray(ks, dtype=float))
+        return self.scale * _custom_at(self.values, ks)
 
     def inv_sq_array(self, ks: np.ndarray) -> np.ndarray:
+        """a_k^-2 over an index array; underflows to 0.0 once a_k exceeds the
+        double range."""
         inv_scale_sq = 1.0 / (self.scale * self.scale)
         if self.kind == ORDINARY_SMOOTH:
             return inv_scale_sq * np.asarray(ks, dtype=float) ** (-2.0 * self.exponent)
         if self.kind == SUPER_SMOOTH:
             return inv_scale_sq * np.exp(-2.0 * self.exponent * np.asarray(ks, dtype=float))
-        vals = np.asarray(self.values, dtype=float)[np.asarray(ks) - 1]
+        vals = _custom_at(self.values, ks)
         return inv_scale_sq / (vals * vals)
 
     def consecutive_ratio(self, k: int) -> float:
@@ -343,29 +339,42 @@ class Signal:
         return out
 
 
-def compensated_sum(terms: Iterable[float]) -> float:
-    """Neumaier-compensated sum; returns +inf as soon as a term overflows."""
-    total = 0.0
-    comp = 0.0
-    for x in terms:
-        if math.isinf(x):
-            return math.inf
-        t = total + x
-        if abs(total) >= abs(x):
-            comp += (total - t) + x
-        else:
-            comp += (x - t) + total
-        total = t
-        if math.isinf(total):
-            return math.inf
-    return total + comp
+def _prefix_sums(
+    term_fn: Callable[[np.ndarray], np.ndarray], limit: int
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Running sums of ``term_fn(k)`` over k = 1..limit, one chunk at a time.
+
+    Yields ``(ks, sums)`` for consecutive chunks of at most ``_SCAN_CHUNK``
+    indices, with ``sums[i] = sum_{k <= ks[i]} term_fn(k)``.  Inside a chunk
+    the sums come from a numpy cumsum; the total of the earlier chunks is
+    carried with an exactly rounded fsum, so rounding error never accumulates
+    across chunks.  Terms must be non-negative; overflow maps to +inf.  A
+    chunk's carry is formed only when the next chunk is requested, so a
+    consumer that stops early never pays for it.
+    """
+    carry = 0.0
+    for k0 in range(1, limit + 1, _SCAN_CHUNK):
+        ks = np.arange(k0, min(k0 + _SCAN_CHUNK, limit + 1))
+        terms = term_fn(ks)
+        with np.errstate(over="ignore"):
+            sums = carry + np.cumsum(terms)
+        yield ks, sums
+        carry = _fsum_or_inf([carry, *terms.tolist()])
+
+
+def _partial_sum(term_fn: Callable[[np.ndarray], np.ndarray], d: int) -> float:
+    """sum_{k <= d} term_fn(k) for d >= 1: the last of the prefix sums."""
+    chunks = _prefix_sums(term_fn, d)
+    for _ in range((d - 1) // _SCAN_CHUNK):
+        next(chunks)
+    _, sums = next(chunks)
+    return float(sums[-1])
 
 
 def sum_inv_b_sq(spec: ProblemSpec, d: int) -> float:
     """Partial sum of b_k^-2 for k = 1..d (the variance driver of the test)."""
     spec.check_bandwidth(d)
-    op = spec.operator
-    return compensated_sum(op.inv_sq(k) for k in range(1, d + 1))
+    return _partial_sum(spec.operator.inv_sq_array, d)
 
 
 def sum_inv_b_4(spec: ProblemSpec, d: int) -> float:
@@ -375,20 +384,29 @@ def sum_inv_b_4(spec: ProblemSpec, d: int) -> float:
     squares of a non-negative sequence.
     """
     spec.check_bandwidth(d)
-    op = spec.operator
+    inv_sq = spec.operator.inv_sq_array
 
-    def terms():
-        for k in range(1, d + 1):
-            w = op.inv_sq(k)
-            yield w * w
+    def term_fn(ks: np.ndarray) -> np.ndarray:
+        w = inv_sq(ks)
+        with np.errstate(over="ignore"):
+            return w * w
 
-    return compensated_sum(terms())
+    return _partial_sum(term_fn, d)
 
 
 def bias_term(spec: ProblemSpec, d: int) -> float:
     """a_d^-2: the worst-case signal mass hiding beyond bandwidth d."""
     spec.check_bandwidth(d)
-    return spec.smoothness.inv_sq(d)
+    return float(spec.smoothness.inv_sq_array(np.array([d]))[0])
+
+
+def within_cap(value: float, cap: float = 1.0) -> bool:
+    """The ellipsoid membership rule: ``value <= cap`` up to a relative slack.
+
+    The slack lets a spike placed exactly at the cap a_D^-1 count as inside
+    although its weighted mass a_D^2 r^2 rounds to one ulp above 1.
+    """
+    return value <= cap * (1.0 + _MEMBERSHIP_SLACK)
 
 
 class EllipsoidCheck(NamedTuple):
@@ -399,30 +417,29 @@ class EllipsoidCheck(NamedTuple):
 def ellipsoid_membership(smoothness: SmoothnessFamily, theta: Signal) -> EllipsoidCheck:
     """Weighted mass sum_k a_k^2 theta_k^2 and the membership verdict.
 
-    The boundary value 1 counts as inside.
+    The mass is exactly rounded and +inf once a weight overflows; the verdict
+    follows `within_cap`, so the boundary value 1 counts as inside.
     """
-
-    def terms():
-        for k, c in enumerate(theta.coefficients, start=1):
-            if c == 0.0:
-                continue
-            a = smoothness.value(k)
-            yield (a * c) * (a * c)
-
-    value = compensated_sum(terms())
-    return EllipsoidCheck(value, value <= 1.0)
+    coeffs = np.asarray(theta.coefficients, dtype=float)
+    ks = np.flatnonzero(coeffs) + 1
+    with np.errstate(over="ignore"):
+        weighted = smoothness.value_array(ks) * coeffs[ks - 1]
+        terms = weighted * weighted
+    value = _fsum_or_inf(terms.tolist())
+    return EllipsoidCheck(value, within_cap(value))
 
 
 def boundary_signal(spec: ProblemSpec, d: int, r: float) -> Signal:
     """Single-spike signal theta with theta_d = r and zeros elsewhere.
 
-    Requires r^2 <= a_d^-2 so that the spike stays inside the ellipsoid.
+    Requires r^2 <= a_d^-2 (under `within_cap`) so that the spike stays inside
+    the ellipsoid.
     """
     spec.check_bandwidth(d)
     if not r > 0 or not math.isfinite(r):
         raise ValueError("signal radius must be positive and finite")
     cap = bias_term(spec, d)
-    if r * r > cap * (1.0 + _MEMBERSHIP_SLACK):
+    if not within_cap(r * r, cap):
         raise ValueError(
             f"radius^2 {r * r:.6g} exceeds the ellipsoid cap a_D^-2 = {cap:.6g} at D={d}"
         )
@@ -441,44 +458,27 @@ def scan_bandwidth(
     limit: int,
     *,
     maximize: bool = False,
-    patience: int = 64,
-    chunk_size: int = _SCAN_CHUNK,
 ) -> ScanResult:
     """Optimise ``value_fn(k, cumsum(term_fn))`` over integer bandwidths 1..limit.
 
-    Exact integer search in chunks, with an early exit once `patience`
-    consecutive bandwidths fail to improve on the incumbent (the objectives
-    used here are unimodal after their crossover point).  The running prefix
-    sum is carried across chunks with an exactly rounded fsum, so compensated
-    accuracy is preserved at chunk granularity.  Ties keep the smaller
-    bandwidth; `truncated` is set when the optimiser lands on the scan limit.
+    Exact integer search over the chunks of the prefix sums, with an early
+    exit once ``_SCAN_STALL_LIMIT`` consecutive bandwidths fail to improve on
+    the incumbent (the objectives used here are unimodal after their
+    crossover point).  Ties keep the smaller bandwidth; `truncated` is set
+    when the optimiser lands on the scan limit.
     """
     if limit < 1:
         raise ValueError("bandwidth limit must be at least 1")
     best_d = 0
     best = -math.inf if maximize else math.inf
-    carry = 0.0
-    k0 = 1
-    while k0 <= limit:
-        k1 = min(k0 + chunk_size - 1, limit)
-        ks = np.arange(k0, k1 + 1)
-        terms = term_fn(ks)
+    for ks, sums in _prefix_sums(term_fn, limit):
         with np.errstate(over="ignore", invalid="ignore"):
-            sums = carry + np.cumsum(terms)
             vals = value_fn(ks, sums)
         idx = int(np.argmax(vals) if maximize else np.argmin(vals))
         candidate = float(vals[idx])
         if (candidate > best) if maximize else (candidate < best):
             best = candidate
             best_d = int(ks[idx])
-        if k1 - best_d >= patience:
+        if int(ks[-1]) - best_d >= _SCAN_STALL_LIMIT:
             return ScanResult(best_d, best, False)
-        if math.isinf(carry) or not np.all(np.isfinite(terms)):
-            carry = math.inf
-        else:
-            try:
-                carry = math.fsum([carry, *terms.tolist()])
-            except OverflowError:
-                carry = math.inf
-        k0 = k1 + 1
     return ScanResult(best_d, best, best_d == limit)

@@ -237,6 +237,16 @@ class TestRatesCommand:
         assert (tmp_path / "rates_well_posed-ordinary_smooth.csv").exists()
 
 
+class TestFixedBandwidthLimit:
+    @pytest.mark.parametrize("command", ["calibrate", "simulate"])
+    def test_rejected_at_load(self, tmp_path, capsys, command):
+        cfg = write_config(tmp_path, BASE_CONFIG + "test.D = 100000\n")
+        out = tmp_path / "out"
+        assert cli.main([command, "--config", str(cfg), "--output", str(out)]) == 2
+        assert "test.D = 100000 exceeds the bandwidth limit 65536" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestCommandPinning:
     def test_pinned_command_mismatch(self, tmp_path):
         cfg = write_config(tmp_path, BASE_CONFIG + "run.command = bounds\n")

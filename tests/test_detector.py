@@ -29,6 +29,7 @@ from seqdetect.sequences import (
     ProblemSpec,
     Signal,
     SmoothnessFamily,
+    bias_term,
     boundary_signal,
     sum_inv_b_sq,
 )
@@ -109,7 +110,7 @@ class TestThresholdAndStatistic:
         rng = np.random.default_rng(42)
         coeffs = rng.uniform(-0.3, 0.3, size=4) / np.arange(1, 5)
         theta = Signal(tuple(coeffs))
-        b = np.array([spec.operator.value(k) for k in range(1, d + 1)])
+        b = spec.operator.value_array(np.arange(1, d + 1))
         shift = b * theta.array(d)
         xi = model.sample_block(60_000, d, rng)
         y = shift + spec.eps * xi
@@ -214,7 +215,7 @@ class TestBandwidthSelection:
             c_beta = float(rng.uniform(1.0, 50.0))
             sel = detector.select_bandwidth(spec, c_beta)
             objective = lambda d: (
-                c_beta * spec.eps**2 * sum_inv_b_sq(spec, d) + spec.smoothness.inv_sq(d)
+                c_beta * spec.eps**2 * sum_inv_b_sq(spec, d) + bias_term(spec, d)
             )
             brute = min(range(1, 2000), key=objective)
             assert sel.d == brute
@@ -301,7 +302,7 @@ class TestStatisticalBehaviour:
             d = 6
             r = float(rng.uniform(0.02, 1.0 / 6.0))
             theta = boundary_signal(spec, d, r)
-            b = np.array([spec.operator.value(k) for k in range(1, d + 1)])
+            b = spec.operator.value_array(np.arange(1, d + 1))
             shift = b * theta.array(d)
             xi = model.sample_block(60_000, d, np.random.default_rng(trial))
             y = shift + spec.eps * xi

@@ -295,6 +295,20 @@ class TestSeparationRadius:
         assert not est.bracketed
         assert est.radius == pytest.approx(math.sqrt(bias_term(spec, est.d)))
 
+    def test_cap_probe_accepts_spike_at_the_cap(self):
+        # the spike at r = a_D^-1 has weighted mass one ulp above 1 here, so
+        # the cap probe relies on the membership slack to accept it
+        spec = ProblemSpec(
+            OperatorFamily.well_posed(),
+            SmoothnessFamily.ordinary_smooth(2.0273208137425875),
+            eps=0.1,
+        )
+        est = montecarlo.empirical_separation_radius(
+            spec, 0.1, 0.1, IidGaussian(), 1000, 1, d=24
+        )
+        assert not est.bracketed
+        assert est.radius == math.sqrt(bias_term(spec, 24))
+
     def test_radius_scaling_follows_rate(self):
         # well-posed, s = 1: r^2 ~ eps^(4/3), so halving eps shrinks the
         # radius by about 2^(-2/3)

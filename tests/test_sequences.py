@@ -6,9 +6,12 @@ Covers:
 3. Ellipsoid membership arithmetic, including the boundary convention
 4. Overflow behaviour of severely ill-posed spectra (inf, never an exception)
 5. Bandwidth range enforcement for finite index sets and custom sequences
+6. Chunked prefix sums against an fsum of closed-form terms, across chunk
+   boundaries
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -21,7 +24,6 @@ from seqdetect.sequences import (
     SmoothnessFamily,
     bias_term,
     boundary_signal,
-    compensated_sum,
     ellipsoid_membership,
     scan_bandwidth,
     sum_inv_b_4,
@@ -91,13 +93,85 @@ class TestPartialSums:
         assert math.isinf(sum_inv_b_sq(spec, 400))
         assert math.isinf(sum_inv_b_4(spec, 400))
 
-    def test_compensated_sum_matches_fsum(self):
-        rng = np.random.default_rng(3)
-        terms = list(rng.uniform(0, 1, 500) * 10.0 ** rng.integers(-12, 12, 500))
-        assert compensated_sum(terms) == pytest.approx(math.fsum(terms), rel=1e-15)
 
-    def test_compensated_sum_inf_passthrough(self):
-        assert math.isinf(compensated_sum([1.0, math.inf, 2.0]))
+#: Chunk length of the prefix-sum primitive; the reference bandwidths straddle it.
+_CHUNK = 4096
+#: Fixed from float64 before measuring: a chunk adds at most 4096 terms in
+#: sequence (relative error <= 4096 u, u = 2^-53), the carry between chunks is
+#: exactly rounded, and a closed-form term may differ from its vectorised twin
+#: by an ulp or two; 2 * 4096 u covers all three.
+_PREFIX_RTOL = 2 * _CHUNK * 2.0**-53
+
+
+def _reference_inv_b_sq(op, k):
+    """b_k^-2 by its closed form in scalar arithmetic: the loop reference."""
+    inv_scale_sq = 1.0 / (op.scale * op.scale)
+    if op.kind == "well_posed":
+        return inv_scale_sq
+    if op.kind == "mildly_ill_posed":
+        return inv_scale_sq * math.pow(k, 2.0 * op.exponent)
+    if op.kind == "severely_ill_posed":
+        return inv_scale_sq * math.exp(2.0 * op.exponent * k)
+    v = op.values[k - 1]
+    return inv_scale_sq / (v * v)
+
+
+class TestPrefixSumReference:
+    @pytest.mark.parametrize(
+        "op",
+        [
+            OperatorFamily.well_posed(1.5),
+            OperatorFamily.mildly_ill_posed(0.7, 0.8),
+            OperatorFamily.severely_ill_posed(0.01),
+            OperatorFamily.custom(np.random.default_rng(29).uniform(0.1, 2.0, 3 * _CHUNK + 5)),
+        ],
+        ids=lambda op: op.kind,
+    )
+    @pytest.mark.parametrize("d", [1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 5])
+    def test_partial_sums_match_fsum_of_closed_form_terms(self, op, d):
+        spec = make_spec(op)
+        terms = [_reference_inv_b_sq(op, k) for k in range(1, d + 1)]
+        expected2 = math.fsum(terms)
+        expected4 = math.fsum(w * w for w in terms)
+        assert sum_inv_b_sq(spec, d) == pytest.approx(expected2, rel=_PREFIX_RTOL, abs=0.0)
+        assert sum_inv_b_4(spec, d) == pytest.approx(expected4, rel=_PREFIX_RTOL, abs=0.0)
+
+    def test_severe_inv_sq_overflows_to_inf(self):
+        op = OperatorFamily.severely_ill_posed(1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            w = op.inv_sq_array(np.array([1, 354, 355, 400]))
+        assert w[0] == pytest.approx(math.exp(2.0))
+        assert math.isfinite(w[1]) and np.all(np.isinf(w[2:]))
+
+    def test_overflow_past_the_first_chunk_carries_inf(self):
+        # b_k^-2 = exp(0.1 k): the running sum overflows near k = 7070, in the
+        # second chunk, so the carry into the third chunk is +inf
+        spec = make_spec(OperatorFamily.severely_ill_posed(0.05))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert math.isfinite(sum_inv_b_sq(spec, _CHUNK + 1))
+            for d in (2 * _CHUNK, 2 * _CHUNK + 1, 3 * _CHUNK):
+                assert math.isinf(sum_inv_b_sq(spec, d))
+                assert math.isinf(sum_inv_b_4(spec, d))
+
+    def test_super_smooth_weight_overflow_leaves_signal_outside(self):
+        sm = SmoothnessFamily.super_smooth(1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            a = sm.value_array(np.array([1, 800]))
+            check = ellipsoid_membership(sm, Signal((0.0,) * 799 + (1e-300,)))
+        assert a[0] == pytest.approx(math.e) and math.isinf(a[1])
+        assert math.isinf(check.value) and not check.inside
+
+    def test_custom_index_beyond_length_raises(self):
+        op = OperatorFamily.custom([1.0, 0.5])
+        sm = SmoothnessFamily.custom([1.0, 2.0])
+        for fn in (op.value_array, op.inv_sq_array, sm.value_array, sm.inv_sq_array):
+            with pytest.raises(ValueError, match="beyond custom sequence of length 2"):
+                fn(np.array([1, 3]))
+        with pytest.raises(ValueError, match="beyond custom sequence of length 2"):
+            ellipsoid_membership(sm, Signal((0.0, 0.0, 0.1)))
 
 
 class TestBiasTerm:
@@ -165,6 +239,22 @@ class TestBoundarySignal:
                 continue
             theta = boundary_signal(spec, d, r)
             assert ellipsoid_membership(spec.smoothness, theta).inside
+
+    def test_spike_at_the_cap_is_member(self):
+        # r = a_D^-1 exactly: the weighted mass a_D^2 r^2 can round one ulp
+        # above 1, and must still count as inside
+        rng = np.random.default_rng(31)
+        cases = [(SmoothnessFamily.ordinary_smooth(2.0273208137425875), 24)]
+        for _ in range(2000):
+            s = float(rng.uniform(0.05, 3.0))
+            sm = SmoothnessFamily.ordinary_smooth(s) if rng.random() < 0.5 else (
+                SmoothnessFamily.super_smooth(s / 3.0)
+            )
+            cases.append((sm, int(rng.integers(1, 200))))
+        for sm, d in cases:
+            spec = make_spec(OperatorFamily.well_posed(), sm)
+            theta = boundary_signal(spec, d, math.sqrt(bias_term(spec, d)))
+            assert ellipsoid_membership(sm, theta).inside, (sm, d)
 
 
 class TestRangesAndValidation:
