@@ -32,6 +32,7 @@ from .sequences import (
     SUPER_SMOOTH,
     WELL_POSED,
     ProblemSpec,
+    _inv_b_4_terms,
     bias_term,
     scan_bandwidth,
     sum_inv_b_4,
@@ -156,17 +157,10 @@ def classical_upper_radius_sq(
             raise ValueError("d_range must contain at least one bandwidth")
         return best, best_d
 
-    op = spec.operator
-
-    def term_fn(ks: np.ndarray) -> np.ndarray:
-        w = op.inv_sq_array(ks)
-        with np.errstate(over="ignore"):
-            return w * w
-
     def value_fn(ks: np.ndarray, sums: np.ndarray) -> np.ndarray:
         return smooth.inv_sq_array(ks) + eps2 * np.sqrt(sums)
 
-    result = scan_bandwidth(term_fn, value_fn, spec.bandwidth_limit)
+    result = scan_bandwidth(_inv_b_4_terms(spec.operator), value_fn, spec.bandwidth_limit)
     if result.truncated:
         warnings.warn(
             f"classical-bound minimiser hit the scan limit D = {result.d}",

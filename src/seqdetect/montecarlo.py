@@ -1,8 +1,10 @@
 """Replicated simulation of the full testing pipeline.
 
-Type I / type II error rates are estimated by exact success counting over
-independent replications.  Every replication draws its noise from a stream
-derived from (seed, replication index), so estimates are identical for any
+Type I / type II error rates are estimated by exact rejection counting over
+independent replications.  Replications run in fixed-size blocks: block b
+draws the noise of all its rows from one stream derived from (seed, b), and
+the statistic of the whole block is one matrix-vector product.  The block
+size depends on the bandwidth alone, so estimates are identical for any
 thread count and any reduction order.
 
 The module also carries the machinery of the two-point lower-bound argument:
@@ -17,7 +19,6 @@ import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -40,13 +41,17 @@ _MIN_REPS = 1_000
 _MC_DIVERGENCE_MAX_D = 5
 _MC_DIVERGENCE_MAX_VALUE = 5.0
 _MC_CHUNK = 1 << 17
+#: Noise values per replication block of the error-rate estimates: a block
+#: holds max(1, _MC_BLOCK_ELEMENTS // D) replications, a count fixed by D
+#: alone and never by the thread count.
+_MC_BLOCK_ELEMENTS = 1 << 13
 
 
-def replication_rng(seed: int, index: int) -> np.random.Generator:
-    """Independent substream for one replication, keyed by (seed, index)."""
+def replication_rng(seed: int, block: int) -> np.random.Generator:
+    """Independent substream for one replication block, keyed by (seed, block)."""
     if not 0 <= int(seed) <= _U64_MASK:
         raise ValueError("seed must be an unsigned 64-bit integer")
-    return np.random.default_rng((int(seed), int(index)))
+    return np.random.default_rng((int(seed), int(block)))
 
 
 @dataclass(frozen=True)
@@ -65,39 +70,57 @@ def _check_reps(reps: int) -> None:
         raise ValueError(f"need at least {_MIN_REPS} replications, got {reps}")
 
 
-def _count_successes(
-    reps: int, seed: int, rep_fn: Callable[[np.random.Generator], bool], threads: int
+def _count_rejections(
+    spec: ProblemSpec,
+    config: detector.DetectorConfig,
+    model: NoiseModel,
+    shift: np.ndarray | None,
+    reps: int,
+    seed: int,
+    threads: int,
 ) -> int:
-    """Exact success count; integer reduction, independent of thread count."""
+    """Number of replications with T_D >= threshold for y = shift + eps xi.
 
-    def run_range(lo: int, hi: int) -> int:
+    Replications come in blocks of ``max(1, _MC_BLOCK_ELEMENTS // D)`` rows
+    (the last block may be shorter); block b draws all its rows from
+    ``replication_rng(seed, b)``.  Threads split the block indices and the
+    per-block counts are integers, so the total is the same at any thread
+    count.
+    """
+    d = config.d
+    w = spec.operator.inv_sq_array(np.arange(1, d + 1))
+    eps = spec.eps
+    eps2 = eps**2
+    thr = config.threshold
+    rows = max(1, _MC_BLOCK_ELEMENTS // d)
+    n_blocks = -(-reps // rows)
+
+    def run_blocks(lo: int, hi: int) -> int:
         count = 0
-        for i in range(lo, hi):
-            if rep_fn(replication_rng(seed, i)):
-                count += 1
+        for b in range(lo, hi):
+            n = min(rows, reps - b * rows)
+            y = eps * model.sample_block(n, d, replication_rng(seed, b))
+            if shift is not None:
+                y += shift
+            count += int(np.count_nonzero((y * y - eps2) @ w >= thr))
         return count
 
     if threads <= 1:
-        return run_range(0, reps)
-    bounds = np.linspace(0, reps, threads + 1).astype(int)
+        return run_blocks(0, n_blocks)
+    bounds = np.linspace(0, n_blocks, threads + 1).astype(int)
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(run_range, int(lo), int(hi)) for lo, hi in zip(bounds, bounds[1:])]
+        futures = [pool.submit(run_blocks, int(lo), int(hi)) for lo, hi in zip(bounds, bounds[1:])]
         return sum(f.result() for f in futures)
 
 
-def _estimate(
-    reps: int, seed: int, rep_fn: Callable[[np.random.Generator], bool], threads: int
-) -> McEstimate:
-    start = time.perf_counter()
-    count = _count_successes(reps, seed, rep_fn, threads)
-    elapsed = time.perf_counter() - start
+def _estimate(count: int, reps: int, seed: int, start: float) -> McEstimate:
     p = count / reps
     return McEstimate(
         p_hat=p,
         reps=reps,
         std_err=math.sqrt(p * (1.0 - p) / reps),
         seed=int(seed),
-        wall_time=elapsed,
+        wall_time=time.perf_counter() - start,
     )
 
 
@@ -110,19 +133,11 @@ def estimate_type1(
     threads: int = 1,
 ) -> McEstimate:
     """Fraction of replications rejecting the null under theta = 0."""
+    start = time.perf_counter()
     _check_reps(reps)
-    d = config.d
-    spec.check_bandwidth(d)
-    w = spec.operator.inv_sq_array(np.arange(1, d + 1))
-    eps = spec.eps
-    eps2 = eps * eps
-    thr = config.threshold
-
-    def rep(rng: np.random.Generator) -> bool:
-        y = eps * model.sample(d, rng)
-        return float(w @ (y * y - eps2)) >= thr
-
-    return _estimate(reps, seed, rep, threads)
+    spec.check_bandwidth(config.d)
+    count = _count_rejections(spec, config, model, None, reps, seed, threads)
+    return _estimate(count, reps, seed, start)
 
 
 def estimate_type2(
@@ -138,6 +153,7 @@ def estimate_type2(
 
     The signal must belong to the smoothness ellipsoid.
     """
+    start = time.perf_counter()
     _check_reps(reps)
     check = ellipsoid_membership(spec.smoothness, theta)
     if not check.inside:
@@ -146,18 +162,9 @@ def estimate_type2(
         )
     d = config.d
     spec.check_bandwidth(d)
-    ks = np.arange(1, d + 1)
-    w = spec.operator.inv_sq_array(ks)
-    shift = spec.operator.value_array(ks) * theta.array(d)
-    eps = spec.eps
-    eps2 = eps * eps
-    thr = config.threshold
-
-    def rep(rng: np.random.Generator) -> bool:
-        y = shift + eps * model.sample(d, rng)
-        return float(w @ (y * y - eps2)) < thr
-
-    return _estimate(reps, seed, rep, threads)
+    shift = spec.operator.value_array(np.arange(1, d + 1)) * theta.array(d)
+    count = _count_rejections(spec, config, model, shift, reps, seed, threads)
+    return _estimate(reps - count, reps, seed, start)
 
 
 @dataclass(frozen=True)

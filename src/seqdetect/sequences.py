@@ -371,6 +371,17 @@ def _partial_sum(term_fn: Callable[[np.ndarray], np.ndarray], d: int) -> float:
     return float(sums[-1])
 
 
+def _inv_b_4_terms(operator: OperatorFamily) -> Callable[[np.ndarray], np.ndarray]:
+    """Term function k -> b_k^-4 of the operator; overflow maps to +inf."""
+
+    def term_fn(ks: np.ndarray) -> np.ndarray:
+        w = operator.inv_sq_array(ks)
+        with np.errstate(over="ignore"):
+            return w * w
+
+    return term_fn
+
+
 def sum_inv_b_sq(spec: ProblemSpec, d: int) -> float:
     """Partial sum of b_k^-2 for k = 1..d (the variance driver of the test)."""
     spec.check_bandwidth(d)
@@ -384,14 +395,7 @@ def sum_inv_b_4(spec: ProblemSpec, d: int) -> float:
     squares of a non-negative sequence.
     """
     spec.check_bandwidth(d)
-    inv_sq = spec.operator.inv_sq_array
-
-    def term_fn(ks: np.ndarray) -> np.ndarray:
-        w = inv_sq(ks)
-        with np.errstate(over="ignore"):
-            return w * w
-
-    return _partial_sum(term_fn, d)
+    return _partial_sum(_inv_b_4_terms(spec.operator), d)
 
 
 def bias_term(spec: ProblemSpec, d: int) -> float:

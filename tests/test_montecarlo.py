@@ -3,7 +3,8 @@
 Covers:
 1. Replication streams: determinism across runs and thread counts
 2. Type I / type II estimation, including the exact complement identity at
-   theta = 0 and ellipsoid enforcement
+   theta = 0 and ellipsoid enforcement; the blocked kernel against a
+   row-by-row reference; negative controls that the estimates must fail
 3. The guaranteed-detectable spike signal and its placement rule
 4. The least-favourable signal construction and its norm identity
 5. Chi-square divergence: closed form, the Monte Carlo cross-check, and the
@@ -12,6 +13,7 @@ Covers:
    noise-level scaling implied by the well-posed rate
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -108,6 +110,82 @@ class TestErrorEstimates:
         theta = boundary_signal(spec, 1, 0.9)  # mass far above the threshold
         est = montecarlo.estimate_type2(spec, config, IidGaussian(), theta, 1000, 1)
         assert est.p_hat == 0.0
+
+
+def _reference_rejections(spec, config, model, shift, reps, seed):
+    """Rejection count of the blocked kernel, recomputed one row at a time
+    with the detector's own decision rule."""
+    d = config.d
+    rows = max(1, montecarlo._MC_BLOCK_ELEMENTS // d)
+    count = 0
+    for b in range(-(-reps // rows)):
+        n = min(rows, reps - b * rows)
+        xi = model.sample_block(n, d, montecarlo.replication_rng(seed, b))
+        count += sum(detector.decide(shift + spec.eps * row, config, spec) for row in xi)
+    return count
+
+
+class TestBlockedKernelReference:
+    # (d, reps): d = 1 has the largest block (8192 rows); 7 and 30 do not
+    # divide the block budget.  Every case has at least three blocks and a
+    # ragged last one.
+    CASES = [(1, 2 * 8192 + 100), (7, 3 * (8192 // 7) + 17), (30, 1000)]
+
+    @pytest.mark.parametrize("d,reps", CASES)
+    def test_counts_match_row_by_row_decisions(self, d, reps):
+        rows = max(1, montecarlo._MC_BLOCK_ELEMENTS // d)
+        assert -(-reps // rows) >= 3 and reps % rows != 0
+        spec = flat_spec(eps=0.1)
+        # threshold 0 puts the rejection rate well inside (0, 1), so both
+        # the rejecting and the accepting rows are exercised
+        config = dataclasses.replace(detector.calibrate(spec, 0.1, 0.1, d=d), threshold=0.0)
+        theta = boundary_signal(spec, 1, 0.05)
+        shift = spec.operator.value_array(np.arange(1, d + 1)) * theta.array(d)
+        for i, model in enumerate([IidGaussian(), AdversarialEquicorrelated(d)]):
+            seed = 1000 + d + i
+            ref1 = _reference_rejections(spec, config, model, np.zeros(d), reps, seed)
+            ref2 = _reference_rejections(spec, config, model, shift, reps, seed)
+            assert 0 < ref1 < reps and 0 < ref2 < reps
+            # four threads exceed the three blocks of the d = 1 case
+            for threads in (1, 2, 4):
+                est1 = montecarlo.estimate_type1(spec, config, model, reps, seed, threads=threads)
+                est2 = montecarlo.estimate_type2(
+                    spec, config, model, theta, reps, seed, threads=threads
+                )
+                assert est1.p_hat == ref1 / reps, (model.kind, threads)
+                assert est2.p_hat == (reps - ref2) / reps, (model.kind, threads)
+
+
+def _shipped_models(d):
+    return [IidGaussian(), AdversarialEquicorrelated(d, INV_SQRT2), *_variable_dim_models()]
+
+
+class TestNegativeControls:
+    """A broken test must fail the Monte Carlo check, or the check shows nothing."""
+
+    ALPHA = BETA = 0.1
+
+    def _setup(self):
+        spec = flat_spec(eps=0.2)
+        return spec, detector.calibrate(spec, self.ALPHA, self.BETA, d=5)
+
+    @pytest.mark.parametrize("index", range(5))
+    def test_zero_threshold_fails_type1_check(self, index):
+        spec, config = self._setup()
+        model = _shipped_models(config.d)[index]
+        broken = dataclasses.replace(config, threshold=0.0)
+        est = montecarlo.estimate_type1(spec, broken, model, 2000, 41 + index)
+        assert est.p_hat > self.ALPHA + 3.0 * est.std_err, model.kind
+        if model.kind == "iid_rademacher":
+            # y_k^2 = eps^2 exactly, so T_D = 0 >= 0 in every replication
+            assert est.p_hat == 1.0
+
+    @pytest.mark.parametrize("index", range(5))
+    def test_zero_signal_fails_type2_check(self, index):
+        spec, config = self._setup()
+        model = _shipped_models(config.d)[index]
+        est = montecarlo.estimate_type2(spec, config, model, Signal.zero(), 2000, 51 + index)
+        assert est.p_hat > self.BETA + 3.0 * est.std_err, model.kind
 
 
 class TestMarkovSlackOneSided:
