@@ -7,6 +7,12 @@ the statistic of the whole block is one matrix-vector product.  The block
 size depends on the bandwidth alone, so estimates are identical for any
 thread count and any reduction order.
 
+The empirical separation radius reuses those blocks.  For a spike at
+coordinate D the statistic of each replication is a quadratic in the spike
+radius, so one pass over the null noise gives every replication's accept
+interval, and the radius where the type II error last drops to beta is read
+off the sorted interval endpoints, with no re-draws.
+
 The module also carries the machinery of the two-point lower-bound argument:
 the least-favourable signal aligned with an adversarial covariance, and the
 chi-square divergence E_0[L^2] of the induced likelihood ratio, in closed
@@ -19,6 +25,7 @@ import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import Callable, TypeVar
 
 import numpy as np
 
@@ -33,6 +40,8 @@ from .sequences import (
     sum_inv_b_sq,
     within_cap,
 )
+
+_R = TypeVar("_R")
 
 _U64_MASK = (1 << 64) - 1
 _MIN_REPS = 1_000
@@ -70,6 +79,46 @@ def _check_reps(reps: int) -> None:
         raise ValueError(f"need at least {_MIN_REPS} replications, got {reps}")
 
 
+def _map_blocks(
+    model: NoiseModel,
+    d: int,
+    eps: float,
+    shift: np.ndarray | None,
+    reps: int,
+    seed: int,
+    threads: int,
+    reduce: Callable[[np.ndarray], _R],
+) -> list[_R]:
+    """``reduce(y)`` of every replication block, in block order.
+
+    Replications come in blocks of ``max(1, _MC_BLOCK_ELEMENTS // D)`` rows
+    (the last block may be shorter); block b draws all its rows from
+    ``replication_rng(seed, b)`` and holds y = shift + eps xi, one row per
+    replication.  Threads split the block indices into contiguous ranges and
+    the results are returned in block order, so they are the same at any
+    thread count.
+    """
+    rows = max(1, _MC_BLOCK_ELEMENTS // d)
+    n_blocks = -(-reps // rows)
+
+    def run_blocks(lo: int, hi: int) -> list[_R]:
+        out = []
+        for b in range(lo, hi):
+            n = min(rows, reps - b * rows)
+            y = eps * model.sample_block(n, d, replication_rng(seed, b))
+            if shift is not None:
+                y += shift
+            out.append(reduce(y))
+        return out
+
+    if threads <= 1:
+        return run_blocks(0, n_blocks)
+    bounds = np.linspace(0, n_blocks, threads + 1).astype(int)
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        futures = [pool.submit(run_blocks, int(lo), int(hi)) for lo, hi in zip(bounds, bounds[1:])]
+        return [r for f in futures for r in f.result()]
+
+
 def _count_rejections(
     spec: ProblemSpec,
     config: detector.DetectorConfig,
@@ -81,36 +130,18 @@ def _count_rejections(
 ) -> int:
     """Number of replications with T_D >= threshold for y = shift + eps xi.
 
-    Replications come in blocks of ``max(1, _MC_BLOCK_ELEMENTS // D)`` rows
-    (the last block may be shorter); block b draws all its rows from
-    ``replication_rng(seed, b)``.  Threads split the block indices and the
-    per-block counts are integers, so the total is the same at any thread
+    The per-block counts are integers, so the total is exact at any thread
     count.
     """
     d = config.d
     w = spec.operator.inv_sq_array(np.arange(1, d + 1))
-    eps = spec.eps
-    eps2 = eps**2
+    eps2 = spec.eps**2
     thr = config.threshold
-    rows = max(1, _MC_BLOCK_ELEMENTS // d)
-    n_blocks = -(-reps // rows)
-
-    def run_blocks(lo: int, hi: int) -> int:
-        count = 0
-        for b in range(lo, hi):
-            n = min(rows, reps - b * rows)
-            y = eps * model.sample_block(n, d, replication_rng(seed, b))
-            if shift is not None:
-                y += shift
-            count += int(np.count_nonzero((y * y - eps2) @ w >= thr))
-        return count
-
-    if threads <= 1:
-        return run_blocks(0, n_blocks)
-    bounds = np.linspace(0, n_blocks, threads + 1).astype(int)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(run_blocks, int(lo), int(hi)) for lo, hi in zip(bounds, bounds[1:])]
-        return sum(f.result() for f in futures)
+    counts = _map_blocks(
+        model, d, spec.eps, shift, reps, seed, threads,
+        lambda y: int(np.count_nonzero((y * y - eps2) @ w >= thr)),
+    )
+    return sum(counts)
 
 
 def _estimate(count: int, reps: int, seed: int, start: float) -> McEstimate:
@@ -212,18 +243,86 @@ def guaranteed_detectable_signal(
 
 @dataclass(frozen=True)
 class SeparationEstimate:
-    """Bisection estimate of the empirical separation radius.
+    """Exact empirical separation radius of one noise draw.
 
     ``bracketed`` is False when the type II curve never crosses beta inside
     [0, a_D^-1]: either the test is miscalibrated (type II <= beta at r = 0)
     or no in-ellipsoid spike at bandwidth D separates (type II > beta at the
-    cap).
+    cap).  ``iterations`` is always 0: the radius is solved in closed form
+    from one pass over the noise, with no probes.
     """
 
     radius: float
     bracketed: bool
     d: int
     iterations: int
+
+
+def _null_statistics(
+    spec: ProblemSpec, d: int, model: NoiseModel, reps: int, seed: int, threads: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """(T_D, eps xi_D) of every replication under the null, in replication
+    order, from the same blocks and streams as `estimate_type1`."""
+    w = spec.operator.inv_sq_array(np.arange(1, d + 1))
+    eps2 = spec.eps**2
+    parts = _map_blocks(
+        model, d, spec.eps, None, reps, seed, threads,
+        # a copy, so no view keeps the whole block alive
+        lambda y: ((y * y - eps2) @ w, y[:, -1].copy()),
+    )
+    return np.concatenate([t0 for t0, _ in parts]), np.concatenate([z for _, z in parts])
+
+
+def _last_down_crossing(
+    t0: np.ndarray,
+    z: np.ndarray,
+    *,
+    threshold: float,
+    w_d: float,
+    b_d: float,
+    beta: float,
+    r_cap: float,
+) -> tuple[float, bool]:
+    """(r*, bracketed) for the exact type II curve of a spike at coordinate D.
+
+    Replication i has null statistic ``t0[i]`` and coordinate-D noise
+    ``z[i] = eps xi_D``; a spike of radius r shifts y_D by s = b_D r, so
+    T(r) = t0 + w_D (s^2 + 2 s z) and the replication accepts (T < threshold)
+    exactly on the open interval of s between the roots of
+    s^2 + 2 z s - (threshold - t0) / w_D, or nowhere.  The empirical type II
+    error F(r) is the fraction of these intervals that contain b_D r, and
+
+        r* = inf{r in [0, r_cap] : F <= beta on all of [r, r_cap]},
+
+    the last down-crossing of beta, which is monotone in beta.  F(0) <= beta
+    gives (0, False) and F(r_cap) > beta gives (r_cap, False).
+    """
+    reps = t0.size
+    c = (threshold - t0) / w_d
+    disc = z * z + c
+    accepts = disc > 0
+    z, c, root = z[accepts], c[accepts], np.sqrt(disc[accepts])
+    # one root without cancellation, the other from the product -c
+    q = -(z + np.copysign(root, z))
+    lo = np.minimum(q, -c / q) / b_d
+    hi = np.maximum(q, -c / q) / b_d
+
+    def type2(r: float) -> float:
+        return np.count_nonzero((lo < r) & (r < hi)) / reps
+
+    if type2(0.0) <= beta:
+        return 0.0, False
+    if type2(r_cap) > beta:
+        return r_cap, False
+    points = np.concatenate([lo, hi])
+    order = np.argsort(points, kind="stable")
+    x = points[order]
+    # accepting count on the open segment (x[j], x[j+1]) between distinct
+    # endpoints: every interval that starts at or before x[j] and has not ended
+    inside = np.cumsum(np.where(order < lo.size, 1, -1))[:-1]
+    above = (x[:-1] < x[1:]) & (inside / reps > beta) & (x[1:] > 0) & (x[:-1] < r_cap)
+    last = int(np.flatnonzero(above)[-1])
+    return float(min(x[last + 1], r_cap)), True
 
 
 def empirical_separation_radius(
@@ -235,41 +334,33 @@ def empirical_separation_radius(
     seed: int,
     *,
     d: int | None = None,
-    rel_tol: float = 0.02,
-    max_iterations: int = 20,
     threads: int = 1,
 ) -> SeparationEstimate:
-    """Smallest spike radius at which the empirical type II error drops to beta.
+    """Smallest spike radius past which the empirical type II error stays <= beta.
 
-    Bisection over r in [0, a_D^-1] at the selected bandwidth D (pass ``d``
-    to pin it), with common random numbers across probes (the same seed is
-    reused, so the type II curve is monotone in r up to shared-randomness
-    noise).
+    The spike sits at the selected bandwidth D (pass ``d`` to pin it) and r
+    ranges over [0, a_D^-1].  The noise is drawn once, in the replication
+    blocks of `estimate_type2` with the same seed, so the type II curve is
+    the one `estimate_type2` measures (up to rounding of the statistic), as
+    an exact step function of r.  The radius is its last down-crossing of
+    beta, r* = inf{r : type II <= beta on all of [r, a_D^-1]}, which is
+    monotone in beta.  ``iterations`` is 0: there are no probes.
     """
     _check_reps(reps)
     config = detector.calibrate(spec, alpha, beta, d=d)
     d = config.d
-    r_cap = math.sqrt(bias_term(spec, d))
-
-    def type2_at(r: float) -> float:
-        theta = boundary_signal(spec, d, r) if r > 0 else Signal.zero()
-        return estimate_type2(spec, config, model, theta, reps, seed, threads).p_hat
-
-    if type2_at(0.0) <= beta:
-        return SeparationEstimate(radius=0.0, bracketed=False, d=d, iterations=0)
-    if type2_at(r_cap) > beta:
-        return SeparationEstimate(radius=r_cap, bracketed=False, d=d, iterations=0)
-
-    lo, hi = 0.0, r_cap
-    iterations = 0
-    while iterations < max_iterations and (hi - lo) > rel_tol * hi:
-        mid = 0.5 * (lo + hi)
-        iterations += 1
-        if type2_at(mid) <= beta:
-            hi = mid
-        else:
-            lo = mid
-    return SeparationEstimate(radius=0.5 * (lo + hi), bracketed=True, d=d, iterations=iterations)
+    t0, z = _null_statistics(spec, d, model, reps, seed, threads)
+    last = np.array([d])
+    radius, bracketed = _last_down_crossing(
+        t0,
+        z,
+        threshold=config.threshold,
+        w_d=float(spec.operator.inv_sq_array(last)[0]),
+        b_d=float(spec.operator.value_array(last)[0]),
+        beta=beta,
+        r_cap=math.sqrt(bias_term(spec, d)),
+    )
+    return SeparationEstimate(radius=radius, bracketed=bracketed, d=d, iterations=0)
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,9 @@ Covers:
 5. Chi-square divergence: closed form, the Monte Carlo cross-check, and the
    enforced stability limits
 6. Empirical separation radius: bracketing, monotonicity in beta, and the
-   noise-level scaling implied by the well-posed rate
+   noise-level scaling implied by the well-posed rate; the exact endpoint
+   sweep on handcrafted replications, agreement with the type II kernel,
+   and determinism of the one-pass solve
 """
 
 import dataclasses
@@ -24,6 +26,7 @@ from seqdetect.noise import (
     AdversarialEquicorrelated,
     CorrelationMatrix,
     IidGaussian,
+    LongRangeGaussian,
     adversarial_sigma,
 )
 from seqdetect.sequences import (
@@ -399,3 +402,143 @@ class TestSeparationRadius:
                 ).radius
             )
         assert r[1] / r[0] == pytest.approx(2.0 ** (-2.0 / 3.0), rel=0.15)
+
+
+def _crossing(t0, z, beta, r_cap=10.0):
+    # threshold 0 and unit weights: replication i accepts on the open s
+    # interval where s^2 + 2 z_i s + t0_i < 0, and s = r
+    return montecarlo._last_down_crossing(
+        np.array(t0, dtype=float),
+        np.array(z, dtype=float),
+        threshold=0.0,
+        w_d=1.0,
+        b_d=1.0,
+        beta=beta,
+        r_cap=r_cap,
+    )
+
+
+class TestLastDownCrossing:
+    """The endpoint sweep on handcrafted (T_0, z); every root below is exact
+    in binary floating point."""
+
+    def test_replication_rejecting_at_zero_accepts_in_the_middle(self):
+        # (t0, z) = (-1, 0) accepts on (-1, 1); (1, -2) rejects at r = 0 and
+        # accepts on (2 - sqrt 3, 2 + sqrt 3), so type II rises, then falls
+        radius, bracketed = _crossing([-1.0, 1.0], [0.0, -2.0], beta=0.4)
+        assert bracketed
+        assert radius == pytest.approx(2.0 + math.sqrt(3.0), rel=1e-15)
+        assert _crossing([-1.0], [0.0], beta=0.4) == (1.0, True)
+        # T_0 at the threshold rejects at r = 0 (as in the kernel) and
+        # accepts on (0, 2) just above it
+        assert _crossing([0.0], [-1.0], beta=0.5) == (0.0, False)
+
+    def test_empty_accept_sets_count_as_rejections(self):
+        # (5, 1) never accepts (negative discriminant); (1, 1) touches zero
+        # at s = 1 only, and an open interval of length zero is empty
+        t0, z = [-1.0, 5.0, 1.0, 5.0], [0.0, 1.0, 1.0, 1.0]
+        assert _crossing(t0, z, beta=0.2) == (1.0, True)
+        assert _crossing(t0, z, beta=0.25) == (0.0, False)
+        assert _crossing(t0[1:], z[1:], beta=0.2) == (0.0, False)
+
+    def test_tied_endpoints(self):
+        # two copies of (-1, 1), then (1.5, 2) and (2, 2.5) meeting at s = 2:
+        # at most one replication accepts past s = 1, so the tie at 2 must
+        # not count the entering interval before the leaving one
+        t0, z = [-1.0, -1.0, 3.0, 5.0], [0.0, 0.0, -1.75, -2.25]
+        assert _crossing(t0, z, beta=0.25) == (1.0, True)
+        # three endpoints tied at s = 1: the (-1, 1) pair leaves as (1, 3) enters
+        assert _crossing([-1.0, -1.0, 3.0], [0.0, 0.0, -2.0], beta=0.5) == (1.0, True)
+
+    def test_last_down_crossing_wins(self):
+        # type II is 1/2 on (0, 1), 0 on (1, 2), 1/2 on (2, 3), 0 after 3
+        t0, z = [-1.0, -1.0, 6.0, 6.0], [0.0, 0.0, -2.5, -2.5]
+        assert _crossing(t0, z, beta=0.25) == (3.0, True)
+        assert _crossing(t0, z, beta=0.25, r_cap=2.5) == (2.5, False)
+        assert _crossing(t0, z, beta=0.25, r_cap=1.5) == (1.0, True)
+        assert _crossing(t0, z, beta=0.5) == (0.0, False)
+
+
+def _pinned_radius_cases():
+    d = 8
+    mild = ProblemSpec(
+        OperatorFamily.mildly_ill_posed(0.5),
+        SmoothnessFamily.ordinary_smooth(1.0),
+        eps=0.005,
+        fourth_moment_bound=3.0,
+    )
+    models = [IidGaussian(), LongRangeGaussian(1.0, 0.5), AdversarialEquicorrelated(d, INV_SQRT2)]
+    return [
+        pytest.param(spec, d, model, id=f"{name}-{model.kind}")
+        for name, spec in (("well_posed", flat_spec(eps=0.01)), ("mildly_ill_posed", mild))
+        for model in models
+    ]
+
+
+class _CountingGaussian(IidGaussian):
+    def __init__(self):
+        super().__init__()
+        self.calls = 0
+
+    def sample_block(self, n, d, rng):
+        self.calls += 1
+        return super().sample_block(n, d, rng)
+
+
+class TestExactSeparationRadius:
+    REPS = 2000
+
+    @pytest.mark.parametrize("spec,d,model", _pinned_radius_cases())
+    def test_agrees_with_the_type2_kernel(self, spec, d, model):
+        seed = 70
+        est = montecarlo.empirical_separation_radius(spec, 0.1, 0.1, model, self.REPS, seed, d=d)
+        assert est.bracketed and est.iterations == 0
+        assert type(est.radius) is float
+        assert est.radius < math.sqrt(bias_term(spec, d))
+        config = detector.calibrate(spec, 0.1, 0.1, d=d)
+
+        def type2(r):
+            theta = boundary_signal(spec, d, r)
+            return montecarlo.estimate_type2(spec, config, model, theta, self.REPS, seed).p_hat
+
+        assert type2(est.radius * (1 + 1e-9)) <= 0.1
+        assert type2(est.radius * (1 - 1e-9)) > 0.1
+
+    def test_identical_across_threads_and_reruns(self):
+        spec = flat_spec(eps=0.01)
+        # 5000 reps at D = 8 are five blocks of 1024 rows, the last ragged
+        runs = [
+            montecarlo.empirical_separation_radius(
+                spec, 0.1, 0.1, AdversarialEquicorrelated(8, INV_SQRT2), 5000, 3,
+                d=8, threads=threads,
+            )
+            for threads in (1, 2, 4, 1)
+        ]
+        assert runs[0].bracketed
+        assert all(run == runs[0] for run in runs)
+
+    def test_each_block_is_drawn_once(self):
+        model = _CountingGaussian()
+        montecarlo.empirical_separation_radius(flat_spec(eps=0.01), 0.1, 0.1, model, 5000, 3, d=8)
+        assert model.calls == 5
+
+    def test_null_statistics_match_row_by_row(self):
+        # D = 7 does not divide the block budget: three full blocks of 1170
+        # rows and a ragged last block of 17
+        d, reps, seed = 7, 3 * (8192 // 7) + 17, 11
+        spec = flat_spec(eps=0.1)
+        model = AdversarialEquicorrelated(d, INV_SQRT2)
+        t0, z = montecarlo._null_statistics(spec, d, model, reps, seed, threads=2)
+        rows = max(1, montecarlo._MC_BLOCK_ELEMENTS // d)
+        ref_t0, ref_z, scale = [], [], []
+        for b in range(-(-reps // rows)):
+            n = min(rows, reps - b * rows)
+            xi = model.sample_block(n, d, montecarlo.replication_rng(seed, b))
+            for row in spec.eps * xi:
+                ref_t0.append(detector.statistic(row, spec, d))
+                ref_z.append(row[-1])
+                scale.append(float(np.abs(row * row - spec.eps**2).sum()))
+        assert len(ref_t0) == reps and t0.shape == z.shape == (reps,)
+        assert np.array_equal(z, ref_z)
+        # the block product and the row dot product may sum in another order
+        assert np.all(np.abs(t0 - ref_t0) <= d * 2.0**-52 * np.array(scale))
