@@ -40,12 +40,15 @@ from .detector import (
     decide,
     derive_constants,
     select_bandwidth,
+    select_bandwidths,
     solve_c_beta,
     statistic,
     threshold,
 )
 from .bounds import (
+    GridBounds,
     RadiusBounds,
+    bounds_over_grid,
     RateFit,
     check_hyp_ab,
     classical_upper_radius_sq,

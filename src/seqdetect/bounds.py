@@ -10,8 +10,11 @@ with C_ab = 1 + 4 (1 - alpha - beta)^2 and C_beta from the detector
 calibration.  The classical comparator replaces the variance term by
 eps^2 sqrt(sum b_k^-4), which is what independent Gaussian noise would give.
 
-Rate checks fit the decay of these bounds against the benchmark families on
-log-log axes and compare the fitted exponent with the known rate laws.
+`bounds_over_grid` evaluates all three over an eps grid with one scan per
+bound, each a single pass over its spectrum for the whole grid; the per-eps
+functions are that computation on a grid of one.  Rate checks fit the decay
+of these bounds against the benchmark families on log-log axes and compare
+the fitted exponent with the known rate laws.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -32,10 +35,10 @@ from .sequences import (
     SUPER_SMOOTH,
     WELL_POSED,
     ProblemSpec,
+    ScanResult,
     _inv_b_4_terms,
-    bias_term,
-    scan_bandwidth,
-    sum_inv_b_4,
+    eps_sq_grid,
+    scan_bandwidths,
 )
 
 _RATIO_FLOOR = 1e-6
@@ -61,35 +64,60 @@ def lower_coefficient(alpha: float, beta: float) -> float:
     return math.log(c_alpha_beta(alpha, beta)) / 4.0
 
 
+_UPPER_TRUNCATED = "upper-bound minimiser hit the scan limit D = {d}; value is suspect"
+_LOWER_TRUNCATED = (
+    "lower-bound maximiser hit the scan limit D = {d}; the bound is valid but may be loose"
+)
+_CLASSICAL_TRUNCATED = "classical-bound minimiser hit the scan limit D = {d}"
+
+
+def _checked(result: ScanResult, message: str) -> tuple[float, int]:
+    """(value, D) of one scan, warning with ``message`` when it is truncated."""
+    if result.truncated:
+        warnings.warn(message.format(d=result.d), stacklevel=3)
+    return result.value, result.d
+
+
+def _lower_scans(
+    spec: ProblemSpec, eps_grid: Iterable[float], alpha: float, beta: float
+) -> list[ScanResult]:
+    """sup_D [min(coeff eps^2 sum b^-2, a_D^-2)] at every eps of the grid."""
+    coeffs = lower_coefficient(alpha, beta) * eps_sq_grid(eps_grid)
+    smooth = spec.smoothness
+
+    def value_fn(ks: np.ndarray, sums: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        vals = coeffs[rows, np.newaxis] * sums
+        return np.minimum(vals, smooth.inv_sq_array(ks), out=vals)
+
+    return scan_bandwidths(
+        spec.operator.inv_sq_array, value_fn, spec.bandwidth_limit, coeffs.size, maximize=True
+    )
+
+
+def _classical_scans(spec: ProblemSpec, eps_grid: Iterable[float]) -> list[ScanResult]:
+    """inf_D [a_D^-2 + eps^2 sqrt(sum b^-4)] at every eps of the grid."""
+    eps_sq = eps_sq_grid(eps_grid)
+    smooth = spec.smoothness
+
+    def value_fn(ks: np.ndarray, sums: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        vals = eps_sq[rows, np.newaxis] * np.sqrt(sums)
+        vals += smooth.inv_sq_array(ks)
+        return vals
+
+    return scan_bandwidths(
+        _inv_b_4_terms(spec.operator), value_fn, spec.bandwidth_limit, eps_sq.size
+    )
+
+
 def upper_radius_sq(spec: ProblemSpec, c_beta: float) -> tuple[float, int]:
     """inf_D [c_beta eps^2 sum b^-2 + a_D^-2] with its integer minimiser."""
-    sel = detector.select_bandwidth(spec, c_beta)
-    if sel.truncated:
-        warnings.warn(
-            f"upper-bound minimiser hit the scan limit D = {sel.d}; value is suspect",
-            stacklevel=2,
-        )
-    return sel.value, sel.d
+    return _checked(detector.select_bandwidth(spec, c_beta), _UPPER_TRUNCATED)
 
 
 def lower_radius_sq(spec: ProblemSpec, alpha: float, beta: float) -> tuple[float, int]:
     """sup_D [min(coeff eps^2 sum b^-2, a_D^-2)] with its integer maximiser."""
-    coeff = lower_coefficient(alpha, beta) * spec.eps**2
-    smooth = spec.smoothness
-
-    def value_fn(ks: np.ndarray, sums: np.ndarray) -> np.ndarray:
-        return np.minimum(coeff * sums, smooth.inv_sq_array(ks))
-
-    result = scan_bandwidth(
-        spec.operator.inv_sq_array, value_fn, spec.bandwidth_limit, maximize=True
-    )
-    if result.truncated:
-        warnings.warn(
-            f"lower-bound maximiser hit the scan limit D = {result.d}; "
-            "the bound is valid but may be loose",
-            stacklevel=2,
-        )
-    return result.value, result.d
+    (result,) = _lower_scans(spec, [spec.eps], alpha, beta)
+    return _checked(result, _LOWER_TRUNCATED)
 
 
 @dataclass(frozen=True)
@@ -104,6 +132,42 @@ class RadiusBounds:
     c_beta: float
 
 
+def _theorem1_grid(
+    spec: ProblemSpec,
+    eps_grid: Sequence[float],
+    alpha: float,
+    beta: float,
+    c_beta: float | None,
+) -> list[RadiusBounds]:
+    """Both radius bounds at every eps of the grid, one scan per bound."""
+    if c_beta is None:
+        constants = detector.derive_constants(spec.fourth_moment_bound, alpha)
+        c_beta = detector.solve_c_beta(constants, beta)
+    uppers = detector.select_bandwidths(spec, c_beta, eps_grid)
+    lowers = _lower_scans(spec, eps_grid, alpha, beta)
+    c_lower = lower_coefficient(alpha, beta)
+    out = []
+    for upper_scan, lower_scan in zip(uppers, lowers):
+        upper, d_upper = _checked(upper_scan, _UPPER_TRUNCATED)
+        lower, d_lower = _checked(lower_scan, _LOWER_TRUNCATED)
+        if lower > upper:
+            raise RuntimeError(
+                f"radius bounds out of order (lower {lower:.6g} > upper {upper:.6g}); "
+                "this indicates an implementation bug"
+            )
+        out.append(
+            RadiusBounds(
+                lower_r2=lower,
+                upper_r2=upper,
+                d_lower=d_lower,
+                d_upper=d_upper,
+                c_lower=c_lower,
+                c_beta=c_beta,
+            )
+        )
+    return out
+
+
 def theorem1_bounds(
     spec: ProblemSpec,
     alpha: float,
@@ -115,58 +179,49 @@ def theorem1_bounds(
     A violated ordering is mathematically impossible, so it is raised as an
     implementation bug rather than returned.
     """
-    if c_beta is None:
-        constants = detector.derive_constants(spec.fourth_moment_bound, alpha)
-        c_beta = detector.solve_c_beta(constants, beta)
-    upper, d_upper = upper_radius_sq(spec, c_beta)
-    lower, d_lower = lower_radius_sq(spec, alpha, beta)
-    if lower > upper:
-        raise RuntimeError(
-            f"radius bounds out of order (lower {lower:.6g} > upper {upper:.6g}); "
-            "this indicates an implementation bug"
-        )
-    return RadiusBounds(
-        lower_r2=lower,
-        upper_r2=upper,
-        d_lower=d_lower,
-        d_upper=d_upper,
-        c_lower=lower_coefficient(alpha, beta),
-        c_beta=c_beta,
-    )
+    (rb,) = _theorem1_grid(spec, [spec.eps], alpha, beta, c_beta)
+    return rb
 
 
-def classical_upper_radius_sq(
-    spec: ProblemSpec, d_range: Iterable[int] | None = None
-) -> tuple[float, int]:
+def classical_upper_radius_sq(spec: ProblemSpec) -> tuple[float, int]:
     """inf_D [a_D^-2 + eps^2 sqrt(sum b^-4)]: the independent-noise comparator.
 
     This is the radius scaling the test achieves once the cross terms of the
     statistic's variance are negligible next to the diagonal ones (decaying
-    correlations).  Scans all bandwidths by default; pass ``d_range`` to
-    evaluate an explicit set instead.
+    correlations).
     """
-    eps2 = spec.eps**2
-    smooth = spec.smoothness
-    if d_range is not None:
-        best, best_d = math.inf, 0
-        for d in sorted(set(int(x) for x in d_range)):
-            val = bias_term(spec, d) + eps2 * math.sqrt(sum_inv_b_4(spec, d))
-            if val < best:
-                best, best_d = val, d
-        if best_d == 0:
-            raise ValueError("d_range must contain at least one bandwidth")
-        return best, best_d
+    (result,) = _classical_scans(spec, [spec.eps])
+    return _checked(result, _CLASSICAL_TRUNCATED)
 
-    def value_fn(ks: np.ndarray, sums: np.ndarray) -> np.ndarray:
-        return smooth.inv_sq_array(ks) + eps2 * np.sqrt(sums)
 
-    result = scan_bandwidth(_inv_b_4_terms(spec.operator), value_fn, spec.bandwidth_limit)
-    if result.truncated:
-        warnings.warn(
-            f"classical-bound minimiser hit the scan limit D = {result.d}",
-            stacklevel=2,
-        )
-    return result.value, result.d
+class GridBounds(NamedTuple):
+    """Theorem 1 bounds and the classical comparator at one eps of a grid."""
+
+    bounds: RadiusBounds
+    classical_r2: float
+    d_classical: int
+
+
+def bounds_over_grid(
+    spec: ProblemSpec,
+    eps_grid: Sequence[float],
+    alpha: float,
+    beta: float,
+    c_beta: float | None = None,
+) -> list[GridBounds]:
+    """`theorem1_bounds` and `classical_upper_radius_sq` at every eps of a grid.
+
+    The spec's own eps is not used.  Each of the three bounds is one pass over
+    its spectrum for the whole grid, so the prefix sums are formed once per
+    chunk rather than once per eps; values, bandwidths and truncation
+    warnings are those of the per-eps functions.
+    """
+    radius_bounds = _theorem1_grid(spec, eps_grid, alpha, beta, c_beta)
+    classicals = _classical_scans(spec, eps_grid)
+    return [
+        GridBounds(rb, *_checked(classical, _CLASSICAL_TRUNCATED))
+        for rb, classical in zip(radius_bounds, classicals)
+    ]
 
 
 @dataclass(frozen=True)

@@ -99,29 +99,28 @@ def _bounds_rows(
 ) -> tuple[list[list[str]], list[tuple[float, float]]]:
     """CSV rows over the eps grid plus the lower-bound grid used for fits.
 
-    Rate fits run on the lower bound: its constants are of order one, so it
-    reaches the asymptotic decay already at desk-scale eps, while the upper
-    bound's calibration constant delays convergence of log-factor cells far
-    beyond double-precision grids."""
+    One `bounds_over_grid` call covers the whole grid.  Rate fits run on the
+    lower bound: its constants are of order one, so it reaches the asymptotic
+    decay already at desk-scale eps, while the upper bound's calibration
+    constant delays convergence of log-factor cells far beyond
+    double-precision grids."""
     constants = detector.derive_constants(problem.fourth_moment_bound, config.alpha)
     c_beta = detector.solve_c_beta(constants, config.beta, config.c_beta_mode)
-    rows: list[list[str]] = []
-    fit_grid: list[tuple[float, float]] = []
-    for eps in config.eps_grid:
-        spec = replace(problem, eps=eps)
-        rb = bounds_mod.theorem1_bounds(spec, config.alpha, config.beta, c_beta=c_beta)
-        classical, _ = bounds_mod.classical_upper_radius_sq(spec)
-        rows.append(
-            [
-                _fmt(eps),
-                _fmt(rb.lower_r2),
-                _fmt(rb.upper_r2),
-                _fmt(classical),
-                str(rb.d_lower),
-                str(rb.d_upper),
-            ]
-        )
-        fit_grid.append((eps, rb.lower_r2))
+    grid = bounds_mod.bounds_over_grid(
+        problem, config.eps_grid, config.alpha, config.beta, c_beta=c_beta
+    )
+    rows = [
+        [
+            _fmt(eps),
+            _fmt(point.bounds.lower_r2),
+            _fmt(point.bounds.upper_r2),
+            _fmt(point.classical_r2),
+            str(point.bounds.d_lower),
+            str(point.bounds.d_upper),
+        ]
+        for eps, point in zip(config.eps_grid, grid)
+    ]
+    fit_grid = [(eps, point.bounds.lower_r2) for eps, point in zip(config.eps_grid, grid)]
     return rows, fit_grid
 
 

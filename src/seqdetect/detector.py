@@ -23,11 +23,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .sequences import ProblemSpec, scan_bandwidth, sum_inv_b_sq
+from .sequences import ProblemSpec, eps_sq_grid, scan_bandwidths, sum_inv_b_sq
 
 #: Configurations with 1 - K1/C_beta below this are flagged: the type II
 #: guarantee constant blows up as the margin closes.
@@ -150,24 +150,38 @@ class BandwidthSelection(NamedTuple):
     truncated: bool
 
 
-def select_bandwidth(spec: ProblemSpec, c_beta: float) -> BandwidthSelection:
-    """Bandwidth minimising the radius objective c_beta eps^2 sum b^-2 + a_D^-2.
+def select_bandwidths(
+    spec: ProblemSpec, c_beta: float, eps_grid: Iterable[float]
+) -> list[BandwidthSelection]:
+    """Bandwidths minimising the radius objective c_beta eps^2 sum b^-2 + a_D^-2,
+    one per noise level of ``eps_grid`` (the spec's own eps is not used).
 
-    Exact integer search up to the spec's bandwidth limit with an early exit
-    once the objective stops improving; ties go to the smaller bandwidth.
-    ``truncated`` marks minimisers that sit on the scan limit, where the
-    reported optimum is suspect.
+    Exact integer search up to the spec's bandwidth limit, in one pass over
+    the spectrum for the whole grid; each objective stops once it stops
+    improving, and ties go to the smaller bandwidth.  ``truncated`` marks
+    minimisers that sit on the scan limit, where the reported optimum is
+    suspect.
     """
     if not c_beta > 0:
         raise ValueError("calibration constant must be positive")
-    eps2 = spec.eps**2
+    coeffs = c_beta * eps_sq_grid(eps_grid)
     smooth = spec.smoothness
 
-    def value_fn(ks: np.ndarray, sums: np.ndarray) -> np.ndarray:
-        return c_beta * eps2 * sums + smooth.inv_sq_array(ks)
+    def value_fn(ks: np.ndarray, sums: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        vals = coeffs[rows, np.newaxis] * sums
+        vals += smooth.inv_sq_array(ks)
+        return vals
 
-    result = scan_bandwidth(spec.operator.inv_sq_array, value_fn, spec.bandwidth_limit)
-    return BandwidthSelection(result.d, result.value, result.truncated)
+    results = scan_bandwidths(
+        spec.operator.inv_sq_array, value_fn, spec.bandwidth_limit, coeffs.size
+    )
+    return [BandwidthSelection(*result) for result in results]
+
+
+def select_bandwidth(spec: ProblemSpec, c_beta: float) -> BandwidthSelection:
+    """`select_bandwidths` at the spec's own eps."""
+    (selection,) = select_bandwidths(spec, c_beta, [spec.eps])
+    return selection
 
 
 def calibrate(

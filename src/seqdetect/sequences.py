@@ -13,6 +13,11 @@ chunk of indices, with the total of the earlier chunks carried by an exactly
 rounded ``math.fsum``.  Exponentially ill-posed spectra overflow to ``+inf``
 instead of raising, so optimisation loops can simply skip past the overflowed
 tail.
+
+Every optimisation over the bandwidth is one `scan_bandwidths` pass: the
+prefix sums of a spectrum are formed once per chunk and shared by any number
+of objectives (one per noise level of an eps grid, say), each of which
+freezes on its own once it stops improving.
 """
 
 from __future__ import annotations
@@ -450,10 +455,60 @@ def boundary_signal(spec: ProblemSpec, d: int, r: float) -> Signal:
     return Signal((0.0,) * (d - 1) + (float(r),))
 
 
+def eps_sq_grid(eps_grid: Iterable[float]) -> np.ndarray:
+    """eps^2 for every noise level of a grid, each checked like ``ProblemSpec.eps``."""
+    eps_sq = []
+    for eps in map(float, eps_grid):
+        if not eps > 0 or not math.isfinite(eps):
+            raise ValueError("noise level eps must be positive and finite")
+        eps_sq.append(eps**2)
+    if not eps_sq:
+        raise ValueError("eps grid must contain at least one noise level")
+    return np.array(eps_sq)
+
+
 class ScanResult(NamedTuple):
     d: int
     value: float
     truncated: bool
+
+
+def scan_bandwidths(
+    term_fn: Callable[[np.ndarray], np.ndarray],
+    value_fn: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
+    limit: int,
+    count: int,
+    *,
+    maximize: bool = False,
+) -> list[ScanResult]:
+    """Optimise ``count`` objectives over integer bandwidths 1..limit in one pass.
+
+    ``value_fn(ks, sums, rows)`` gets one chunk of indices, the prefix sums of
+    ``term_fn`` over them and the indices of the objectives still running,
+    and returns one row of values per entry of ``rows``.  Each objective
+    keeps its own incumbent and freezes once ``_SCAN_STALL_LIMIT`` consecutive
+    bandwidths fail to improve on it (the objectives used here are unimodal
+    after their crossover point); frozen objectives are never evaluated
+    again, and the pass ends when all are frozen.  Ties keep the smaller
+    bandwidth; `truncated` is set when an optimiser lands on the scan limit.
+    """
+    if limit < 1:
+        raise ValueError("bandwidth limit must be at least 1")
+    best_d = np.zeros(count, dtype=np.int64)
+    best = np.full(count, -math.inf if maximize else math.inf)
+    rows = np.arange(count)
+    for ks, sums in _prefix_sums(term_fn, limit):
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals = value_fn(ks, sums, rows)
+        idx = np.argmax(vals, axis=1) if maximize else np.argmin(vals, axis=1)
+        candidates = vals[np.arange(rows.size), idx]
+        improved = candidates > best[rows] if maximize else candidates < best[rows]
+        best[rows[improved]] = candidates[improved]
+        best_d[rows[improved]] = ks[idx[improved]]
+        rows = rows[ks[-1] - best_d[rows] < _SCAN_STALL_LIMIT]
+        if not rows.size:
+            break
+    return [ScanResult(int(d), float(v), int(d) == limit) for d, v in zip(best_d, best)]
 
 
 def scan_bandwidth(
@@ -463,26 +518,11 @@ def scan_bandwidth(
     *,
     maximize: bool = False,
 ) -> ScanResult:
-    """Optimise ``value_fn(k, cumsum(term_fn))`` over integer bandwidths 1..limit.
+    """Optimise ``value_fn(k, cumsum(term_fn))`` over integer bandwidths 1..limit:
+    `scan_bandwidths` with a single objective."""
 
-    Exact integer search over the chunks of the prefix sums, with an early
-    exit once ``_SCAN_STALL_LIMIT`` consecutive bandwidths fail to improve on
-    the incumbent (the objectives used here are unimodal after their
-    crossover point).  Ties keep the smaller bandwidth; `truncated` is set
-    when the optimiser lands on the scan limit.
-    """
-    if limit < 1:
-        raise ValueError("bandwidth limit must be at least 1")
-    best_d = 0
-    best = -math.inf if maximize else math.inf
-    for ks, sums in _prefix_sums(term_fn, limit):
-        with np.errstate(over="ignore", invalid="ignore"):
-            vals = value_fn(ks, sums)
-        idx = int(np.argmax(vals) if maximize else np.argmin(vals))
-        candidate = float(vals[idx])
-        if (candidate > best) if maximize else (candidate < best):
-            best = candidate
-            best_d = int(ks[idx])
-        if int(ks[-1]) - best_d >= _SCAN_STALL_LIMIT:
-            return ScanResult(best_d, best, False)
-    return ScanResult(best_d, best, best_d == limit)
+    def rows_fn(ks: np.ndarray, sums: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        return value_fn(ks, sums)[np.newaxis, :]
+
+    (result,) = scan_bandwidths(term_fn, rows_fn, limit, 1, maximize=maximize)
+    return result

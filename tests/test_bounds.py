@@ -11,13 +11,20 @@ Covers:
 """
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from seqdetect import bounds, detector
-from seqdetect.sequences import OperatorFamily, ProblemSpec, SmoothnessFamily
+from seqdetect.sequences import (
+    OperatorFamily,
+    ProblemSpec,
+    SmoothnessFamily,
+    sum_inv_b_4,
+    sum_inv_b_sq,
+)
 
 
 def make_spec(op, sm, eps, c=3.0, d_max=1 << 16):
@@ -130,14 +137,19 @@ class TestClassicalComparator:
         assert d == 128
         assert value == pytest.approx(128.0**-2.0, rel=1e-6)
 
-    def test_explicit_bandwidth_range(self):
+    def test_brute_force_interior_minimiser(self):
+        # D^-2 + eps^2 sqrt(D) at eps = 0.1 is minimised near D = 400^0.4 = 11,
+        # well inside d_max = 64, so the scan must not warn
         spec = make_spec(
-            OperatorFamily.well_posed(), SmoothnessFamily.ordinary_smooth(1.0), 0.1
+            OperatorFamily.well_posed(), SmoothnessFamily.ordinary_smooth(1.0), 0.1, d_max=64
         )
-        value, d = bounds.classical_upper_radius_sq(spec, d_range=[1, 2, 4])
-        oracle = {k: k**-2.0 + 0.01 * math.sqrt(k) for k in (1, 2, 4)}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value, d = bounds.classical_upper_radius_sq(spec)
+        oracle = {k: k**-2.0 + 0.1**2 * math.sqrt(k) for k in range(1, 65)}
         best = min(oracle, key=oracle.get)
-        assert d == best and value == pytest.approx(oracle[best])
+        assert d == best == 11
+        assert value == pytest.approx(oracle[best], rel=1e-14)
 
     def test_well_posed_rate_exponent(self):
         # balancing eps^2 sqrt(D) against D^-2s gives r^2 ~ eps^(8s/(4s+1))
@@ -186,6 +198,101 @@ class TestClassicalComparator:
         classical_fit = bounds.fit_rate(classical_grid, bounds.LOG_EPS).exponent
         general_fit = bounds.fit_rate(general_grid, bounds.LOG_EPS).exponent
         assert abs(classical_fit - general_fit) <= 0.05
+
+
+def _grid_specs():
+    """(spec, eps grid) for the six named cells, a custom spectrum and an
+    overflowing severely ill-posed spectrum.  b_k^-2 = e^{10 k} of the last is
+    +inf from k = 71 on and b_k^-4 from k = 36 on, so on its deep grid the
+    lower maximiser reaches the first overflow and the classical minimiser
+    stops below the second."""
+    grid = [2.0**-k for k in range(2, 14)]
+    s, t = 0.75, 0.5
+    specs = {}
+    for op in (
+        OperatorFamily.well_posed(),
+        OperatorFamily.mildly_ill_posed(t),
+        OperatorFamily.severely_ill_posed(t),
+    ):
+        for sm in (SmoothnessFamily.ordinary_smooth(s), SmoothnessFamily.super_smooth(s)):
+            specs[f"{op.kind}/{sm.kind}"] = make_spec(op, sm, 0.1, c=1.0), grid
+    rng = np.random.default_rng(17)
+    specs["custom"] = make_spec(
+        OperatorFamily.custom(np.sort(rng.uniform(0.05, 1.0, 300))[::-1]),
+        SmoothnessFamily.ordinary_smooth(1.0),
+        0.1,
+    ), grid
+    specs["overflowing"] = make_spec(
+        OperatorFamily.severely_ill_posed(5.0), SmoothnessFamily.super_smooth(0.1), 0.1
+    ), [10.0**-k for k in range(10, 161, 15)]
+    return specs
+
+
+GRID_SPECS = _grid_specs()
+
+
+class TestGridScan:
+    """`bounds_over_grid` against its grid-of-one wrappers, compared exactly."""
+
+    @pytest.mark.parametrize("name", list(GRID_SPECS))
+    def test_grid_equals_per_eps_calls(self, name):
+        spec, eps_grid = GRID_SPECS[name]
+        alpha, beta = 0.25, 0.25
+        c_beta = detector.solve_c_beta(detector.derive_constants(1.0, alpha), beta)
+        with warnings.catch_warnings(record=True) as grid_caught:
+            warnings.simplefilter("always")
+            grid = bounds.bounds_over_grid(spec, eps_grid, alpha, beta, c_beta)
+        selections = detector.select_bandwidths(spec, c_beta, eps_grid)
+        assert len(grid) == len(selections) == len(eps_grid)
+        with warnings.catch_warnings(record=True) as single_caught:
+            warnings.simplefilter("always")
+            for eps, point, selection in zip(eps_grid, grid, selections):
+                single = replace(spec, eps=eps)
+                assert point.bounds == bounds.theorem1_bounds(single, alpha, beta, c_beta)
+                assert (point.classical_r2, point.d_classical) == (
+                    bounds.classical_upper_radius_sq(single)
+                )
+                assert selection == detector.select_bandwidth(single, c_beta)
+        assert sorted(str(w.message) for w in grid_caught) == sorted(
+            str(w.message) for w in single_caught
+        )
+
+    def test_overflowing_spectrum_reaches_inf(self):
+        spec, eps_grid = GRID_SPECS["overflowing"]
+        assert math.isinf(sum_inv_b_sq(spec, 71)) and math.isfinite(sum_inv_b_sq(spec, 70))
+        assert math.isinf(sum_inv_b_4(spec, 36)) and math.isfinite(sum_inv_b_4(spec, 35))
+        deepest = bounds.bounds_over_grid(spec, eps_grid, 0.25, 0.25)[-1]
+        assert (deepest.bounds.d_lower, deepest.d_classical) == (71, 35)
+
+    def test_only_deepest_eps_warns(self):
+        # classical minimisers sit at D = 5, 9, ..., 147 for eps = 2^-2..2^-8
+        # and at D = 256 for eps = 2^-9; lower maximisers stay below 100
+        spec = make_spec(
+            OperatorFamily.well_posed(), SmoothnessFamily.ordinary_smooth(1.0), 0.1, d_max=200
+        )
+        grid = [2.0**-k for k in range(2, 10)]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            points = bounds.bounds_over_grid(spec, grid, 0.1, 0.1)
+        assert [str(w.message) for w in caught] == [
+            "classical-bound minimiser hit the scan limit D = 200"
+        ]
+        assert [p.d_classical for p in points][-2:] == [147, 200]
+        assert max(p.bounds.d_lower for p in points) < 200
+
+    @pytest.mark.parametrize(
+        "eps_grid",
+        [[], [0.1, 0.0], [0.1, -0.01], [0.1, math.nan], [math.inf]],
+        ids=["empty", "zero", "negative", "nan", "inf"],
+    )
+    def test_invalid_grid_rejected(self, eps_grid):
+        spec = make_spec(
+            OperatorFamily.well_posed(), SmoothnessFamily.ordinary_smooth(1.0), 0.1
+        )
+        with pytest.raises(ValueError):
+            bounds.bounds_over_grid(spec, eps_grid, 0.1, 0.1)
+        with pytest.raises(ValueError):
+            detector.select_bandwidths(spec, 25.0, eps_grid)
 
 
 class TestHypAbCheck:

@@ -5,14 +5,17 @@ Covers:
 2. Noise blocks, defaults, overrides, and command pinning
 3. Each subcommand's outputs: headers, key lines, exit codes
 4. Byte-level determinism of the simulate CSV across reruns and threads
+5. The shipped bounds, calibrate and rates configs against golden outputs
+6. A negative control: simulate with a zero threshold must fail
 """
 
+import math
 import os
 from pathlib import Path
 
 import pytest
 
-from seqdetect import cli
+from seqdetect import cli, detector
 from seqdetect.config import ALL_CELLS, ConfigError, parse_config
 
 BASE_CONFIG = """
@@ -34,6 +37,10 @@ test.beta = 0.1
 run.reps = 1000
 run.eps_grid = 0.0625, 0.03125, 0.015625, 0.0078125, 0.00390625, 0.001953125
 """
+
+
+REPO = Path(__file__).resolve().parents[1]
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def write_config(tmp_path: Path, text: str = BASE_CONFIG, name: str = "exp.cfg") -> Path:
@@ -255,3 +262,65 @@ class TestCommandPinning:
     def test_pinned_command_match(self, tmp_path):
         cfg = write_config(tmp_path, BASE_CONFIG + "run.command = calibrate\n")
         assert cli.main(["calibrate", "--config", str(cfg), "--output", str(tmp_path)]) == 0
+
+
+#: Output fields compared exactly; every other value is a float compared at
+#: a relative tolerance that absorbs libm and SIMD differences between
+#: platforms.
+EXACT_FIELDS = {"D_lower", "D_upper", "D_selected", "D_truncated", "pass", "cell"}
+GOLDEN_RTOL = 1e-12
+
+
+def _same_field(name: str, got: str, want: str) -> bool:
+    if name in EXACT_FIELDS or name.endswith("_flag"):
+        return got == want
+    return math.isclose(float(got), float(want), rel_tol=GOLDEN_RTOL, abs_tol=0.0)
+
+
+def _assert_matches_golden(path: Path, golden: Path) -> None:
+    got, want = path.read_text().splitlines(), golden.read_text().splitlines()
+    assert len(got) == len(want), path.name
+    if path.suffix == ".csv":
+        assert got[0] == want[0], f"{path.name}: header"
+        header = want[0].split(",")
+        for got_line, want_line in zip(got[1:], want[1:]):
+            got_row, want_row = got_line.split(","), want_line.split(",")
+            assert len(got_row) == len(header), f"{path.name}: {got_line}"
+            for name, g, w in zip(header, got_row, want_row):
+                assert _same_field(name, g, w), f"{path.name}: {name} {g} != {w}"
+        return
+    for got_line, want_line in zip(got, want):
+        if " = " not in want_line:
+            assert got_line == want_line, path.name
+            continue
+        name, _, w = want_line.partition(" = ")
+        got_name, _, g = got_line.partition(" = ")
+        assert got_name == name, f"{path.name}: {got_line}"
+        assert _same_field(name, g, w), f"{path.name}: {name} {g} != {w}"
+
+
+class TestGoldenOutputs:
+    """The shipped configs reproduce the outputs recorded in tests/golden/."""
+
+    @pytest.mark.parametrize("command", ["bounds", "calibrate", "rates"])
+    def test_shipped_config(self, tmp_path, command):
+        cfg = REPO / "configs" / f"{command}.cfg"
+        assert cli.main([command, "--config", str(cfg), "--output", str(tmp_path)]) == 0
+        expected = sorted(p.name for p in (GOLDEN / command).iterdir())
+        produced = sorted(p.name for p in tmp_path.iterdir() if p.suffix != ".log")
+        assert produced == expected
+        for name in expected:
+            _assert_matches_golden(tmp_path / name, GOLDEN / command / name)
+
+
+class TestNegativeControl:
+    def test_zero_threshold_fails_simulate(self, tmp_path, monkeypatch):
+        # a threshold of 0 rejects about half of all null draws, far above
+        # alpha = 0.1, so the type I check must fail and the run exit 1
+        monkeypatch.setattr(detector, "threshold", lambda *args, **kwargs: 0.0)
+        cfg = REPO / "configs" / "simulate.cfg"
+        argv = ["simulate", "--config", str(cfg), "--output", str(tmp_path), "--reps", "1000"]
+        assert cli.main(argv) == 1
+        rows = (tmp_path / "simulate.csv").read_text().splitlines()[1:]
+        assert any(row.endswith(",false") for row in rows)
+

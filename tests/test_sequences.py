@@ -26,6 +26,7 @@ from seqdetect.sequences import (
     boundary_signal,
     ellipsoid_membership,
     scan_bandwidth,
+    scan_bandwidths,
     sum_inv_b_4,
     sum_inv_b_sq,
 )
@@ -330,3 +331,51 @@ class TestScanBandwidth:
 
         result = scan_bandwidth(lambda ks: np.ones(len(ks)), value_fn, 300)
         assert result.d == 300 and result.truncated
+
+
+class TestScanBandwidths:
+    """The multi-objective pass: per-objective freezing, exact agreement
+    with one-objective scans."""
+
+    @staticmethod
+    def objectives(ks, sums):
+        # row 0 is minimised at D = 10 (first chunk); row 1 at D = 10000
+        # (third chunk); row 2 at D = 5000 (second chunk)
+        return np.abs(sums[np.newaxis, :] - np.array([[10.0], [10000.0], [5000.0]]))
+
+    def test_frozen_objectives_are_not_evaluated(self):
+        seen = []
+
+        def value_fn(ks, sums, rows):
+            seen.append((int(ks[0]), rows.tolist()))
+            return self.objectives(ks, sums)[rows]
+
+        results = scan_bandwidths(lambda ks: np.ones(len(ks)), value_fn, 1 << 16, 3)
+        assert [r.d for r in results] == [10, 10000, 5000]
+        assert [r.value for r in results] == [0.0, 0.0, 0.0]
+        assert not any(r.truncated for r in results)
+        assert seen == [(1, [0, 1, 2]), (4097, [1, 2]), (8193, [1])]
+
+    def test_rows_match_single_objective_scans(self):
+        def value_fn(ks, sums, rows):
+            return self.objectives(ks, sums)[rows]
+
+        results = scan_bandwidths(lambda ks: np.ones(len(ks)), value_fn, 9000, 3)
+        for row, result in enumerate(results):
+            single = scan_bandwidth(
+                lambda ks: np.ones(len(ks)),
+                lambda ks, sums: self.objectives(ks, sums)[row],
+                9000,
+            )
+            assert result == single
+        assert results[1] == (9000, 1000.0, True)
+
+    def test_maximize_freezes_per_row(self):
+        def value_fn(ks, sums, rows):
+            return -self.objectives(ks, sums)[rows]
+
+        results = scan_bandwidths(
+            lambda ks: np.ones(len(ks)), value_fn, 1 << 16, 3, maximize=True
+        )
+        assert [(r.d, r.value) for r in results] == [(10, 0.0), (10000, 0.0), (5000, 0.0)]
+
