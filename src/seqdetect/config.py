@@ -8,7 +8,8 @@ Schema (dotted keys, one per line, '#' starts a comment line):
   smoothness.kind      ordinary_smooth | super_smooth
   smoothness.s         growth exponent (required)
   smoothness.scale     positive multiplier, default 1
-  eps                  base noise level (required)
+  eps                  base noise level (required); eps^2 must be a finite
+                       positive float
   C                    fourth-moment class constant, default 3
   index_mode           'infinite' or an integer n, default infinite
   D_max                bandwidth truncation, default 65536
@@ -33,7 +34,8 @@ Schema (dotted keys, one per line, '#' starts a comment line):
 
   run.command          bounds | calibrate | simulate | rates (optional; must
                        match the invoked subcommand when present)
-  run.eps_grid         comma-separated, strictly decreasing positive floats
+  run.eps_grid         comma-separated, strictly decreasing positive floats,
+                       each checked like eps
   run.reps             replications per estimate, default 10000
   run.output_path      default output directory (CLI --output overrides)
   run.cells            'all' or comma-separated operator/smoothness cells
@@ -193,6 +195,19 @@ def _parse_int(raw: str, line_no: int, key: str) -> int:
         raise ConfigError(f"line {line_no}: {key} expects an integer, got {raw!r}") from None
 
 
+def _check_noise_level(eps: float, where: str) -> None:
+    """Reject a noise level whose square is not a finite positive float.
+
+    The library also rejects an overflowing square but keeps eps^2 == 0 as the
+    noise-free limit; no command can use that limit (rate fits take log 0, and
+    the selected bandwidth runs to D_max).
+    """
+    if not eps > 0 or not 0.0 < eps * eps < math.inf:
+        raise ConfigError(
+            f"{where}: noise level {eps!r} must be positive with a finite, non-zero square"
+        )
+
+
 def parse_config(text: str, source: str = "<config>") -> ExperimentConfig:
     """Parse and validate a config document; all errors carry line numbers."""
     scalars: dict[str, tuple[str, int]] = {}
@@ -268,6 +283,7 @@ def parse_config(text: str, source: str = "<config>") -> ExperimentConfig:
 
     entry = require("eps")
     eps = _parse_float(entry[0], entry[1], "eps")
+    _check_noise_level(eps, f"{source}, line {entry[1]}: eps")
 
     c = 3.0
     if (entry := take("C")) is not None:
@@ -355,6 +371,8 @@ def parse_config(text: str, source: str = "<config>") -> ExperimentConfig:
             raise ConfigError(
                 f"{source}, line {entry[1]}: run.eps_grid must be strictly decreasing and positive"
             )
+        for level in grid:
+            _check_noise_level(level, f"{source}, line {entry[1]}: run.eps_grid")
         eps_grid = grid
 
     reps = 10_000

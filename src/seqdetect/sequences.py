@@ -10,9 +10,11 @@ partial sums of ``b_k^-2`` and ``b_k^-4`` defined here.
 Sequences are evaluated by formula over whole index arrays, and every partial
 sum comes from one chunked prefix-sum primitive: a numpy ``cumsum`` inside each
 chunk of indices, with the total of the earlier chunks carried by an exactly
-rounded ``math.fsum``.  Exponentially ill-posed spectra overflow to ``+inf``
-instead of raising, so optimisation loops can simply skip past the overflowed
-tail.
+rounded ``math.fsum``.  That fsum never sees the terms one by one: it sums
+the cumsum's last value and the last values of cumsums of its cascaded TwoSum
+residuals, whose exact sum is the chunk's sum.  Exponentially ill-posed
+spectra overflow to ``+inf`` instead of raising, so optimisation loops can
+simply skip past the overflowed tail.
 
 Every optimisation over the bandwidth is one `scan_bandwidths` pass: the
 prefix sums of a spectrum are formed once per chunk and shared by any number
@@ -23,7 +25,7 @@ freezes on its own once it stops improving.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
@@ -56,21 +58,38 @@ def _exp_or_inf(x: float) -> float:
 
 
 def _fsum_or_inf(terms: Iterable[float]) -> float:
-    """Exactly rounded sum of non-negative terms; +inf once it overflows."""
+    """Exactly rounded sum of terms whose total is non-negative; +inf once it
+    overflows."""
     try:
         return math.fsum(terms)
     except OverflowError:
         return math.inf
 
 
-def _custom_at(values: tuple[float, ...], ks: np.ndarray) -> np.ndarray:
+def _frozen_array(values: tuple[float, ...]) -> np.ndarray:
+    array = np.array(values, dtype=float)
+    array.setflags(write=False)
+    return array
+
+
+def _check_eps(eps: float) -> None:
+    """A noise level must be positive and its square finite.
+
+    eps^2 may underflow to 0: that is the noise-free limit, in which every
+    bound reduces to its bias term.
+    """
+    if not eps > 0 or not eps * eps < math.inf:
+        raise ValueError(f"noise level eps must be positive with a finite square, got {eps!r}")
+
+
+def _custom_at(values: np.ndarray, ks: np.ndarray) -> np.ndarray:
     """values[k - 1] for each index k of a custom sequence."""
     ks = np.asarray(ks)
     if ks.size and ks.min() < 1:
         raise ValueError("sequence indices start at 1")
     if ks.size and ks.max() > len(values):
         raise ValueError(f"index {ks.max()} beyond custom sequence of length {len(values)}")
-    return np.asarray(values, dtype=float)[ks - 1]
+    return values[ks - 1]
 
 
 @dataclass(frozen=True)
@@ -88,6 +107,8 @@ class OperatorFamily:
     exponent: float = 0.0
     scale: float = 1.0
     values: tuple[float, ...] | None = None
+    #: ``values`` as a read-only float array, built once for custom sequences.
+    _array: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.kind not in OPERATOR_KINDS:
@@ -102,6 +123,7 @@ class OperatorFamily:
                 raise ValueError("custom operator requires explicit values")
             if any(not v > 0 or not math.isfinite(v) for v in self.values):
                 raise ValueError("custom operator values must be positive and finite")
+            object.__setattr__(self, "_array", _frozen_array(self.values))
         elif self.values is not None:
             raise ValueError("explicit values are only valid for the custom kind")
 
@@ -135,7 +157,7 @@ class OperatorFamily:
             return self.scale * np.asarray(ks, dtype=float) ** -self.exponent
         if self.kind == SEVERELY_ILL_POSED:
             return self.scale * np.exp(-self.exponent * np.asarray(ks, dtype=float))
-        return self.scale * _custom_at(self.values, ks)
+        return self.scale * _custom_at(self._array, ks)
 
     def inv_sq_array(self, ks: np.ndarray) -> np.ndarray:
         """b_k^-2 over an index array, computed directly so ill-posed spectra
@@ -148,7 +170,7 @@ class OperatorFamily:
                 return inv_scale_sq * np.asarray(ks, dtype=float) ** (2.0 * self.exponent)
             if self.kind == SEVERELY_ILL_POSED:
                 return inv_scale_sq * np.exp(2.0 * self.exponent * np.asarray(ks, dtype=float))
-            vals = _custom_at(self.values, ks)
+            vals = _custom_at(self._array, ks)
             return inv_scale_sq / (vals * vals)
 
     def consecutive_ratio(self, k: int) -> float:
@@ -185,6 +207,8 @@ class SmoothnessFamily:
     exponent: float = 0.0
     scale: float = 1.0
     values: tuple[float, ...] | None = None
+    #: ``values`` as a read-only float array, built once for custom sequences.
+    _array: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.kind not in SMOOTHNESS_KINDS:
@@ -201,6 +225,7 @@ class SmoothnessFamily:
                 raise ValueError("custom smoothness values must be positive and finite")
             if any(b < a for a, b in zip(vals, vals[1:])):
                 raise ValueError("smoothness values must be non-decreasing")
+            object.__setattr__(self, "_array", _frozen_array(vals))
         elif self.values is not None:
             raise ValueError("explicit values are only valid for the custom kind")
 
@@ -228,7 +253,7 @@ class SmoothnessFamily:
                 return self.scale * np.asarray(ks, dtype=float) ** self.exponent
             if self.kind == SUPER_SMOOTH:
                 return self.scale * np.exp(self.exponent * np.asarray(ks, dtype=float))
-        return self.scale * _custom_at(self.values, ks)
+        return self.scale * _custom_at(self._array, ks)
 
     def inv_sq_array(self, ks: np.ndarray) -> np.ndarray:
         """a_k^-2 over an index array; underflows to 0.0 once a_k exceeds the
@@ -238,7 +263,7 @@ class SmoothnessFamily:
             return inv_scale_sq * np.asarray(ks, dtype=float) ** (-2.0 * self.exponent)
         if self.kind == SUPER_SMOOTH:
             return inv_scale_sq * np.exp(-2.0 * self.exponent * np.asarray(ks, dtype=float))
-        vals = _custom_at(self.values, ks)
+        vals = _custom_at(self._array, ks)
         return inv_scale_sq / (vals * vals)
 
     def consecutive_ratio(self, k: int) -> float:
@@ -266,7 +291,7 @@ class ProblemSpec:
     Attributes:
       operator: spectrum b of the forward operator.
       smoothness: ellipsoid weights a.
-      eps: noise level, strictly positive.
+      eps: noise level, strictly positive, with a finite square.
       n_max: size of a finite index set, or None for the unbounded set.
       fourth_moment_bound: the class constant C with sup_k E[xi_k^4] <= C;
         C >= 1 because unit variance forces E[xi^4] >= 1.
@@ -281,8 +306,7 @@ class ProblemSpec:
     d_max: int = DEFAULT_D_MAX
 
     def __post_init__(self) -> None:
-        if not self.eps > 0 or not math.isfinite(self.eps):
-            raise ValueError("noise level eps must be positive and finite")
+        _check_eps(self.eps)
         if self.fourth_moment_bound < 1.0:
             raise ValueError("fourth moment bound below 1 contradicts unit variance")
         if self.n_max is not None and self.n_max < 1:
@@ -356,15 +380,63 @@ def _prefix_sums(
     across chunks.  Terms must be non-negative; overflow maps to +inf.  A
     chunk's carry is formed only when the next chunk is requested, so a
     consumer that stops early never pays for it.
+
+    The carry is an fsum over a handful of floats whose exact sum is the
+    chunk's sum: the cumsum's last value and the last values of cumsums of
+    its cascaded TwoSum residuals (`_exact_carry`).  It is the same exactly
+    rounded number as an fsum over every term (short of the overflow edge
+    that `_exact_carry` notes).
     """
     carry = 0.0
     for k0 in range(1, limit + 1, _SCAN_CHUNK):
         ks = np.arange(k0, min(k0 + _SCAN_CHUNK, limit + 1))
         terms = term_fn(ks)
         with np.errstate(over="ignore"):
-            sums = carry + np.cumsum(terms)
+            run = np.cumsum(terms)
+            sums = carry + run
         yield ks, sums
-        carry = _fsum_or_inf([carry, *terms.tolist()])
+        carry = _exact_carry(carry, terms, run)
+
+
+def _two_sum_residuals(run: np.ndarray, terms: np.ndarray) -> np.ndarray:
+    """Exact rounding error of each step ``run[i] = fl(run[i-1] + terms[i])``.
+
+    Knuth's TwoSum, vectorised: ``run[i-1] + terms[i] == run[i] + err[i-1]``
+    holds in exact arithmetic for every finite step, so
+    ``sum(terms) == run[-1] + sum(err)``.
+    """
+    prev, total = run[:-1], run[1:]
+    virtual = total - prev
+    return (prev - (total - virtual)) + (terms[1:] - virtual)
+
+
+def _exact_carry(carry: float, terms: np.ndarray, run: np.ndarray) -> float:
+    """``fsum([carry, *terms])`` of non-negative terms, given ``run = np.cumsum(terms)``.
+
+    ``np.cumsum`` adds in sequence, so ``sum(terms)`` is exactly ``run[-1]``
+    plus the TwoSum residuals of ``run``.  The non-zero residuals are summed
+    the same way, level after level, until none is left (each level is shorter
+    than the last; smooth spectra need one or two).  fsum over ``carry`` and
+    the last running value of every level is then the same exactly rounded
+    sum, without boxing every term.  ``run`` is non-decreasing, so its finite
+    part is a prefix: only that prefix is decomposed, and the terms after it
+    go to fsum as they are, which keeps the overflow to +inf.
+
+    The parts reach fsum smallest level first, so it meets the negative
+    residuals before the large values.  fsum's intermediate-overflow check
+    depends on the order of its inputs, so an exact sum within a few ulps
+    below the largest double may still round to +inf here and not there.
+    """
+    m = int(np.searchsorted(run, math.inf))
+    tail = terms[m:].tolist()
+    level, run = terms[:m], run[:m]
+    last_values = []
+    while run.size:
+        last_values.append(float(run[-1]))
+        level = _two_sum_residuals(run, level)
+        level = level[level != 0]
+        run = np.cumsum(level)
+    return _fsum_or_inf([*reversed(last_values), carry, *tail])
 
 
 def _partial_sum(term_fn: Callable[[np.ndarray], np.ndarray], d: int) -> float:
@@ -459,8 +531,7 @@ def eps_sq_grid(eps_grid: Iterable[float]) -> np.ndarray:
     """eps^2 for every noise level of a grid, each checked like ``ProblemSpec.eps``."""
     eps_sq = []
     for eps in map(float, eps_grid):
-        if not eps > 0 or not math.isfinite(eps):
-            raise ValueError("noise level eps must be positive and finite")
+        _check_eps(eps)
         eps_sq.append(eps**2)
     if not eps_sq:
         raise ValueError("eps grid must contain at least one noise level")

@@ -254,6 +254,34 @@ class TestFixedBandwidthLimit:
         assert not out.exists()
 
 
+class TestNoiseLevelSquare:
+    """eps^2 must be a finite positive float: an overflowing or underflowing
+    square is a config error (exit 2), never a traceback."""
+
+    GRID = "run.eps_grid = 0.0625, 0.03125, 0.015625, 0.0078125, 0.00390625, 0.001953125"
+
+    @pytest.mark.parametrize(
+        "command,old,new,key",
+        [
+            ("bounds", GRID, GRID.replace("= 0.0625", "= 1e200, 0.0625"), "run.eps_grid"),
+            ("rates", GRID, GRID + ", 1e-200", "run.eps_grid"),
+            ("calibrate", "eps = 0.01", "eps = 1e200", "eps"),
+            ("simulate", "eps = 0.01", "eps = 1e-200", "eps"),
+        ],
+        ids=["bounds-overflow", "rates-underflow", "calibrate-overflow", "simulate-underflow"],
+    )
+    def test_rejected_at_load(self, tmp_path, capsys, command, old, new, key):
+        text = BASE_CONFIG.replace(old, new)
+        assert text != BASE_CONFIG
+        if command == "rates":
+            text += "run.cells = well_posed/ordinary_smooth\n"
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, text)
+        assert cli.main([command, "--config", str(cfg), "--output", str(out)]) == 2
+        assert f"{key}: noise level" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestCommandPinning:
     def test_pinned_command_mismatch(self, tmp_path):
         cfg = write_config(tmp_path, BASE_CONFIG + "run.command = bounds\n")

@@ -8,8 +8,13 @@ Covers:
 5. Bandwidth range enforcement for finite index sets and custom sequences
 6. Chunked prefix sums against an fsum of closed-form terms, across chunk
    boundaries
+7. The chunk carry bitwise against an fsum of every earlier term, and the
+   in-sequence cumsum it relies on
+8. Noise levels whose square overflows, and custom sequences' cached arrays
 """
 
+import dataclasses
+import itertools
 import math
 import warnings
 
@@ -25,11 +30,13 @@ from seqdetect.sequences import (
     bias_term,
     boundary_signal,
     ellipsoid_membership,
+    eps_sq_grid,
     scan_bandwidth,
     scan_bandwidths,
     sum_inv_b_4,
     sum_inv_b_sq,
 )
+from seqdetect.sequences import _partial_sum
 
 
 def make_spec(operator, smoothness=None, eps=0.1, **kwargs):
@@ -175,6 +182,92 @@ class TestPrefixSumReference:
             ellipsoid_membership(sm, Signal((0.0, 0.0, 0.1)))
 
 
+def _fsum_or_inf(terms):
+    try:
+        return math.fsum(terms)
+    except OverflowError:
+        return math.inf
+
+
+def _array_terms(values):
+    values = np.asarray(values, dtype=float)
+    return lambda ks: values[ks - 1]
+
+
+def _wide_range_terms():
+    values = 10.0 ** np.random.default_rng(31).uniform(-150.0, 150.0, 4 * _CHUNK)
+    return _array_terms(values)
+
+
+def _subnormal_and_tie_terms():
+    rng = np.random.default_rng(37)
+    return _array_terms(rng.choice([0.0, 2.0**-1074, 3 * 2.0**-1070, 1.0, 3.0, 1e16], 4 * _CHUNK))
+
+
+def _absorbed_tie_terms():
+    # a small term that the next, larger term absorbs, then ones: each chunk
+    # adds up to 2^60 + 129, one past the tie 2^60 + 128 (ulp 256), so the
+    # carry rounds the wrong way if the absorbed 1 is lost
+    chunk = np.zeros(_CHUNK)
+    chunk[:130] = [1.0, 2.0**60] + [1.0] * 128
+    return _array_terms(np.tile(chunk, 4))
+
+
+def _overflow_mid_chunk_terms():
+    # constant terms whose running sum passes the largest double near k = 6000,
+    # in the middle of the second chunk
+    return _array_terms(np.full(4 * _CHUNK, np.finfo(float).max / 6000.0))
+
+
+def _inf_term_terms():
+    values = np.random.default_rng(41).uniform(0.0, 1e300, 4 * _CHUNK)
+    values[_CHUNK + 100] = math.inf
+    return _array_terms(values)
+
+
+class TestExactCarry:
+    """The carry into chunk n + 1 is fsum of the first n chunks' terms, bitwise."""
+
+    @pytest.mark.parametrize(
+        "term_fn",
+        [
+            _wide_range_terms(),
+            OperatorFamily.well_posed(1.5).inv_sq_array,
+            OperatorFamily.mildly_ill_posed(0.7, 0.8).inv_sq_array,
+            _subnormal_and_tie_terms(),
+            _absorbed_tie_terms(),
+            _overflow_mid_chunk_terms(),
+            _inf_term_terms(),
+        ],
+        ids=[
+            "wide_range",
+            "well_posed",
+            "mildly_ill_posed",
+            "subnormal_ties",
+            "absorbed_tie",
+            "overflow",
+            "inf",
+        ],
+    )
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_carry_is_fsum_of_earlier_chunks(self, term_fn, n):
+        d = n * _CHUNK + 1
+        terms = term_fn(np.arange(1, d + 1)).tolist()
+        expected = _fsum_or_inf(terms[:-1]) + terms[-1]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _partial_sum(term_fn, d) == expected
+
+    def test_cumsum_adds_in_sequence(self):
+        # the carry's TwoSum residuals are exact only if every cumsum step is
+        # run[i] = fl(run[i-1] + x[i]); pin that order on mixed signs and a
+        # wide exponent range, where any other order would round differently
+        rng = np.random.default_rng(43)
+        x = rng.choice([-1.0, 1.0], 3 * _CHUNK) * 10.0 ** rng.uniform(-300.0, 300.0, 3 * _CHUNK)
+        expected = list(itertools.accumulate(x.tolist()))
+        assert np.cumsum(x).tobytes() == np.array(expected).tobytes()
+
+
 class TestBiasTerm:
     def test_ordinary_smooth_values(self):
         spec = make_spec(OperatorFamily.well_posed())
@@ -291,6 +384,33 @@ class TestRangesAndValidation:
         with pytest.raises(ValueError):
             ProblemSpec(op, sm, eps=0.1, fourth_moment_bound=0.5)
         assert ProblemSpec(op, sm, eps=0.1).d_max == DEFAULT_D_MAX
+
+    @pytest.mark.parametrize("eps", [1e200, math.inf, math.nan, -0.1])
+    def test_noise_level_square_must_be_finite(self, eps):
+        op = OperatorFamily.well_posed()
+        sm = SmoothnessFamily.ordinary_smooth(1.0)
+        with pytest.raises(ValueError, match="noise level eps"):
+            ProblemSpec(op, sm, eps=eps)
+        with pytest.raises(ValueError, match="noise level eps"):
+            eps_sq_grid([0.1, eps])
+
+    def test_custom_array_matches_values_and_is_read_only(self):
+        values = np.random.default_rng(47).uniform(0.1, 2.0, 3 * _CHUNK + 5)
+        op = OperatorFamily.custom(values, scale=0.8)
+        sm = SmoothnessFamily.custom(np.sort(values), scale=1.3)
+        ks = np.arange(1, values.size + 1)
+        assert op.inv_sq_array(ks).tobytes() == (
+            (1.0 / (0.8 * 0.8)) / (values * values)
+        ).tobytes()
+        assert op.value_array(ks).tobytes() == (0.8 * values).tobytes()
+        assert sm.value_array(ks).tobytes() == (1.3 * np.sort(values)).tobytes()
+        for family in (op, sm):
+            with pytest.raises(ValueError, match="read-only"):
+                family._array[0] = 1.0
+        assert op == OperatorFamily.custom(values, scale=0.8)
+        assert hash(op) == hash(OperatorFamily.custom(values, scale=0.8))
+        replaced = dataclasses.replace(op, values=(2.0, 4.0), scale=1.0)
+        assert replaced.inv_sq_array(np.array([1, 2])).tolist() == [0.25, 0.0625]
 
     def test_consecutive_ratios(self):
         assert OperatorFamily.severely_ill_posed(0.5).consecutive_ratio(7) == pytest.approx(
