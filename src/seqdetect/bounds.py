@@ -36,7 +36,7 @@ from .sequences import (
     WELL_POSED,
     ProblemSpec,
     ScanResult,
-    _inv_b_4_terms,
+    _inv_b_terms,
     eps_sq_grid,
     scan_bandwidths,
 )
@@ -90,7 +90,7 @@ def _lower_scans(
         return np.minimum(vals, smooth.inv_sq_array(ks), out=vals)
 
     return scan_bandwidths(
-        spec.operator.inv_sq_array, value_fn, spec.bandwidth_limit, coeffs.size, maximize=True
+        _inv_b_terms(spec.operator, 2), value_fn, spec.bandwidth_limit, coeffs.size, maximize=True
     )
 
 
@@ -105,7 +105,7 @@ def _classical_scans(spec: ProblemSpec, eps_grid: Iterable[float]) -> list[ScanR
         return vals
 
     return scan_bandwidths(
-        _inv_b_4_terms(spec.operator), value_fn, spec.bandwidth_limit, eps_sq.size
+        _inv_b_terms(spec.operator, 4), value_fn, spec.bandwidth_limit, eps_sq.size
     )
 
 

@@ -229,14 +229,17 @@ def run_simulate(config: ExperimentConfig, out_dir: Path, threads: int = 1) -> i
     det = detector.calibrate(
         problem, config.alpha, config.beta, d=config.test_d, c_beta_mode=config.c_beta_mode
     )
+    try:
+        models = [settings.build(det.d) for settings in config.noise]
+    except ValueError as exc:
+        raise ConfigError(f"simulate: {exc}") from exc
     alt = montecarlo.guaranteed_detectable_signal(problem, det.c_beta, det.d)
     scenario = f"{problem.operator.kind}-{problem.smoothness.kind}-D{det.d}"
 
     seeds = _row_seeds(config.seed, 2 * len(config.noise))
     rows: list[list[str]] = []
     all_ok = True
-    for i, settings in enumerate(config.noise):
-        model = settings.build(det.d)
+    for i, (settings, model) in enumerate(zip(config.noise, models)):
         est1 = montecarlo.estimate_type1(
             problem, det, model, config.reps, seeds[2 * i], threads=threads
         )

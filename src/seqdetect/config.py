@@ -4,10 +4,12 @@ Schema (dotted keys, one per line, '#' starts a comment line):
 
   operator.kind        well_posed | mildly_ill_posed | severely_ill_posed
   operator.t           decay exponent (required for the ill-posed kinds)
-  operator.scale       positive multiplier, default 1
+  operator.scale       positive multiplier, default 1; 1/scale^2 must be a
+                       finite positive float
   smoothness.kind      ordinary_smooth | super_smooth
   smoothness.s         growth exponent (required)
-  smoothness.scale     positive multiplier, default 1
+  smoothness.scale     positive multiplier, default 1; 1/scale^2 must be a
+                       finite positive float
   eps                  base noise level (required); eps^2 must be a finite
                        positive float
   C                    fourth-moment class constant, default 3
@@ -49,6 +51,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import Callable
 
 from .noise import (
     AdversarialEquicorrelated,
@@ -57,6 +60,7 @@ from .noise import (
     IidScaledUniform,
     LongRangeGaussian,
     NoiseModel,
+    check_dense_dimension,
 )
 from .sequences import (
     DEFAULT_D_MAX,
@@ -139,6 +143,8 @@ class NoiseSettings:
     claimed_c: float | None = None
 
     def build(self, dimension: int) -> NoiseModel:
+        """The model at this dimension; raises ValueError for invalid
+        parameters or a dense family above `noise.MAX_DENSE_DIMENSION`."""
         claimed = self.claimed_c if self.claimed_c is not None else _DEFAULT_CLAIMED[self.kind]
         if self.kind == "iid_gaussian":
             return IidGaussian(claimed)
@@ -147,6 +153,8 @@ class NoiseSettings:
         if self.kind == "iid_scaled_uniform":
             return IidScaledUniform(claimed)
         if self.kind == "long_range_gaussian":
+            # the model builds its matrix when first sampled; check it now
+            check_dense_dimension(self.kind, dimension)
             return LongRangeGaussian(self.s, self.c, claimed)
         if self.kind == "adversarial_equicorrelated":
             return AdversarialEquicorrelated(dimension, self.d, claimed)
@@ -208,6 +216,16 @@ def _check_noise_level(eps: float, where: str) -> None:
         )
 
 
+def _family(source: str, lines: list[int], maker: Callable, *args: float):
+    """``maker(*args)``, with the family's ValueError reported as a config
+    error at the lines of the parameters given to it."""
+    try:
+        return maker(*args)
+    except ValueError as exc:
+        where = ", ".join(map(str, sorted(lines)))
+        raise ConfigError(f"{source}, line{'s' * (len(lines) > 1)} {where}: {exc}") from exc
+
+
 def parse_config(text: str, source: str = "<config>") -> ExperimentConfig:
     """Parse and validate a config document; all errors carry line numbers."""
     scalars: dict[str, tuple[str, int]] = {}
@@ -251,35 +269,40 @@ def parse_config(text: str, source: str = "<config>") -> ExperimentConfig:
     op_kind, op_line = require("operator.kind")
     if op_kind not in _OPERATOR_KINDS:
         raise ConfigError(f"{source}, line {op_line}: unknown operator kind {op_kind!r}")
+    op_lines: list[int] = []
     op_scale = 1.0
     if (entry := take("operator.scale")) is not None:
         op_scale = _parse_float(entry[0], entry[1], "operator.scale")
+        op_lines.append(entry[1])
     if op_kind == WELL_POSED:
-        operator = OperatorFamily.well_posed(op_scale)
+        operator = _family(source, op_lines, OperatorFamily.well_posed, op_scale)
     else:
         entry = require("operator.t")
         t = _parse_float(entry[0], entry[1], "operator.t")
+        op_lines.append(entry[1])
         maker = (
             OperatorFamily.mildly_ill_posed
             if op_kind == MILDLY_ILL_POSED
             else OperatorFamily.severely_ill_posed
         )
-        operator = maker(t, op_scale)
+        operator = _family(source, op_lines, maker, t, op_scale)
 
     sm_kind, sm_line = require("smoothness.kind")
     if sm_kind not in _SMOOTHNESS_KINDS:
         raise ConfigError(f"{source}, line {sm_line}: unknown smoothness kind {sm_kind!r}")
     entry = require("smoothness.s")
     s = _parse_float(entry[0], entry[1], "smoothness.s")
+    sm_lines = [entry[1]]
     sm_scale = 1.0
     if (entry := take("smoothness.scale")) is not None:
         sm_scale = _parse_float(entry[0], entry[1], "smoothness.scale")
+        sm_lines.append(entry[1])
     maker = (
         SmoothnessFamily.ordinary_smooth
         if sm_kind == ORDINARY_SMOOTH
         else SmoothnessFamily.super_smooth
     )
-    smoothness = maker(s, sm_scale)
+    smoothness = _family(source, sm_lines, maker, s, sm_scale)
 
     entry = require("eps")
     eps = _parse_float(entry[0], entry[1], "eps")

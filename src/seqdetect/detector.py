@@ -27,7 +27,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .sequences import ProblemSpec, eps_sq_grid, scan_bandwidths, sum_inv_b_sq
+from .sequences import ProblemSpec, _inv_b_terms, eps_sq_grid, scan_bandwidths, sum_inv_b_sq
 
 #: Configurations with 1 - K1/C_beta below this are flagged: the type II
 #: guarantee constant blows up as the margin closes.
@@ -173,7 +173,7 @@ def select_bandwidths(
         return vals
 
     results = scan_bandwidths(
-        spec.operator.inv_sq_array, value_fn, spec.bandwidth_limit, coeffs.size
+        _inv_b_terms(spec.operator, 2), value_fn, spec.bandwidth_limit, coeffs.size
     )
     return [BandwidthSelection(*result) for result in results]
 

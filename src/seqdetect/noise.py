@@ -43,6 +43,15 @@ _D_MIN_EQUICORRELATED = 1.0 / math.sqrt(2.0)
 
 GAUSSIAN_FOURTH_MOMENT = 3.0
 
+#: Largest dimension for which the dense correlated families
+#: (`long_range_correlation`, `adversarial_sigma`) build their D x D matrices.
+#: Memory grows as D^2 and the eigendecompositions as D^3: preparing a
+#: long-range model peaks at about 95 MB and takes 0.66 s at D = 1024, and
+#: 270 MB and 4.4 s at D = 2048 (one BLAS thread), so this limit allows about
+#: 1 GB and half a minute, where an unchecked D = 65536 asks for 32 GiB per
+#: matrix.
+MAX_DENSE_DIMENSION = 4096
+
 
 @dataclass(frozen=True)
 class CorrelationMatrix:
@@ -90,6 +99,16 @@ class CorrelationMatrix:
         return float(np.linalg.eigvalsh(self.entries)[0])
 
 
+def check_dense_dimension(kind: str, dimension: int) -> None:
+    """Reject a dimension above `MAX_DENSE_DIMENSION` for a family that
+    builds dense D x D matrices, before anything is allocated."""
+    if dimension > MAX_DENSE_DIMENSION:
+        raise ValueError(
+            f"{kind} noise builds dense D x D matrices: D = {dimension} exceeds "
+            f"the limit {MAX_DENSE_DIMENSION}"
+        )
+
+
 def _symmetric_sqrt(matrix: np.ndarray) -> np.ndarray:
     """Symmetric PSD square root, clipping tiny negative eigenvalues."""
     w, v = np.linalg.eigh(matrix)
@@ -106,6 +125,7 @@ def adversarial_sigma(dimension: int, d: Iterable[float] | float) -> Correlation
     """
     if dimension < 1:
         raise ValueError("dimension must be positive")
+    check_dense_dimension("adversarial_equicorrelated", dimension)
     dv = np.asarray(d, dtype=float)
     if dv.ndim == 0:
         dv = np.full(dimension, float(dv))
@@ -129,6 +149,7 @@ def long_range_correlation(dimension: int, s: float, c: float = 0.5) -> Correlat
     """
     if dimension < 1:
         raise ValueError("dimension must be positive")
+    check_dense_dimension("long_range_gaussian", dimension)
     if not s > 0:
         raise ValueError("decay exponent must be positive")
     if not 0.0 < c <= 1.0:

@@ -8,13 +8,16 @@ downstream (thresholds, radius bounds, bandwidth selection) is built from the
 partial sums of ``b_k^-2`` and ``b_k^-4`` defined here.
 
 Sequences are evaluated by formula over whole index arrays, and every partial
-sum comes from one chunked prefix-sum primitive: a numpy ``cumsum`` inside each
-chunk of indices, with the total of the earlier chunks carried by an exactly
-rounded ``math.fsum``.  That fsum never sees the terms one by one: it sums
-the cumsum's last value and the last values of cumsums of its cascaded TwoSum
-residuals, whose exact sum is the chunk's sum.  Exponentially ill-posed
-spectra overflow to ``+inf`` instead of raising, so optimisation loops can
-simply skip past the overflowed tail.
+sum comes from one chunked prefix-sum primitive, `_prefix_sums`, over the
+spectrum's terms as `_inv_b_terms` gives them.  A well-posed spectrum's terms
+are one constant c, and its prefix sums are the closed form ``fl(k * c)``,
+the exactly rounded sum.  Any other spectrum gets a numpy ``cumsum`` inside
+each chunk of indices, with the total of the earlier chunks carried by an
+exactly rounded ``math.fsum``.  That fsum never sees the terms one by one: it
+sums the cumsum's last value and the last values of cumsums of its cascaded
+TwoSum residuals, whose exact sum is the chunk's sum.  Exponentially
+ill-posed spectra overflow to ``+inf`` instead of raising, so optimisation
+loops can simply skip past the overflowed tail.
 
 Every optimisation over the bandwidth is one `scan_bandwidths` pass: the
 prefix sums of a spectrum are formed once per chunk and shared by any number
@@ -26,7 +29,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, NamedTuple
+from fractions import Fraction
+from typing import Callable, Iterable, Iterator, NamedTuple, Union
 
 import numpy as np
 
@@ -57,13 +61,22 @@ def _exp_or_inf(x: float) -> float:
         return math.inf
 
 
-def _fsum_or_inf(terms: Iterable[float]) -> float:
+def _fsum_or_inf(terms: list[float]) -> float:
     """Exactly rounded sum of terms whose total is non-negative; +inf once it
-    overflows."""
+    overflows.
+
+    fsum's intermediate-overflow error depends on the order of its inputs, so
+    it can raise for a sum that rounds to a finite double just below the
+    largest one.  Only then are the terms (all finite, or fsum would not have
+    raised) summed again exactly, as fractions.
+    """
     try:
         return math.fsum(terms)
     except OverflowError:
-        return math.inf
+        try:
+            return float(sum(map(Fraction, terms)))
+        except OverflowError:
+            return math.inf
 
 
 def _frozen_array(values: tuple[float, ...]) -> np.ndarray:
@@ -80,6 +93,17 @@ def _check_eps(eps: float) -> None:
     """
     if not eps > 0 or not eps * eps < math.inf:
         raise ValueError(f"noise level eps must be positive with a finite square, got {eps!r}")
+
+
+def _check_scale(scale: float, what: str) -> None:
+    """A family's scale must have 1/scale^2 a positive finite double: that
+    constant multiplies every b_k^-2 or a_k^-2 (and is the whole term of a
+    well-posed spectrum)."""
+    square = scale * scale
+    if not scale > 0 or not square > 0 or not 0.0 < 1.0 / square < math.inf:
+        raise ValueError(
+            f"{what} scale must be positive with 1/scale^2 a positive finite float, got {scale!r}"
+        )
 
 
 def _custom_at(values: np.ndarray, ks: np.ndarray) -> np.ndarray:
@@ -113,11 +137,12 @@ class OperatorFamily:
     def __post_init__(self) -> None:
         if self.kind not in OPERATOR_KINDS:
             raise ValueError(f"unknown operator kind {self.kind!r}")
-        if not self.scale > 0:
-            raise ValueError("operator scale must be positive")
+        _check_scale(self.scale, "operator")
         if self.kind in (MILDLY_ILL_POSED, SEVERELY_ILL_POSED):
             if not self.exponent > 0:
-                raise ValueError(f"{self.kind} requires a positive exponent")
+                raise ValueError(
+                    f"{self.kind} requires a positive exponent, got {self.exponent!r}"
+                )
         if self.kind == CUSTOM:
             if not self.values:
                 raise ValueError("custom operator requires explicit values")
@@ -213,10 +238,11 @@ class SmoothnessFamily:
     def __post_init__(self) -> None:
         if self.kind not in SMOOTHNESS_KINDS:
             raise ValueError(f"unknown smoothness kind {self.kind!r}")
-        if not self.scale > 0:
-            raise ValueError("smoothness scale must be positive")
+        _check_scale(self.scale, "smoothness")
         if self.kind != CUSTOM and not self.exponent > 0:
-            raise ValueError(f"{self.kind} requires a positive exponent")
+            raise ValueError(
+                f"{self.kind} requires a positive exponent, got {self.exponent!r}"
+            )
         if self.kind == CUSTOM:
             if not self.values:
                 raise ValueError("custom smoothness requires explicit values")
@@ -368,34 +394,45 @@ class Signal:
         return out
 
 
-def _prefix_sums(
-    term_fn: Callable[[np.ndarray], np.ndarray], limit: int
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Running sums of ``term_fn(k)`` over k = 1..limit, one chunk at a time.
+#: A spectrum's terms: an array-valued term function of the indices, or one
+#: float that every term equals.
+Terms = Union[Callable[[np.ndarray], np.ndarray], float]
+
+
+def _prefix_sums(terms: Terms, limit: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Running sums of the terms over k = 1..limit, one chunk at a time.
 
     Yields ``(ks, sums)`` for consecutive chunks of at most ``_SCAN_CHUNK``
-    indices, with ``sums[i] = sum_{k <= ks[i]} term_fn(k)``.  Inside a chunk
-    the sums come from a numpy cumsum; the total of the earlier chunks is
-    carried with an exactly rounded fsum, so rounding error never accumulates
-    across chunks.  Terms must be non-negative; overflow maps to +inf.  A
-    chunk's carry is formed only when the next chunk is requested, so a
-    consumer that stops early never pays for it.
+    indices, with ``sums[i]`` the sum of the terms up to ``ks[i]``.  Terms
+    must be non-negative; overflow maps to +inf.
 
-    The carry is an fsum over a handful of floats whose exact sum is the
+    A constant term c needs no summing: the exact sum of k copies of c is
+    k * c, and every k below 2^53 converts to a float exactly, so
+    ``ks * c`` is the exactly rounded sum.
+
+    A term function is summed by a numpy cumsum inside each chunk; the total
+    of the earlier chunks is carried as the exactly rounded sum of the
+    previous carry and the chunk's terms, so each chunk adds one rounding,
+    not one per term.  A chunk's carry is formed only when the next chunk is
+    requested, so a consumer that stops early never pays for it.  The carry
+    is an fsum over a handful of floats whose exact sum is the carry plus the
     chunk's sum: the cumsum's last value and the last values of cumsums of
-    its cascaded TwoSum residuals (`_exact_carry`).  It is the same exactly
-    rounded number as an fsum over every term (short of the overflow edge
-    that `_exact_carry` notes).
+    its cascaded TwoSum residuals (`_exact_carry`).
     """
     carry = 0.0
     for k0 in range(1, limit + 1, _SCAN_CHUNK):
         ks = np.arange(k0, min(k0 + _SCAN_CHUNK, limit + 1))
-        terms = term_fn(ks)
+        if not callable(terms):
+            with np.errstate(over="ignore"):
+                sums = ks * terms
+            yield ks, sums
+            continue
+        chunk = terms(ks)
         with np.errstate(over="ignore"):
-            run = np.cumsum(terms)
+            run = np.cumsum(chunk)
             sums = carry + run
         yield ks, sums
-        carry = _exact_carry(carry, terms, run)
+        carry = _exact_carry(carry, chunk, run)
 
 
 def _two_sum_residuals(run: np.ndarray, terms: np.ndarray) -> np.ndarray:
@@ -423,9 +460,9 @@ def _exact_carry(carry: float, terms: np.ndarray, run: np.ndarray) -> float:
     go to fsum as they are, which keeps the overflow to +inf.
 
     The parts reach fsum smallest level first, so it meets the negative
-    residuals before the large values.  fsum's intermediate-overflow check
-    depends on the order of its inputs, so an exact sum within a few ulps
-    below the largest double may still round to +inf here and not there.
+    residuals before the large values.  Where an exact sum within a few ulps
+    below the largest double still trips fsum's intermediate-overflow check,
+    `_fsum_or_inf` sums the parts again exactly.
     """
     m = int(np.searchsorted(run, math.inf))
     tail = terms[m:].tolist()
@@ -439,17 +476,31 @@ def _exact_carry(carry: float, terms: np.ndarray, run: np.ndarray) -> float:
     return _fsum_or_inf([*reversed(last_values), carry, *tail])
 
 
-def _partial_sum(term_fn: Callable[[np.ndarray], np.ndarray], d: int) -> float:
-    """sum_{k <= d} term_fn(k) for d >= 1: the last of the prefix sums."""
-    chunks = _prefix_sums(term_fn, d)
+def _partial_sum(terms: Terms, d: int) -> float:
+    """The sum of the terms over k <= d, for d >= 1: the last of the prefix
+    sums, or d * c at once for a constant term c."""
+    if not callable(terms):
+        return float(d) * float(terms)
+    chunks = _prefix_sums(terms, d)
     for _ in range((d - 1) // _SCAN_CHUNK):
         next(chunks)
     _, sums = next(chunks)
     return float(sums[-1])
 
 
-def _inv_b_4_terms(operator: OperatorFamily) -> Callable[[np.ndarray], np.ndarray]:
-    """Term function k -> b_k^-4 of the operator; overflow maps to +inf."""
+def _inv_b_terms(operator: OperatorFamily, power: int) -> Terms:
+    """The terms b_k^-power (power 2 or 4) of the operator's spectrum.
+
+    A well-posed spectrum's terms are one float, ``w`` or ``w * w`` with
+    ``w = 1/scale^2``, the same value as each entry of
+    ``operator.inv_sq_array`` or its square; any other spectrum gets a term
+    function.  Overflow maps to +inf.
+    """
+    if operator.kind == WELL_POSED:
+        w = 1.0 / (operator.scale * operator.scale)
+        return w if power == 2 else w * w
+    if power == 2:
+        return operator.inv_sq_array
 
     def term_fn(ks: np.ndarray) -> np.ndarray:
         w = operator.inv_sq_array(ks)
@@ -462,7 +513,7 @@ def _inv_b_4_terms(operator: OperatorFamily) -> Callable[[np.ndarray], np.ndarra
 def sum_inv_b_sq(spec: ProblemSpec, d: int) -> float:
     """Partial sum of b_k^-2 for k = 1..d (the variance driver of the test)."""
     spec.check_bandwidth(d)
-    return _partial_sum(spec.operator.inv_sq_array, d)
+    return _partial_sum(_inv_b_terms(spec.operator, 2), d)
 
 
 def sum_inv_b_4(spec: ProblemSpec, d: int) -> float:
@@ -472,7 +523,7 @@ def sum_inv_b_4(spec: ProblemSpec, d: int) -> float:
     squares of a non-negative sequence.
     """
     spec.check_bandwidth(d)
-    return _partial_sum(_inv_b_4_terms(spec.operator), d)
+    return _partial_sum(_inv_b_terms(spec.operator, 4), d)
 
 
 def bias_term(spec: ProblemSpec, d: int) -> float:
@@ -545,7 +596,7 @@ class ScanResult(NamedTuple):
 
 
 def scan_bandwidths(
-    term_fn: Callable[[np.ndarray], np.ndarray],
+    terms: Terms,
     value_fn: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
     limit: int,
     count: int,
@@ -555,20 +606,21 @@ def scan_bandwidths(
     """Optimise ``count`` objectives over integer bandwidths 1..limit in one pass.
 
     ``value_fn(ks, sums, rows)`` gets one chunk of indices, the prefix sums of
-    ``term_fn`` over them and the indices of the objectives still running,
-    and returns one row of values per entry of ``rows``.  Each objective
-    keeps its own incumbent and freezes once ``_SCAN_STALL_LIMIT`` consecutive
-    bandwidths fail to improve on it (the objectives used here are unimodal
-    after their crossover point); frozen objectives are never evaluated
-    again, and the pass ends when all are frozen.  Ties keep the smaller
-    bandwidth; `truncated` is set when an optimiser lands on the scan limit.
+    ``terms`` over them (see `_prefix_sums`) and the indices of the
+    objectives still running, and returns one row of values per entry of
+    ``rows``.  Each objective keeps its own incumbent and freezes once
+    ``_SCAN_STALL_LIMIT`` consecutive bandwidths fail to improve on it (the
+    objectives used here are unimodal after their crossover point); frozen
+    objectives are never evaluated again, and the pass ends when all are
+    frozen.  Ties keep the smaller bandwidth; `truncated` is set when an
+    optimiser lands on the scan limit.
     """
     if limit < 1:
         raise ValueError("bandwidth limit must be at least 1")
     best_d = np.zeros(count, dtype=np.int64)
     best = np.full(count, -math.inf if maximize else math.inf)
     rows = np.arange(count)
-    for ks, sums in _prefix_sums(term_fn, limit):
+    for ks, sums in _prefix_sums(terms, limit):
         with np.errstate(over="ignore", invalid="ignore"):
             vals = value_fn(ks, sums, rows)
         idx = np.argmax(vals, axis=1) if maximize else np.argmin(vals, axis=1)
@@ -583,17 +635,17 @@ def scan_bandwidths(
 
 
 def scan_bandwidth(
-    term_fn: Callable[[np.ndarray], np.ndarray],
+    terms: Terms,
     value_fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
     limit: int,
     *,
     maximize: bool = False,
 ) -> ScanResult:
-    """Optimise ``value_fn(k, cumsum(term_fn))`` over integer bandwidths 1..limit:
+    """Optimise ``value_fn(k, cumsum(terms))`` over integer bandwidths 1..limit:
     `scan_bandwidths` with a single objective."""
 
     def rows_fn(ks: np.ndarray, sums: np.ndarray, rows: np.ndarray) -> np.ndarray:
         return value_fn(ks, sums)[np.newaxis, :]
 
-    (result,) = scan_bandwidths(term_fn, rows_fn, limit, 1, maximize=maximize)
+    (result,) = scan_bandwidths(terms, rows_fn, limit, 1, maximize=maximize)
     return result

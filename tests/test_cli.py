@@ -7,6 +7,8 @@ Covers:
 4. Byte-level determinism of the simulate CSV across reruns and threads
 5. The shipped bounds, calibrate and rates configs against golden outputs
 6. A negative control: simulate with a zero threshold must fail
+7. Config errors (exit 2, never a traceback) for family parameters the
+   spectra cannot use and for dense noise families above their size limit
 """
 
 import math
@@ -15,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from seqdetect import cli, detector
+from seqdetect import cli, detector, noise
 from seqdetect.config import ALL_CELLS, ConfigError, parse_config
 
 BASE_CONFIG = """
@@ -280,6 +282,103 @@ class TestNoiseLevelSquare:
         assert cli.main([command, "--config", str(cfg), "--output", str(out)]) == 2
         assert f"{key}: noise level" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestFamilyParameters:
+    """A family parameter the spectra cannot use is a config error (exit 2)
+    at the line that sets it, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "command,old,new,line,message",
+        [
+            ("bounds", "smoothness.s = 1.0", "smoothness.s = 0", "line 5", "positive exponent"),
+            (
+                "rates",
+                "operator.kind = well_posed",
+                "operator.kind = mildly_ill_posed\noperator.t = -1",
+                "line 4",
+                "positive exponent",
+            ),
+            (
+                "calibrate",
+                "operator.kind = well_posed",
+                "operator.kind = well_posed\noperator.scale = -1",
+                "line 4",
+                "operator scale",
+            ),
+            (
+                "bounds",
+                "operator.kind = well_posed",
+                "operator.kind = well_posed\noperator.scale = 1e-200",
+                "line 4",
+                "operator scale",
+            ),
+            (
+                "bounds",
+                "operator.kind = well_posed",
+                "operator.kind = severely_ill_posed\noperator.t = 1\noperator.scale = 1e200",
+                "lines 4, 5",
+                "operator scale",
+            ),
+            (
+                "simulate",
+                "smoothness.s = 1.0",
+                "smoothness.s = 1.0\nsmoothness.scale = 1e200",
+                "lines 5, 6",
+                "smoothness scale",
+            ),
+        ],
+        ids=[
+            "smoothness-s-zero",
+            "operator-t-negative",
+            "scale-negative",
+            "scale-square-underflows",
+            "scale-square-overflows",
+            "smoothness-scale-square-overflows",
+        ],
+    )
+    def test_rejected_at_load(self, tmp_path, capsys, command, old, new, line, message):
+        text = BASE_CONFIG.replace(old, new)
+        assert text != BASE_CONFIG
+        if command == "rates":
+            text += "run.cells = mildly_ill_posed/ordinary_smooth\n"
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, text)
+        assert cli.main([command, "--config", str(cfg), "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"{line}: " in err and message in err
+        assert not out.exists()
+
+
+class TestDenseNoiseLimit:
+    """Dense correlated families above `noise.MAX_DENSE_DIMENSION` are a
+    config error of simulate that names the family, D and the limit."""
+
+    @pytest.mark.parametrize("kind", ["long_range_gaussian", "adversarial_equicorrelated"])
+    def test_simulate_rejects_dimension_above_limit(self, tmp_path, capsys, monkeypatch, kind):
+        monkeypatch.setattr(noise, "MAX_DENSE_DIMENSION", 16)
+        text = BASE_CONFIG.replace(
+            "noise.kind = adversarial_equicorrelated\nnoise.d = 0.7071067811865476",
+            f"noise.kind = {kind}",
+        )
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, text + "test.D = 17\n")
+        assert cli.main(["simulate", "--config", str(cfg), "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"{kind} noise" in err and "D = 17" in err and "limit 16" in err
+        assert not (out / "simulate.csv").exists()
+
+    def test_simulate_runs_at_the_limit(self, tmp_path, monkeypatch):
+        # 16 also covers the divergence check's adversarial matrices (D <= 16)
+        monkeypatch.setattr(noise, "MAX_DENSE_DIMENSION", 16)
+        text = BASE_CONFIG.replace(
+            "noise.kind = adversarial_equicorrelated",
+            "noise.kind = long_range_gaussian\nnoise.kind = adversarial_equicorrelated",
+        )
+        # at eps = 0.001 the guaranteed alternative at D = 16 fits the ellipsoid
+        text = text.replace("eps = 0.01", "eps = 0.001")
+        cfg = write_config(tmp_path, text + "test.D = 16\n")
+        assert cli.main(["simulate", "--config", str(cfg), "--output", str(tmp_path)]) == 0
 
 
 class TestCommandPinning:

@@ -8,6 +8,7 @@ Covers:
    against 2 Sigma_kl^2 and E[(xi_k^2 - 1) xi_l] against 0
 5. The null variance split R0 + S0, its exact small cases, and the
    class-wide envelope 2 C1 eps^4 (sum b^-2)^2
+6. The size limit of the dense correlated families
 """
 
 import math
@@ -15,6 +16,7 @@ import math
 import numpy as np
 import pytest
 
+from seqdetect import noise
 from seqdetect.noise import (
     AdversarialEquicorrelated,
     CorrelatedGaussian,
@@ -255,3 +257,20 @@ class TestNullVarianceDecomposition:
     def test_dimension_guard(self):
         with pytest.raises(ValueError, match="cannot cover"):
             null_variance_decomposition(flat_spec(), CorrelationMatrix.identity(3), 4)
+
+
+class TestDenseDimensionLimit:
+    """Dense families check the dimension before building any D x D matrix."""
+
+    def test_rejected_above_the_limit(self, monkeypatch):
+        monkeypatch.setattr(noise, "MAX_DENSE_DIMENSION", 8)
+        with pytest.raises(ValueError, match="long_range_gaussian noise .* D = 9 exceeds"):
+            long_range_correlation(9, 1.0)
+        with pytest.raises(ValueError, match="long_range_gaussian noise .* D = 9"):
+            LongRangeGaussian(1.0).sample_block(1, 9, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="adversarial_equicorrelated noise .* D = 9"):
+            adversarial_sigma(9, INV_SQRT2)
+        with pytest.raises(ValueError, match="adversarial_equicorrelated noise .* D = 9"):
+            AdversarialEquicorrelated(9)
+        assert long_range_correlation(8, 1.0).dimension == 8
+        assert AdversarialEquicorrelated(8).correlation(8).dimension == 8

@@ -10,13 +10,18 @@ Covers:
    boundaries
 7. The chunk carry bitwise against an fsum of every earlier term, and the
    in-sequence cumsum it relies on
-8. Noise levels whose square overflows, and custom sequences' cached arrays
+8. Noise levels whose square overflows, scales whose inverse square is not a
+   positive finite float, and custom sequences' cached arrays
+9. The carry at the edge of the double range, against an exact fraction sum
+10. Constant (well-posed) spectra: exactly rounded closed-form prefix sums,
+    the same scans as the chunked sum of the same constant, and overflow
 """
 
 import dataclasses
 import itertools
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -36,7 +41,7 @@ from seqdetect.sequences import (
     sum_inv_b_4,
     sum_inv_b_sq,
 )
-from seqdetect.sequences import _partial_sum
+from seqdetect.sequences import _partial_sum, _prefix_sums
 
 
 def make_spec(operator, smoothness=None, eps=0.1, **kwargs):
@@ -258,6 +263,30 @@ class TestExactCarry:
             warnings.simplefilter("error")
             assert _partial_sum(term_fn, d) == expected
 
+    def test_carry_just_below_the_largest_double(self):
+        # a case from a seeded fuzz of sparse chunks whose sum lies within
+        # 4e-16 relative of the largest double (seed 105): fsum raises its
+        # intermediate-overflow error on the carry's parts, although the
+        # exactly rounded carry is the largest double, not +inf
+        nonzero = {
+            792: "0x1.13d25a49cda3ep+1022",
+            2279: "0x1.0787457424902p+1022",
+            5225: "0x1.089d712af66acp+1021",
+            5759: "0x1.ace97b0fce6c1p+1021",
+            8119: "0x1.5726a9b602970p+1019",
+            8120: "0x1.7bf853b7ac369p+1020",
+        }
+        values = np.zeros(2 * _CHUNK + 1)
+        for pos, value in nonzero.items():
+            values[pos] = float.fromhex(value)
+        carry = 0.0
+        for chunk in (values[:_CHUNK], values[_CHUNK : 2 * _CHUNK]):
+            carry = float(sum(map(Fraction, [carry, *chunk.tolist()])))
+        assert carry == np.finfo(float).max
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _partial_sum(_array_terms(values), values.size) == carry
+
     def test_cumsum_adds_in_sequence(self):
         # the carry's TwoSum residuals are exact only if every cumsum step is
         # run[i] = fl(run[i-1] + x[i]); pin that order on mixed signs and a
@@ -394,6 +423,16 @@ class TestRangesAndValidation:
         with pytest.raises(ValueError, match="noise level eps"):
             eps_sq_grid([0.1, eps])
 
+    @pytest.mark.parametrize("scale", [-1.0, 0.0, math.nan, 1e-200, 1e-160, 1e200, math.inf])
+    def test_scale_needs_a_finite_positive_inverse_square(self, scale):
+        # 1e-200 squares to 0, 1e-160 to a subnormal whose inverse overflows,
+        # and 1e200 squares to +inf, whose inverse is 0
+        with pytest.raises(ValueError, match="operator scale must be positive"):
+            OperatorFamily.mildly_ill_posed(1.0, scale)
+        with pytest.raises(ValueError, match="smoothness scale must be positive"):
+            SmoothnessFamily.ordinary_smooth(1.0, scale)
+        assert OperatorFamily.well_posed(1e-154).scale == 1e-154
+
     def test_custom_array_matches_values_and_is_read_only(self):
         values = np.random.default_rng(47).uniform(0.1, 2.0, 3 * _CHUNK + 5)
         op = OperatorFamily.custom(values, scale=0.8)
@@ -499,3 +538,61 @@ class TestScanBandwidths:
         )
         assert [(r.d, r.value) for r in results] == [(10, 0.0), (10000, 0.0), (5000, 0.0)]
 
+
+class TestConstantSpectra:
+    """A well-posed spectrum's terms are one constant c, and its prefix sums
+    are the closed form fl(k * c): the exactly rounded sum of k copies."""
+
+    @pytest.mark.parametrize("scale", [1.5, 0.7, 3.0])
+    @pytest.mark.parametrize("d", [100, _CHUNK - 1, _CHUNK, _CHUNK + 1, 20000])
+    def test_sums_are_exactly_rounded(self, scale, d):
+        spec = make_spec(OperatorFamily.well_posed(scale))
+        w = 1.0 / (scale * scale)
+        assert sum_inv_b_sq(spec, d) == math.fsum([w] * d)
+        assert sum_inv_b_4(spec, d) == math.fsum([w * w] * d)
+        *_, (ks, sums) = _prefix_sums(w, d)
+        assert sums.tolist() == [float(Fraction(w) * int(k)) for k in ks]
+
+    def test_prefix_sums_match_the_chunked_constant(self):
+        # c = 1 sums exactly either way, so the chunks must agree bitwise
+        closed = list(_prefix_sums(1.0, 3 * _CHUNK + 5))
+        chunked = list(_prefix_sums(lambda ks: np.ones(len(ks)), 3 * _CHUNK + 5))
+        assert len(closed) == len(chunked) == 4
+        for (ks, sums), (ks_ref, sums_ref) in zip(closed, chunked):
+            assert ks.tobytes() == ks_ref.tobytes()
+            assert sums.tobytes() == sums_ref.tobytes()
+
+    @pytest.mark.parametrize("maximize", [False, True])
+    def test_scans_match_the_chunked_constant(self, maximize):
+        # three objectives whose optima sit in the first, third and second
+        # chunk: the same results and the same call pattern
+        targets = np.array([[10.0], [10000.0], [5000.0]])
+        sign = -1.0 if maximize else 1.0
+
+        def scan(terms):
+            seen = []
+
+            def value_fn(ks, sums, rows):
+                seen.append((int(ks[0]), rows.tolist()))
+                return sign * np.abs(sums[np.newaxis, :] - targets)[rows]
+
+            results = scan_bandwidths(terms, value_fn, 1 << 16, 3, maximize=maximize)
+            return results, seen
+
+        closed = scan(1.0)
+        assert closed == scan(lambda ks: np.ones(len(ks)))
+        assert [r.d for r in closed[0]] == [10, 10000, 5000]
+        assert closed[1] == [(1, [0, 1, 2]), (4097, [1, 2]), (8193, [1])]
+
+    def test_overflow_maps_to_inf(self):
+        big = np.finfo(float).max / 6000.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sums = np.concatenate([s for _, s in _prefix_sums(big, 2 * _CHUNK)])
+            assert np.all(np.isfinite(sums[:5999])) and np.all(np.isinf(sums[6001:]))
+            assert math.isinf(_partial_sum(big, 2 * _CHUNK))
+            # b^-2 = 1e308 is finite, its square and any sum of two are not
+            spec = make_spec(OperatorFamily.well_posed(1e-154))
+            assert sum_inv_b_sq(spec, 1) == 1.0 / (1e-154 * 1e-154)
+            assert math.isinf(sum_inv_b_sq(spec, 2))
+            assert math.isinf(sum_inv_b_4(spec, 1))
