@@ -233,19 +233,22 @@ def run_simulate(config: ExperimentConfig, out_dir: Path, threads: int = 1) -> i
         models = [settings.build(det.d) for settings in config.noise]
     except ValueError as exc:
         raise ConfigError(f"simulate: {exc}") from exc
-    alt = montecarlo.guaranteed_detectable_signal(problem, det.c_beta, det.d)
+    try:
+        alt = montecarlo.guaranteed_detectable_signal(problem, det.c_beta, det.d)
+    except ValueError as exc:
+        raise ConfigError(f"simulate at D = {det.d}: {exc}") from exc
     scenario = f"{problem.operator.kind}-{problem.smoothness.kind}-D{det.d}"
 
-    seeds = _row_seeds(config.seed, 2 * len(config.noise))
+    # row i is seeded by the master seed's child 2i (the CSV's seed column);
+    # both of its error rates are counted on the same replications
+    seeds = _row_seeds(config.seed, 2 * len(config.noise))[::2]
     rows: list[list[str]] = []
     all_ok = True
-    for i, (settings, model) in enumerate(zip(config.noise, models)):
-        est1 = montecarlo.estimate_type1(
-            problem, det, model, config.reps, seeds[2 * i], threads=threads
-        )
+    for settings, model, seed in zip(config.noise, models, seeds):
         est2 = montecarlo.estimate_type2(
-            problem, det, model, alt.signal, config.reps, seeds[2 * i + 1], threads=threads
+            problem, det, model, alt.signal, config.reps, seed, threads=threads
         )
+        est1 = est2.type1
         ok = (
             est1.p_hat <= config.alpha + 3.0 * est1.std_err
             and est2.p_hat <= config.beta + 3.0 * est2.std_err

@@ -5,7 +5,10 @@ independent replications.  Replications run in fixed-size blocks: block b
 draws the noise of all its rows from one stream derived from (seed, b), and
 the statistic of the whole block is one matrix-vector product.  The block
 size depends on the bandwidth alone, so estimates are identical for any
-thread count and any reduction order.
+thread count and any reduction order.  Both error types are counted from one
+draw: a block's type I count is taken on y = eps xi, then the signal shift is
+added to y in place and its type II count taken, so `estimate_type2` also
+returns the type I estimate of the same replications.
 
 The empirical separation radius reuses those blocks.  For a spike at
 coordinate D the statistic of each replication is a quadratic in the spike
@@ -16,7 +19,7 @@ off the sorted interval endpoints, with no re-draws.
 The module also carries the machinery of the two-point lower-bound argument:
 the least-favourable signal aligned with an adversarial covariance, and the
 chi-square divergence E_0[L^2] of the induced likelihood ratio, in closed
-form and as a Monte Carlo cross-check.
+form and as a Monte Carlo cross-check over the same replication blocks.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from typing import Callable, TypeVar
 import numpy as np
 
 from . import detector
-from .noise import CorrelationMatrix, NoiseModel
+from .noise import CorrelatedGaussian, CorrelationMatrix, NoiseModel
 from .sequences import (
     ProblemSpec,
     Signal,
@@ -49,7 +52,6 @@ _MIN_REPS = 1_000
 #: divergence is moderate; both limits are enforced, not advisory.
 _MC_DIVERGENCE_MAX_D = 5
 _MC_DIVERGENCE_MAX_VALUE = 5.0
-_MC_CHUNK = 1 << 17
 #: Noise values per replication block of the error-rate estimates: a block
 #: holds max(1, _MC_BLOCK_ELEMENTS // D) replications, a count fixed by D
 #: alone and never by the thread count.
@@ -65,13 +67,19 @@ def replication_rng(seed: int, block: int) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class McEstimate:
-    """Monte Carlo probability estimate with its provenance."""
+    """Monte Carlo probability estimate with its provenance.
+
+    ``type1`` is set on the results of `estimate_type2` only: the type I
+    estimate from the same replications, equal to `estimate_type1` with the
+    same seed.
+    """
 
     p_hat: float
     reps: int
     std_err: float
     seed: int
     wall_time: float
+    type1: McEstimate | None = None
 
 
 def _check_reps(reps: int) -> None:
@@ -83,7 +91,6 @@ def _map_blocks(
     model: NoiseModel,
     d: int,
     eps: float,
-    shift: np.ndarray | None,
     reps: int,
     seed: int,
     threads: int,
@@ -93,10 +100,10 @@ def _map_blocks(
 
     Replications come in blocks of ``max(1, _MC_BLOCK_ELEMENTS // D)`` rows
     (the last block may be shorter); block b draws all its rows from
-    ``replication_rng(seed, b)`` and holds y = shift + eps xi, one row per
-    replication.  Threads split the block indices into contiguous ranges and
-    the results are returned in block order, so they are the same at any
-    thread count.
+    ``replication_rng(seed, b)`` and holds y = eps xi, one row per
+    replication, in a fresh array that ``reduce`` may overwrite.  Threads
+    split the block indices into contiguous ranges and the results are
+    returned in block order, so they are the same at any thread count.
     """
     rows = max(1, _MC_BLOCK_ELEMENTS // d)
     n_blocks = -(-reps // rows)
@@ -105,10 +112,7 @@ def _map_blocks(
         out = []
         for b in range(lo, hi):
             n = min(rows, reps - b * rows)
-            y = eps * model.sample_block(n, d, replication_rng(seed, b))
-            if shift is not None:
-                y += shift
-            out.append(reduce(y))
+            out.append(reduce(eps * model.sample_block(n, d, replication_rng(seed, b))))
         return out
 
     if threads <= 1:
@@ -127,24 +131,32 @@ def _count_rejections(
     reps: int,
     seed: int,
     threads: int,
-) -> int:
-    """Number of replications with T_D >= threshold for y = shift + eps xi.
+) -> list[int]:
+    """Numbers of replications with T_D >= threshold, for y = eps xi and,
+    when a shift is given, for y = shift + eps xi on the same draws.
 
-    The per-block counts are integers, so the total is exact at any thread
+    The per-block counts are integers, so the totals are exact at any thread
     count.
     """
     d = config.d
     w = spec.operator.inv_sq_array(np.arange(1, d + 1))
     eps2 = spec.eps**2
     thr = config.threshold
-    counts = _map_blocks(
-        model, d, spec.eps, shift, reps, seed, threads,
-        lambda y: int(np.count_nonzero((y * y - eps2) @ w >= thr)),
-    )
-    return sum(counts)
+
+    def reduce(y: np.ndarray) -> list[int]:
+        counts = [int(np.count_nonzero((y * y - eps2) @ w >= thr))]
+        if shift is not None:
+            y += shift
+            counts.append(int(np.count_nonzero((y * y - eps2) @ w >= thr)))
+        return counts
+
+    blocks = _map_blocks(model, d, spec.eps, reps, seed, threads, reduce)
+    return [sum(column) for column in zip(*blocks)]
 
 
-def _estimate(count: int, reps: int, seed: int, start: float) -> McEstimate:
+def _estimate(
+    count: int, reps: int, seed: int, start: float, type1: McEstimate | None = None
+) -> McEstimate:
     p = count / reps
     return McEstimate(
         p_hat=p,
@@ -152,6 +164,7 @@ def _estimate(count: int, reps: int, seed: int, start: float) -> McEstimate:
         std_err=math.sqrt(p * (1.0 - p) / reps),
         seed=int(seed),
         wall_time=time.perf_counter() - start,
+        type1=type1,
     )
 
 
@@ -167,7 +180,7 @@ def estimate_type1(
     start = time.perf_counter()
     _check_reps(reps)
     spec.check_bandwidth(config.d)
-    count = _count_rejections(spec, config, model, None, reps, seed, threads)
+    (count,) = _count_rejections(spec, config, model, None, reps, seed, threads)
     return _estimate(count, reps, seed, start)
 
 
@@ -182,7 +195,10 @@ def estimate_type2(
 ) -> McEstimate:
     """Fraction of replications accepting the null under the given signal.
 
-    The signal must belong to the smoothness ellipsoid.
+    The signal must belong to the smoothness ellipsoid.  The result's
+    ``type1`` is the type I estimate counted on the same noise draws before
+    the signal is added: it equals `estimate_type1` at this seed, so one call
+    gives both error rates of a row.
     """
     start = time.perf_counter()
     _check_reps(reps)
@@ -194,8 +210,8 @@ def estimate_type2(
     d = config.d
     spec.check_bandwidth(d)
     shift = spec.operator.value_array(np.arange(1, d + 1)) * theta.array(d)
-    count = _count_rejections(spec, config, model, shift, reps, seed, threads)
-    return _estimate(reps - count, reps, seed, start)
+    null, count = _count_rejections(spec, config, model, shift, reps, seed, threads)
+    return _estimate(reps - count, reps, seed, start, _estimate(null, reps, seed, start))
 
 
 @dataclass(frozen=True)
@@ -266,7 +282,7 @@ def _null_statistics(
     w = spec.operator.inv_sq_array(np.arange(1, d + 1))
     eps2 = spec.eps**2
     parts = _map_blocks(
-        model, d, spec.eps, None, reps, seed, threads,
+        model, d, spec.eps, reps, seed, threads,
         # a copy, so no view keeps the whole block alive
         lambda y: ((y * y - eps2) @ w, y[:, -1].copy()),
     )
@@ -454,7 +470,8 @@ def chi_sq_divergence_mc(
     seed: int,
 ) -> float:
     """Monte Carlo estimate of E_0[L^2] by averaging the squared likelihood
-    ratio over draws from the null.
+    ratio over draws from the null, in the replication blocks of the
+    error-rate estimates.
 
     Limited to d <= 5 and closed-form divergence <= 5: beyond that the
     estimator's variance (a fourth moment of the likelihood ratio) explodes.
@@ -475,16 +492,9 @@ def chi_sq_divergence_mc(
     m = np.linalg.solve(sigma, b_theta)
     eps2 = spec.eps**2
     quad = float(b_theta @ m) / eps2
-
-    w, v = np.linalg.eigh(sigma)
-    factor = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.T
-    rng = replication_rng(seed, 0)
-    total = 0.0
-    done = 0
-    while done < reps:
-        n = min(_MC_CHUNK, reps - done)
-        y = spec.eps * (rng.standard_normal((n, d)) @ factor)
-        log_l = (y @ m) / eps2 - 0.5 * quad
-        total += float(np.exp(2.0 * log_l).sum())
-        done += n
-    return total / reps
+    model = CorrelatedGaussian(CorrelationMatrix(sigma, validate_psd=False))
+    sums = _map_blocks(
+        model, d, spec.eps, reps, seed, 1,
+        lambda y: float(np.exp(2.0 * ((y @ m) / eps2 - 0.5 * quad)).sum()),
+    )
+    return math.fsum(sums) / reps

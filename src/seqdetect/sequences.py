@@ -410,14 +410,18 @@ def _prefix_sums(terms: Terms, limit: int) -> Iterator[tuple[np.ndarray, np.ndar
     k * c, and every k below 2^53 converts to a float exactly, so
     ``ks * c`` is the exactly rounded sum.
 
-    A term function is summed by a numpy cumsum inside each chunk; the total
-    of the earlier chunks is carried as the exactly rounded sum of the
-    previous carry and the chunk's terms, so each chunk adds one rounding,
-    not one per term.  A chunk's carry is formed only when the next chunk is
-    requested, so a consumer that stops early never pays for it.  The carry
-    is an fsum over a handful of floats whose exact sum is the carry plus the
-    chunk's sum: the cumsum's last value and the last values of cumsums of
-    its cascaded TwoSum residuals (`_exact_carry`).
+    A term function is summed by a numpy cumsum inside each chunk, which
+    adds up to ``_SCAN_CHUNK`` (4096) roundings to the running sums; the
+    total of the earlier chunks is carried as the exactly rounded sum of the
+    previous carry and the chunk's terms, so the carry adds one rounding per
+    chunk, not one per term.  The carry is therefore exactly rounded at each
+    step, but a sum over several chunks is in general not the exactly
+    rounded sum of all its terms: the per-chunk roundings compound.  A
+    chunk's carry is formed only when the next chunk is requested, so a
+    consumer that stops early never pays for it.  The carry is an fsum over
+    a handful of floats whose exact sum is the carry plus the chunk's sum:
+    the cumsum's last value and the last values of cumsums of its cascaded
+    TwoSum residuals (`_exact_carry`).
     """
     carry = 0.0
     for k0 in range(1, limit + 1, _SCAN_CHUNK):

@@ -4,11 +4,14 @@ Covers:
 1. Schema validation with line diagnostics; unknown keys are hard errors
 2. Noise blocks, defaults, overrides, and command pinning
 3. Each subcommand's outputs: headers, key lines, exit codes
-4. Byte-level determinism of the simulate CSV across reruns and threads
-5. The shipped bounds, calibrate and rates configs against golden outputs
+4. Byte-level determinism of the simulate CSV across reruns and threads;
+   each replication block drawn once per family for both error types
+5. The shipped bounds, calibrate, rates and simulate configs against golden
+   outputs
 6. A negative control: simulate with a zero threshold must fail
 7. Config errors (exit 2, never a traceback) for family parameters the
-   spectra cannot use and for dense noise families above their size limit
+   spectra cannot use, for dense noise families above their size limit and
+   for a guaranteed radius no in-ellipsoid signal attains
 """
 
 import math
@@ -17,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from seqdetect import cli, detector, noise
+from seqdetect import cli, detector, montecarlo, noise
 from seqdetect.config import ALL_CELLS, ConfigError, parse_config
 
 BASE_CONFIG = """
@@ -231,6 +234,46 @@ class TestSimulateCommand:
         assert cli.main(["simulate", "--config", str(cfg), "--output", str(out)]) == 2
 
 
+class TestSimulateDrawsOnce:
+    def test_each_block_is_drawn_once_per_family(self, tmp_path, monkeypatch):
+        # type I and type II of a row are counted on the same draws
+        draws = []
+
+        def counting(sample_block):
+            def wrapper(self, n, d, rng):
+                draws.append((self.kind, n))
+                return sample_block(self, n, d, rng)
+
+            return wrapper
+
+        for cls in (noise.IidGaussian, noise.AdversarialEquicorrelated):
+            monkeypatch.setattr(cls, "sample_block", counting(cls.sample_block))
+        cfg = write_config(tmp_path)
+        reps = 20_000
+        argv = ["simulate", "--config", str(cfg), "--output", str(tmp_path), "--reps", str(reps)]
+        assert cli.main(argv) == 0
+        row = (tmp_path / "simulate.csv").read_text().splitlines()[1].split(",")
+        rows = max(1, montecarlo._MC_BLOCK_ELEMENTS // int(row[4]))
+        blocks = -(-reps // rows)
+        assert blocks >= 2
+        for kind in ("iid_gaussian", "adversarial_equicorrelated"):
+            sizes = [n for k, n in draws if k == kind]
+            assert len(sizes) == blocks and sum(sizes) == reps, kind
+
+
+class TestSimulateCapacity:
+    def test_radius_beyond_the_ellipsoid_is_a_config_error(self, tmp_path, capsys):
+        # at eps = 0.5 and D = 16 the guaranteed radius^2 (about 3285) exceeds
+        # every in-ellipsoid spike (a_1^-2 = 1)
+        text = BASE_CONFIG.replace("eps = 0.01", "eps = 0.5") + "test.D = 16\n"
+        cfg = write_config(tmp_path, text)
+        out = tmp_path / "out"
+        assert cli.main(["simulate", "--config", str(cfg), "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "D = 16" in err and "ellipsoid capacity" in err
+        assert not (out / "simulate.csv").exists()
+
+
 class TestRatesCommand:
     def test_single_cell(self, tmp_path):
         text = BASE_CONFIG + "run.cells = well_posed/ordinary_smooth\n"
@@ -393,8 +436,14 @@ class TestCommandPinning:
 
 #: Output fields compared exactly; every other value is a float compared at
 #: a relative tolerance that absorbs libm and SIMD differences between
-#: platforms.
-EXACT_FIELDS = {"D_lower", "D_upper", "D_selected", "D_truncated", "pass", "cell"}
+#: platforms.  The simulate columns are strings or follow from integer
+#: rejection counts (p_hat = count / reps, se = sqrt(p (1 - p) / reps)), so
+#: they compare exactly.
+EXACT_FIELDS = {
+    "D_lower", "D_upper", "D_selected", "D_truncated", "pass", "cell",
+    "scenario", "noise_kind", "D", "reps", "seed",
+    "p_hat_type1", "se1", "p_hat_type2", "se2",
+}
 GOLDEN_RTOL = 1e-12
 
 
@@ -420,16 +469,30 @@ def _assert_matches_golden(path: Path, golden: Path) -> None:
         if " = " not in want_line:
             assert got_line == want_line, path.name
             continue
-        name, _, w = want_line.partition(" = ")
-        got_name, _, g = got_line.partition(" = ")
-        assert got_name == name, f"{path.name}: {got_line}"
-        assert _same_field(name, g, w), f"{path.name}: {name} {g} != {w}"
+        got_pairs, want_pairs = _line_fields(got_line), _line_fields(want_line)
+        assert [n for n, _ in got_pairs] == [n for n, _ in want_pairs], f"{path.name}: {got_line}"
+        for (name, g), (_, w) in zip(got_pairs, want_pairs):
+            assert _same_field(name, g, w), f"{path.name}: {name} {g} != {w}"
+
+
+def _line_fields(line: str) -> list[tuple[str, str]]:
+    """The (name, value) pairs of a ``name = value`` line.  A line may hold
+    several pairs, each value one word (``D=3 divergence = 1.6 pass = true``);
+    a line with one pair keeps everything after its ``=`` as the value."""
+    parts = line.split(" = ")
+    names, values = [parts[0]], []
+    for middle in parts[1:-1]:
+        value, _, name = middle.partition(" ")
+        values.append(value)
+        names.append(name)
+    values.append(parts[-1])
+    return list(zip(names, values))
 
 
 class TestGoldenOutputs:
     """The shipped configs reproduce the outputs recorded in tests/golden/."""
 
-    @pytest.mark.parametrize("command", ["bounds", "calibrate", "rates"])
+    @pytest.mark.parametrize("command", ["bounds", "calibrate", "rates", "simulate"])
     def test_shipped_config(self, tmp_path, command):
         cfg = REPO / "configs" / f"{command}.cfg"
         assert cli.main([command, "--config", str(cfg), "--output", str(tmp_path)]) == 0

@@ -4,7 +4,8 @@ Covers:
 1. Replication streams: determinism across runs and thread counts
 2. Type I / type II estimation, including the exact complement identity at
    theta = 0 and ellipsoid enforcement; the blocked kernel against a
-   row-by-row reference; negative controls that the estimates must fail
+   row-by-row reference; the type I estimate carried by `estimate_type2`;
+   negative controls that the estimates must fail
 3. The guaranteed-detectable spike signal and its placement rule
 4. The least-favourable signal construction and its norm identity
 5. Chi-square divergence: closed form, the Monte Carlo cross-check, and the
@@ -26,6 +27,7 @@ from seqdetect.noise import (
     AdversarialEquicorrelated,
     CorrelationMatrix,
     IidGaussian,
+    IidRademacher,
     LongRangeGaussian,
     adversarial_sigma,
 )
@@ -157,6 +159,34 @@ class TestBlockedKernelReference:
                 )
                 assert est1.p_hat == ref1 / reps, (model.kind, threads)
                 assert est2.p_hat == (reps - ref2) / reps, (model.kind, threads)
+
+
+class TestTypeOneFromTheTypeTwoDraws:
+    """`estimate_type2` counts type I on the same blocks before adding the
+    shift, so its ``type1`` is `estimate_type1` at the same seed."""
+
+    def test_matches_estimate_type1(self):
+        # D = 7: three full blocks of 1170 rows and a ragged last one of 17
+        d, reps = 7, 3 * (8192 // 7) + 17
+        spec = flat_spec(eps=0.1)
+        # threshold 0 keeps the Gaussian rejection rates inside (0, 1)
+        config = dataclasses.replace(detector.calibrate(spec, 0.1, 0.1, d=d), threshold=0.0)
+        theta = boundary_signal(spec, 1, 0.05)
+        models = [IidGaussian(), IidRademacher(), AdversarialEquicorrelated(d, INV_SQRT2)]
+        for i, model in enumerate(models):
+            seed = 300 + i
+            want = montecarlo.estimate_type1(spec, config, model, reps, seed)
+            assert want.type1 is None
+            for threads in (1, 2, 4):
+                est = montecarlo.estimate_type2(
+                    spec, config, model, theta, reps, seed, threads=threads
+                )
+                got = est.type1
+                assert got.type1 is None
+                assert (got.p_hat, got.std_err, got.seed, got.reps) == (
+                    want.p_hat, want.std_err, want.seed, want.reps
+                ), (model.kind, threads)
+                assert est.seed == seed and est.reps == reps
 
 
 def _shipped_models(d):

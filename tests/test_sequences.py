@@ -231,7 +231,13 @@ def _inf_term_terms():
 
 
 class TestExactCarry:
-    """The carry into chunk n + 1 is fsum of the first n chunks' terms, bitwise."""
+    """The carry into chunk n + 1 is the exactly rounded sum of the carry
+    into chunk n and chunk n's terms: one rounding per chunk, while the
+    in-chunk cumsum adds up to 4096 roundings.  For the spectra below those
+    per-chunk roundings compose to fsum of all earlier terms, bitwise, which
+    is what the partial sum at d = n * CHUNK + 1 is checked against; for
+    other spectra a multi-chunk sum may differ from that fsum by an ulp or
+    more."""
 
     @pytest.mark.parametrize(
         "term_fn",
