@@ -81,7 +81,11 @@ def _checked(result: ScanResult, message: str) -> tuple[float, int]:
 def _lower_scans(
     spec: ProblemSpec, eps_grid: Iterable[float], alpha: float, beta: float
 ) -> list[ScanResult]:
-    """sup_D [min(coeff eps^2 sum b^-2, a_D^-2)] at every eps of the grid."""
+    """sup_D [min(coeff eps^2 sum b^-2, a_D^-2)] at every eps of the grid.
+
+    The objective is non-decreasing in the sum and non-increasing in D, as
+    `scan_bandwidths` requires to skip ahead over a constant term.
+    """
     coeffs = lower_coefficient(alpha, beta) * eps_sq_grid(eps_grid)
     smooth = spec.smoothness
 
@@ -95,7 +99,11 @@ def _lower_scans(
 
 
 def _classical_scans(spec: ProblemSpec, eps_grid: Iterable[float]) -> list[ScanResult]:
-    """inf_D [a_D^-2 + eps^2 sqrt(sum b^-4)] at every eps of the grid."""
+    """inf_D [a_D^-2 + eps^2 sqrt(sum b^-4)] at every eps of the grid.
+
+    The objective is non-decreasing in the sum and non-increasing in D, as
+    `scan_bandwidths` requires to skip ahead over a constant term.
+    """
     eps_sq = eps_sq_grid(eps_grid)
     smooth = spec.smoothness
 

@@ -366,6 +366,24 @@ def run_rates(config: ExperimentConfig, out_dir: Path) -> int:
     return 0 if all_ok else 1
 
 
+def _check_lower_bound_levels(config: ExperimentConfig, command: str) -> None:
+    """The lower bound's divergence budget needs alpha + beta < 1.
+
+    ``bounds`` and ``rates`` form the lower bound, and ``simulate`` does in
+    its divergence check when a noise block is adversarial; ``calibrate``
+    does not.  Checked before any output is written.
+    """
+    forms_lower_bound = command in ("bounds", "rates") or (
+        command == "simulate"
+        and any(ns.kind == "adversarial_equicorrelated" for ns in config.noise)
+    )
+    if forms_lower_bound and not config.alpha + config.beta < 1.0:
+        raise ConfigError(
+            f"{command} forms the lower bound, which needs test.alpha + test.beta < 1; "
+            f"got {config.alpha!r} + {config.beta!r}"
+        )
+
+
 def _resolve_threads(arg_value: int | None) -> int:
     if arg_value is not None:
         return max(1, arg_value)
@@ -414,6 +432,7 @@ def main(argv: list[str] | None = None) -> int:
                 f"config pins run.command = {config.command!r} but {args.command!r} was invoked"
             )
         config = config.with_overrides(seed=args.seed, reps=args.reps)
+        _check_lower_bound_levels(config, args.command)
         out_dir = Path(args.output or config.output_path or ".")
         try:
             out_dir.mkdir(parents=True, exist_ok=True)

@@ -12,7 +12,8 @@ Schema (dotted keys, one per line, '#' starts a comment line):
                        finite positive float
   eps                  base noise level (required); eps^2 must be a finite
                        positive float
-  C                    fourth-moment class constant, default 3
+  C                    fourth-moment class constant, finite and >= 1,
+                       default 3
   index_mode           'infinite' or an integer n, default infinite
   D_max                bandwidth truncation, default 65536
 
@@ -29,7 +30,9 @@ Schema (dotted keys, one per line, '#' starts a comment line):
   rng.seed             unsigned 64-bit master seed, default 0
 
   test.alpha           type I level in (0, 1), default 0.1
-  test.beta            type II level in (0, 1), default 0.1
+  test.beta            type II level in (0, 1), default 0.1; bounds, rates
+                       and simulate with an adversarial block form the lower
+                       bound, which needs test.alpha + test.beta < 1
   test.D               fixed bandwidth, at most the bandwidth limit (D_max,
                        n); omit to auto-select
   test.c_beta_mode     exact | practical, default exact
@@ -311,6 +314,10 @@ def parse_config(text: str, source: str = "<config>") -> ExperimentConfig:
     c = 3.0
     if (entry := take("C")) is not None:
         c = _parse_float(entry[0], entry[1], "C")
+        if not 1.0 <= c < math.inf:
+            raise ConfigError(
+                f"{source}, line {entry[1]}: C must be a finite number >= 1, got {c!r}"
+            )
 
     n_max: int | None = None
     if (entry := take("index_mode")) is not None:

@@ -50,8 +50,10 @@ def derive_constants(c: float, alpha: float) -> DetectorConstants:
 
     ``alpha = 1`` is accepted as the degenerate no-control limit.
     """
-    if c < 1.0:
-        raise ValueError("fourth moment bound below 1 contradicts unit variance")
+    if not 1.0 <= c < math.inf:
+        raise ValueError(
+            f"fourth moment bound must be finite and at least 1 (unit variance), got {c!r}"
+        )
     if not 0.0 < alpha <= 1.0:
         raise ValueError("alpha must lie in (0, 1]")
     c1 = c - 1.0
@@ -160,7 +162,8 @@ def select_bandwidths(
     the spectrum for the whole grid; each objective stops once it stops
     improving, and ties go to the smaller bandwidth.  ``truncated`` marks
     minimisers that sit on the scan limit, where the reported optimum is
-    suspect.
+    suspect.  The objective is non-decreasing in the sum and non-increasing
+    in D, as `scan_bandwidths` requires to skip ahead over a constant term.
     """
     if not c_beta > 0:
         raise ValueError("calibration constant must be positive")

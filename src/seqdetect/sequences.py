@@ -22,7 +22,12 @@ loops can simply skip past the overflowed tail.
 Every optimisation over the bandwidth is one `scan_bandwidths` pass: the
 prefix sums of a spectrum are formed once per chunk and shared by any number
 of objectives (one per noise level of an eps grid, say), each of which
-freezes on its own once it stops improving.
+freezes on its own once it stops improving.  Over a constant term, whose sum
+is known at any k, an objective that is monotone in k and in the sum first
+skips every chunk it can certify (`_skip_ahead`: the chunk's tail beats a
+lower bound on everything before it) and is evaluated densely only from its
+first uncertified chunk, near its optimum, with the results of the dense
+pass.
 """
 
 from __future__ import annotations
@@ -51,6 +56,13 @@ DEFAULT_D_MAX = 1 << 16
 _SCAN_CHUNK = 4096
 #: Consecutive non-improving bandwidths after which a scan stops.
 _SCAN_STALL_LIMIT = 64
+#: Skip-ahead over constant-term scans (see `_skip_ahead`): the head sub-blocks
+#: widen by this factor away from a chunk's tail, at most this many chunks are
+#: certified per objective evaluation, and each bound is shrunk by this
+#: relative slack before it is compared.
+_SKIP_GROWTH = 1.05
+_SKIP_MAX_BATCH = 32
+_SKIP_SLACK = 2.0**-40
 _MEMBERSHIP_SLACK = 1e-12
 
 
@@ -319,8 +331,8 @@ class ProblemSpec:
       smoothness: ellipsoid weights a.
       eps: noise level, strictly positive, with a finite square.
       n_max: size of a finite index set, or None for the unbounded set.
-      fourth_moment_bound: the class constant C with sup_k E[xi_k^4] <= C;
-        C >= 1 because unit variance forces E[xi^4] >= 1.
+      fourth_moment_bound: the class constant C with sup_k E[xi_k^4] <= C,
+        finite, and C >= 1 because unit variance forces E[xi^4] >= 1.
       d_max: truncation bound for optimisations over the bandwidth D.
     """
 
@@ -333,8 +345,11 @@ class ProblemSpec:
 
     def __post_init__(self) -> None:
         _check_eps(self.eps)
-        if self.fourth_moment_bound < 1.0:
-            raise ValueError("fourth moment bound below 1 contradicts unit variance")
+        if not 1.0 <= self.fourth_moment_bound < math.inf:
+            raise ValueError(
+                "fourth moment bound must be finite and at least 1 (unit variance "
+                f"forces E[xi^4] >= 1), got {self.fourth_moment_bound!r}"
+            )
         if self.n_max is not None and self.n_max < 1:
             raise ValueError("finite index set must contain at least one index")
         if self.d_max < 1:
@@ -399,7 +414,9 @@ class Signal:
 Terms = Union[Callable[[np.ndarray], np.ndarray], float]
 
 
-def _prefix_sums(terms: Terms, limit: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+def _prefix_sums(
+    terms: Terms, limit: int, first_chunk: int = 0
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Running sums of the terms over k = 1..limit, one chunk at a time.
 
     Yields ``(ks, sums)`` for consecutive chunks of at most ``_SCAN_CHUNK``
@@ -408,7 +425,9 @@ def _prefix_sums(terms: Terms, limit: int) -> Iterator[tuple[np.ndarray, np.ndar
 
     A constant term c needs no summing: the exact sum of k copies of c is
     k * c, and every k below 2^53 converts to a float exactly, so
-    ``ks * c`` is the exactly rounded sum.
+    ``ks * c`` is the exactly rounded sum, and the chunks may start at any
+    ``first_chunk``.  A term function's chunks must start at the first (the
+    carry starts at 0).
 
     A term function is summed by a numpy cumsum inside each chunk, which
     adds up to ``_SCAN_CHUNK`` (4096) roundings to the running sums; the
@@ -424,7 +443,7 @@ def _prefix_sums(terms: Terms, limit: int) -> Iterator[tuple[np.ndarray, np.ndar
     TwoSum residuals (`_exact_carry`).
     """
     carry = 0.0
-    for k0 in range(1, limit + 1, _SCAN_CHUNK):
+    for k0 in range(1 + first_chunk * _SCAN_CHUNK, limit + 1, _SCAN_CHUNK):
         ks = np.arange(k0, min(k0 + _SCAN_CHUNK, limit + 1))
         if not callable(terms):
             with np.errstate(over="ignore"):
@@ -609,22 +628,45 @@ def scan_bandwidths(
 ) -> list[ScanResult]:
     """Optimise ``count`` objectives over integer bandwidths 1..limit in one pass.
 
-    ``value_fn(ks, sums, rows)`` gets one chunk of indices, the prefix sums of
-    ``terms`` over them (see `_prefix_sums`) and the indices of the
-    objectives still running, and returns one row of values per entry of
-    ``rows``.  Each objective keeps its own incumbent and freezes once
-    ``_SCAN_STALL_LIMIT`` consecutive bandwidths fail to improve on it (the
-    objectives used here are unimodal after their crossover point); frozen
-    objectives are never evaluated again, and the pass ends when all are
-    frozen.  Ties keep the smaller bandwidth; `truncated` is set when an
-    optimiser lands on the scan limit.
+    ``value_fn(ks, sums, rows)`` gets an array of indices, the prefix sums of
+    ``terms`` at them (see `_prefix_sums`) and the indices of the objectives
+    still running, and returns one row of values per entry of ``rows``; a
+    row's values may depend only on its own objective.  Each objective keeps
+    its own incumbent and freezes once ``_SCAN_STALL_LIMIT`` consecutive
+    bandwidths fail to improve on it (the objectives used here are unimodal
+    after their crossover point); frozen objectives are never evaluated
+    again, and the pass ends when all are frozen.  Ties keep the smaller
+    bandwidth; `truncated` is set when an optimiser lands on the scan limit.
+
+    The pass goes through the indices in chunks of ``_SCAN_CHUNK``.  A term
+    function gets every chunk evaluated for every running objective.  For a
+    constant term c, each objective first skips ahead over the chunks that
+    `_skip_ahead` certifies and is evaluated from its first uncertified
+    chunk on, so ``value_fn`` also sees mixed points ``(k, fl(j * c))`` with
+    j != k.  Precondition for constant terms: every objective is
+    non-decreasing in the sum and non-increasing in k, the shape of all three
+    bound objectives (``c eps^2 S + a_k^-2``, ``min(c eps^2 S, a_k^-2)`` and
+    ``eps^2 sqrt(S) + a_k^-2``).  Under it the results are exactly those of
+    evaluating every chunk.
     """
     if limit < 1:
         raise ValueError("bandwidth limit must be at least 1")
     best_d = np.zeros(count, dtype=np.int64)
     best = np.full(count, -math.inf if maximize else math.inf)
-    rows = np.arange(count)
-    for ks, sums in _prefix_sums(terms, limit):
+    if callable(terms):
+        first = np.zeros(count, dtype=np.int64)
+    else:
+        first = _skip_ahead(terms, value_fn, limit, best, best_d, maximize)
+    # objectives join the pass at their first dense chunk, in that order
+    waiting = np.argsort(first, kind="stable")
+    rows = np.empty(0, dtype=np.int64)
+    while rows.size or waiting.size:
+        if not rows.size:
+            chunk = int(first[waiting[0]])
+            chunks = _prefix_sums(terms, limit, chunk)
+        ks, sums = next(chunks)
+        joining = int(np.searchsorted(first[waiting], chunk, side="right"))
+        rows, waiting = np.concatenate((rows, waiting[:joining])), waiting[joining:]
         with np.errstate(over="ignore", invalid="ignore"):
             vals = value_fn(ks, sums, rows)
         idx = np.argmax(vals, axis=1) if maximize else np.argmin(vals, axis=1)
@@ -633,9 +675,90 @@ def scan_bandwidths(
         best[rows[improved]] = candidates[improved]
         best_d[rows[improved]] = ks[idx[improved]]
         rows = rows[ks[-1] - best_d[rows] < _SCAN_STALL_LIMIT]
-        if not rows.size:
+        if ks[-1] == limit:
             break
+        chunk += 1
     return [ScanResult(int(d), float(v), int(d) == limit) for d, v in zip(best_d, best)]
+
+
+def _head_blocks() -> tuple[np.ndarray, np.ndarray]:
+    """First and last offset, from a chunk's first index, of each sub-block
+    of the chunk's head (all but its last ``_SCAN_STALL_LIMIT`` indices).
+
+    The block next to the tail is one index wide, and the widths grow by
+    ``_SKIP_GROWTH`` towards the chunk's start: about 110 blocks per chunk.
+    """
+    los, his = [], []
+    hi, width = _SCAN_CHUNK - _SCAN_STALL_LIMIT - 1, 1.0
+    while hi >= 0:
+        lo = max(0, hi - int(width) + 1)
+        los.append(lo)
+        his.append(hi)
+        hi, width = lo - 1, width * _SKIP_GROWTH
+    return np.array(los), np.array(his)
+
+
+_HEAD_LO, _HEAD_HI = _head_blocks()
+_TAIL = np.arange(_SCAN_CHUNK - _SCAN_STALL_LIMIT, _SCAN_CHUNK)
+
+
+def _skip_ahead(
+    c: float,
+    value_fn: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
+    limit: int,
+    best: np.ndarray,
+    best_d: np.ndarray,
+    maximize: bool,
+) -> np.ndarray:
+    """The chunk from which each objective of a constant-term scan must be
+    evaluated densely; ``best`` and ``best_d`` get the dense pass's state
+    just before that chunk.
+
+    Stated for minimising (maximising mirrors it).  A chunk with last index
+    e is certified for an objective when the minimum of its tail e-63..e is
+    strictly below every value at k <= e-64.  The values before the chunk
+    are bounded by the previous certified tail's minimum, which is exactly
+    their minimum.  A head sub-block [a, b] is bounded below by
+    ``value_fn([b], [fl(a * c)])`` (upper bound ``value_fn([a], [fl(b * c)])``
+    when maximising): the objective is monotone in k and in the sum, and
+    fl(k * c) is non-decreasing in k.  Each bound is shrunk by the relative
+    ``_SKIP_SLACK`` first, so a value a few ulps off cannot certify a chunk.
+    On a certified chunk the dense pass does not freeze (its incumbent is in
+    the tail) and its incumbent is the tail's first minimiser, so the
+    objective resumes dense evaluation at its first uncertified chunk in
+    exactly the dense pass's state.  Chunks are tried in doubling batches of
+    up to ``_SKIP_MAX_BATCH``, one ``value_fn`` call per batch for all
+    objectives still skipping; the last chunk is never certified.
+    """
+    first = np.zeros(best.size, dtype=np.int64)
+    certifiable = (limit - 1) // _SCAN_CHUNK
+    sign = -1.0 if maximize else 1.0
+    rows = np.arange(best.size)
+    chunk, batch = 0, 1
+    while rows.size and chunk < certifiable:
+        n = min(batch, certifiable - chunk)
+        starts = (chunk + np.arange(n))[:, np.newaxis] * _SCAN_CHUNK + 1
+        lo, hi = (starts + _HEAD_LO).ravel(), (starts + _HEAD_HI).ravel()
+        tail = (starts + _TAIL).ravel()
+        ks = np.concatenate((lo if maximize else hi, tail))
+        at = np.concatenate((hi if maximize else lo, tail))
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals = sign * value_fn(ks, at * c, rows)
+            heads = vals[:, : lo.size].reshape(rows.size, n, -1).min(axis=2)
+            heads -= np.abs(heads) * _SKIP_SLACK
+        tails = vals[:, lo.size :].reshape(rows.size, n, _SCAN_STALL_LIMIT)
+        idx = tails.argmin(axis=2)
+        tail_min = np.take_along_axis(tails, idx[..., np.newaxis], axis=2)[..., 0]
+        before = np.concatenate((sign * best[rows, np.newaxis], tail_min[:, :-1]), axis=1)
+        certified = (tail_min < heads) & (tail_min < before)
+        run = np.where(certified.all(axis=1), n, certified.argmin(axis=1))
+        moved, last = run > 0, run[run > 0] - 1
+        best[rows[moved]] = sign * tail_min[moved, last]
+        best_d[rows[moved]] = tail.reshape(n, -1)[last, idx[moved, last]]
+        first[rows] = chunk + run
+        rows = rows[run == n]
+        chunk, batch = chunk + n, min(2 * batch, _SKIP_MAX_BATCH)
+    return first
 
 
 def scan_bandwidth(

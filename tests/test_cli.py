@@ -12,6 +12,9 @@ Covers:
 7. Config errors (exit 2, never a traceback) for family parameters the
    spectra cannot use, for dense noise families above their size limit and
    for a guaranteed radius no in-ellipsoid signal attains
+8. Config errors before any output for levels with alpha + beta >= 1 in the
+   commands that form the lower bound, and for a C that is not finite or
+   below 1
 """
 
 import math
@@ -514,3 +517,71 @@ class TestNegativeControl:
         rows = (tmp_path / "simulate.csv").read_text().splitlines()[1:]
         assert any(row.endswith(",false") for row in rows)
 
+
+
+class TestLowerBoundLevels:
+    """The lower bound needs alpha + beta < 1: a config error (exit 2) before
+    any output of the commands that form it, while calibrate, which forms
+    none, still runs."""
+
+    LEVELS = BASE_CONFIG.replace("test.alpha = 0.1", "test.alpha = 0.5").replace(
+        "test.beta = 0.1", "test.beta = 0.5"
+    )
+
+    @pytest.mark.parametrize("command", ["bounds", "rates", "simulate"])
+    def test_rejected_before_any_output(self, tmp_path, capsys, command):
+        text = self.LEVELS
+        if command == "rates":
+            text += "run.cells = well_posed/ordinary_smooth\n"
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, text)
+        assert cli.main([command, "--config", str(cfg), "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "test.alpha + test.beta < 1" in err and "0.5 + 0.5" in err
+        assert not out.exists()
+
+    def test_simulate_without_an_adversarial_block_runs(self, tmp_path):
+        text = self.LEVELS.replace(
+            "noise.kind = adversarial_equicorrelated\nnoise.d = 0.7071067811865476\n", ""
+        )
+        cfg = write_config(tmp_path, text)
+        assert cli.main(["simulate", "--config", str(cfg), "--output", str(tmp_path)]) == 0
+        assert not (tmp_path / "lowerbound_check.txt").exists()
+
+    def test_calibrate_accepts_the_levels(self, tmp_path):
+        cfg = write_config(tmp_path, self.LEVELS)
+        assert cli.main(["calibrate", "--config", str(cfg), "--output", str(tmp_path)]) == 0
+        assert "alpha = 0.5" in (tmp_path / "calibrate.txt").read_text()
+
+
+class TestFourthMomentBound:
+    """C must be finite and at least 1: anything else is a config error at
+    the line that sets it, for every command."""
+
+    @pytest.mark.parametrize("command", ["bounds", "calibrate", "simulate", "rates"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0.5"])
+    def test_rejected_at_load(self, tmp_path, capsys, command, value):
+        text = BASE_CONFIG.replace("C = 3.0", f"C = {value}")
+        assert text != BASE_CONFIG
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, text)
+        assert cli.main([command, "--config", str(cfg), "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "line 7: C must be a finite number >= 1" in err
+        assert not out.exists()
+
+    def test_one_is_valid(self, tmp_path):
+        cfg = write_config(tmp_path, BASE_CONFIG.replace("C = 3.0", "C = 1"))
+        assert cli.main(["calibrate", "--config", str(cfg), "--output", str(tmp_path)]) == 0
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 0.5])
+    def test_problem_spec_rejects_it(self, value):
+        from seqdetect.sequences import OperatorFamily, ProblemSpec, SmoothnessFamily
+
+        with pytest.raises(ValueError, match="finite and at least 1"):
+            ProblemSpec(
+                OperatorFamily.well_posed(),
+                SmoothnessFamily.ordinary_smooth(1.0),
+                eps=0.1,
+                fourth_moment_bound=value,
+            )

@@ -15,6 +15,9 @@ Covers:
 9. The carry at the edge of the double range, against an exact fraction sum
 10. Constant (well-posed) spectra: exactly rounded closed-form prefix sums,
     the same scans as the chunked sum of the same constant, and overflow
+11. The constant-term skip-ahead against the chunk-by-chunk scan kept here
+    as the oracle: the freeze rule's edges, a seeded randomised set of
+    production and synthetic objectives, and the work it saves
 """
 
 import dataclasses
@@ -26,6 +29,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from seqdetect import bounds, detector
 from seqdetect.sequences import (
     DEFAULT_D_MAX,
     OperatorFamily,
@@ -109,6 +113,8 @@ class TestPartialSums:
 
 #: Chunk length of the prefix-sum primitive; the reference bandwidths straddle it.
 _CHUNK = 4096
+#: Consecutive non-improving bandwidths after which a scan objective freezes.
+_STALL = 64
 #: Fixed from float64 before measuring: a chunk adds at most 4096 terms in
 #: sequence (relative error <= 4096 u, u = 2^-53), the carry between chunks is
 #: exactly rounded, and a closed-form term may differ from its vectorised twin
@@ -571,24 +577,33 @@ class TestConstantSpectra:
     @pytest.mark.parametrize("maximize", [False, True])
     def test_scans_match_the_chunked_constant(self, maximize):
         # three objectives whose optima sit in the first, third and second
-        # chunk: the same results and the same call pattern
+        # chunk, each non-decreasing in the sum S and non-increasing in k as
+        # the constant-term scan requires: S/T + T/k is minimised, and
+        # min(S/T, T/k) maximised, at k = T
         targets = np.array([[10.0], [10000.0], [5000.0]])
-        sign = -1.0 if maximize else 1.0
 
         def scan(terms):
             seen = []
 
             def value_fn(ks, sums, rows):
-                seen.append((int(ks[0]), rows.tolist()))
-                return sign * np.abs(sums[np.newaxis, :] - targets)[rows]
+                seen.append((int(ks.min()), rows.tolist()))
+                ratio, inverse = sums[np.newaxis, :] / targets, targets / ks
+                if maximize:
+                    return np.minimum(ratio, inverse)[rows]
+                return (ratio + inverse)[rows]
 
             results = scan_bandwidths(terms, value_fn, 1 << 16, 3, maximize=maximize)
             return results, seen
 
-        closed = scan(1.0)
-        assert closed == scan(lambda ks: np.ones(len(ks)))
-        assert [r.d for r in closed[0]] == [10, 10000, 5000]
-        assert closed[1] == [(1, [0, 1, 2]), (4097, [1, 2]), (8193, [1])]
+        closed, seen = scan(1.0)
+        assert closed == scan(lambda ks: np.ones(len(ks)))[0]
+        assert [r.d for r in closed] == [10, 10000, 5000]
+        assert [r.value for r in closed] == [1.0 if maximize else 2.0] * 3
+        # a row freezes at the end of the chunk 64 or more past its optimum,
+        # and is never passed to value_fn after that chunk
+        for d, row in zip((10, 10000, 5000), range(3)):
+            frozen_at = -(-(d + _STALL) // _CHUNK) * _CHUNK
+            assert all(k0 <= frozen_at for k0, rows in seen if row in rows)
 
     def test_overflow_maps_to_inf(self):
         big = np.finfo(float).max / 6000.0
@@ -602,3 +617,290 @@ class TestConstantSpectra:
             assert sum_inv_b_sq(spec, 1) == 1.0 / (1e-154 * 1e-154)
             assert math.isinf(sum_inv_b_sq(spec, 2))
             assert math.isinf(sum_inv_b_4(spec, 1))
+
+
+def _dense_reference(terms, value_fn, limit, count, maximize=False):
+    """The chunk-by-chunk scan: every running objective is evaluated on every
+    chunk of prefix sums until it freezes.  The oracle of the skip-ahead."""
+    best_d = np.zeros(count, dtype=np.int64)
+    best = np.full(count, -math.inf if maximize else math.inf)
+    rows = np.arange(count)
+    for ks, sums in _prefix_sums(terms, limit):
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals = value_fn(ks, sums, rows)
+        idx = np.argmax(vals, axis=1) if maximize else np.argmin(vals, axis=1)
+        candidates = vals[np.arange(rows.size), idx]
+        improved = candidates > best[rows] if maximize else candidates < best[rows]
+        best[rows[improved]] = candidates[improved]
+        best_d[rows[improved]] = ks[idx[improved]]
+        rows = rows[ks[-1] - best_d[rows] < _STALL]
+        if not rows.size:
+            break
+    return [(int(d), float(v), int(d) == limit) for d, v in zip(best_d, best)]
+
+
+def _peaks(targets, maximize):
+    """Objectives with S = k (terms 1): S/T + T/k, minimised at k = T with
+    value 2, or min(S/T, T/k), maximised at k = T with value 1; both are
+    non-decreasing in S and non-increasing in k."""
+    targets = np.asarray(targets, dtype=float)[:, np.newaxis]
+
+    def value_fn(ks, sums, rows):
+        ratio, inverse = sums / targets[rows], targets[rows] / ks
+        return np.minimum(ratio, inverse) if maximize else ratio + inverse
+
+    return value_fn
+
+
+def _plateaus(lo, hi, maximize):
+    """Objectives with S = k equal to their optimum 1 at k = lo and k = hi
+    only (hi = lo + 1): max(lo/k, S/hi) minimised, min(S/lo, hi/k) maximised."""
+
+    def value_fn(ks, sums, rows):
+        if maximize:
+            return np.minimum(sums / lo, hi / ks)[np.newaxis, :].repeat(rows.size, axis=0)
+        return np.maximum(lo / ks, sums / hi)[np.newaxis, :].repeat(rows.size, axis=0)
+
+    return value_fn
+
+
+_ONES = pytest.param(lambda ks: np.ones(len(ks)), id="callable")
+
+
+@pytest.mark.parametrize("maximize", [False, True], ids=["min", "max"])
+@pytest.mark.parametrize("terms", [pytest.param(1.0, id="constant"), _ONES])
+class TestFreezeRuleEdges:
+    """The scan's freeze rule at its edges, for constant terms (which skip
+    ahead over certified chunks) and a term function (evaluated densely):
+    each result is fixed by hand and equals the chunk-by-chunk oracle."""
+
+    @staticmethod
+    def check(terms, value_fn, limit, count, maximize, expected):
+        results = scan_bandwidths(terms, value_fn, limit, count, maximize=maximize)
+        assert results == expected
+        assert results == _dense_reference(terms, value_fn, limit, count, maximize)
+
+    @pytest.mark.parametrize("end", [_CHUNK, 2 * _CHUNK, 5 * _CHUNK])
+    def test_optimum_at_the_tail_edge(self, terms, maximize, end):
+        # e - 64 freezes at the chunk end e, e - 63 one chunk later
+        targets = [end - _STALL, end - _STALL + 1]
+        opt = 1.0 if maximize else 2.0
+        expected = [(t, opt, False) for t in targets]
+        self.check(terms, _peaks(targets, maximize), 1 << 16, 2, maximize, expected)
+
+    @pytest.mark.parametrize("lo", [_CHUNK, 2 * _CHUNK, 3 * _CHUNK - 1])
+    def test_ties_across_a_chunk_boundary(self, terms, maximize, lo):
+        # the optimum is attained at lo and at lo + 1; the smaller one wins
+        self.check(terms, _plateaus(lo, lo + 1, maximize), 1 << 15, 1, maximize,
+                   [(lo, 1.0, False)])
+
+    def test_tied_tails_of_consecutive_chunks(self, terms, maximize):
+        # step objectives h(S) + g(k), h non-decreasing and g non-increasing:
+        # the tails 4033..4096 and 8129..8192 tie for the optimum and every
+        # other value is worse, so the earlier tail wins and freezes
+        def value_fn(ks, sums, rows):
+            if maximize:
+                h = (sums >= 4033) + (sums >= 8129) * 1.0
+                g = (ks <= 4096) * 1.0
+            else:
+                h = (sums > 4096) * 1.0
+                g = 2.0 + (ks < 4033) - (ks > 8128)
+            return (h + g)[np.newaxis, :]
+
+        self.check(terms, value_fn, 1 << 15, 1, maximize, [(4033, 2.0, False)])
+
+    def test_narrow_optimum_inside_a_wide_head_block(self, terms, maximize):
+        # the optimum is the ten bandwidths 2000..2009, far from the tail
+        # 4033..4096, which is the best of the rest; a head block is bounded
+        # through its monotone corner, not by values at its ends
+        def value_fn(ks, sums, rows):
+            if maximize:
+                h = 9.0 * (sums >= 2000) + 8.0 * (sums >= 4033)
+                g = -9.0 * (ks >= 2010) - 10.0 * (ks >= 4097)
+            else:
+                h = -10.0 + 9.0 * (sums >= 2010) + 10.0 * (sums >= 4097)
+                g = 20.0 - 9.0 * (ks >= 2000) - 8.0 * (ks >= 4033)
+            return (h + g)[np.newaxis, :]
+
+        self.check(terms, value_fn, 1 << 14, 1, maximize, [(2000, 9.0 if maximize else 1.0, False)])
+
+    @pytest.mark.parametrize(
+        "limit", [1, 2, 63, _CHUNK - 1, _CHUNK, _CHUNK + 1, 10_000, 3 * _CHUNK + 17]
+    )
+    def test_limits(self, terms, maximize, limit):
+        # optima inside, on and beyond the limit; beyond it the objective
+        # improves up to the limit, which is then flagged truncated
+        targets = sorted({1, max(1, limit // 2), max(1, limit - _STALL), limit, 2 * limit + 5})
+        value_fn = _peaks(targets, maximize)
+        results = scan_bandwidths(terms, value_fn, limit, len(targets), maximize=maximize)
+        assert [(r.d, r.truncated) for r in results] == [
+            (min(t, limit), t >= limit) for t in targets
+        ]
+        assert results == _dense_reference(terms, value_fn, limit, len(targets), maximize)
+
+    def test_optimum_on_the_limit(self, terms, maximize):
+        limit = 3 * _CHUNK + 100
+        opt = 1.0 if maximize else 2.0
+        self.check(terms, _peaks([limit], maximize), limit, 1, maximize, [(limit, opt, True)])
+
+    def test_freezes_at_the_first_local_optimum(self, terms, maximize):
+        # a_k^-2 drops late (k > 9000 and k > 8000), after the first local
+        # optimum has frozen; the later, better values are never found
+        if maximize:
+            # S a_k^-2 = k h(k): rises to 100 at k = 100, falls to 50 at
+            # k = 8000, then grows on the flat tail of h past 100 at 16000
+            ks = np.arange(1, 40_001, dtype=float)
+            h = np.where(ks <= 100, 1.0, (100.0 - 50.0 * (ks - 100) / 7900) / ks)
+            h[8000:] = h[7999]
+            smooth = SmoothnessFamily.custom(h**-0.5)
+
+            def value_fn(ks, sums, rows):
+                return (sums * smooth.inv_sq_array(ks))[np.newaxis, :]
+
+            local, better = (100, 100.0), 40_000
+        else:
+            # 1e-5 S + a_k^-2: a_k^-2 = 1 up to k = 9000, 1e-6 after it
+            smooth = SmoothnessFamily.custom([1.0] * 9000 + [1000.0] * 31_000)
+
+            def value_fn(ks, sums, rows):
+                return (1e-5 * sums + smooth.inv_sq_array(ks))[np.newaxis, :]
+
+            local, better = (1, 1.00001), 9001
+        limit = smooth.max_index
+        whole = value_fn(np.arange(1, limit + 1), np.arange(1.0, limit + 1), np.arange(1))[0]
+        assert (whole[better - 1] > local[1]) if maximize else (whole[better - 1] < local[1])
+        self.check(terms, value_fn, limit, 1, maximize, [(*local, False)])
+
+
+def _checked_scans(monkeypatch):
+    """Patch the scans of `bounds` and `detector` so that every scan is also
+    run chunk by chunk and must agree exactly; returns the list of checked
+    scans as (limit, count, maximize)."""
+    checked = []
+
+    def scan(terms, value_fn, limit, count, *, maximize=False):
+        results = scan_bandwidths(terms, value_fn, limit, count, maximize=maximize)
+        assert results == _dense_reference(terms, value_fn, limit, count, maximize)
+        checked.append((limit, count, maximize))
+        return results
+
+    monkeypatch.setattr(bounds, "scan_bandwidths", scan)
+    monkeypatch.setattr(detector, "scan_bandwidths", scan)
+    return checked
+
+
+@pytest.mark.filterwarnings("ignore:.*hit the scan limit:UserWarning")
+class TestSkipAheadMatchesTheDenseScan:
+    """Seeded randomised cases: the constant-term scans equal the
+    chunk-by-chunk oracle exactly, for the three production objectives and
+    for synthetic monotone ones with many ties."""
+
+    @staticmethod
+    def random_spec(rng, limit):
+        kind = rng.integers(3)
+        if kind == 0:
+            smooth = SmoothnessFamily.ordinary_smooth(float(rng.uniform(0.75, 2.0)),
+                                                      scale=float(rng.uniform(0.5, 2.0)))
+        elif kind == 1:
+            smooth = SmoothnessFamily.super_smooth(float(rng.uniform(1e-3, 0.5)),
+                                                   scale=float(rng.uniform(0.5, 2.0)))
+        else:
+            steps = rng.exponential(1.0, 30_000) * (rng.random(30_000) < 0.3)
+            smooth = SmoothnessFamily.custom(1.0 + np.cumsum(steps) * rng.uniform(1e-3, 1.0))
+        scale = float(rng.choice([1.0, 0.7, 1.5]))
+        return ProblemSpec(OperatorFamily.well_posed(scale), smooth, eps=0.1, d_max=limit)
+
+    def test_production_objectives(self, monkeypatch):
+        checked = _checked_scans(monkeypatch)
+        rng = np.random.default_rng(20161)
+        limits = [1, 2, 63, 64, 65, _CHUNK, _CHUNK + 1, 3 * _CHUNK, 1 << 22]
+        limits += [int(2 ** rng.uniform(0, 22)) for _ in range(15)]
+        for limit in limits:
+            spec = self.random_spec(rng, limit)
+            if rng.random() < 0.5:
+                grid = [float(10 ** rng.uniform(-6.3, -1))]
+            else:
+                grid = np.geomspace(0.0625, 10 ** rng.uniform(-6.3, -3), 48).tolist()
+            alpha, beta = rng.uniform(0.01, 0.45, 2)
+            bounds.bounds_over_grid(spec, grid, alpha, beta, c_beta=float(rng.uniform(5, 500)))
+        # the lower, upper and classical scans of every case
+        assert len(checked) == 3 * len(limits)
+
+    def test_deep_grids(self, monkeypatch):
+        checked = _checked_scans(monkeypatch)
+        grid = np.geomspace(0.0625, 5e-7, 48).tolist()
+        for scale, s in ((1.0, 0.75), (0.7, 1.0), (1.5, 0.75)):
+            spec = ProblemSpec(OperatorFamily.well_posed(scale),
+                               SmoothnessFamily.ordinary_smooth(s), eps=0.1, d_max=1 << 22)
+            bounds.bounds_over_grid(spec, grid, 0.25, 0.25, c_beta=50.0)
+        assert len(checked) == 9
+
+    @pytest.mark.parametrize("scale", [1e-154, 1e-77, 1.0])
+    def test_overflow_and_underflow_stay_silent(self, monkeypatch, scale):
+        # inf sums (and an inf term b^-4), eps^2 that underflows to 0 (so
+        # 0 * inf), and weights a_k^-2 that underflow to 0, at dense and at
+        # mixed points alike: the same results, and no RuntimeWarning
+        checked = _checked_scans(monkeypatch)
+        grid = [0.5, 1e-3, 1e-100, 1e-170]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            warnings.filterwarnings("ignore", ".*hit the scan limit", UserWarning)
+            for smooth in (SmoothnessFamily.super_smooth(5.0), SmoothnessFamily.ordinary_smooth(60.0)):
+                spec = ProblemSpec(OperatorFamily.well_posed(scale), smooth, eps=0.1,
+                                   d_max=3 * _CHUNK + 7)
+                bounds.bounds_over_grid(spec, grid, 0.1, 0.1, c_beta=50.0)
+        assert len(checked) == 6
+
+    def test_synthetic_objectives(self):
+        # quantised sums and weights: long runs of ties in both directions
+        rng = np.random.default_rng(4242)
+        for case in range(60):
+            c = float(rng.choice([1.0, 1 / 0.49, 1 / 2.25, 10 ** rng.uniform(-5, 5)]))
+            limit = int(rng.choice([1, 64, _CHUNK + 1, 3 * _CHUNK, 2 ** rng.uniform(0, 20)]))
+            count = int(rng.choice([1, 3, 48]))
+            weight = 10 ** rng.uniform(-12, 0, count)
+            s = rng.uniform(0.2, 3.0, count)
+            steps = np.where(rng.random(count) < 0.5, 10 ** rng.uniform(2, 12, count), 0.0)
+            maximize = bool(case % 2)
+            rooted = bool(case % 4 >= 2)
+
+            def value_fn(ks, sums, rows):
+                var = weight[rows, np.newaxis] * (np.sqrt(sums) if rooted else sums)
+                bias = ks.astype(float)[np.newaxis, :] ** -s[rows, np.newaxis]
+                q = steps[rows, np.newaxis]
+                quantised = q > 0
+                q = np.where(quantised, q, 1.0)
+                var = np.where(quantised, np.floor(var * q) / q, var)
+                bias = np.where(quantised, np.ceil(bias * q) / q, bias)
+                return np.minimum(var, bias) if maximize else var + bias
+
+            results = scan_bandwidths(c, value_fn, limit, count, maximize=maximize)
+            assert results == _dense_reference(c, value_fn, limit, count, maximize), case
+
+
+def test_deep_classical_scan_skips_most_points(monkeypatch):
+    """The well-posed classical scan of a 48-point grid down to 5e-7 at
+    D_max = 2^22 (minimiser sqrt(3)/eps, near 3.46M) evaluates under a
+    quarter of the points of the chunk-by-chunk scan, with equal results."""
+    spec = ProblemSpec(OperatorFamily.well_posed(), SmoothnessFamily.ordinary_smooth(0.75),
+                       eps=0.1, d_max=1 << 22)
+    grid = np.geomspace(0.0625, 5e-7, 48).tolist()
+    counts, seen = {"skip": 0, "dense": 0}, {}
+
+    def counting(terms, value_fn, limit, count, *, maximize=False):
+        def counted(key):
+            def fn(ks, sums, rows):
+                counts[key] += ks.size
+                return value_fn(ks, sums, rows)
+
+            return fn
+
+        seen["dense"] = _dense_reference(terms, counted("dense"), limit, count, maximize)
+        return scan_bandwidths(terms, counted("skip"), limit, count, maximize=maximize)
+
+    monkeypatch.setattr(bounds, "scan_bandwidths", counting)
+    results = bounds._classical_scans(spec, grid)
+    assert results == seen["dense"]
+    assert results[-1].d == 3_464_102 and not results[-1].truncated
+    assert counts["dense"] == 846 * _CHUNK
+    assert counts["skip"] < 0.25 * counts["dense"]
