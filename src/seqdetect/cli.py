@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 import time
 from dataclasses import replace
@@ -28,15 +27,7 @@ import numpy as np
 from . import bounds as bounds_mod
 from . import detector, montecarlo
 from .config import ConfigError, ExperimentConfig, load_config
-from .sequences import (
-    MILDLY_ILL_POSED,
-    WELL_POSED,
-    OperatorFamily,
-    ProblemSpec,
-    SmoothnessFamily,
-    bias_term,
-    sum_inv_b_sq,
-)
+from .sequences import OperatorFamily, ProblemSpec, SmoothnessFamily, bias_term, sum_inv_b_sq
 
 #: Fitted-exponent tolerances for the rate checks: pure eps powers are tight,
 #: logarithmic factors are fitted on a heavily compressed axis and get slack.
@@ -68,47 +59,47 @@ def _fit_tolerance(law: bounds_mod.RateLaw) -> float:
     return POWER_TOLERANCE if law.mode == bounds_mod.LOG_EPS else LOG_TOLERANCE
 
 
-def _cell_families(
-    cell: str, problem: ProblemSpec
-) -> tuple[OperatorFamily, SmoothnessFamily, float, float]:
+def _cell_families(cell: str, problem: ProblemSpec) -> tuple[OperatorFamily, SmoothnessFamily]:
+    """The unit-scale families of a ``rates`` cell, with the problem block's
+    exponents t and s."""
     op_kind, _, sm_kind = cell.partition("/")
-    s = problem.smoothness.exponent
-    t = problem.operator.exponent
-    if op_kind == WELL_POSED:
-        operator = OperatorFamily.well_posed()
-    else:
-        if not t > 0:
-            raise ConfigError(f"cell {cell!r} needs operator.t > 0 in the problem block")
-        maker = (
-            OperatorFamily.mildly_ill_posed
-            if op_kind == MILDLY_ILL_POSED
-            else OperatorFamily.severely_ill_posed
+    try:
+        return (
+            OperatorFamily(op_kind, problem.operator.exponent),
+            SmoothnessFamily(sm_kind, problem.smoothness.exponent),
         )
-        operator = maker(t)
-    if not s > 0:
-        raise ConfigError(f"cell {cell!r} needs smoothness.s > 0 in the problem block")
-    if sm_kind == "ordinary_smooth":
-        smoothness = SmoothnessFamily.ordinary_smooth(s)
-    else:
-        smoothness = SmoothnessFamily.super_smooth(s)
-    return operator, smoothness, s, t
+    except ValueError as exc:
+        raise ConfigError(f"cell {cell!r}: {exc}") from exc
 
 
 def _bounds_rows(
-    config: ExperimentConfig, problem: ProblemSpec
+    config: ExperimentConfig, problem: ProblemSpec, where: str
 ) -> tuple[list[list[str]], list[tuple[float, float]]]:
     """CSV rows over the eps grid plus the lower-bound grid used for fits.
 
-    One `bounds_over_grid` call covers the whole grid.  Rate fits run on the
-    lower bound: its constants are of order one, so it reaches the asymptotic
-    decay already at desk-scale eps, while the upper bound's calibration
-    constant delays convergence of log-factor cells far beyond
-    double-precision grids."""
+    One `bounds_over_grid` call covers the whole grid.  A bound whose
+    objective is +inf at every bandwidth (its scan then reports D = 0) is a
+    config error reported at ``where``.  Rate fits run on the lower bound:
+    its constants are of order one, so it reaches the asymptotic decay
+    already at desk-scale eps, while the upper bound's calibration constant
+    delays convergence of log-factor cells far beyond double-precision
+    grids."""
     constants = detector.derive_constants(problem.fourth_moment_bound, config.alpha)
     c_beta = detector.solve_c_beta(constants, config.beta, config.c_beta_mode)
     grid = bounds_mod.bounds_over_grid(
         problem, config.eps_grid, config.alpha, config.beta, c_beta=c_beta
     )
+    for eps, point in zip(config.eps_grid, grid):
+        for name, value in (
+            ("lower", point.bounds.lower_r2),
+            ("upper", point.bounds.upper_r2),
+            ("classical", point.classical_r2),
+        ):
+            if not math.isfinite(value):
+                raise ConfigError(
+                    f"{where}: at eps = {_fmt(eps)} the {name} bound overflows at every "
+                    "bandwidth; the operator scale or the noise level is too extreme"
+                )
     rows = [
         [
             _fmt(eps),
@@ -145,7 +136,7 @@ def run_bounds(config: ExperimentConfig, out_dir: Path) -> int:
     if not config.eps_grid:
         raise ConfigError("bounds needs a non-empty run.eps_grid")
     problem = config.problem
-    rows, fit_grid = _bounds_rows(config, problem)
+    rows, fit_grid = _bounds_rows(config, problem, "bounds")
     _write_csv(out_dir / "bounds.csv", _BOUNDS_HEADER, rows)
 
     ok = True
@@ -342,13 +333,15 @@ def run_rates(config: ExperimentConfig, out_dir: Path) -> int:
     if len(config.eps_grid) < 5:
         raise ConfigError("rates needs run.eps_grid with at least 5 values")
     problem = config.problem
+    cells = [(cell, *_cell_families(cell, problem)) for cell in config.cells]
     summary: list[str] = []
     all_ok = True
-    for cell in config.cells:
-        operator, smoothness, s, t = _cell_families(cell, problem)
-        law = bounds_mod.rate_law(operator.kind, smoothness.kind, s=s, t=t)
+    for cell, operator, smoothness in cells:
+        law = bounds_mod.rate_law(
+            operator.kind, smoothness.kind, s=smoothness.exponent, t=operator.exponent
+        )
         rows, fit_grid = _bounds_rows(
-            config, replace(problem, operator=operator, smoothness=smoothness)
+            config, replace(problem, operator=operator, smoothness=smoothness), f"cell {cell!r}"
         )
         slug = cell.replace("/", "-")
         _write_csv(out_dir / f"rates_{slug}.csv", _BOUNDS_HEADER, rows)
@@ -384,16 +377,20 @@ def _check_lower_bound_levels(config: ExperimentConfig, command: str) -> None:
         )
 
 
-def _resolve_threads(arg_value: int | None) -> int:
-    if arg_value is not None:
-        return max(1, arg_value)
-    env = os.environ.get("SEQDETECT_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ConfigError(f"SEQDETECT_THREADS must be an integer, got {env!r}") from None
-    return 1
+def _check_null_threshold(config: ExperimentConfig, command: str) -> None:
+    """``simulate`` needs C > 1.
+
+    At C = 1 the class holds only random signs, xi_k^2 = 1, and the Markov
+    threshold K1 eps^2 sum b_k^-2 is 0, since K1 = sqrt(2 (C - 1) / alpha).
+    The null statistic of that noise is exactly 0, so the test rejects on
+    every null draw.  The other commands only report constants and bounds,
+    which stay valid at C = 1.  Checked before any output is written.
+    """
+    if command == "simulate" and config.problem.fourth_moment_bound == 1.0:
+        raise ConfigError(
+            "simulate needs C > 1: at C = 1 the threshold is 0, and the class's "
+            "only noise, random signs, is rejected on every null draw"
+        )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -411,28 +408,25 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="path to the experiment config")
         p.add_argument("--output", default=None, help="output directory")
-        p.add_argument("--seed", type=int, default=None, help="override rng.seed")
-        p.add_argument("--reps", type=int, default=None, help="override run.reps")
-        p.add_argument(
-            "--threads",
-            type=int,
-            default=None,
-            help="worker threads (default: SEQDETECT_THREADS or 1)",
-        )
+        if name == "simulate":
+            p.add_argument("--seed", type=int, default=None, help="override rng.seed")
+            p.add_argument("--reps", type=int, default=None, help="override run.reps")
+            p.add_argument("--threads", type=int, default=1, help="worker threads (default 1)")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        threads = _resolve_threads(args.threads)
         config = load_config(args.config)
         if config.command is not None and config.command != args.command:
             raise ConfigError(
                 f"config pins run.command = {config.command!r} but {args.command!r} was invoked"
             )
-        config = config.with_overrides(seed=args.seed, reps=args.reps)
+        if args.command == "simulate":
+            config = config.with_overrides(seed=args.seed, reps=args.reps)
         _check_lower_bound_levels(config, args.command)
+        _check_null_threshold(config, args.command)
         out_dir = Path(args.output or config.output_path or ".")
         try:
             out_dir.mkdir(parents=True, exist_ok=True)
@@ -443,7 +437,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "calibrate":
             return run_calibrate(config, out_dir)
         if args.command == "simulate":
-            return run_simulate(config, out_dir, threads=threads)
+            return run_simulate(config, out_dir, threads=max(1, args.threads))
         if args.command == "rates":
             return run_rates(config, out_dir)
         raise ConfigError(f"unknown command {args.command!r}")

@@ -3,7 +3,9 @@
 Schema (dotted keys, one per line, '#' starts a comment line):
 
   operator.kind        well_posed | mildly_ill_posed | severely_ill_posed
-  operator.t           decay exponent (required for the ill-posed kinds)
+  operator.t           decay exponent (required for the ill-posed kinds; a
+                       well-posed block may set it for the ill-posed cells
+                       of rates)
   operator.scale       positive multiplier, default 1; 1/scale^2 must be a
                        finite positive float
   smoothness.kind      ordinary_smooth | super_smooth
@@ -13,7 +15,7 @@ Schema (dotted keys, one per line, '#' starts a comment line):
   eps                  base noise level (required); eps^2 must be a finite
                        positive float
   C                    fourth-moment class constant, finite and >= 1,
-                       default 3
+                       default 3; simulate needs C > 1
   index_mode           'infinite' or an integer n, default infinite
   D_max                bandwidth truncation, default 65536
 
@@ -67,10 +69,8 @@ from .noise import (
 )
 from .sequences import (
     DEFAULT_D_MAX,
-    MILDLY_ILL_POSED,
-    ORDINARY_SMOOTH,
-    SEVERELY_ILL_POSED,
-    SUPER_SMOOTH,
+    OPERATOR_KINDS,
+    SMOOTHNESS_KINDS,
     WELL_POSED,
     OperatorFamily,
     ProblemSpec,
@@ -78,9 +78,6 @@ from .sequences import (
 )
 
 COMMANDS = ("bounds", "calibrate", "simulate", "rates")
-
-_OPERATOR_KINDS = (WELL_POSED, MILDLY_ILL_POSED, SEVERELY_ILL_POSED)
-_SMOOTHNESS_KINDS = (ORDINARY_SMOOTH, SUPER_SMOOTH)
 
 _NOISE_KINDS = (
     "iid_gaussian",
@@ -90,17 +87,7 @@ _NOISE_KINDS = (
     "adversarial_equicorrelated",
 )
 
-_DEFAULT_CLAIMED = {
-    "iid_gaussian": 3.0,
-    "iid_rademacher": 1.0,
-    "iid_scaled_uniform": 1.8,
-    "long_range_gaussian": 3.0,
-    "adversarial_equicorrelated": 3.0,
-}
-
-ALL_CELLS = tuple(
-    f"{op}/{sm}" for op in _OPERATOR_KINDS for sm in _SMOOTHNESS_KINDS
-)
+ALL_CELLS = tuple(f"{op}/{sm}" for op in OPERATOR_KINDS for sm in SMOOTHNESS_KINDS)
 
 _KNOWN_KEYS = {
     "operator.kind",
@@ -147,20 +134,21 @@ class NoiseSettings:
 
     def build(self, dimension: int) -> NoiseModel:
         """The model at this dimension; raises ValueError for invalid
-        parameters or a dense family above `noise.MAX_DENSE_DIMENSION`."""
-        claimed = self.claimed_c if self.claimed_c is not None else _DEFAULT_CLAIMED[self.kind]
+        parameters or a dense family above `noise.MAX_DENSE_DIMENSION`.
+        Without ``claimed_c`` the model keeps its family's exact value."""
+        claimed = {} if self.claimed_c is None else {"claimed_fourth_moment": self.claimed_c}
         if self.kind == "iid_gaussian":
-            return IidGaussian(claimed)
+            return IidGaussian(**claimed)
         if self.kind == "iid_rademacher":
-            return IidRademacher(claimed)
+            return IidRademacher(**claimed)
         if self.kind == "iid_scaled_uniform":
-            return IidScaledUniform(claimed)
+            return IidScaledUniform(**claimed)
         if self.kind == "long_range_gaussian":
             # the model builds its matrix when first sampled; check it now
             check_dense_dimension(self.kind, dimension)
-            return LongRangeGaussian(self.s, self.c, claimed)
+            return LongRangeGaussian(self.s, self.c, **claimed)
         if self.kind == "adversarial_equicorrelated":
-            return AdversarialEquicorrelated(dimension, self.d, claimed)
+            return AdversarialEquicorrelated(dimension, self.d, **claimed)
         raise ConfigError(f"unknown noise kind {self.kind!r}")
 
 
@@ -219,7 +207,7 @@ def _check_noise_level(eps: float, where: str) -> None:
         )
 
 
-def _family(source: str, lines: list[int], maker: Callable, *args: float):
+def _family(source: str, lines: list[int], maker: Callable, *args):
     """``maker(*args)``, with the family's ValueError reported as a config
     error at the lines of the parameters given to it."""
     try:
@@ -270,28 +258,24 @@ def parse_config(text: str, source: str = "<config>") -> ExperimentConfig:
         return entry
 
     op_kind, op_line = require("operator.kind")
-    if op_kind not in _OPERATOR_KINDS:
+    if op_kind not in OPERATOR_KINDS:
         raise ConfigError(f"{source}, line {op_line}: unknown operator kind {op_kind!r}")
+    # a well-posed spectrum has no exponent, but its block may carry the t
+    # that the ill-posed cells of `rates` use
     op_lines: list[int] = []
+    t = 0.0
+    entry = take("operator.t") if op_kind == WELL_POSED else require("operator.t")
+    if entry is not None:
+        t = _parse_float(entry[0], entry[1], "operator.t")
+        op_lines.append(entry[1])
     op_scale = 1.0
     if (entry := take("operator.scale")) is not None:
         op_scale = _parse_float(entry[0], entry[1], "operator.scale")
         op_lines.append(entry[1])
-    if op_kind == WELL_POSED:
-        operator = _family(source, op_lines, OperatorFamily.well_posed, op_scale)
-    else:
-        entry = require("operator.t")
-        t = _parse_float(entry[0], entry[1], "operator.t")
-        op_lines.append(entry[1])
-        maker = (
-            OperatorFamily.mildly_ill_posed
-            if op_kind == MILDLY_ILL_POSED
-            else OperatorFamily.severely_ill_posed
-        )
-        operator = _family(source, op_lines, maker, t, op_scale)
+    operator = _family(source, op_lines, OperatorFamily, op_kind, t, op_scale)
 
     sm_kind, sm_line = require("smoothness.kind")
-    if sm_kind not in _SMOOTHNESS_KINDS:
+    if sm_kind not in SMOOTHNESS_KINDS:
         raise ConfigError(f"{source}, line {sm_line}: unknown smoothness kind {sm_kind!r}")
     entry = require("smoothness.s")
     s = _parse_float(entry[0], entry[1], "smoothness.s")
@@ -300,12 +284,7 @@ def parse_config(text: str, source: str = "<config>") -> ExperimentConfig:
     if (entry := take("smoothness.scale")) is not None:
         sm_scale = _parse_float(entry[0], entry[1], "smoothness.scale")
         sm_lines.append(entry[1])
-    maker = (
-        SmoothnessFamily.ordinary_smooth
-        if sm_kind == ORDINARY_SMOOTH
-        else SmoothnessFamily.super_smooth
-    )
-    smoothness = _family(source, sm_lines, maker, s, sm_scale)
+    smoothness = _family(source, sm_lines, SmoothnessFamily, sm_kind, s, sm_scale)
 
     entry = require("eps")
     eps = _parse_float(entry[0], entry[1], "eps")

@@ -23,11 +23,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 import numpy as np
 
-from .sequences import ProblemSpec, _inv_b_terms, eps_sq_grid, scan_bandwidths, sum_inv_b_sq
+from .sequences import (
+    ProblemSpec,
+    ScanResult,
+    _inv_b_terms,
+    eps_sq_grid,
+    scan_bandwidths,
+    sum_inv_b_sq,
+)
 
 #: Configurations with 1 - K1/C_beta below this are flagged: the type II
 #: guarantee constant blows up as the margin closes.
@@ -146,15 +153,9 @@ def solve_c_beta(constants: DetectorConstants, beta: float, mode: str = "exact")
     raise ValueError(f"unknown calibration mode {mode!r}")
 
 
-class BandwidthSelection(NamedTuple):
-    d: int
-    value: float
-    truncated: bool
-
-
 def select_bandwidths(
     spec: ProblemSpec, c_beta: float, eps_grid: Iterable[float]
-) -> list[BandwidthSelection]:
+) -> list[ScanResult]:
     """Bandwidths minimising the radius objective c_beta eps^2 sum b^-2 + a_D^-2,
     one per noise level of ``eps_grid`` (the spec's own eps is not used).
 
@@ -167,7 +168,9 @@ def select_bandwidths(
     """
     if not c_beta > 0:
         raise ValueError("calibration constant must be positive")
-    coeffs = c_beta * eps_sq_grid(eps_grid)
+    with np.errstate(over="ignore"):
+        # an overflowed coefficient makes its objective +inf at every D
+        coeffs = c_beta * eps_sq_grid(eps_grid)
     smooth = spec.smoothness
 
     def value_fn(ks: np.ndarray, sums: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -175,13 +178,12 @@ def select_bandwidths(
         vals += smooth.inv_sq_array(ks)
         return vals
 
-    results = scan_bandwidths(
+    return scan_bandwidths(
         _inv_b_terms(spec.operator, 2), value_fn, spec.bandwidth_limit, coeffs.size
     )
-    return [BandwidthSelection(*result) for result in results]
 
 
-def select_bandwidth(spec: ProblemSpec, c_beta: float) -> BandwidthSelection:
+def select_bandwidth(spec: ProblemSpec, c_beta: float) -> ScanResult:
     """`select_bandwidths` at the spec's own eps."""
     (selection,) = select_bandwidths(spec, c_beta, [spec.eps])
     return selection

@@ -35,7 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, NamedTuple, Union
+from typing import Callable, ClassVar, Iterable, Iterator, NamedTuple, Union
 
 import numpy as np
 
@@ -46,8 +46,9 @@ ORDINARY_SMOOTH = "ordinary_smooth"
 SUPER_SMOOTH = "super_smooth"
 CUSTOM = "custom"
 
-OPERATOR_KINDS = (WELL_POSED, MILDLY_ILL_POSED, SEVERELY_ILL_POSED, CUSTOM)
-SMOOTHNESS_KINDS = (ORDINARY_SMOOTH, SUPER_SMOOTH, CUSTOM)
+#: The named kinds of each family; either family also takes ``custom`` values.
+OPERATOR_KINDS = (WELL_POSED, MILDLY_ILL_POSED, SEVERELY_ILL_POSED)
+SMOOTHNESS_KINDS = (ORDINARY_SMOOTH, SUPER_SMOOTH)
 
 #: Default truncation of the (conceptually infinite) index set for all
 #: optimisations over the bandwidth D.
@@ -129,15 +130,19 @@ def _custom_at(values: np.ndarray, ks: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class OperatorFamily:
-    """Positive spectrum b = (b_k) of the forward operator.
+class _Family:
+    """A positive sequence of one kind: a named kind with its exponent and
+    scale, or ``custom`` explicit values times the scale.
 
-    Named kinds: ``well_posed`` (b_k = scale), ``mildly_ill_posed``
-    (b_k = scale * k^-exponent) and ``severely_ill_posed``
-    (b_k = scale * exp(-k * exponent)); ``custom`` wraps an explicit positive
-    sequence.  For the named kinds the inverse spectrum b_k^-1 is
-    non-decreasing in k.
+    Subclasses name the sequence (``_what``), list their named kinds
+    (``_kinds``, of which ``_exponent_kinds`` need a positive exponent) and
+    evaluate them, down to the ratio of consecutive values (``_named_ratio``);
+    custom values, the checks and indexing live here.
     """
+
+    _what: ClassVar[str]
+    _kinds: ClassVar[tuple[str, ...]]
+    _exponent_kinds: ClassVar[tuple[str, ...]]
 
     kind: str
     exponent: float = 0.0
@@ -147,22 +152,58 @@ class OperatorFamily:
     _array: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.kind not in OPERATOR_KINDS:
-            raise ValueError(f"unknown operator kind {self.kind!r}")
-        _check_scale(self.scale, "operator")
-        if self.kind in (MILDLY_ILL_POSED, SEVERELY_ILL_POSED):
-            if not self.exponent > 0:
-                raise ValueError(
-                    f"{self.kind} requires a positive exponent, got {self.exponent!r}"
-                )
+        if self.kind not in self._kinds and self.kind != CUSTOM:
+            raise ValueError(f"unknown {self._what} kind {self.kind!r}")
+        _check_scale(self.scale, self._what)
+        if self.kind in self._exponent_kinds and not self.exponent > 0:
+            raise ValueError(f"{self.kind} requires a positive exponent, got {self.exponent!r}")
         if self.kind == CUSTOM:
             if not self.values:
-                raise ValueError("custom operator requires explicit values")
+                raise ValueError(f"custom {self._what} requires explicit values")
             if any(not v > 0 or not math.isfinite(v) for v in self.values):
-                raise ValueError("custom operator values must be positive and finite")
+                raise ValueError(f"custom {self._what} values must be positive and finite")
             object.__setattr__(self, "_array", _frozen_array(self.values))
         elif self.values is not None:
             raise ValueError("explicit values are only valid for the custom kind")
+
+    @classmethod
+    def custom(cls, values: Iterable[float], scale: float = 1.0):
+        return cls(CUSTOM, scale=scale, values=tuple(float(v) for v in values))
+
+    @property
+    def max_index(self) -> int | None:
+        """Largest valid index, or None when the family is unbounded."""
+        return len(self.values) if self.values is not None else None
+
+    def consecutive_ratio(self, k: int) -> float:
+        """The ratio of the (k-1)-th to the k-th value, for k >= 2."""
+        if k < 2:
+            raise ValueError("consecutive ratio needs k >= 2")
+        self._check_index(k)
+        if self.kind == CUSTOM:
+            return self.values[k - 2] / self.values[k - 1]
+        return self._named_ratio(k)
+
+    def _check_index(self, k: int) -> None:
+        if k < 1:
+            raise ValueError("sequence indices start at 1")
+        if self.values is not None and k > len(self.values):
+            raise ValueError(f"index {k} beyond custom sequence of length {len(self.values)}")
+
+
+class OperatorFamily(_Family):
+    """Positive spectrum b = (b_k) of the forward operator.
+
+    Named kinds: ``well_posed`` (b_k = scale), ``mildly_ill_posed``
+    (b_k = scale * k^-exponent) and ``severely_ill_posed``
+    (b_k = scale * exp(-k * exponent)); ``custom`` wraps an explicit positive
+    sequence.  For the named kinds the inverse spectrum b_k^-1 is
+    non-decreasing in k.
+    """
+
+    _what = "operator"
+    _kinds = OPERATOR_KINDS
+    _exponent_kinds = (MILDLY_ILL_POSED, SEVERELY_ILL_POSED)
 
     @classmethod
     def well_posed(cls, scale: float = 1.0) -> "OperatorFamily":
@@ -175,15 +216,6 @@ class OperatorFamily:
     @classmethod
     def severely_ill_posed(cls, exponent: float, scale: float = 1.0) -> "OperatorFamily":
         return cls(SEVERELY_ILL_POSED, exponent=exponent, scale=scale)
-
-    @classmethod
-    def custom(cls, values: Iterable[float], scale: float = 1.0) -> "OperatorFamily":
-        return cls(CUSTOM, scale=scale, values=tuple(float(v) for v in values))
-
-    @property
-    def max_index(self) -> int | None:
-        """Largest valid index, or None when the family is unbounded."""
-        return len(self.values) if self.values is not None else None
 
     def value_array(self, ks: np.ndarray) -> np.ndarray:
         """b_k over an index array (underflows to 0.0 for extreme severely
@@ -210,62 +242,33 @@ class OperatorFamily:
             vals = _custom_at(self._array, ks)
             return inv_scale_sq / (vals * vals)
 
-    def consecutive_ratio(self, k: int) -> float:
-        """b_{k-1} / b_k for k >= 2, evaluated in a form that cannot overflow
-        for the named kinds."""
-        if k < 2:
-            raise ValueError("consecutive ratio needs k >= 2")
-        self._check_index(k)
+    def _named_ratio(self, k: int) -> float:
+        """b_{k-1} / b_k, in a form that cannot overflow."""
         if self.kind == WELL_POSED:
             return 1.0
         if self.kind == MILDLY_ILL_POSED:
             return math.pow(k / (k - 1), self.exponent)
-        if self.kind == SEVERELY_ILL_POSED:
-            return _exp_or_inf(self.exponent)
-        return self.values[k - 2] / self.values[k - 1]
-
-    def _check_index(self, k: int) -> None:
-        if k < 1:
-            raise ValueError("sequence indices start at 1")
-        if self.values is not None and k > len(self.values):
-            raise ValueError(f"index {k} beyond custom sequence of length {len(self.values)}")
+        return _exp_or_inf(self.exponent)
 
 
-@dataclass(frozen=True)
-class SmoothnessFamily:
+class SmoothnessFamily(_Family):
     """Non-decreasing positive weights a = (a_k) defining the ellipsoid.
 
     ``ordinary_smooth`` has a_k = scale * k^exponent, ``super_smooth`` has
     a_k = scale * exp(k * exponent); both diverge, so tail mass beyond any
-    bandwidth D is at most a_D^-2 for ellipsoid members.
+    bandwidth D is at most a_D^-2 for ellipsoid members.  ``custom`` values
+    must be non-decreasing.
     """
 
-    kind: str
-    exponent: float = 0.0
-    scale: float = 1.0
-    values: tuple[float, ...] | None = None
-    #: ``values`` as a read-only float array, built once for custom sequences.
-    _array: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    _what = "smoothness"
+    _kinds = SMOOTHNESS_KINDS
+    _exponent_kinds = SMOOTHNESS_KINDS
 
     def __post_init__(self) -> None:
-        if self.kind not in SMOOTHNESS_KINDS:
-            raise ValueError(f"unknown smoothness kind {self.kind!r}")
-        _check_scale(self.scale, "smoothness")
-        if self.kind != CUSTOM and not self.exponent > 0:
-            raise ValueError(
-                f"{self.kind} requires a positive exponent, got {self.exponent!r}"
-            )
-        if self.kind == CUSTOM:
-            if not self.values:
-                raise ValueError("custom smoothness requires explicit values")
-            vals = self.values
-            if any(not v > 0 or not math.isfinite(v) for v in vals):
-                raise ValueError("custom smoothness values must be positive and finite")
-            if any(b < a for a, b in zip(vals, vals[1:])):
-                raise ValueError("smoothness values must be non-decreasing")
-            object.__setattr__(self, "_array", _frozen_array(vals))
-        elif self.values is not None:
-            raise ValueError("explicit values are only valid for the custom kind")
+        super().__post_init__()
+        vals = self.values
+        if vals is not None and any(b < a for a, b in zip(vals, vals[1:])):
+            raise ValueError("smoothness values must be non-decreasing")
 
     @classmethod
     def ordinary_smooth(cls, exponent: float, scale: float = 1.0) -> "SmoothnessFamily":
@@ -274,14 +277,6 @@ class SmoothnessFamily:
     @classmethod
     def super_smooth(cls, exponent: float, scale: float = 1.0) -> "SmoothnessFamily":
         return cls(SUPER_SMOOTH, exponent=exponent, scale=scale)
-
-    @classmethod
-    def custom(cls, values: Iterable[float], scale: float = 1.0) -> "SmoothnessFamily":
-        return cls(CUSTOM, scale=scale, values=tuple(float(v) for v in values))
-
-    @property
-    def max_index(self) -> int | None:
-        return len(self.values) if self.values is not None else None
 
     def value_array(self, ks: np.ndarray) -> np.ndarray:
         """a_k over an index array (overflows to +inf for extreme super-smooth
@@ -304,22 +299,11 @@ class SmoothnessFamily:
         vals = _custom_at(self._array, ks)
         return inv_scale_sq / (vals * vals)
 
-    def consecutive_ratio(self, k: int) -> float:
-        """a_{k-1} / a_k for k >= 2 (always <= 1 for valid families)."""
-        if k < 2:
-            raise ValueError("consecutive ratio needs k >= 2")
-        self._check_index(k)
+    def _named_ratio(self, k: int) -> float:
+        """a_{k-1} / a_k (always <= 1 for valid families)."""
         if self.kind == ORDINARY_SMOOTH:
             return math.pow((k - 1) / k, self.exponent)
-        if self.kind == SUPER_SMOOTH:
-            return math.exp(-self.exponent)
-        return self.values[k - 2] / self.values[k - 1]
-
-    def _check_index(self, k: int) -> None:
-        if k < 1:
-            raise ValueError("sequence indices start at 1")
-        if self.values is not None and k > len(self.values):
-            raise ValueError(f"index {k} beyond custom sequence of length {len(self.values)}")
+        return math.exp(-self.exponent)
 
 
 @dataclass(frozen=True)

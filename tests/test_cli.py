@@ -15,8 +15,12 @@ Covers:
 8. Config errors before any output for levels with alpha + beta >= 1 in the
    commands that form the lower bound, and for a C that is not finite or
    below 1
+9. simulate at C = 1, a bound that overflows at every bandwidth, and a rates
+   cell without a usable exponent are config errors; --seed, --reps and
+   --threads belong to simulate alone
 """
 
+import inspect
 import math
 import os
 from pathlib import Path
@@ -24,7 +28,9 @@ from pathlib import Path
 import pytest
 
 from seqdetect import cli, detector, montecarlo, noise
+from seqdetect import config as config_mod
 from seqdetect.config import ALL_CELLS, ConfigError, parse_config
+from seqdetect.sequences import OperatorFamily, SmoothnessFamily
 
 BASE_CONFIG = """
 # geometry
@@ -114,6 +120,29 @@ class TestConfigParsing:
         bad = BASE_CONFIG.replace("operator.kind = well_posed", "operator.kind = mildly_ill_posed")
         with pytest.raises(ConfigError, match="operator.t"):
             parse_config(bad)
+
+    @pytest.mark.parametrize("kind", config_mod._NOISE_KINDS)
+    def test_noise_defaults_to_the_family_constant(self, kind):
+        # without noise.claimed_C a model keeps its class's own default
+        config = parse_config(BASE_CONFIG.split("noise.kind")[0] + f"noise.kind = {kind}\n")
+        (settings,) = config.noise
+        model = settings.build(4)
+        default = inspect.signature(type(model)).parameters["claimed_fourth_moment"].default
+        assert model.kind == kind
+        assert model.claimed_fourth_moment == default
+        text = BASE_CONFIG.split("noise.kind")[0] + f"noise.kind = {kind}\nnoise.claimed_C = 9\n"
+        assert parse_config(text).noise[0].build(4).claimed_fourth_moment == 9.0
+
+    def test_well_posed_block_carries_t_for_the_ill_posed_cells(self):
+        text = BASE_CONFIG.replace(
+            "operator.kind = well_posed", "operator.kind = well_posed\noperator.t = 0.5"
+        )
+        problem = parse_config(text).problem
+        assert problem.operator == OperatorFamily("well_posed", 0.5)
+        assert cli._cell_families("mildly_ill_posed/super_smooth", problem) == (
+            OperatorFamily.mildly_ill_posed(0.5),
+            SmoothnessFamily.super_smooth(1.0),
+        )
 
 
 class TestCalibrateCommand:
@@ -228,14 +257,6 @@ class TestSimulateCommand:
             outputs.append((out / "simulate.csv").read_bytes())
         assert outputs[0] == outputs[1]
 
-    def test_env_thread_fallback(self, tmp_path, monkeypatch):
-        cfg = write_config(tmp_path)
-        monkeypatch.setenv("SEQDETECT_THREADS", "2")
-        out = tmp_path / "env"
-        assert cli.main(["simulate", "--config", str(cfg), "--output", str(out)]) == 0
-        monkeypatch.setenv("SEQDETECT_THREADS", "zebra")
-        assert cli.main(["simulate", "--config", str(cfg), "--output", str(out)]) == 2
-
 
 class TestSimulateDrawsOnce:
     def test_each_block_is_drawn_once_per_family(self, tmp_path, monkeypatch):
@@ -290,6 +311,19 @@ class TestRatesCommand:
         assert "cell = well_posed/ordinary_smooth" in summary
         assert "pass = true" in summary
         assert (tmp_path / "rates_well_posed-ordinary_smooth.csv").exists()
+
+    def test_ill_posed_cell_needs_a_problem_exponent(self, tmp_path, capsys):
+        # a well-posed block without operator.t has no exponent for the
+        # ill-posed cells: a config error naming the cell, before any CSV
+        text = BASE_CONFIG + (
+            "run.cells = well_posed/ordinary_smooth, severely_ill_posed/ordinary_smooth\n"
+        )
+        cfg = write_config(tmp_path, text)
+        assert cli.main(["rates", "--config", str(cfg), "--output", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "cell 'severely_ill_posed/ordinary_smooth'" in err
+        assert "requires a positive exponent" in err
+        assert not list(tmp_path.glob("rates_*"))
 
 
 class TestFixedBandwidthLimit:
@@ -517,6 +551,74 @@ class TestNegativeControl:
         rows = (tmp_path / "simulate.csv").read_text().splitlines()[1:]
         assert any(row.endswith(",false") for row in rows)
 
+
+
+class TestBoundOverflow:
+    """A bound that overflows at every bandwidth has no minimiser (its scan
+    reports D = 0): a config error (exit 2) before that CSV is written."""
+
+    def test_bounds(self, tmp_path, capsys):
+        # 1/scale^2 = 1e308 is finite, but c eps^2 sum b^-2 overflows at D = 1
+        text = BASE_CONFIG.replace(
+            "operator.kind = well_posed", "operator.kind = well_posed\noperator.scale = 1e-154"
+        )
+        cfg = write_config(tmp_path, text)
+        assert cli.main(["bounds", "--config", str(cfg), "--output", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "bounds: at eps = 0.0625 the upper bound overflows at every bandwidth" in err
+        assert not (tmp_path / "bounds.csv").exists()
+
+    def test_rates(self, tmp_path, capsys):
+        text = BASE_CONFIG.replace(
+            "0.0625, 0.03125, 0.015625, 0.0078125, 0.00390625, 0.001953125",
+            "1e153, 1e152, 1e151, 1e150, 1e149",
+        )
+        text += "run.cells = well_posed/ordinary_smooth\n"
+        cfg = write_config(tmp_path, text)
+        assert cli.main(["rates", "--config", str(cfg), "--output", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "cell 'well_posed/ordinary_smooth': at eps = 1e+153 the upper bound" in err
+        assert not list(tmp_path.glob("rates_*"))
+
+
+class TestSimulateOnlyFlags:
+    """--seed, --reps and --threads act on simulate only; the other commands
+    do not accept them, and no environment variable sets them."""
+
+    @pytest.mark.parametrize("command", ["bounds", "calibrate", "rates"])
+    @pytest.mark.parametrize("flag", ["--seed", "--reps", "--threads"])
+    def test_rejected_elsewhere(self, tmp_path, capsys, command, flag):
+        cfg = write_config(tmp_path)
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--config", str(cfg), "--output", str(out), flag, "2"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} 2" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_thread_default_ignores_the_environment(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("SEQDETECT_THREADS", "zebra")
+        args = cli.build_parser().parse_args(["simulate", "--config", "x.cfg"])
+        assert (args.seed, args.reps, args.threads) == (None, None, 1)
+
+
+class TestSimulateNeedsCAboveOne:
+    """At C = 1 the threshold is 0 and the class's only noise (random signs)
+    is rejected on every null draw: simulate stops with a config error before
+    any output, while the commands that report constants and bounds run."""
+
+    ONE = BASE_CONFIG.replace("C = 3.0", "C = 1")
+
+    def test_simulate_rejected_before_any_output(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, self.ONE)
+        out = tmp_path / "out"
+        assert cli.main(["simulate", "--config", str(cfg), "--output", str(out)]) == 2
+        assert "simulate needs C > 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_bounds_accepts_it(self, tmp_path):
+        cfg = write_config(tmp_path, self.ONE)
+        assert cli.main(["bounds", "--config", str(cfg), "--output", str(tmp_path)]) == 0
 
 
 class TestLowerBoundLevels:

@@ -27,6 +27,7 @@ from seqdetect.noise import (
 from seqdetect.sequences import (
     OperatorFamily,
     ProblemSpec,
+    ScanResult,
     Signal,
     SmoothnessFamily,
     bias_term,
@@ -201,6 +202,12 @@ class TestBandwidthSelection:
         spec = flat_spec(eps=1e-30, d_max=512)
         sel = detector.select_bandwidth(spec, 100.0)
         assert sel.truncated and sel.d == 512
+
+    def test_returns_the_scan_results(self):
+        spec = flat_spec(eps=1.0)
+        (sel,) = detector.select_bandwidths(spec, 0.002, [1.0])
+        assert type(sel) is ScanResult
+        assert sel == detector.select_bandwidth(spec, 0.002) == (10, sel.value, False)
 
     def test_random_specs_match_bounded_brute_force(self):
         rng = np.random.default_rng(23)

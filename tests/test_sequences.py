@@ -32,6 +32,8 @@ import pytest
 from seqdetect import bounds, detector
 from seqdetect.sequences import (
     DEFAULT_D_MAX,
+    OPERATOR_KINDS,
+    SMOOTHNESS_KINDS,
     OperatorFamily,
     ProblemSpec,
     Signal,
@@ -471,6 +473,41 @@ class TestRangesAndValidation:
         assert SmoothnessFamily.super_smooth(0.3).consecutive_ratio(9) == pytest.approx(
             math.exp(-0.3)
         )
+
+    def test_kind_constructor_matches_the_named_makers(self):
+        # config and the rates cells build families by kind name
+        assert OperatorFamily("well_posed", 0.0, 2.0) == OperatorFamily.well_posed(2.0)
+        assert OperatorFamily("mildly_ill_posed", 0.5) == OperatorFamily.mildly_ill_posed(0.5)
+        assert OperatorFamily("severely_ill_posed", 1.0, 0.5) == (
+            OperatorFamily.severely_ill_posed(1.0, 0.5)
+        )
+        assert SmoothnessFamily("ordinary_smooth", 0.75) == SmoothnessFamily.ordinary_smooth(0.75)
+        assert SmoothnessFamily("super_smooth", 0.2, 3.0) == SmoothnessFamily.super_smooth(0.2, 3.0)
+        # the named kinds exclude custom, which needs explicit values
+        assert OPERATOR_KINDS == ("well_posed", "mildly_ill_posed", "severely_ill_posed")
+        assert SMOOTHNESS_KINDS == ("ordinary_smooth", "super_smooth")
+        for family, what in ((OperatorFamily, "operator"), (SmoothnessFamily, "smoothness")):
+            with pytest.raises(ValueError, match=f"custom {what} requires explicit values"):
+                family("custom", 1.0)
+            with pytest.raises(ValueError, match="only valid for the custom kind"):
+                family(family._kinds[-1], 1.0, values=(1.0,))
+        with pytest.raises(ValueError, match="unknown smoothness kind 'well_posed'"):
+            SmoothnessFamily("well_posed", 1.0)
+        with pytest.raises(ValueError, match="unknown operator kind 'super_smooth'"):
+            OperatorFamily("super_smooth", 1.0)
+
+    def test_custom_families_share_indexing(self):
+        op = OperatorFamily.custom([4.0, 2.0, 1.0])
+        sm = SmoothnessFamily.custom([1.0, 2.0, 8.0])
+        assert (op.max_index, sm.max_index) == (3, 3)
+        assert (op.consecutive_ratio(3), sm.consecutive_ratio(3)) == (2.0, 0.25)
+        for family in (op, sm):
+            with pytest.raises(ValueError, match="needs k >= 2"):
+                family.consecutive_ratio(1)
+            with pytest.raises(ValueError, match="index 4 beyond custom sequence of length 3"):
+                family.consecutive_ratio(4)
+        assert OperatorFamily.well_posed().max_index is None
+        assert repr(sm).startswith("SmoothnessFamily(kind='custom'")
 
 
 class TestScanBandwidth:
