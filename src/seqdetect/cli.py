@@ -27,6 +27,7 @@ import numpy as np
 from . import bounds as bounds_mod
 from . import detector, montecarlo
 from .config import ConfigError, ExperimentConfig, load_config
+from .noise import AdversarialEquicorrelated, adversarial_sigma
 from .sequences import OperatorFamily, ProblemSpec, SmoothnessFamily, bias_term, sum_inv_b_sq
 
 #: Fitted-exponent tolerances for the rate checks: pure eps powers are tight,
@@ -186,12 +187,7 @@ def run_calibrate(config: ExperimentConfig, out_dir: Path) -> int:
         lines.append(f"margin_{label} = {_fmt(margin)}")
         lines.append(f"margin_{label}_flag = {'true' if margin < detector.MARGIN_FLAG_LEVEL else 'false'}")
 
-    if config.test_d is not None:
-        d_star = config.test_d
-        truncated = False
-    else:
-        sel = detector.select_bandwidth(problem, chosen)
-        d_star, truncated = sel.d, sel.truncated
+    d_star, truncated = _bandwidth(config, chosen, "calibrate")
     lines.append(f"D_selected = {d_star}")
     lines.append(f"D_truncated = {'true' if truncated else 'false'}")
 
@@ -203,6 +199,23 @@ def run_calibrate(config: ExperimentConfig, out_dir: Path) -> int:
     _sidecar_log(out_dir, "calibrate", f"D_selected={d_star}")
     print(f"calibrate: wrote {out_dir / 'calibrate.txt'} (D = {d_star})")
     return 0
+
+
+def _bandwidth(config: ExperimentConfig, c_beta: float, command: str) -> tuple[int, bool]:
+    """The fixed ``test.D``, or the selected bandwidth with its truncation flag.
+
+    The selection minimises the upper bound's objective; one that is +inf at
+    every bandwidth (its scan then reports D = 0) is a config error, raised
+    before any output is written."""
+    if config.test_d is not None:
+        return config.test_d, False
+    sel = detector.select_bandwidth(config.problem, c_beta)
+    if sel.d == 0:
+        raise ConfigError(
+            f"{command}: at eps = {_fmt(config.problem.eps)} the upper bound overflows at "
+            "every bandwidth; the operator scale or the noise level is too extreme"
+        )
+    return sel.d, sel.truncated
 
 
 def _row_seeds(master_seed: int, count: int) -> list[int]:
@@ -217,8 +230,11 @@ def run_simulate(config: ExperimentConfig, out_dir: Path, threads: int = 1) -> i
     if not config.noise:
         raise ConfigError("simulate needs at least one noise block")
     problem = config.problem
+    constants = detector.derive_constants(problem.fourth_moment_bound, config.alpha)
+    c_beta = detector.solve_c_beta(constants, config.beta, config.c_beta_mode)
+    d, _ = _bandwidth(config, c_beta, "simulate")
     det = detector.calibrate(
-        problem, config.alpha, config.beta, d=config.test_d, c_beta_mode=config.c_beta_mode
+        problem, config.alpha, config.beta, d=d, c_beta_mode=config.c_beta_mode
     )
     try:
         models = [settings.build(det.d) for settings in config.noise]
@@ -282,9 +298,9 @@ def run_simulate(config: ExperimentConfig, out_dir: Path, threads: int = 1) -> i
     )
 
     chain_ok = True
-    adversarial = [ns for ns in config.noise if ns.kind == "adversarial_equicorrelated"]
+    adversarial = [m for m in models if isinstance(m, AdversarialEquicorrelated)]
     if adversarial:
-        chain_ok = _write_divergence_check(config, adversarial[0], out_dir)
+        chain_ok = _write_divergence_check(config, adversarial[0].loadings[0], out_dir)
 
     _sidecar_log(out_dir, "simulate", f"rows={len(rows)} ok={all_ok and chain_ok}")
     status = "ok" if (all_ok and chain_ok) else "FAILED"
@@ -292,14 +308,13 @@ def run_simulate(config: ExperimentConfig, out_dir: Path, threads: int = 1) -> i
     return 0 if (all_ok and chain_ok) else 1
 
 
-def _write_divergence_check(config: ExperimentConfig, settings, out_dir: Path) -> bool:
-    """Analytic lower-bound chain for the equicorrelated construction.
+def _write_divergence_check(config: ExperimentConfig, loading: float, out_dir: Path) -> bool:
+    """Analytic lower-bound chain for the equicorrelated construction with
+    the same factor loading on every coordinate.
 
     At the lower-bound radius the chi-square divergence must not exceed the
     budget 1 + 4 (1 - alpha - beta)^2, and the spectral/alignment bounds used
     to prove it must hold."""
-    from .noise import adversarial_sigma
-
     problem = config.problem
     budget = bounds_mod.c_alpha_beta(config.alpha, config.beta)
     coeff = bounds_mod.lower_coefficient(config.alpha, config.beta)
@@ -308,7 +323,7 @@ def _write_divergence_check(config: ExperimentConfig, settings, out_dir: Path) -
     for d in _DIVERGENCE_CHECK_DS:
         if d > problem.bandwidth_limit:
             break
-        sigma = adversarial_sigma(d, settings.d)
+        sigma = adversarial_sigma(d, loading)
         s_w = sum_inv_b_sq(problem, d)
         if math.isinf(s_w):
             break

@@ -22,12 +22,14 @@ Schema (dotted keys, one per line, '#' starts a comment line):
   noise.kind           iid_gaussian | iid_rademacher | iid_scaled_uniform |
                        long_range_gaussian | adversarial_equicorrelated
                        (each occurrence starts a new noise block)
-  noise.s              decay exponent (long_range_gaussian), default 1
+  noise.s              decay exponent > 0, default 1 (long_range_gaussian only)
   noise.c              decay amplitude in (0, 1], default 0.5
-  noise.d              factor loading in [1/sqrt(2), 1), applied to all
-                       coordinates (adversarial_equicorrelated)
-  noise.claimed_C      claimed fourth-moment bound; defaults to the family's
-                       exact value
+                       (long_range_gaussian only)
+  noise.d              factor loading in [1/sqrt(2), 1), default 1/sqrt(2),
+                       applied to all coordinates (adversarial_equicorrelated
+                       only)
+  noise.claimed_C      claimed fourth-moment bound (every kind); defaults to
+                       the family's exact value
 
   rng.seed             unsigned 64-bit master seed, default 0
 
@@ -48,7 +50,9 @@ Schema (dotted keys, one per line, '#' starts a comment line):
   run.cells            'all' or comma-separated operator/smoothness cells
                        for the rates command
 
-Unknown keys are hard errors, with the offending line reported.
+Unknown keys, and noise keys the block's kind does not take (its class's
+``params`` in `noise.NOISE_KINDS`), are hard errors, with the offending line
+reported.
 """
 
 from __future__ import annotations
@@ -58,15 +62,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable
 
-from .noise import (
-    AdversarialEquicorrelated,
-    IidGaussian,
-    IidRademacher,
-    IidScaledUniform,
-    LongRangeGaussian,
-    NoiseModel,
-    check_dense_dimension,
-)
+from .noise import NOISE_KINDS, NoiseModel, build_noise
 from .sequences import (
     DEFAULT_D_MAX,
     OPERATOR_KINDS,
@@ -78,14 +74,6 @@ from .sequences import (
 )
 
 COMMANDS = ("bounds", "calibrate", "simulate", "rates")
-
-_NOISE_KINDS = (
-    "iid_gaussian",
-    "iid_rademacher",
-    "iid_scaled_uniform",
-    "long_range_gaussian",
-    "adversarial_equicorrelated",
-)
 
 ALL_CELLS = tuple(f"{op}/{sm}" for op in OPERATOR_KINDS for sm in SMOOTHNESS_KINDS)
 
@@ -101,10 +89,8 @@ _KNOWN_KEYS = {
     "index_mode",
     "D_max",
     "noise.kind",
-    "noise.s",
-    "noise.c",
-    "noise.d",
     "noise.claimed_C",
+    *(f"noise.{name}" for cls in NOISE_KINDS.values() for name in cls.params),
     "rng.seed",
     "test.alpha",
     "test.beta",
@@ -124,32 +110,18 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class NoiseSettings:
-    """Declarative noise block; materialised into a model per bandwidth."""
+    """Declarative noise block; materialised into a model per bandwidth.
+    Parameters the block does not set keep their constructor defaults."""
 
     kind: str
-    s: float = 1.0
-    c: float = 0.5
-    d: float = 1.0 / math.sqrt(2.0)
+    params: dict[str, float] = field(default_factory=dict)
     claimed_c: float | None = None
 
     def build(self, dimension: int) -> NoiseModel:
         """The model at this dimension; raises ValueError for invalid
-        parameters or a dense family above `noise.MAX_DENSE_DIMENSION`.
-        Without ``claimed_c`` the model keeps its family's exact value."""
+        parameters or a dense family above `noise.MAX_DENSE_DIMENSION`."""
         claimed = {} if self.claimed_c is None else {"claimed_fourth_moment": self.claimed_c}
-        if self.kind == "iid_gaussian":
-            return IidGaussian(**claimed)
-        if self.kind == "iid_rademacher":
-            return IidRademacher(**claimed)
-        if self.kind == "iid_scaled_uniform":
-            return IidScaledUniform(**claimed)
-        if self.kind == "long_range_gaussian":
-            # the model builds its matrix when first sampled; check it now
-            check_dense_dimension(self.kind, dimension)
-            return LongRangeGaussian(self.s, self.c, **claimed)
-        if self.kind == "adversarial_equicorrelated":
-            return AdversarialEquicorrelated(dimension, self.d, **claimed)
-        raise ConfigError(f"unknown noise kind {self.kind!r}")
+        return build_noise(self.kind, dimension, **self.params, **claimed)
 
 
 @dataclass(frozen=True)
@@ -322,13 +294,15 @@ def parse_config(text: str, source: str = "<config>") -> ExperimentConfig:
     noise_settings: list[NoiseSettings] = []
     for block in noise_blocks:
         kind, kind_line = block.pop("kind")
-        if kind not in _NOISE_KINDS:
+        if kind not in NOISE_KINDS:
             raise ConfigError(f"{source}, line {kind_line}: unknown noise kind {kind!r}")
-        kwargs: dict[str, float] = {}
-        for field_name, (value, line_no) in block.items():
-            parsed = _parse_float(value, line_no, f"noise.{field_name}")
-            kwargs["claimed_c" if field_name == "claimed_C" else field_name] = parsed
-        noise_settings.append(NoiseSettings(kind=kind, **kwargs))
+        params: dict[str, float] = {}
+        for name, (value, line_no) in block.items():
+            if name not in ("claimed_C", *NOISE_KINDS[kind].params):
+                raise ConfigError(f"{source}, line {line_no}: {kind} noise takes no noise.{name}")
+            params[name] = _parse_float(value, line_no, f"noise.{name}")
+        claimed_c = params.pop("claimed_C", None)
+        noise_settings.append(NoiseSettings(kind, params, claimed_c))
 
     seed = 0
     if (entry := take("rng.seed")) is not None:

@@ -12,12 +12,17 @@ Shipped families:
   IidScaledUniform         uniform on [-sqrt(3), sqrt(3)], C = 9/5 exactly
   CorrelatedGaussian       explicit correlation matrix, sampled through its
                            symmetric square root
-  LongRangeGaussian        stationary kernel |k-l|^-s scaled by an amplitude
-                           c, repaired to the nearest correlation matrix
+  LongRangeGaussian        a CorrelatedGaussian at a fixed dimension whose
+                           matrix is the stationary kernel |k-l|^-s scaled
+                           by an amplitude c, repaired to the nearest
+                           correlation matrix
   AdversarialEquicorrelated  the common-factor construction
                            xi_k = d_k eta_0 + sqrt(1 - d_k^2) eta_k with
                            d_k in [1/sqrt(2), 1), which forces every
                            off-diagonal correlation to be at least 1/2
+
+`NOISE_KINDS` names the kinds a config block can build, each class lists the
+parameters a block may set in ``params``, and `build_noise` builds one.
 
 For jointly Gaussian coordinates the second-order structure of the squared
 noise follows from the Gaussian product-moment identity:
@@ -28,7 +33,6 @@ from __future__ import annotations
 
 import abc
 import math
-import threading
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -195,6 +199,12 @@ class NoiseModel(abc.ABC):
     claimed_fourth_moment: float
     #: Fixed coordinate count, or None when the model samples any dimension.
     dimension: int | None = None
+    #: Constructor parameters a config block may set as ``noise.<name>``,
+    #: besides ``claimed_fourth_moment`` (``noise.claimed_C``).
+    params: tuple[str, ...] = ()
+    #: True for the kinds built at a fixed dimension from dense D x D
+    #: matrices; their constructors take the dimension first.
+    dense = False
 
     def sample(self, d: int, rng: np.random.Generator) -> np.ndarray:
         """One draw (xi_1, ..., xi_d); deterministic given the generator state."""
@@ -288,44 +298,24 @@ class CorrelatedGaussian(NoiseModel):
         return self._cov
 
 
-class LongRangeGaussian(NoiseModel):
-    """Gaussian noise with |k-l|^-s correlation decay at amplitude c <= 1."""
+class LongRangeGaussian(CorrelatedGaussian):
+    """Gaussian noise with |k-l|^-s correlation decay at amplitude c <= 1,
+    built at a fixed dimension from `long_range_correlation`."""
 
     kind = "long_range_gaussian"
+    params = ("s", "c")
+    dense = True
 
     def __init__(
         self,
-        s: float,
+        dimension: int,
+        s: float = 1.0,
         c: float = 0.5,
         claimed_fourth_moment: float = GAUSSIAN_FOURTH_MOMENT,
     ):
-        if not s > 0:
-            raise ValueError("decay exponent must be positive")
-        if not 0.0 < c <= 1.0:
-            raise ValueError("amplitude must lie in (0, 1]")
+        super().__init__(long_range_correlation(dimension, s, c), claimed_fourth_moment)
         self.s = float(s)
         self.c = float(c)
-        self.claimed_fourth_moment = float(claimed_fourth_moment)
-        self._cache: dict[int, tuple[CorrelationMatrix, np.ndarray]] = {}
-        self._lock = threading.Lock()
-
-    def _prepared(self, d: int) -> tuple[CorrelationMatrix, np.ndarray]:
-        with self._lock:
-            hit = self._cache.get(d)
-            if hit is None:
-                cov = long_range_correlation(d, self.s, self.c)
-                hit = (cov, _symmetric_sqrt(cov.entries))
-                self._cache[d] = hit
-            return hit
-
-    def sample_block(self, n: int, d: int, rng: np.random.Generator) -> np.ndarray:
-        self._check_dimension(d)
-        _, factor = self._prepared(d)
-        return rng.standard_normal((n, d)) @ factor
-
-    def correlation(self, d: int) -> CorrelationMatrix:
-        self._check_dimension(d)
-        return self._prepared(d)[0]
 
 
 class AdversarialEquicorrelated(NoiseModel):
@@ -339,6 +329,8 @@ class AdversarialEquicorrelated(NoiseModel):
     """
 
     kind = "adversarial_equicorrelated"
+    params = ("d",)
+    dense = True
 
     def __init__(
         self,
@@ -368,6 +360,31 @@ class AdversarialEquicorrelated(NoiseModel):
     def correlation(self, d: int) -> CorrelationMatrix:
         self._check_dimension(d)
         return self._sigma
+
+
+#: Every noise kind a config block can name, keyed by its ``kind``.
+NOISE_KINDS: dict[str, type[NoiseModel]] = {
+    cls.kind: cls
+    for cls in (
+        IidGaussian,
+        IidRademacher,
+        IidScaledUniform,
+        LongRangeGaussian,
+        AdversarialEquicorrelated,
+    )
+}
+
+
+def build_noise(kind: str, dimension: int, **params: float) -> NoiseModel:
+    """The `NOISE_KINDS` model ``kind`` for ``dimension`` coordinates.
+
+    A dense kind is built at that dimension; the iid kinds sample any.
+    ``params`` are constructor keywords: the kind's `params` and
+    ``claimed_fourth_moment``.  Raises ValueError for an invalid parameter or
+    a dense kind above `MAX_DENSE_DIMENSION`.
+    """
+    cls = NOISE_KINDS[kind]
+    return cls(dimension, **params) if cls.dense else cls(**params)
 
 
 @dataclass(frozen=True)

@@ -744,19 +744,3 @@ def _skip_ahead(
         chunk, batch = chunk + n, min(2 * batch, _SKIP_MAX_BATCH)
     return first
 
-
-def scan_bandwidth(
-    terms: Terms,
-    value_fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    limit: int,
-    *,
-    maximize: bool = False,
-) -> ScanResult:
-    """Optimise ``value_fn(k, cumsum(terms))`` over integer bandwidths 1..limit:
-    `scan_bandwidths` with a single objective."""
-
-    def rows_fn(ks: np.ndarray, sums: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        return value_fn(ks, sums)[np.newaxis, :]
-
-    (result,) = scan_bandwidths(terms, rows_fn, limit, 1, maximize=maximize)
-    return result

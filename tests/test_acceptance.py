@@ -61,7 +61,7 @@ def shipped_models(d: int):
         IidGaussian(),
         IidRademacher(),
         IidScaledUniform(),
-        LongRangeGaussian(1.0, 0.5),
+        LongRangeGaussian(d, 1.0, 0.5),
         AdversarialEquicorrelated(d, INV_SQRT2),
     ]
 

@@ -15,8 +15,10 @@ Covers:
 8. Config errors before any output for levels with alpha + beta >= 1 in the
    commands that form the lower bound, and for a C that is not finite or
    below 1
-9. simulate at C = 1, a bound that overflows at every bandwidth, and a rates
-   cell without a usable exponent are config errors; --seed, --reps and
+9. simulate at C = 1, a bound that overflows at every bandwidth (in bounds
+   and rates, and in the bandwidth selection of calibrate and simulate), a
+   noise key the block's kind does not take, and a rates cell without a
+   usable exponent are config errors; --seed, --reps and
    --threads belong to simulate alone
 """
 
@@ -28,7 +30,6 @@ from pathlib import Path
 import pytest
 
 from seqdetect import cli, detector, montecarlo, noise
-from seqdetect import config as config_mod
 from seqdetect.config import ALL_CELLS, ConfigError, parse_config
 from seqdetect.sequences import OperatorFamily, SmoothnessFamily
 
@@ -90,6 +91,35 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="before any noise.kind"):
             parse_config("noise.d = 0.9\n")
 
+    @pytest.mark.parametrize(
+        "kind,own,key",
+        [
+            ("iid_gaussian", None, "d"),
+            ("iid_rademacher", None, "s"),
+            ("long_range_gaussian", "s", "d"),
+            ("adversarial_equicorrelated", "d", "c"),
+        ],
+    )
+    def test_noise_key_the_kind_does_not_take(self, kind, own, key):
+        # a dense kind first sets a parameter of its own, which it keeps
+        text = BASE_CONFIG.split("noise.kind")[0] + f"noise.kind = {kind}\n"
+        if own is not None:
+            text += f"noise.{own} = 0.8\n"
+        assert parse_config(text).noise[0].params == ({} if own is None else {own: 0.8})
+        line = text.count("\n") + 1
+        with pytest.raises(ConfigError, match=f"line {line}: {kind} noise takes no noise.{key}$"):
+            parse_config(text + f"noise.{key} = 0.9\n")
+
+    def test_noise_key_not_taken_stops_simulate(self, tmp_path, capsys):
+        text = BASE_CONFIG.replace(
+            "noise.kind = iid_gaussian", "noise.kind = iid_gaussian\nnoise.d = 0.9\nnoise.s = -5"
+        )
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, text)
+        assert cli.main(["simulate", "--config", str(cfg), "--output", str(out)]) == 2
+        assert "line 10: iid_gaussian noise takes no noise.d" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_empty_eps_grid_rejected(self):
         bad = BASE_CONFIG.replace(
             "run.eps_grid = 0.0625, 0.03125, 0.015625, 0.0078125, 0.00390625, 0.001953125",
@@ -121,7 +151,7 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="operator.t"):
             parse_config(bad)
 
-    @pytest.mark.parametrize("kind", config_mod._NOISE_KINDS)
+    @pytest.mark.parametrize("kind", noise.NOISE_KINDS)
     def test_noise_defaults_to_the_family_constant(self, kind):
         # without noise.claimed_C a model keeps its class's own default
         config = parse_config(BASE_CONFIG.split("noise.kind")[0] + f"noise.kind = {kind}\n")
@@ -579,6 +609,20 @@ class TestBoundOverflow:
         err = capsys.readouterr().err
         assert "cell 'well_posed/ordinary_smooth': at eps = 1e+153 the upper bound" in err
         assert not list(tmp_path.glob("rates_*"))
+
+    @pytest.mark.parametrize("command", ["calibrate", "simulate"])
+    def test_selected_bandwidth(self, tmp_path, capsys, command):
+        # the selection minimises the upper bound's objective, so there is
+        # no bandwidth to calibrate or simulate at
+        text = BASE_CONFIG.replace(
+            "operator.kind = well_posed", "operator.kind = well_posed\noperator.scale = 1e-154"
+        ).replace("eps = 0.01", "eps = 1")
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, text)
+        assert cli.main([command, "--config", str(cfg), "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"{command}: at eps = 1 the upper bound overflows at every bandwidth" in err
+        assert not any(out.iterdir())
 
 
 class TestSimulateOnlyFlags:

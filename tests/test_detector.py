@@ -98,7 +98,7 @@ class TestThresholdAndStatistic:
             IidGaussian(),
             IidRademacher(),
             IidScaledUniform(),
-            LongRangeGaussian(1.0, 0.5),
+            LongRangeGaussian(6, 1.0, 0.5),
             AdversarialEquicorrelated(6),
         ],
         ids=lambda m: m.kind,
@@ -259,7 +259,7 @@ class TestStatisticalBehaviour:
             IidGaussian(),
             IidRademacher(),
             IidScaledUniform(),
-            LongRangeGaussian(1.0, 0.5),
+            LongRangeGaussian(8, 1.0, 0.5),
             AdversarialEquicorrelated(8),
         ],
         ids=lambda m: m.kind,

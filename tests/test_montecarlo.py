@@ -28,6 +28,7 @@ from seqdetect.noise import (
     CorrelationMatrix,
     IidGaussian,
     IidRademacher,
+    IidScaledUniform,
     LongRangeGaussian,
     adversarial_sigma,
 )
@@ -190,7 +191,13 @@ class TestTypeOneFromTheTypeTwoDraws:
 
 
 def _shipped_models(d):
-    return [IidGaussian(), AdversarialEquicorrelated(d, INV_SQRT2), *_variable_dim_models()]
+    return [
+        IidGaussian(),
+        AdversarialEquicorrelated(d, INV_SQRT2),
+        IidRademacher(),
+        IidScaledUniform(),
+        LongRangeGaussian(d, 1.0, 0.5),
+    ]
 
 
 class TestNegativeControls:
@@ -241,12 +248,7 @@ class TestMarkovSlackOneSided:
                 fourth_moment_bound=3.0,
             )
             config = detector.calibrate(spec, alpha, 0.1, d=d)
-            models = [
-                IidGaussian(),
-                AdversarialEquicorrelated(d, INV_SQRT2),
-                *_variable_dim_models(),
-            ]
-            for i, model in enumerate(models):
+            for i, model in enumerate(_shipped_models(d)):
                 est = montecarlo.estimate_type1(
                     spec, config, model, 1000, seed=int(rng.integers(0, 2**32)) + i
                 )
@@ -257,12 +259,6 @@ class TestMarkovSlackOneSided:
                     model.kind,
                     est.p_hat,
                 )
-
-
-def _variable_dim_models():
-    from seqdetect.noise import IidRademacher, IidScaledUniform, LongRangeGaussian
-
-    return [IidRademacher(), IidScaledUniform(), LongRangeGaussian(1.0, 0.5)]
 
 
 class TestGuaranteedDetectableSignal:
@@ -497,7 +493,7 @@ def _pinned_radius_cases():
         eps=0.005,
         fourth_moment_bound=3.0,
     )
-    models = [IidGaussian(), LongRangeGaussian(1.0, 0.5), AdversarialEquicorrelated(d, INV_SQRT2)]
+    models = [IidGaussian(), LongRangeGaussian(d, 1.0, 0.5), AdversarialEquicorrelated(d, INV_SQRT2)]
     return [
         pytest.param(spec, d, model, id=f"{name}-{model.kind}")
         for name, spec in (("well_posed", flat_spec(eps=0.01)), ("mildly_ill_posed", mild))

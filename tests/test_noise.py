@@ -124,7 +124,7 @@ class TestSampling:
         assert np.all(np.abs(x) <= math.sqrt(3.0))
 
     def test_deterministic_given_stream(self):
-        model = LongRangeGaussian(1.0, 0.5)
+        model = LongRangeGaussian(6, 1.0, 0.5)
         a = model.sample(6, np.random.default_rng(77))
         b = model.sample(6, np.random.default_rng(77))
         assert np.array_equal(a, b)
@@ -156,7 +156,7 @@ class TestMomentValidation:
             IidGaussian(),
             IidRademacher(),
             IidScaledUniform(),
-            LongRangeGaussian(1.0, 0.5),
+            LongRangeGaussian(8, 1.0, 0.5),
             AdversarialEquicorrelated(8, INV_SQRT2),
         ],
         ids=lambda m: m.kind,
@@ -267,7 +267,7 @@ class TestDenseDimensionLimit:
         with pytest.raises(ValueError, match="long_range_gaussian noise .* D = 9 exceeds"):
             long_range_correlation(9, 1.0)
         with pytest.raises(ValueError, match="long_range_gaussian noise .* D = 9"):
-            LongRangeGaussian(1.0).sample_block(1, 9, np.random.default_rng(0))
+            LongRangeGaussian(9, 1.0)
         with pytest.raises(ValueError, match="adversarial_equicorrelated noise .* D = 9"):
             adversarial_sigma(9, INV_SQRT2)
         with pytest.raises(ValueError, match="adversarial_equicorrelated noise .* D = 9"):

@@ -42,7 +42,6 @@ from seqdetect.sequences import (
     boundary_signal,
     ellipsoid_membership,
     eps_sq_grid,
-    scan_bandwidth,
     scan_bandwidths,
     sum_inv_b_4,
     sum_inv_b_sq,
@@ -516,28 +515,28 @@ class TestScanBandwidth:
         def term_fn(ks):
             return np.ones(len(ks))
 
-        def value_fn(ks, sums):
-            return 0.002 * sums + ks.astype(float) ** -2
+        def value_fn(ks, sums, rows):
+            return (0.002 * sums + ks.astype(float) ** -2)[np.newaxis]
 
-        result = scan_bandwidth(term_fn, value_fn, 1000)
+        (result,) = scan_bandwidths(term_fn, value_fn, 1000, 1)
         brute = min(range(1, 1001), key=lambda d: 0.002 * d + d**-2.0)
         assert result.d == brute == 10
         assert result.value == pytest.approx(0.03)
         assert not result.truncated
 
     def test_ties_prefer_smaller_bandwidth(self):
-        def value_fn(ks, sums):
-            return np.ones(len(ks))
+        def value_fn(ks, sums, rows):
+            return np.ones((1, len(ks)))
 
-        result = scan_bandwidth(lambda ks: np.ones(len(ks)), value_fn, 500)
+        (result,) = scan_bandwidths(lambda ks: np.ones(len(ks)), value_fn, 500, 1)
         assert result.d == 1
 
     def test_truncation_flag(self):
         # strictly decreasing objective: minimiser is the scan limit
-        def value_fn(ks, sums):
-            return 1.0 / sums
+        def value_fn(ks, sums, rows):
+            return (1.0 / sums)[np.newaxis]
 
-        result = scan_bandwidth(lambda ks: np.ones(len(ks)), value_fn, 300)
+        (result,) = scan_bandwidths(lambda ks: np.ones(len(ks)), value_fn, 300, 1)
         assert result.d == 300 and result.truncated
 
 
@@ -570,10 +569,11 @@ class TestScanBandwidths:
 
         results = scan_bandwidths(lambda ks: np.ones(len(ks)), value_fn, 9000, 3)
         for row, result in enumerate(results):
-            single = scan_bandwidth(
+            (single,) = scan_bandwidths(
                 lambda ks: np.ones(len(ks)),
-                lambda ks, sums: self.objectives(ks, sums)[row],
+                lambda ks, sums, rows: self.objectives(ks, sums)[[row]],
                 9000,
+                1,
             )
             assert result == single
         assert results[1] == (9000, 1000.0, True)
