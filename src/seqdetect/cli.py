@@ -73,20 +73,42 @@ def _cell_families(cell: str, problem: ProblemSpec) -> tuple[OperatorFamily, Smo
         raise ConfigError(f"cell {cell!r}: {exc}") from exc
 
 
+def _calibration(
+    config: ExperimentConfig, command: str
+) -> tuple[detector.DetectorConstants, float]:
+    """The derived constants and the calibration constant c_beta of the
+    configured C, levels and mode, computed once per command.
+
+    A c_beta that is not a finite number above K1 (a tiny test.alpha puts the
+    exact root on K1 in double precision, or K1 overflows, and the practical
+    constant can miss the calibration inequality) is a config error, raised
+    before any output is written."""
+    constants = detector.derive_constants(config.problem.fourth_moment_bound, config.alpha)
+    try:
+        c_beta = detector.solve_c_beta(constants, config.beta, config.c_beta_mode)
+    except ValueError as exc:
+        raise ConfigError(f"{command}: {exc}") from exc
+    if not constants.k1 < c_beta < math.inf:
+        raise ConfigError(
+            f"{command}: the calibration constant c_beta = {_fmt(c_beta)} is not a finite "
+            f"number above K1 = {_fmt(constants.k1)}; C or the levels are too extreme"
+        )
+    return constants, c_beta
+
+
 def _bounds_rows(
-    config: ExperimentConfig, problem: ProblemSpec, where: str
+    config: ExperimentConfig, problem: ProblemSpec, c_beta: float, where: str
 ) -> tuple[list[list[str]], list[tuple[float, float]]]:
     """CSV rows over the eps grid plus the lower-bound grid used for fits.
 
     One `bounds_over_grid` call covers the whole grid.  A bound whose
-    objective is +inf at every bandwidth (its scan then reports D = 0) is a
-    config error reported at ``where``.  Rate fits run on the lower bound:
-    its constants are of order one, so it reaches the asymptotic decay
-    already at desk-scale eps, while the upper bound's calibration constant
-    delays convergence of log-factor cells far beyond double-precision
-    grids."""
-    constants = detector.derive_constants(problem.fourth_moment_bound, config.alpha)
-    c_beta = detector.solve_c_beta(constants, config.beta, config.c_beta_mode)
+    objective is +inf at every bandwidth (its scan then reports D = 0), or a
+    lower bound that underflows to 0 at every bandwidth, which no rate fit
+    can use, is a config error reported at ``where``.  Rate fits run on the
+    lower bound: its constants are of order one, so it reaches the asymptotic
+    decay already at desk-scale eps, while the upper bound's calibration
+    constant delays convergence of log-factor cells far beyond
+    double-precision grids."""
     grid = bounds_mod.bounds_over_grid(
         problem, config.eps_grid, config.alpha, config.beta, c_beta=c_beta
     )
@@ -101,6 +123,11 @@ def _bounds_rows(
                     f"{where}: at eps = {_fmt(eps)} the {name} bound overflows at every "
                     "bandwidth; the operator scale or the noise level is too extreme"
                 )
+        if point.bounds.lower_r2 == 0.0:
+            raise ConfigError(
+                f"{where}: at eps = {_fmt(eps)} the lower bound underflows to 0 at every "
+                "bandwidth; the family parameters or the noise level are too extreme"
+            )
     rows = [
         [
             _fmt(eps),
@@ -119,7 +146,12 @@ def _bounds_rows(
 def _fit_summary_lines(
     cell: str, law: bounds_mod.RateLaw, grid: list[tuple[float, float]]
 ) -> tuple[list[str], bool]:
-    fit = bounds_mod.fit_rate(grid, law.mode, law.eps_power_offset)
+    """The fit summary of one cell; a grid its rate law cannot be fitted on
+    (a log-log fit needs every eps < 1) is a config error."""
+    try:
+        fit = bounds_mod.fit_rate(grid, law.mode, law.eps_power_offset)
+    except ValueError as exc:
+        raise ConfigError(f"cell {cell!r}: {exc}") from exc
     tol = _fit_tolerance(law)
     passed = abs(fit.exponent - law.exponent) <= tol
     lines = [
@@ -137,8 +169,8 @@ def run_bounds(config: ExperimentConfig, out_dir: Path) -> int:
     if not config.eps_grid:
         raise ConfigError("bounds needs a non-empty run.eps_grid")
     problem = config.problem
-    rows, fit_grid = _bounds_rows(config, problem, "bounds")
-    _write_csv(out_dir / "bounds.csv", _BOUNDS_HEADER, rows)
+    _, c_beta = _calibration(config, "bounds")
+    rows, fit_grid = _bounds_rows(config, problem, c_beta, "bounds")
 
     ok = True
     summary: list[str] = []
@@ -155,6 +187,7 @@ def run_bounds(config: ExperimentConfig, out_dir: Path) -> int:
         ok = passed
     else:
         summary.append("# grid too small for a rate fit (need >= 5 eps values)")
+    _write_csv(out_dir / "bounds.csv", _BOUNDS_HEADER, rows)
     (out_dir / "bounds_fit.txt").write_text("\n".join(summary) + "\n")
     _sidecar_log(out_dir, "bounds", f"wrote {len(rows)} rows, fit_ok={ok}")
     print(f"bounds: {len(rows)} rows -> {out_dir / 'bounds.csv'} (fit {'ok' if ok else 'FAILED'})")
@@ -164,10 +197,9 @@ def run_bounds(config: ExperimentConfig, out_dir: Path) -> int:
 def run_calibrate(config: ExperimentConfig, out_dir: Path) -> int:
     """Constants, both calibration roots with margins, and a threshold ladder."""
     problem = config.problem
-    constants = detector.derive_constants(problem.fourth_moment_bound, config.alpha)
+    constants, chosen = _calibration(config, "calibrate")
     exact = detector.solve_c_beta(constants, config.beta, "exact")
     practical = 8.0 * constants.k2 / config.beta
-    chosen = exact if config.c_beta_mode == "exact" else practical
 
     lines = [
         f"C = {_fmt(problem.fourth_moment_bound)}",
@@ -230,11 +262,10 @@ def run_simulate(config: ExperimentConfig, out_dir: Path, threads: int = 1) -> i
     if not config.noise:
         raise ConfigError("simulate needs at least one noise block")
     problem = config.problem
-    constants = detector.derive_constants(problem.fourth_moment_bound, config.alpha)
-    c_beta = detector.solve_c_beta(constants, config.beta, config.c_beta_mode)
+    constants, c_beta = _calibration(config, "simulate")
     d, _ = _bandwidth(config, c_beta, "simulate")
-    det = detector.calibrate(
-        problem, config.alpha, config.beta, d=d, c_beta_mode=config.c_beta_mode
+    det = detector.DetectorConfig(
+        constants, d, detector.threshold(constants, problem, d), c_beta, config.beta
     )
     try:
         models = [settings.build(det.d) for settings in config.noise]
@@ -349,22 +380,30 @@ def run_rates(config: ExperimentConfig, out_dir: Path) -> int:
         raise ConfigError("rates needs run.eps_grid with at least 5 values")
     problem = config.problem
     cells = [(cell, *_cell_families(cell, problem)) for cell in config.cells]
+    _, c_beta = _calibration(config, "rates")
+    tables: list[tuple[str, list[list[str]]]] = []
     summary: list[str] = []
     all_ok = True
+    # every cell is bounded and fitted before any file is written, so a cell
+    # that cannot be leaves no output
     for cell, operator, smoothness in cells:
         law = bounds_mod.rate_law(
             operator.kind, smoothness.kind, s=smoothness.exponent, t=operator.exponent
         )
         rows, fit_grid = _bounds_rows(
-            config, replace(problem, operator=operator, smoothness=smoothness), f"cell {cell!r}"
+            config,
+            replace(problem, operator=operator, smoothness=smoothness),
+            c_beta,
+            f"cell {cell!r}",
         )
-        slug = cell.replace("/", "-")
-        _write_csv(out_dir / f"rates_{slug}.csv", _BOUNDS_HEADER, rows)
+        tables.append((cell, rows))
         lines, passed = _fit_summary_lines(cell, law, fit_grid)
         summary.extend(lines)
         summary.append("")
         all_ok = all_ok and passed
 
+    for cell, rows in tables:
+        _write_csv(out_dir / f"rates_{cell.replace('/', '-')}.csv", _BOUNDS_HEADER, rows)
     (out_dir / "rates_summary.txt").write_text("\n".join(summary).rstrip("\n") + "\n")
     _sidecar_log(out_dir, "rates", f"cells={len(config.cells)} ok={all_ok}")
     print(
@@ -439,7 +478,8 @@ def main(argv: list[str] | None = None) -> int:
                 f"config pins run.command = {config.command!r} but {args.command!r} was invoked"
             )
         if args.command == "simulate":
-            config = config.with_overrides(seed=args.seed, reps=args.reps)
+            overrides = {"seed": args.seed, "reps": args.reps}
+            config = replace(config, **{k: v for k, v in overrides.items() if v is not None})
         _check_lower_bound_levels(config, args.command)
         _check_null_threshold(config, args.command)
         out_dir = Path(args.output or config.output_path or ".")

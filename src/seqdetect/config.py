@@ -16,8 +16,8 @@ Schema (dotted keys, one per line, '#' starts a comment line):
                        positive float
   C                    fourth-moment class constant, finite and >= 1,
                        default 3; simulate needs C > 1
-  index_mode           'infinite' or an integer n, default infinite
-  D_max                bandwidth truncation, default 65536
+  index_mode           'infinite' or a positive integer n, default infinite
+  D_max                positive bandwidth truncation, default 65536
 
   noise.kind           iid_gaussian | iid_rademacher | iid_scaled_uniform |
                        long_range_gaussian | adversarial_equicorrelated
@@ -28,8 +28,6 @@ Schema (dotted keys, one per line, '#' starts a comment line):
   noise.d              factor loading in [1/sqrt(2), 1), default 1/sqrt(2),
                        applied to all coordinates (adversarial_equicorrelated
                        only)
-  noise.claimed_C      claimed fourth-moment bound (every kind); defaults to
-                       the family's exact value
 
   rng.seed             unsigned 64-bit master seed, default 0
 
@@ -37,30 +35,32 @@ Schema (dotted keys, one per line, '#' starts a comment line):
   test.beta            type II level in (0, 1), default 0.1; bounds, rates
                        and simulate with an adversarial block form the lower
                        bound, which needs test.alpha + test.beta < 1
-  test.D               fixed bandwidth, at most the bandwidth limit (D_max,
-                       n); omit to auto-select
+  test.D               fixed positive bandwidth, at most the bandwidth limit
+                       (D_max, n); omit to auto-select
   test.c_beta_mode     exact | practical, default exact
 
   run.command          bounds | calibrate | simulate | rates (optional; must
                        match the invoked subcommand when present)
-  run.eps_grid         comma-separated, strictly decreasing positive floats,
-                       each checked like eps
-  run.reps             replications per estimate, default 10000
+  run.eps_grid         comma-separated, strictly decreasing floats, each
+                       checked like eps
+  run.reps             positive replications per estimate, default 10000
   run.output_path      default output directory (CLI --output overrides)
   run.cells            'all' or comma-separated operator/smoothness cells
                        for the rates command
 
-Unknown keys, and noise keys the block's kind does not take (its class's
-``params`` in `noise.NOISE_KINDS`), are hard errors, with the offending line
-reported.
+Unknown keys, a key repeated at the top level or within one noise block, and
+noise keys the block's kind does not take (its class's ``params`` in
+`noise.NOISE_KINDS`) are hard errors, with the offending line reported.  Every
+value is checked at load, noise parameters too (each block is built once at a
+single coordinate), so each command reports a bad value at its line.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Collection
 
 from .noise import NOISE_KINDS, NoiseModel, build_noise
 from .sequences import (
@@ -77,32 +77,6 @@ COMMANDS = ("bounds", "calibrate", "simulate", "rates")
 
 ALL_CELLS = tuple(f"{op}/{sm}" for op in OPERATOR_KINDS for sm in SMOOTHNESS_KINDS)
 
-_KNOWN_KEYS = {
-    "operator.kind",
-    "operator.t",
-    "operator.scale",
-    "smoothness.kind",
-    "smoothness.s",
-    "smoothness.scale",
-    "eps",
-    "C",
-    "index_mode",
-    "D_max",
-    "noise.kind",
-    "noise.claimed_C",
-    *(f"noise.{name}" for cls in NOISE_KINDS.values() for name in cls.params),
-    "rng.seed",
-    "test.alpha",
-    "test.beta",
-    "test.D",
-    "test.c_beta_mode",
-    "run.command",
-    "run.eps_grid",
-    "run.reps",
-    "run.output_path",
-    "run.cells",
-}
-
 
 class ConfigError(ValueError):
     """Configuration problem, annotated with the source line where possible."""
@@ -114,14 +88,12 @@ class NoiseSettings:
     Parameters the block does not set keep their constructor defaults."""
 
     kind: str
-    params: dict[str, float] = field(default_factory=dict)
-    claimed_c: float | None = None
+    params: dict[str, float]
 
     def build(self, dimension: int) -> NoiseModel:
         """The model at this dimension; raises ValueError for invalid
         parameters or a dense family above `noise.MAX_DENSE_DIMENSION`."""
-        claimed = {} if self.claimed_c is None else {"claimed_fourth_moment": self.claimed_c}
-        return build_noise(self.kind, dimension, **self.params, **claimed)
+        return build_noise(self.kind, dimension, **self.params)
 
 
 @dataclass(frozen=True)
@@ -130,53 +102,136 @@ class ExperimentConfig:
 
     problem: ProblemSpec
     noise: tuple[NoiseSettings, ...]
-    alpha: float = 0.1
-    beta: float = 0.1
-    test_d: int | None = None
-    c_beta_mode: str = "exact"
-    eps_grid: tuple[float, ...] = ()
-    reps: int = 10_000
-    seed: int = 0
-    output_path: str | None = None
-    command: str | None = None
-    cells: tuple[str, ...] = ALL_CELLS
-
-    def with_overrides(
-        self, seed: int | None = None, reps: int | None = None
-    ) -> "ExperimentConfig":
-        cfg = self
-        if seed is not None:
-            cfg = replace(cfg, seed=seed)
-        if reps is not None:
-            cfg = replace(cfg, reps=reps)
-        return cfg
+    alpha: float
+    beta: float
+    test_d: int | None
+    c_beta_mode: str
+    eps_grid: tuple[float, ...]
+    reps: int
+    seed: int
+    output_path: str | None
+    command: str | None
+    cells: tuple[str, ...]
 
 
-def _parse_float(raw: str, line_no: int, key: str) -> float:
+#: Reads one raw value of the key it is given; a ValueError's message names
+#: the key and is reported at the value's line.
+Reader = Callable[[str, str], object]
+
+
+def _number(raw: str, key: str) -> float:
     try:
         return float(raw)
     except ValueError:
-        raise ConfigError(f"line {line_no}: {key} expects a number, got {raw!r}") from None
+        raise ValueError(f"{key} expects a number, got {raw!r}") from None
 
 
-def _parse_int(raw: str, line_no: int, key: str) -> int:
+def _integer(raw: str, key: str) -> int:
     try:
         return int(raw)
     except ValueError:
-        raise ConfigError(f"line {line_no}: {key} expects an integer, got {raw!r}") from None
+        raise ValueError(f"{key} expects an integer, got {raw!r}") from None
 
 
-def _check_noise_level(eps: float, where: str) -> None:
-    """Reject a noise level whose square is not a finite positive float.
+def _text(raw: str, key: str) -> str:
+    return raw
+
+
+def _checked(read: Reader, ok: Callable[[object], bool], rule: str) -> Reader:
+    """``read``, refusing a value for which ``ok`` is false: the key must
+    ``rule``."""
+
+    def read_checked(raw: str, key: str) -> object:
+        value = read(raw, key)
+        if not ok(value):
+            raise ValueError(f"{key} must {rule}, got {value!r}")
+        return value
+
+    return read_checked
+
+
+def _one_of(choices: Collection[str], what: str) -> Reader:
+    def read_choice(raw: str, key: str) -> str:
+        if raw not in choices:
+            raise ValueError(f"unknown {what} {raw!r}; expected one of {', '.join(choices)}")
+        return raw
+
+    return read_choice
+
+
+def _noise_level(raw: str, key: str) -> float:
+    """A noise level whose square is a finite positive float.
 
     The library also rejects an overflowing square but keeps eps^2 == 0 as the
     noise-free limit; no command can use that limit (rate fits take log 0, and
     the selected bandwidth runs to D_max).
     """
+    eps = _number(raw, key)
     if not eps > 0 or not 0.0 < eps * eps < math.inf:
-        raise ConfigError(
-            f"{where}: noise level {eps!r} must be positive with a finite, non-zero square"
+        raise ValueError(
+            f"{key}: noise level {eps!r} must be positive with a finite, non-zero square"
         )
+    return eps
+
+
+_LEVEL = _checked(_number, lambda p: 0.0 < p < 1.0, "lie in (0, 1)")
+_POSITIVE = _checked(_integer, lambda n: n >= 1, "be positive")
+_CELL = _one_of(ALL_CELLS, "cell")
+
+
+def _index_mode(raw: str, key: str) -> int | None:
+    return None if raw == "infinite" else _POSITIVE(raw, key)
+
+
+def _items(raw: str, key: str, read: Reader) -> tuple:
+    """The comma-separated items of ``raw``, each read by ``read``."""
+    items = tuple(read(item.strip(), key) for item in raw.split(",") if item.strip())
+    if not items:
+        raise ValueError(f"{key} is empty")
+    return items
+
+
+def _eps_grid(raw: str, key: str) -> tuple[float, ...]:
+    grid = _items(raw, key, _noise_level)
+    if any(b >= a for a, b in zip(grid, grid[1:])):
+        raise ValueError(f"{key} must be strictly decreasing")
+    return grid
+
+
+def _cells(raw: str, key: str) -> tuple[str, ...]:
+    return ALL_CELLS if raw == "all" else _items(raw, key, _CELL)
+
+
+#: Marks a key that has no default.
+_REQUIRED = object()
+
+#: Every config key: its reader and its default.  A noise key's default None
+#: leaves the model's constructor default.
+_KEYS: dict[str, tuple[Reader, object]] = {
+    "operator.kind": (_one_of(OPERATOR_KINDS, "operator kind"), _REQUIRED),
+    # required for the ill-posed kinds (checked after the loop)
+    "operator.t": (_number, 0.0),
+    "operator.scale": (_number, 1.0),
+    "smoothness.kind": (_one_of(SMOOTHNESS_KINDS, "smoothness kind"), _REQUIRED),
+    "smoothness.s": (_number, _REQUIRED),
+    "smoothness.scale": (_number, 1.0),
+    "eps": (_noise_level, _REQUIRED),
+    "C": (_checked(_number, lambda c: 1.0 <= c < math.inf, "be a finite number >= 1"), 3.0),
+    "index_mode": (_index_mode, None),
+    "D_max": (_POSITIVE, DEFAULT_D_MAX),
+    "noise.kind": (_one_of(NOISE_KINDS, "noise kind"), None),
+    **{f"noise.{name}": (_number, None) for cls in NOISE_KINDS.values() for name in cls.params},
+    "rng.seed": (_checked(_integer, lambda n: 0 <= n < 1 << 64, "be an unsigned 64-bit value"), 0),
+    "test.alpha": (_LEVEL, 0.1),
+    "test.beta": (_LEVEL, 0.1),
+    "test.D": (_POSITIVE, None),
+    "test.c_beta_mode": (_one_of(("exact", "practical"), "calibration mode"), "exact"),
+    "run.command": (_one_of(COMMANDS, "command"), None),
+    "run.eps_grid": (_eps_grid, ()),
+    "run.reps": (_POSITIVE, 10_000),
+    "run.output_path": (_text, None),
+    "run.cells": (_cells, ALL_CELLS),
+}
 
 
 def _family(source: str, lines: list[int], maker: Callable, *args):
@@ -191,208 +246,92 @@ def _family(source: str, lines: list[int], maker: Callable, *args):
 
 def parse_config(text: str, source: str = "<config>") -> ExperimentConfig:
     """Parse and validate a config document; all errors carry line numbers."""
-    scalars: dict[str, tuple[str, int]] = {}
-    noise_blocks: list[dict[str, tuple[str, int]]] = []
-
+    found: dict[str, tuple[object, int]] = {}
+    blocks: list[dict[str, tuple[object, int]]] = []
     for line_no, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.strip()
         if not line or line.startswith("#"):
             continue
+        at = f"{source}, line {line_no}"
         if "=" not in line:
-            raise ConfigError(f"{source}, line {line_no}: expected 'key = value', got {line!r}")
-        key, _, raw_value = line.partition("=")
-        key = key.strip()
-        value = raw_value.strip()
-        if key not in _KNOWN_KEYS:
-            raise ConfigError(f"{source}, line {line_no}: unknown key {key!r}")
-        if not value:
-            raise ConfigError(f"{source}, line {line_no}: empty value for {key!r}")
+            raise ConfigError(f"{at}: expected 'key = value', got {line!r}")
+        key, _, raw = (part.strip() for part in line.partition("="))
+        if key not in _KEYS:
+            raise ConfigError(f"{at}: unknown key {key!r}")
+        if not raw:
+            raise ConfigError(f"{at}: empty value for {key!r}")
+        scope = found
         if key == "noise.kind":
-            noise_blocks.append({"kind": (value, line_no)})
+            blocks.append(scope := {})
         elif key.startswith("noise."):
-            if not noise_blocks:
-                raise ConfigError(
-                    f"{source}, line {line_no}: {key} appears before any noise.kind"
-                )
-            noise_blocks[-1][key.removeprefix("noise.")] = (value, line_no)
-        else:
-            if key in scalars:
-                raise ConfigError(f"{source}, line {line_no}: duplicate key {key!r}")
-            scalars[key] = (value, line_no)
+            if not blocks:
+                raise ConfigError(f"{at}: {key} appears before any noise.kind")
+            scope = blocks[-1]
+            kind = scope["noise.kind"][0]
+            if key.removeprefix("noise.") not in NOISE_KINDS[kind].params:
+                raise ConfigError(f"{at}: {kind} noise takes no {key}")
+        if key in scope:
+            raise ConfigError(f"{at}: duplicate key {key!r}")
+        try:
+            scope[key] = (_KEYS[key][0](raw, key), line_no)
+        except ValueError as exc:
+            raise ConfigError(f"{at}: {exc}") from None
 
-    def take(key: str) -> tuple[str, int] | None:
-        return scalars.get(key)
-
-    def require(key: str) -> tuple[str, int]:
-        entry = take(key)
-        if entry is None:
-            raise ConfigError(f"{source}: missing required key {key!r}")
-        return entry
-
-    op_kind, op_line = require("operator.kind")
-    if op_kind not in OPERATOR_KINDS:
-        raise ConfigError(f"{source}, line {op_line}: unknown operator kind {op_kind!r}")
+    value = {key: default for key, (_, default) in _KEYS.items()}
+    value.update((key, v) for key, (v, _) in found.items())
+    line_of = {key: n for key, (_, n) in found.items()}
+    missing = [key for key, v in value.items() if v is _REQUIRED]
     # a well-posed spectrum has no exponent, but its block may carry the t
     # that the ill-posed cells of `rates` use
-    op_lines: list[int] = []
-    t = 0.0
-    entry = take("operator.t") if op_kind == WELL_POSED else require("operator.t")
-    if entry is not None:
-        t = _parse_float(entry[0], entry[1], "operator.t")
-        op_lines.append(entry[1])
-    op_scale = 1.0
-    if (entry := take("operator.scale")) is not None:
-        op_scale = _parse_float(entry[0], entry[1], "operator.scale")
-        op_lines.append(entry[1])
-    operator = _family(source, op_lines, OperatorFamily, op_kind, t, op_scale)
+    if value["operator.kind"] != WELL_POSED and "operator.t" not in found:
+        missing.append("operator.t")
+    if missing:
+        raise ConfigError(f"{source}: missing required key {missing[0]!r}")
 
-    sm_kind, sm_line = require("smoothness.kind")
-    if sm_kind not in SMOOTHNESS_KINDS:
-        raise ConfigError(f"{source}, line {sm_line}: unknown smoothness kind {sm_kind!r}")
-    entry = require("smoothness.s")
-    s = _parse_float(entry[0], entry[1], "smoothness.s")
-    sm_lines = [entry[1]]
-    sm_scale = 1.0
-    if (entry := take("smoothness.scale")) is not None:
-        sm_scale = _parse_float(entry[0], entry[1], "smoothness.scale")
-        sm_lines.append(entry[1])
-    smoothness = _family(source, sm_lines, SmoothnessFamily, sm_kind, s, sm_scale)
+    def family(maker: Callable, prefix: str, exponent: str):
+        keys = (f"{prefix}.{exponent}", f"{prefix}.scale")
+        lines = [line_of[key] for key in keys if key in line_of]
+        return _family(source, lines, maker, value[f"{prefix}.kind"], *(value[k] for k in keys))
 
-    entry = require("eps")
-    eps = _parse_float(entry[0], entry[1], "eps")
-    _check_noise_level(eps, f"{source}, line {entry[1]}: eps")
-
-    c = 3.0
-    if (entry := take("C")) is not None:
-        c = _parse_float(entry[0], entry[1], "C")
-        if not 1.0 <= c < math.inf:
-            raise ConfigError(
-                f"{source}, line {entry[1]}: C must be a finite number >= 1, got {c!r}"
-            )
-
-    n_max: int | None = None
-    if (entry := take("index_mode")) is not None:
-        if entry[0] != "infinite":
-            n_max = _parse_int(entry[0], entry[1], "index_mode")
-
-    d_max = DEFAULT_D_MAX
-    if (entry := take("D_max")) is not None:
-        d_max = _parse_int(entry[0], entry[1], "D_max")
-
-    try:
-        problem = ProblemSpec(
-            operator=operator,
-            smoothness=smoothness,
-            eps=eps,
-            n_max=n_max,
-            fourth_moment_bound=c,
-            d_max=d_max,
+    problem = ProblemSpec(
+        operator=family(OperatorFamily, "operator", "t"),
+        smoothness=family(SmoothnessFamily, "smoothness", "s"),
+        eps=value["eps"],
+        n_max=value["index_mode"],
+        fourth_moment_bound=value["C"],
+        d_max=value["D_max"],
+    )
+    test_d = value["test.D"]
+    if test_d is not None and test_d > problem.bandwidth_limit:
+        raise ConfigError(
+            f"{source}, line {line_of['test.D']}: test.D = {test_d} exceeds the bandwidth "
+            f"limit {problem.bandwidth_limit}"
         )
-    except ValueError as exc:
-        raise ConfigError(f"{source}: {exc}") from exc
 
-    noise_settings: list[NoiseSettings] = []
-    for block in noise_blocks:
-        kind, kind_line = block.pop("kind")
-        if kind not in NOISE_KINDS:
-            raise ConfigError(f"{source}, line {kind_line}: unknown noise kind {kind!r}")
-        params: dict[str, float] = {}
-        for name, (value, line_no) in block.items():
-            if name not in ("claimed_C", *NOISE_KINDS[kind].params):
-                raise ConfigError(f"{source}, line {line_no}: {kind} noise takes no noise.{name}")
-            params[name] = _parse_float(value, line_no, f"noise.{name}")
-        claimed_c = params.pop("claimed_C", None)
-        noise_settings.append(NoiseSettings(kind, params, claimed_c))
-
-    seed = 0
-    if (entry := take("rng.seed")) is not None:
-        seed = _parse_int(entry[0], entry[1], "rng.seed")
-        if not 0 <= seed < (1 << 64):
-            raise ConfigError(f"{source}, line {entry[1]}: rng.seed must be an unsigned 64-bit value")
-
-    alpha, beta = 0.1, 0.1
-    if (entry := take("test.alpha")) is not None:
-        alpha = _parse_float(entry[0], entry[1], "test.alpha")
-    if (entry := take("test.beta")) is not None:
-        beta = _parse_float(entry[0], entry[1], "test.beta")
-    for name, level in (("test.alpha", alpha), ("test.beta", beta)):
-        if not 0.0 < level < 1.0:
-            raise ConfigError(f"{source}: {name} must lie in (0, 1)")
-
-    test_d: int | None = None
-    if (entry := take("test.D")) is not None:
-        test_d = _parse_int(entry[0], entry[1], "test.D")
-        if test_d < 1:
-            raise ConfigError(f"{source}, line {entry[1]}: test.D must be positive")
-        if test_d > problem.bandwidth_limit:
-            raise ConfigError(
-                f"{source}, line {entry[1]}: test.D = {test_d} exceeds the bandwidth "
-                f"limit {problem.bandwidth_limit}"
-            )
-
-    c_beta_mode = "exact"
-    if (entry := take("test.c_beta_mode")) is not None:
-        c_beta_mode = entry[0]
-        if c_beta_mode not in ("exact", "practical"):
-            raise ConfigError(
-                f"{source}, line {entry[1]}: test.c_beta_mode must be 'exact' or 'practical'"
-            )
-
-    command: str | None = None
-    if (entry := take("run.command")) is not None:
-        command = entry[0]
-        if command not in COMMANDS:
-            raise ConfigError(f"{source}, line {entry[1]}: unknown command {command!r}")
-
-    eps_grid: tuple[float, ...] = ()
-    if (entry := take("run.eps_grid")) is not None:
-        raw_items = [item.strip() for item in entry[0].split(",") if item.strip()]
-        if not raw_items:
-            raise ConfigError(f"{source}, line {entry[1]}: run.eps_grid is empty")
-        grid = tuple(_parse_float(item, entry[1], "run.eps_grid") for item in raw_items)
-        if any(e <= 0 for e in grid) or any(b >= a for a, b in zip(grid, grid[1:])):
-            raise ConfigError(
-                f"{source}, line {entry[1]}: run.eps_grid must be strictly decreasing and positive"
-            )
-        for level in grid:
-            _check_noise_level(level, f"{source}, line {entry[1]}: run.eps_grid")
-        eps_grid = grid
-
-    reps = 10_000
-    if (entry := take("run.reps")) is not None:
-        reps = _parse_int(entry[0], entry[1], "run.reps")
-        if reps < 1:
-            raise ConfigError(f"{source}, line {entry[1]}: run.reps must be positive")
-
-    output_path: str | None = None
-    if (entry := take("run.output_path")) is not None:
-        output_path = entry[0]
-
-    cells: tuple[str, ...] = ALL_CELLS
-    if (entry := take("run.cells")) is not None:
-        if entry[0].strip() != "all":
-            requested = tuple(item.strip() for item in entry[0].split(",") if item.strip())
-            for cell in requested:
-                if cell not in ALL_CELLS:
-                    raise ConfigError(
-                        f"{source}, line {entry[1]}: unknown cell {cell!r}; "
-                        f"valid cells: {', '.join(ALL_CELLS)}"
-                    )
-            cells = requested
+    noise: list[NoiseSettings] = []
+    for block in blocks:
+        kind, _ = block.pop("noise.kind")
+        settings = NoiseSettings(
+            kind, {key.removeprefix("noise."): v for key, (v, _) in block.items()}
+        )
+        # built at one coordinate, so that every command reports a parameter
+        # the family rejects at its line
+        _family(source, [n for _, n in block.values()], settings.build, 1)
+        noise.append(settings)
 
     return ExperimentConfig(
         problem=problem,
-        noise=tuple(noise_settings),
-        alpha=alpha,
-        beta=beta,
+        noise=tuple(noise),
+        alpha=value["test.alpha"],
+        beta=value["test.beta"],
         test_d=test_d,
-        c_beta_mode=c_beta_mode,
-        eps_grid=eps_grid,
-        reps=reps,
-        seed=seed,
-        output_path=output_path,
-        command=command,
-        cells=cells,
+        c_beta_mode=value["test.c_beta_mode"],
+        eps_grid=value["run.eps_grid"],
+        reps=value["run.reps"],
+        seed=value["rng.seed"],
+        output_path=value["run.output_path"],
+        command=value["run.command"],
+        cells=value["run.cells"],
     )
 
 

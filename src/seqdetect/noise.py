@@ -135,7 +135,7 @@ def adversarial_sigma(dimension: int, d: Iterable[float] | float) -> Correlation
         dv = np.full(dimension, float(dv))
     if dv.shape != (dimension,):
         raise ValueError(f"need {dimension} factor loadings, got shape {dv.shape}")
-    if np.any(dv < _D_MIN_EQUICORRELATED - 1e-12) or np.any(dv >= 1.0):
+    if not np.all((dv >= _D_MIN_EQUICORRELATED - 1e-12) & (dv < 1.0)):
         raise ValueError("factor loadings must lie in [1/sqrt(2), 1)")
     m = np.outer(dv, dv)
     np.fill_diagonal(m, 1.0)
@@ -199,8 +199,7 @@ class NoiseModel(abc.ABC):
     claimed_fourth_moment: float
     #: Fixed coordinate count, or None when the model samples any dimension.
     dimension: int | None = None
-    #: Constructor parameters a config block may set as ``noise.<name>``,
-    #: besides ``claimed_fourth_moment`` (``noise.claimed_C``).
+    #: Constructor parameters a config block may set as ``noise.<name>``.
     params: tuple[str, ...] = ()
     #: True for the kinds built at a fixed dimension from dense D x D
     #: matrices; their constructors take the dimension first.

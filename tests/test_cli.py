@@ -20,16 +20,21 @@ Covers:
    noise key the block's kind does not take, and a rates cell without a
    usable exponent are config errors; --seed, --reps and
    --threads belong to simulate alone
+10. A calibration constant that is not a finite number above K1, a lower
+   bound that underflows to 0 and a grid a rate law cannot be fitted on are
+   config errors before any output; noise parameters are checked at load
 """
 
 import inspect
 import math
 import os
+import re
 from pathlib import Path
 
 import pytest
 
 from seqdetect import cli, detector, montecarlo, noise
+from seqdetect import config as config_mod
 from seqdetect.config import ALL_CELLS, ConfigError, parse_config
 from seqdetect.sequences import OperatorFamily, SmoothnessFamily
 
@@ -82,9 +87,18 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="line 2: unknown key 'operator.q'"):
             parse_config("operator.kind = well_posed\noperator.q = 3\n")
 
-    def test_duplicate_key_rejected(self):
-        text = BASE_CONFIG + "\neps = 0.5\n"
-        with pytest.raises(ConfigError, match="duplicate key 'eps'"):
+    @pytest.mark.parametrize(
+        "extra,message",
+        [
+            ("\neps = 0.5\n", "duplicate key 'eps'"),
+            # the same key twice within one noise block
+            ("noise.d = 1.5\n", "line 19: duplicate key 'noise.d'"),
+        ],
+        ids=["top-level", "noise-block"],
+    )
+    def test_duplicate_key_rejected(self, extra, message):
+        text = BASE_CONFIG + extra
+        with pytest.raises(ConfigError, match=message):
             parse_config(text)
 
     def test_noise_field_before_block(self):
@@ -142,6 +156,11 @@ class TestConfigParsing:
         assert config.problem.n_max == 32
         assert config.problem.bandwidth_limit == 32
 
+    def test_empty_cell_list_rejected(self):
+        # no cell to check would let rates pass without checking anything
+        with pytest.raises(ConfigError, match="line 19: run.cells is empty"):
+            parse_config(BASE_CONFIG + "run.cells = ,\n")
+
     def test_bad_cell_listed(self):
         with pytest.raises(ConfigError, match="unknown cell"):
             parse_config(BASE_CONFIG + "run.cells = well_posed/fancy\n")
@@ -153,15 +172,19 @@ class TestConfigParsing:
 
     @pytest.mark.parametrize("kind", noise.NOISE_KINDS)
     def test_noise_defaults_to_the_family_constant(self, kind):
-        # without noise.claimed_C a model keeps its class's own default
+        # a config block never sets the claimed constant: each model keeps
+        # its class's own default
         config = parse_config(BASE_CONFIG.split("noise.kind")[0] + f"noise.kind = {kind}\n")
         (settings,) = config.noise
         model = settings.build(4)
         default = inspect.signature(type(model)).parameters["claimed_fourth_moment"].default
         assert model.kind == kind
         assert model.claimed_fourth_moment == default
-        text = BASE_CONFIG.split("noise.kind")[0] + f"noise.kind = {kind}\nnoise.claimed_C = 9\n"
-        assert parse_config(text).noise[0].build(4).claimed_fourth_moment == 9.0
+
+    def test_schema_docstring_names_every_key(self):
+        # the schema docstring is the one prose copy of the key table
+        for key in config_mod._KEYS:
+            assert re.search(rf"^  {re.escape(key)} ", config_mod.__doc__, re.M), key
 
     def test_well_posed_block_carries_t_for_the_ill_posed_cells(self):
         text = BASE_CONFIG.replace(
@@ -395,8 +418,9 @@ class TestNoiseLevelSquare:
 
 
 class TestFamilyParameters:
-    """A family parameter the spectra cannot use is a config error (exit 2)
-    at the line that sets it, never a traceback."""
+    """A family parameter the spectra or a noise family cannot use is a
+    config error (exit 2) at the line that sets it, never a traceback, for
+    every command."""
 
     @pytest.mark.parametrize(
         "command,old,new,line,message",
@@ -437,6 +461,21 @@ class TestFamilyParameters:
                 "lines 5, 6",
                 "smoothness scale",
             ),
+            (
+                "calibrate",
+                "noise.kind = iid_gaussian",
+                "noise.kind = long_range_gaussian\nnoise.s = -5",
+                "line 10",
+                "decay exponent must be positive",
+            ),
+            (
+                "bounds",
+                "noise.kind = iid_gaussian",
+                "noise.kind = long_range_gaussian\nnoise.s = -5",
+                "line 10",
+                "decay exponent must be positive",
+            ),
+            ("rates", "noise.d = 0.7071067811865476", "noise.d = nan", "line 11", "factor loadings"),
         ],
         ids=[
             "smoothness-s-zero",
@@ -445,6 +484,9 @@ class TestFamilyParameters:
             "scale-square-underflows",
             "scale-square-overflows",
             "smoothness-scale-square-overflows",
+            "noise-s-negative-calibrate",
+            "noise-s-negative-bounds",
+            "noise-d-nan",
         ],
     )
     def test_rejected_at_load(self, tmp_path, capsys, command, old, new, line, message):
@@ -622,6 +664,83 @@ class TestBoundOverflow:
         assert cli.main([command, "--config", str(cfg), "--output", str(out)]) == 2
         err = capsys.readouterr().err
         assert f"{command}: at eps = 1 the upper bound overflows at every bandwidth" in err
+        assert not any(out.iterdir())
+
+
+class TestUnusableCalibrationOrFit:
+    """A calibration constant that is not a finite number above K1, a
+    practical constant that misses the calibration inequality, a lower bound
+    that underflows to 0 and a grid a rate law cannot be fitted on are config
+    errors (exit 2) before any output, never a traceback."""
+
+    PRACTICAL = ("test.alpha = 0.1", "test.alpha = 1e-7\ntest.c_beta_mode = practical")
+
+    @pytest.mark.parametrize(
+        "command,edits,message",
+        [
+            (
+                "simulate",
+                [("test.alpha = 0.1", "test.alpha = 1e-300")],
+                "simulate: the calibration constant c_beta = 2e+150 is not a finite number "
+                "above K1 = 2e+150",
+            ),
+            (
+                "bounds",
+                [("C = 3.0", "C = 1e300"), ("test.alpha = 0.1", "test.alpha = 1e-300")],
+                "bounds: the calibration constant c_beta = nan is not a finite number "
+                "above K1 = inf",
+            ),
+            (
+                "calibrate",
+                [("C = 3.0", "C = 1e300"), ("test.alpha = 0.04", "test.alpha = 1e-300")],
+                "calibrate: the calibration constant c_beta = nan",
+            ),
+            (
+                "bounds",
+                [PRACTICAL],
+                "bounds: practical constant 8*K2/beta = 3234.77 does not satisfy",
+            ),
+            (
+                "simulate",
+                [PRACTICAL],
+                "simulate: practical constant 8*K2/beta = 3234.77 does not satisfy",
+            ),
+            (
+                "rates",
+                [("smoothness.s = 0.75", "smoothness.s = 1e300")],
+                "cell 'well_posed/super_smooth': at eps = 0.0625 the lower bound underflows to 0",
+            ),
+            (
+                "bounds",
+                [("ordinary_smooth\nsmoothness.s = 1.0", "super_smooth\nsmoothness.s = 1e300")],
+                "bounds: at eps = 0.0625 the lower bound underflows to 0",
+            ),
+            (
+                "rates",
+                [("0.0625, 0.03125,", "10, 5, 2, 1.5, 1.25, 0.0625, 0.03125,")],
+                "cell 'well_posed/super_smooth': log-log fitting needs eps < 1",
+            ),
+        ],
+        ids=[
+            "exact-root-on-K1",
+            "K1-overflows-bounds",
+            "K1-overflows-calibrate",
+            "practical-bounds",
+            "practical-simulate",
+            "lower-bound-underflows-rates",
+            "lower-bound-underflows-bounds",
+            "log-log-fit-eps-above-1",
+        ],
+    )
+    def test_shipped_config_edit(self, tmp_path, capsys, command, edits, message):
+        text = original = (REPO / "configs" / f"{command}.cfg").read_text()
+        for old, new in edits:
+            text = text.replace(old, new)
+        assert all(new in text for _, new in edits) and text != original
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, text)
+        assert cli.main([command, "--config", str(cfg), "--output", str(out)]) == 2
+        assert f"config error: {message}" in capsys.readouterr().err
         assert not any(out.iterdir())
 
 
