@@ -26,7 +26,7 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from . import detector, montecarlo
-from .config import ConfigError, ExperimentConfig, load_config
+from .config import _KEYS, ConfigError, ExperimentConfig, load_config
 from .noise import AdversarialEquicorrelated, adversarial_sigma
 from .sequences import OperatorFamily, ProblemSpec, SmoothnessFamily, bias_term, sum_inv_b_sq
 
@@ -463,8 +463,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="path to the experiment config")
         p.add_argument("--output", default=None, help="output directory")
         if name == "simulate":
-            p.add_argument("--seed", type=int, default=None, help="override rng.seed")
-            p.add_argument("--reps", type=int, default=None, help="override run.reps")
+            p.add_argument("--seed", default=None, help="override rng.seed")
+            p.add_argument("--reps", default=None, help="override run.reps")
             p.add_argument("--threads", type=int, default=1, help="worker threads (default 1)")
     return parser
 
@@ -478,8 +478,15 @@ def main(argv: list[str] | None = None) -> int:
                 f"config pins run.command = {config.command!r} but {args.command!r} was invoked"
             )
         if args.command == "simulate":
-            overrides = {"seed": args.seed, "reps": args.reps}
-            config = replace(config, **{k: v for k, v in overrides.items() if v is not None})
+            # each flag is read and checked as its config key would be
+            overrides = {}
+            for field, key, raw in (("seed", "rng.seed", args.seed), ("reps", "run.reps", args.reps)):
+                if raw is not None:
+                    try:
+                        overrides[field] = _KEYS[key][0](raw, key)
+                    except ValueError as exc:
+                        raise ConfigError(f"--{field}: {exc}") from None
+            config = replace(config, **overrides)
         _check_lower_bound_levels(config, args.command)
         _check_null_threshold(config, args.command)
         out_dir = Path(args.output or config.output_path or ".")

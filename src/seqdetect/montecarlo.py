@@ -2,24 +2,29 @@
 
 Type I / type II error rates are estimated by exact rejection counting over
 independent replications.  Replications run in fixed-size blocks: block b
-draws the noise of all its rows from one stream derived from (seed, b), and
-the statistic of the whole block is one matrix-vector product.  The block
-size depends on the bandwidth alone, so estimates are identical for any
-thread count and any reduction order.  Both error types are counted from one
-draw: a block's type I count is taken on y = eps xi, then the signal shift is
-added to y in place and its type II count taken, so `estimate_type2` also
-returns the type I estimate of the same replications.
+draws the noise of all its rows from one stream derived from (seed, b).  The
+block size depends on the bandwidth alone, so estimates are identical for any
+thread count and any reduction order.
 
-The empirical separation radius reuses those blocks.  For a spike at
-coordinate D the statistic of each replication is a quadratic in the spike
-radius, so one pass over the null noise gives every replication's accept
-interval, and the radius where the type II error last drops to beta is read
-off the sorted interval endpoints, with no re-draws.
+Every estimate reads the statistic off two numbers per replication of a
+block y = eps xi (`_statistics`): the null statistic
+T0 = sum_{k<=D} w_k (y_k^2 - eps^2), w_k = b_k^-2, and a projection
+L = y . v.  Since w_k b_k^2 = 1, the same noise under a signal theta has the
+statistic T0 + s'Ws + 2 y'Ws, with s = b theta and W = diag(w).  So with
+v = 2Ws one pass counts type I (T0 >= threshold) and type II
+(T0 + L + s'Ws < threshold) on the same draws, and `estimate_type1` is the
+type I half of that pass at theta = 0.
+
+The empirical separation radius reuses those blocks.  For a spike of radius r
+at coordinate D, v = e_D / b_D gives T(r) = T0 + r^2 + 2 r L, so one pass
+over the null noise gives every replication's accept interval in r, and the
+radius where the type II error last drops to beta is read off the sorted
+interval endpoints, with no re-draws.
 
 The module also carries the machinery of the two-point lower-bound argument:
 the least-favourable signal aligned with an adversarial covariance, and the
-chi-square divergence E_0[L^2] of the induced likelihood ratio, in closed
-form and as a Monte Carlo cross-check over the same replication blocks.
+chi-square divergence of the induced likelihood ratio, in closed form and as
+a Monte Carlo cross-check over the same replication blocks.
 """
 
 from __future__ import annotations
@@ -101,9 +106,9 @@ def _map_blocks(
     Replications come in blocks of ``max(1, _MC_BLOCK_ELEMENTS // D)`` rows
     (the last block may be shorter); block b draws all its rows from
     ``replication_rng(seed, b)`` and holds y = eps xi, one row per
-    replication, in a fresh array that ``reduce`` may overwrite.  Threads
-    split the block indices into contiguous ranges and the results are
-    returned in block order, so they are the same at any thread count.
+    replication.  Up to ``threads`` workers, never more than there are
+    blocks, split the block indices into contiguous ranges and the results
+    are returned in block order, so they are the same at any thread count.
     """
     rows = max(1, _MC_BLOCK_ELEMENTS // d)
     n_blocks = -(-reps // rows)
@@ -115,43 +120,26 @@ def _map_blocks(
             out.append(reduce(eps * model.sample_block(n, d, replication_rng(seed, b))))
         return out
 
-    if threads <= 1:
+    workers = min(threads, n_blocks)
+    if workers <= 1:
         return run_blocks(0, n_blocks)
-    bounds = np.linspace(0, n_blocks, threads + 1).astype(int)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    bounds = np.linspace(0, n_blocks, workers + 1).astype(int)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(run_blocks, int(lo), int(hi)) for lo, hi in zip(bounds, bounds[1:])]
         return [r for f in futures for r in f.result()]
 
 
-def _count_rejections(
-    spec: ProblemSpec,
-    config: detector.DetectorConfig,
-    model: NoiseModel,
-    shift: np.ndarray | None,
-    reps: int,
-    seed: int,
-    threads: int,
-) -> list[int]:
-    """Numbers of replications with T_D >= threshold, for y = eps xi and,
-    when a shift is given, for y = shift + eps xi on the same draws.
+def _statistics(
+    w: np.ndarray, eps: float, v: np.ndarray
+) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """Block reducer y -> (T0, L) for the weights w_k = b_k^-2, k <= D.
 
-    The per-block counts are integers, so the totals are exact at any thread
-    count.
+    Row i of a block y = eps xi gives the null statistic
+    T0[i] = sum_k w_k (y_ik^2 - eps^2) and the projection L[i] = y_i . v;
+    every estimate of this module is a function of these two numbers.
     """
-    d = config.d
-    w = spec.operator.inv_sq_array(np.arange(1, d + 1))
-    eps2 = spec.eps**2
-    thr = config.threshold
-
-    def reduce(y: np.ndarray) -> list[int]:
-        counts = [int(np.count_nonzero((y * y - eps2) @ w >= thr))]
-        if shift is not None:
-            y += shift
-            counts.append(int(np.count_nonzero((y * y - eps2) @ w >= thr)))
-        return counts
-
-    blocks = _map_blocks(model, d, spec.eps, reps, seed, threads, reduce)
-    return [sum(column) for column in zip(*blocks)]
+    eps2 = eps**2
+    return lambda y: ((y * y - eps2) @ w, y @ v)
 
 
 def _estimate(
@@ -176,12 +164,9 @@ def estimate_type1(
     seed: int,
     threads: int = 1,
 ) -> McEstimate:
-    """Fraction of replications rejecting the null under theta = 0."""
-    start = time.perf_counter()
-    _check_reps(reps)
-    spec.check_bandwidth(config.d)
-    (count,) = _count_rejections(spec, config, model, None, reps, seed, threads)
-    return _estimate(count, reps, seed, start)
+    """Fraction of replications rejecting the null under theta = 0: the
+    ``type1`` of `estimate_type2` at the zero signal."""
+    return estimate_type2(spec, config, model, Signal.zero(), reps, seed, threads).type1
 
 
 def estimate_type2(
@@ -196,9 +181,9 @@ def estimate_type2(
     """Fraction of replications accepting the null under the given signal.
 
     The signal must belong to the smoothness ellipsoid.  The result's
-    ``type1`` is the type I estimate counted on the same noise draws before
-    the signal is added: it equals `estimate_type1` at this seed, so one call
-    gives both error rates of a row.
+    ``type1`` is the type I estimate counted on the same noise draws: it
+    equals `estimate_type1` at this seed, so one call gives both error rates
+    of a row.
     """
     start = time.perf_counter()
     _check_reps(reps)
@@ -209,8 +194,20 @@ def estimate_type2(
         )
     d = config.d
     spec.check_bandwidth(d)
-    shift = spec.operator.value_array(np.arange(1, d + 1)) * theta.array(d)
-    null, count = _count_rejections(spec, config, model, shift, reps, seed, threads)
+    ks = np.arange(1, d + 1)
+    w = spec.operator.inv_sq_array(ks)
+    s = spec.operator.value_array(ks) * theta.array(d)
+    ws = w * s
+    shift = float(s @ ws)
+    statistics = _statistics(w, spec.eps, 2.0 * ws)
+    thr = config.threshold
+
+    def reduce(y: np.ndarray) -> tuple[int, int]:
+        t0, proj = statistics(y)
+        return int(np.count_nonzero(t0 >= thr)), int(np.count_nonzero(t0 + (proj + shift) >= thr))
+
+    counts = _map_blocks(model, d, spec.eps, reps, seed, threads, reduce)
+    null, count = (sum(column) for column in zip(*counts))
     return _estimate(reps - count, reps, seed, start, _estimate(null, reps, seed, start))
 
 
@@ -274,39 +271,23 @@ class SeparationEstimate:
     iterations: int
 
 
-def _null_statistics(
-    spec: ProblemSpec, d: int, model: NoiseModel, reps: int, seed: int, threads: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """(T_D, eps xi_D) of every replication under the null, in replication
-    order, from the same blocks and streams as `estimate_type1`."""
-    w = spec.operator.inv_sq_array(np.arange(1, d + 1))
-    eps2 = spec.eps**2
-    parts = _map_blocks(
-        model, d, spec.eps, reps, seed, threads,
-        # a copy, so no view keeps the whole block alive
-        lambda y: ((y * y - eps2) @ w, y[:, -1].copy()),
-    )
-    return np.concatenate([t0 for t0, _ in parts]), np.concatenate([z for _, z in parts])
-
-
 def _last_down_crossing(
     t0: np.ndarray,
-    z: np.ndarray,
+    proj: np.ndarray,
     *,
     threshold: float,
-    w_d: float,
-    b_d: float,
     beta: float,
     r_cap: float,
 ) -> tuple[float, bool]:
     """(r*, bracketed) for the exact type II curve of a spike at coordinate D.
 
-    Replication i has null statistic ``t0[i]`` and coordinate-D noise
-    ``z[i] = eps xi_D``; a spike of radius r shifts y_D by s = b_D r, so
-    T(r) = t0 + w_D (s^2 + 2 s z) and the replication accepts (T < threshold)
-    exactly on the open interval of s between the roots of
-    s^2 + 2 z s - (threshold - t0) / w_D, or nowhere.  The empirical type II
-    error F(r) is the fraction of these intervals that contain b_D r, and
+    Replication i has null statistic ``t0[i]`` and projection
+    ``proj[i] = y_iD / b_D``; a spike of radius r gives
+    T(r) = t0 + r^2 + 2 proj r, so the replication accepts (T < threshold)
+    exactly on the open interval of r between the roots of
+    r^2 + 2 proj r - (threshold - t0), or nowhere.
+    The empirical type II error F(r) is the fraction of these intervals that
+    contain r, and
 
         r* = inf{r in [0, r_cap] : F <= beta on all of [r, r_cap]},
 
@@ -314,14 +295,14 @@ def _last_down_crossing(
     gives (0, False) and F(r_cap) > beta gives (r_cap, False).
     """
     reps = t0.size
-    c = (threshold - t0) / w_d
-    disc = z * z + c
+    c = threshold - t0
+    disc = proj * proj + c
     accepts = disc > 0
-    z, c, root = z[accepts], c[accepts], np.sqrt(disc[accepts])
+    proj, c, root = proj[accepts], c[accepts], np.sqrt(disc[accepts])
     # one root without cancellation, the other from the product -c
-    q = -(z + np.copysign(root, z))
-    lo = np.minimum(q, -c / q) / b_d
-    hi = np.maximum(q, -c / q) / b_d
+    q = -(proj + np.copysign(root, proj))
+    lo = np.minimum(q, -c / q)
+    hi = np.maximum(q, -c / q)
 
     def type2(r: float) -> float:
         return np.count_nonzero((lo < r) & (r < hi)) / reps
@@ -365,14 +346,17 @@ def empirical_separation_radius(
     _check_reps(reps)
     config = detector.calibrate(spec, alpha, beta, d=d)
     d = config.d
-    t0, z = _null_statistics(spec, d, model, reps, seed, threads)
-    last = np.array([d])
+    ks = np.arange(1, d + 1)
+    v = np.zeros(d)
+    v[-1] = 1.0 / spec.operator.value_array(ks[-1:])[0]
+    parts = _map_blocks(
+        model, d, spec.eps, reps, seed, threads,
+        _statistics(spec.operator.inv_sq_array(ks), spec.eps, v),
+    )
     radius, bracketed = _last_down_crossing(
-        t0,
-        z,
+        np.concatenate([t0 for t0, _ in parts]),
+        np.concatenate([proj for _, proj in parts]),
         threshold=config.threshold,
-        w_d=float(spec.operator.inv_sq_array(last)[0]),
-        b_d=float(spec.operator.value_array(last)[0]),
         beta=beta,
         r_cap=math.sqrt(bias_term(spec, d)),
     )

@@ -759,6 +759,24 @@ class TestSimulateOnlyFlags:
         assert f"unrecognized arguments: {flag} 2" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flag,value,message",
+        [
+            ("--seed", "-1", "--seed: rng.seed must be an unsigned 64-bit value, got -1"),
+            ("--seed", str(1 << 64), "--seed: rng.seed must be an unsigned 64-bit value"),
+            ("--reps", "0", "--reps: run.reps must be positive, got 0"),
+        ],
+    )
+    def test_values_checked_as_their_keys(self, tmp_path, capsys, flag, value, message):
+        # the flags go through the rng.seed and run.reps readers of a config
+        # file, so a bad value is a config error before any output
+        cfg = write_config(tmp_path)
+        out = tmp_path / "out"
+        argv = ["simulate", "--config", str(cfg), "--output", str(out), flag, value]
+        assert cli.main(argv) == 2
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_thread_default_ignores_the_environment(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SEQDETECT_THREADS", "zebra")
         args = cli.build_parser().parse_args(["simulate", "--config", "x.cfg"])

@@ -137,34 +137,76 @@ class TestBlockedKernelReference:
     # ragged last one.
     CASES = [(1, 2 * 8192 + 100), (7, 3 * (8192 // 7) + 17), (30, 1000)]
 
+    @staticmethod
+    def _inputs(d):
+        """(spec, signal, noise models): a spike on the flat spectrum, and on
+        b_k = k^-1/2 a signal on every coordinate with alternating signs,
+        whose terms w_k s_k^2 of s'Ws are not theta_k^2 bitwise, so the
+        counts check the identity T0 + s'Ws + 2 y'Ws itself."""
+        flat = flat_spec(eps=0.1)
+        mild = ProblemSpec(
+            OperatorFamily.mildly_ill_posed(0.5),
+            SmoothnessFamily.ordinary_smooth(1.0),
+            eps=0.1,
+            fourth_moment_bound=3.0,
+        )
+        spread = Signal(tuple((-1.0) ** k * 0.02 / k for k in range(1, 31)))
+        ks = np.arange(1, d + 1)
+        s = mild.operator.value_array(ks) * spread.array(d)
+        assert d == 1 or np.any(s * (mild.operator.inv_sq_array(ks) * s) != spread.array(d) ** 2)
+        return [
+            (flat, boundary_signal(flat, 1, 0.05), [IidGaussian(), AdversarialEquicorrelated(d)]),
+            (mild, spread, [IidGaussian(), AdversarialEquicorrelated(d), LongRangeGaussian(d)]),
+        ]
+
     @pytest.mark.parametrize("d,reps", CASES)
     def test_counts_match_row_by_row_decisions(self, d, reps):
         rows = max(1, montecarlo._MC_BLOCK_ELEMENTS // d)
         assert -(-reps // rows) >= 3 and reps % rows != 0
+        for spec, theta, models in self._inputs(d):
+            # threshold 0 puts the rejection rate well inside (0, 1), so both
+            # the rejecting and the accepting rows are exercised
+            config = dataclasses.replace(detector.calibrate(spec, 0.1, 0.1, d=d), threshold=0.0)
+            shift = spec.operator.value_array(np.arange(1, d + 1)) * theta.array(d)
+            for i, model in enumerate(models):
+                seed = 1000 + d + i
+                ref1 = _reference_rejections(spec, config, model, np.zeros(d), reps, seed)
+                ref2 = _reference_rejections(spec, config, model, shift, reps, seed)
+                assert 0 < ref1 < reps and 0 < ref2 < reps
+                # four threads exceed the three blocks of the d = 1 case
+                for threads in (1, 2, 4):
+                    est1 = montecarlo.estimate_type1(
+                        spec, config, model, reps, seed, threads=threads
+                    )
+                    est2 = montecarlo.estimate_type2(
+                        spec, config, model, theta, reps, seed, threads=threads
+                    )
+                    assert est1.p_hat == ref1 / reps, (model.kind, threads)
+                    assert est2.p_hat == (reps - ref2) / reps, (model.kind, threads)
+
+    def test_pool_never_exceeds_the_blocks(self, monkeypatch):
+        # D = 7: two full blocks and a ragged third; 64 threads ask for no
+        # more workers than there are blocks, and the counts do not move
+        d, reps = 7, 2 * (8192 // 7) + 17
         spec = flat_spec(eps=0.1)
-        # threshold 0 puts the rejection rate well inside (0, 1), so both
-        # the rejecting and the accepting rows are exercised
         config = dataclasses.replace(detector.calibrate(spec, 0.1, 0.1, d=d), threshold=0.0)
-        theta = boundary_signal(spec, 1, 0.05)
-        shift = spec.operator.value_array(np.arange(1, d + 1)) * theta.array(d)
-        for i, model in enumerate([IidGaussian(), AdversarialEquicorrelated(d)]):
-            seed = 1000 + d + i
-            ref1 = _reference_rejections(spec, config, model, np.zeros(d), reps, seed)
-            ref2 = _reference_rejections(spec, config, model, shift, reps, seed)
-            assert 0 < ref1 < reps and 0 < ref2 < reps
-            # four threads exceed the three blocks of the d = 1 case
-            for threads in (1, 2, 4):
-                est1 = montecarlo.estimate_type1(spec, config, model, reps, seed, threads=threads)
-                est2 = montecarlo.estimate_type2(
-                    spec, config, model, theta, reps, seed, threads=threads
-                )
-                assert est1.p_hat == ref1 / reps, (model.kind, threads)
-                assert est2.p_hat == (reps - ref2) / reps, (model.kind, threads)
+        want = montecarlo.estimate_type1(spec, config, IidGaussian(), reps, 5)
+        workers = []
+        real_pool = montecarlo.ThreadPoolExecutor
+
+        def recording_pool(max_workers):
+            workers.append(max_workers)
+            return real_pool(max_workers=max_workers)
+
+        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", recording_pool)
+        got = montecarlo.estimate_type1(spec, config, IidGaussian(), reps, 5, threads=64)
+        assert workers and max(workers) <= 3
+        assert got.p_hat == want.p_hat
 
 
 class TestTypeOneFromTheTypeTwoDraws:
-    """`estimate_type2` counts type I on the same blocks before adding the
-    shift, so its ``type1`` is `estimate_type1` at the same seed."""
+    """`estimate_type2` counts type I on the same blocks as type II, so its
+    ``type1`` is `estimate_type1` at the same seed."""
 
     def test_matches_estimate_type1(self):
         # D = 7: three full blocks of 1170 rows and a ragged last one of 17
@@ -431,14 +473,12 @@ class TestSeparationRadius:
 
 
 def _crossing(t0, z, beta, r_cap=10.0):
-    # threshold 0 and unit weights: replication i accepts on the open s
-    # interval where s^2 + 2 z_i s + t0_i < 0, and s = r
+    # threshold 0: replication i accepts on the open r interval where
+    # r^2 + 2 z_i r + t0_i < 0
     return montecarlo._last_down_crossing(
         np.array(t0, dtype=float),
         np.array(z, dtype=float),
         threshold=0.0,
-        w_d=1.0,
-        b_d=1.0,
         beta=beta,
         r_cap=r_cap,
     )
@@ -554,7 +594,14 @@ class TestExactSeparationRadius:
         d, reps, seed = 7, 3 * (8192 // 7) + 17, 11
         spec = flat_spec(eps=0.1)
         model = AdversarialEquicorrelated(d, INV_SQRT2)
-        t0, z = montecarlo._null_statistics(spec, d, model, reps, seed, threads=2)
+        v = np.zeros(d)
+        v[-1] = 1.0  # b_D = 1 on the flat spectrum, so L = y_D
+        w = spec.operator.inv_sq_array(np.arange(1, d + 1))
+        parts = montecarlo._map_blocks(
+            model, d, spec.eps, reps, seed, 2, montecarlo._statistics(w, spec.eps, v)
+        )
+        t0 = np.concatenate([t0 for t0, _ in parts])
+        z = np.concatenate([z for _, z in parts])
         rows = max(1, montecarlo._MC_BLOCK_ELEMENTS // d)
         ref_t0, ref_z, scale = [], [], []
         for b in range(-(-reps // rows)):
