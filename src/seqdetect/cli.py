@@ -345,22 +345,22 @@ def _write_divergence_check(config: ExperimentConfig, loading: float, out_dir: P
 
     At the lower-bound radius the chi-square divergence must not exceed the
     budget 1 + 4 (1 - alpha - beta)^2, and the spectral/alignment bounds used
-    to prove it must hold."""
+    to prove it must hold.  Every D reads the leading block of one matrix,
+    whose entries d^2 do not depend on its size."""
     problem = config.problem
     budget = bounds_mod.c_alpha_beta(config.alpha, config.beta)
     coeff = bounds_mod.lower_coefficient(config.alpha, config.beta)
     lines = [f"divergence_budget = {_fmt(budget)}"]
     ok = True
+    sigma = adversarial_sigma(min(_DIVERGENCE_CHECK_DS[-1], problem.bandwidth_limit), loading)
     for d in _DIVERGENCE_CHECK_DS:
         if d > problem.bandwidth_limit:
             break
-        sigma = adversarial_sigma(d, loading)
         s_w = sum_inv_b_sq(problem, d)
         if math.isinf(s_w):
             break
         r_sq = min(coeff * problem.eps**2 * s_w, bias_term(problem, d))
-        value = montecarlo.chi_sq_divergence(problem, d, math.sqrt(r_sq), sigma)
-        _, _, rho_sq, v_sigma_v = montecarlo.direction_stats(problem, d, sigma)
+        value, rho_sq, v_sigma_v = montecarlo._chi_sq_chain(problem, d, math.sqrt(r_sq), sigma)
         holds = (
             value <= budget + 1e-10
             and v_sigma_v <= d

@@ -435,6 +435,14 @@ def chi_sq_divergence(
     the null, both under Gaussian noise with covariance sigma_star; the
     matrix must be strictly positive definite for the densities to exist.
     """
+    return _chi_sq_chain(spec, d, r, sigma_star)[0]
+
+
+def _chi_sq_chain(
+    spec: ProblemSpec, d: int, r: float, sigma_star: CorrelationMatrix
+) -> tuple[float, float, float]:
+    """`chi_sq_divergence` with the rho^2 and v' Sigma v of `direction_stats`
+    it is computed from: the three quantities of the lower-bound chain."""
     spec.check_bandwidth(d)
     if r < 0:
         raise ValueError("radius must be non-negative")
@@ -442,7 +450,7 @@ def chi_sq_divergence(
     if d > 0 and float(np.linalg.eigvalsh(sub)[0]) <= 1e-12:
         raise ValueError("covariance must be strictly positive definite")
     _, _, rho_sq, v_sigma_v = direction_stats(spec, d, sigma_star)
-    return math.exp(r * r * v_sigma_v / (spec.eps**2 * rho_sq))
+    return math.exp(r * r * v_sigma_v / (spec.eps**2 * rho_sq)), rho_sq, v_sigma_v
 
 
 def chi_sq_divergence_mc(

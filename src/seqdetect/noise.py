@@ -49,11 +49,11 @@ GAUSSIAN_FOURTH_MOMENT = 3.0
 
 #: Largest dimension for which the dense correlated families
 #: (`long_range_correlation`, `adversarial_sigma`) build their D x D matrices.
-#: Memory grows as D^2 and the eigendecompositions as D^3: preparing a
-#: long-range model peaks at about 95 MB and takes 0.66 s at D = 1024, and
-#: 270 MB and 4.4 s at D = 2048 (one BLAS thread), so this limit allows about
-#: 1 GB and half a minute, where an unchecked D = 65536 asks for 32 GiB per
-#: matrix.
+#: Memory grows as D^2 and the eigendecomposition as D^3: building a
+#: long-range model raises peak RSS by about 47 MB and takes 0.5-0.6 s at
+#: D = 1024, and 176 MB and 3.7 s at D = 2048 (one BLAS thread), so this limit
+#: allows under 1 GB and about half a minute, where an unchecked D = 65536
+#: asks for 32 GiB per matrix.
 MAX_DENSE_DIMENSION = 4096
 
 
@@ -113,20 +113,17 @@ def check_dense_dimension(kind: str, dimension: int) -> None:
         )
 
 
-def _symmetric_sqrt(matrix: np.ndarray) -> np.ndarray:
-    """Symmetric PSD square root, clipping tiny negative eigenvalues."""
-    w, v = np.linalg.eigh(matrix)
+def _symmetric_sqrt(w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Symmetric PSD square root (v sqrt(w)) v' of the matrix with
+    eigendecomposition ``w, v = np.linalg.eigh(matrix)``, clipping tiny
+    negative eigenvalues."""
     w = np.clip(w, 0.0, None)
     return (v * np.sqrt(w)) @ v.T
 
 
-def adversarial_sigma(dimension: int, d: Iterable[float] | float) -> CorrelationMatrix:
-    """Correlation matrix of the common-factor construction: entries d_k d_l.
-
-    Requires 1/sqrt(2) <= d_k < 1, which pins every off-diagonal entry at or
-    above 1/2.  The matrix is PSD by construction: it equals
-    I - diag(d^2) + d d', a rank-one bump of a positive diagonal.
-    """
+def _equicorrelated_loadings(dimension: int, d: Iterable[float] | float) -> np.ndarray:
+    """The factor loadings of `adversarial_sigma`, one per coordinate, after
+    its dimension and loading checks."""
     if dimension < 1:
         raise ValueError("dimension must be positive")
     check_dense_dimension("adversarial_equicorrelated", dimension)
@@ -137,9 +134,69 @@ def adversarial_sigma(dimension: int, d: Iterable[float] | float) -> Correlation
         raise ValueError(f"need {dimension} factor loadings, got shape {dv.shape}")
     if not np.all((dv >= _D_MIN_EQUICORRELATED - 1e-12) & (dv < 1.0)):
         raise ValueError("factor loadings must lie in [1/sqrt(2), 1)")
+    return dv
+
+
+def adversarial_sigma(dimension: int, d: Iterable[float] | float) -> CorrelationMatrix:
+    """Correlation matrix of the common-factor construction: entries d_k d_l.
+
+    Requires 1/sqrt(2) <= d_k < 1, which pins every off-diagonal entry at or
+    above 1/2.  The matrix is PSD by construction: it equals
+    I - diag(d^2) + d d', a rank-one bump of a positive diagonal.
+    """
+    dv = _equicorrelated_loadings(dimension, d)
     m = np.outer(dv, dv)
     np.fill_diagonal(m, 1.0)
     return CorrelationMatrix(m, validate_psd=False)
+
+
+def _toeplitz(row: np.ndarray) -> np.ndarray:
+    """Read-only symmetric Toeplitz view with entries row[|k-l|]."""
+    full = np.concatenate((row[:0:-1], row))
+    return np.lib.stride_tricks.sliding_window_view(full, row.size)[::-1]
+
+
+def _long_range(
+    dimension: int, s: float, c: float
+) -> tuple[CorrelationMatrix, tuple[np.ndarray, np.ndarray] | None]:
+    """`long_range_correlation`, with the ``eigh`` of its entries when they
+    are the accepted proposal itself (None when they were repaired)."""
+    if dimension < 1:
+        raise ValueError("dimension must be positive")
+    check_dense_dimension("long_range_gaussian", dimension)
+    if not s > 0:
+        raise ValueError("decay exponent must be positive")
+    if not 0.0 < c <= 1.0:
+        raise ValueError("amplitude must lie in (0, 1]")
+
+    # one Toeplitz row of |k-l|^-s; the D x D matrices index it by |k-l|
+    decay = np.ones(dimension)
+    decay[1:] = np.arange(1, dimension, dtype=float) ** (-s)
+    envelope = _toeplitz(c * decay + 1e-12)
+
+    c_try = c
+    while c_try >= _MIN_LONG_RANGE_AMPLITUDE:
+        proposal = c_try * _toeplitz(decay)
+        np.fill_diagonal(proposal, 1.0)
+        w, v = np.linalg.eigh(proposal)
+        if float(w[0]) >= -_EIG_TOLERANCE:
+            repaired, eig = proposal, (w, v)
+        else:
+            eig = None
+            clipped = (v * np.clip(w, 0.0, None)) @ v.T
+            diag = np.sqrt(np.clip(np.diag(clipped), 1e-300, None))
+            repaired = clipped / np.outer(diag, diag)
+            repaired = (repaired + repaired.T) / 2.0
+            np.fill_diagonal(repaired, 1.0)
+        within = np.abs(repaired) <= envelope
+        np.fill_diagonal(within, True)
+        if within.all():
+            return CorrelationMatrix(repaired, validate_psd=False), eig
+        c_try *= _LONG_RANGE_SHRINK
+    raise ValueError(
+        f"no amplitude >= {_MIN_LONG_RANGE_AMPLITUDE} yields a PSD matrix within the "
+        f"decay envelope (dimension {dimension}, s = {s}, c = {c})"
+    )
 
 
 def long_range_correlation(dimension: int, s: float, c: float = 0.5) -> CorrelationMatrix:
@@ -150,46 +207,13 @@ def long_range_correlation(dimension: int, s: float, c: float = 0.5) -> Correlat
     matrix must still satisfy the decay envelope |Sigma_kl| <= c |k-l|^-s,
     otherwise the amplitude is shrunk geometrically (factor 0.8) and the
     construction retried.  Fails below amplitude 1e-3.
+
+    Each try builds one D x D proposal from the D powers |k-l|^-s and runs one
+    ``eigh`` on it, which serves the PSD test and the repair;
+    `LongRangeGaussian` also takes its sampling factor from that ``eigh``
+    when the proposal needed no repair.
     """
-    if dimension < 1:
-        raise ValueError("dimension must be positive")
-    check_dense_dimension("long_range_gaussian", dimension)
-    if not s > 0:
-        raise ValueError("decay exponent must be positive")
-    if not 0.0 < c <= 1.0:
-        raise ValueError("amplitude must lie in (0, 1]")
-
-    idx = np.arange(dimension)
-    gaps = np.abs(idx[:, None] - idx[None, :]).astype(float)
-    with np.errstate(divide="ignore"):
-        decay = np.where(gaps > 0, gaps ** (-s), 1.0)
-    envelope = c * decay
-    np.fill_diagonal(envelope, 1.0)
-
-    c_try = c
-    while c_try >= _MIN_LONG_RANGE_AMPLITUDE:
-        proposal = c_try * decay
-        np.fill_diagonal(proposal, 1.0)
-        if dimension == 1:
-            return CorrelationMatrix(proposal, validate_psd=False)
-        eigmin = float(np.linalg.eigvalsh(proposal)[0])
-        if eigmin >= -_EIG_TOLERANCE:
-            repaired = proposal
-        else:
-            w, v = np.linalg.eigh(proposal)
-            clipped = (v * np.clip(w, 0.0, None)) @ v.T
-            diag = np.sqrt(np.clip(np.diag(clipped), 1e-300, None))
-            repaired = clipped / np.outer(diag, diag)
-            repaired = (repaired + repaired.T) / 2.0
-            np.fill_diagonal(repaired, 1.0)
-        off = ~np.eye(dimension, dtype=bool)
-        if np.all(np.abs(repaired[off]) <= envelope[off] + 1e-12):
-            return CorrelationMatrix(repaired, validate_psd=False)
-        c_try *= _LONG_RANGE_SHRINK
-    raise ValueError(
-        f"no amplitude >= {_MIN_LONG_RANGE_AMPLITUDE} yields a PSD matrix within the "
-        f"decay envelope (dimension {dimension}, s = {s}, c = {c})"
-    )
+    return _long_range(dimension, s, c)[0]
 
 
 class NoiseModel(abc.ABC):
@@ -285,7 +309,7 @@ class CorrelatedGaussian(NoiseModel):
         self.claimed_fourth_moment = float(claimed_fourth_moment)
         self._cov = cov
         self.dimension = cov.dimension
-        self._factor = _symmetric_sqrt(cov.entries)
+        self._factor = _symmetric_sqrt(*np.linalg.eigh(cov.entries))
 
     def sample_block(self, n: int, d: int, rng: np.random.Generator) -> np.ndarray:
         self._check_dimension(d)
@@ -299,7 +323,10 @@ class CorrelatedGaussian(NoiseModel):
 
 class LongRangeGaussian(CorrelatedGaussian):
     """Gaussian noise with |k-l|^-s correlation decay at amplitude c <= 1,
-    built at a fixed dimension from `long_range_correlation`."""
+    built at a fixed dimension from `long_range_correlation`.
+
+    The sampling factor reuses the ``eigh`` that tested the accepted proposal
+    for PSD; only a repaired matrix is decomposed again."""
 
     kind = "long_range_gaussian"
     params = ("s", "c")
@@ -312,7 +339,13 @@ class LongRangeGaussian(CorrelatedGaussian):
         c: float = 0.5,
         claimed_fourth_moment: float = GAUSSIAN_FOURTH_MOMENT,
     ):
-        super().__init__(long_range_correlation(dimension, s, c), claimed_fourth_moment)
+        cov, eig = _long_range(dimension, s, c)
+        self.claimed_fourth_moment = float(claimed_fourth_moment)
+        self._cov = cov
+        self.dimension = cov.dimension
+        if eig is None:
+            eig = np.linalg.eigh(cov.entries)
+        self._factor = _symmetric_sqrt(*eig)
         self.s = float(s)
         self.c = float(c)
 
@@ -324,7 +357,8 @@ class AdversarialEquicorrelated(NoiseModel):
     shared factor eta_0 pushes every pairwise correlation to d_k d_l >= 1/2.
     Sampling draws the shared factor plus independent remainders directly,
     which is both cheaper than a matrix factor and exactly the defining
-    representation.
+    representation.  The constructor checks the dimension and the loadings;
+    the D x D matrix d_k d_l is built only by the first `correlation` call.
     """
 
     kind = "adversarial_equicorrelated"
@@ -337,12 +371,10 @@ class AdversarialEquicorrelated(NoiseModel):
         d: Iterable[float] | float = _D_MIN_EQUICORRELATED,
         claimed_fourth_moment: float = GAUSSIAN_FOURTH_MOMENT,
     ):
-        self._sigma = adversarial_sigma(dimension, d)
-        dv = np.asarray(d, dtype=float)
-        if dv.ndim == 0:
-            dv = np.full(dimension, float(dv))
+        dv = _equicorrelated_loadings(dimension, d)
         self._loadings = dv
         self._residual = np.sqrt(1.0 - dv * dv)
+        self._sigma: CorrelationMatrix | None = None
         self.dimension = int(dimension)
         self.claimed_fourth_moment = float(claimed_fourth_moment)
 
@@ -353,11 +385,15 @@ class AdversarialEquicorrelated(NoiseModel):
     def sample_block(self, n: int, d: int, rng: np.random.Generator) -> np.ndarray:
         self._check_dimension(d)
         shared = rng.standard_normal((n, 1))
-        residual = rng.standard_normal((n, d))
-        return self._loadings * shared + self._residual * residual
+        xi = rng.standard_normal((n, d))
+        xi *= self._residual
+        xi += self._loadings * shared
+        return xi
 
     def correlation(self, d: int) -> CorrelationMatrix:
         self._check_dimension(d)
+        if self._sigma is None:
+            self._sigma = adversarial_sigma(self.dimension, self._loadings)
         return self._sigma
 
 

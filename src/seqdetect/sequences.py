@@ -653,8 +653,7 @@ def scan_bandwidths(
         rows, waiting = np.concatenate((rows, waiting[:joining])), waiting[joining:]
         with np.errstate(over="ignore", invalid="ignore"):
             vals = value_fn(ks, sums, rows)
-        idx = np.argmax(vals, axis=1) if maximize else np.argmin(vals, axis=1)
-        candidates = vals[np.arange(rows.size), idx]
+        idx, candidates = _chunk_optima(vals, maximize)
         improved = candidates > best[rows] if maximize else candidates < best[rows]
         best[rows[improved]] = candidates[improved]
         best_d[rows[improved]] = ks[idx[improved]]
@@ -663,6 +662,25 @@ def scan_bandwidths(
             break
         chunk += 1
     return [ScanResult(int(d), float(v), int(d) == limit) for d, v in zip(best_d, best)]
+
+
+def _chunk_optima(vals: np.ndarray, maximize: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Index and value of each row's first optimum, a NaN counting as +inf
+    when minimising and -inf when maximising, so it is never an optimum.
+
+    argmin/argmax return a row's first NaN exactly when the row holds one, so
+    only those rows are searched again with their NaNs replaced.
+    """
+    pick = np.argmax if maximize else np.argmin
+    idx = pick(vals, axis=1)
+    candidates = vals[np.arange(vals.shape[0]), idx]
+    nan = np.isnan(candidates)
+    if nan.any():
+        fixed = vals[nan]
+        fixed[np.isnan(fixed)] = -math.inf if maximize else math.inf
+        idx[nan] = pick(fixed, axis=1)
+        candidates[nan] = fixed[np.arange(fixed.shape[0]), idx[nan]]
+    return idx, candidates
 
 
 def _head_blocks() -> tuple[np.ndarray, np.ndarray]:
@@ -712,7 +730,8 @@ def _skip_ahead(
     objective resumes dense evaluation at its first uncertified chunk in
     exactly the dense pass's state.  Chunks are tried in doubling batches of
     up to ``_SKIP_MAX_BATCH``, one ``value_fn`` call per batch for all
-    objectives still skipping; the last chunk is never certified.
+    objectives still skipping; the last chunk is never certified, nor is a
+    chunk whose bound or tail holds a NaN (every comparison with it fails).
     """
     first = np.zeros(best.size, dtype=np.int64)
     certifiable = (limit - 1) // _SCAN_CHUNK

@@ -33,10 +33,11 @@ from pathlib import Path
 
 import pytest
 
+from seqdetect import bounds as bounds_mod
 from seqdetect import cli, detector, montecarlo, noise
 from seqdetect import config as config_mod
 from seqdetect.config import ALL_CELLS, ConfigError, parse_config
-from seqdetect.sequences import OperatorFamily, SmoothnessFamily
+from seqdetect.sequences import OperatorFamily, SmoothnessFamily, bias_term, sum_inv_b_sq
 
 BASE_CONFIG = """
 # geometry
@@ -309,6 +310,47 @@ class TestSimulateCommand:
             )
             outputs.append((out / "simulate.csv").read_bytes())
         assert outputs[0] == outputs[1]
+
+
+def _lower_bound_reference(config, loading) -> str:
+    """lowerbound_check.txt computed D by D, each D with its own
+    `adversarial_sigma(D, loading)`."""
+    problem = config.problem
+    budget = bounds_mod.c_alpha_beta(config.alpha, config.beta)
+    coeff = bounds_mod.lower_coefficient(config.alpha, config.beta)
+    lines = [f"divergence_budget = {budget:.17g}"]
+    for d in range(1, 17):
+        if d > problem.bandwidth_limit:
+            break
+        sigma = noise.adversarial_sigma(d, loading)
+        s_w = sum_inv_b_sq(problem, d)
+        if math.isinf(s_w):
+            break
+        r_sq = min(coeff * problem.eps**2 * s_w, bias_term(problem, d))
+        value = montecarlo.chi_sq_divergence(problem, d, math.sqrt(r_sq), sigma)
+        _, _, rho_sq, v_sigma_v = montecarlo.direction_stats(problem, d, sigma)
+        holds = value <= budget + 1e-10 and v_sigma_v <= d and rho_sq >= 0.25 * d * s_w
+        lines.append(f"D={d} divergence = {value:.17g} pass = {'true' if holds else 'false'}")
+    return "\n".join(lines) + "\n"
+
+
+class TestLowerBoundCheckExact:
+    """simulate's lowerbound_check.txt equals, character for character, the
+    chain computed with a fresh matrix per D (the golden comparison allows
+    a relative 1e-12)."""
+
+    @pytest.mark.parametrize(
+        "loading, extra",
+        [(1.0 / math.sqrt(2.0), ""), (0.8, ""), (0.95, ""), (0.8, "D_max = 5\n")],
+    )
+    def test_matches_the_per_d_chain(self, tmp_path, loading, extra):
+        text = BASE_CONFIG.replace("noise.d = 0.7071067811865476", f"noise.d = {loading!r}")
+        cfg = write_config(tmp_path, text + extra)
+        cli.main(["simulate", "--config", str(cfg), "--output", str(tmp_path)])
+        got = (tmp_path / "lowerbound_check.txt").read_text()
+        config = parse_config(text + extra)
+        assert got == _lower_bound_reference(config, loading)
+        assert got.count("\nD=") == min(16, config.problem.bandwidth_limit)
 
 
 class TestSimulateDrawsOnce:

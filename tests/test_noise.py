@@ -9,6 +9,10 @@ Covers:
 5. The null variance split R0 + S0, its exact small cases, and the
    class-wide envelope 2 C1 eps^4 (sum b^-2)^2
 6. The size limit of the dense correlated families
+7. The dense families build each matrix once: the long-range matrix, its
+   sampling factor and draws equal those of the dense c |k-l|^-s
+   construction bit for bit, and the adversarial model checks its loadings
+   at construction but builds its D x D matrix only when asked for it
 """
 
 import math
@@ -274,3 +278,103 @@ class TestDenseDimensionLimit:
             AdversarialEquicorrelated(9)
         assert long_range_correlation(8, 1.0).dimension == 8
         assert AdversarialEquicorrelated(8).correlation(8).dimension == 8
+
+
+def _dense_long_range(dimension, s, c):
+    """The long-range matrix built densely: the D x D proposal c |k-l|^-s,
+    an ``eigvalsh`` PSD test, an ``eigh`` repair and the envelope check,
+    shrinking c by 0.8 per try.  Returns the matrix, the sampling factor
+    ``_symmetric_sqrt`` of it and whether a repair was accepted."""
+    idx = np.arange(dimension)
+    gaps = np.abs(idx[:, None] - idx[None, :]).astype(float)
+    with np.errstate(divide="ignore"):
+        decay = np.where(gaps > 0, gaps ** (-s), 1.0)
+    envelope = c * decay
+    np.fill_diagonal(envelope, 1.0)
+    off = ~np.eye(dimension, dtype=bool)
+    c_try = c
+    while True:
+        proposal = c_try * decay
+        np.fill_diagonal(proposal, 1.0)
+        repaired = dimension > 1 and float(np.linalg.eigvalsh(proposal)[0]) < -1e-10
+        m = proposal
+        if repaired:
+            w, v = np.linalg.eigh(proposal)
+            clipped = (v * np.clip(w, 0.0, None)) @ v.T
+            diag = np.sqrt(np.clip(np.diag(clipped), 1e-300, None))
+            m = clipped / np.outer(diag, diag)
+            m = (m + m.T) / 2.0
+            np.fill_diagonal(m, 1.0)
+        if np.all(np.abs(m[off]) <= envelope[off] + 1e-12):
+            entries = CorrelationMatrix(m, validate_psd=False).entries
+            factor = noise._symmetric_sqrt(*np.linalg.eigh(entries))
+            return entries, factor, repaired
+        c_try *= 0.8
+
+
+class TestDenseMatricesBuiltOnce:
+    def test_long_range_equals_the_dense_construction(self):
+        repaired = set()
+        for dimension in (1, 2, 7, 64, 150):
+            for s in (0.1, 0.5, 1.0, 2.5):
+                for c in (0.3, 1.0):
+                    entries, factor, was_repaired = _dense_long_range(dimension, s, c)
+                    if was_repaired:
+                        repaired.add((dimension, s, c))
+                    model = LongRangeGaussian(dimension, s, c)
+                    case = (dimension, s, c)
+                    assert np.array_equal(model.correlation(dimension).entries, entries), case
+                    assert np.array_equal(long_range_correlation(dimension, s, c).entries, entries), case
+                    draws = model.sample_block(40, dimension, np.random.default_rng(5))
+                    want = np.random.default_rng(5).standard_normal((40, dimension)) @ factor
+                    assert np.array_equal(draws, want), case
+        # the grid covers repaired proposals, these among them
+        assert {(7, 0.1, 1.0), (64, 0.1, 1.0)} <= repaired
+
+    @pytest.mark.parametrize(
+        "dimension, loading, message",
+        [
+            (3, 0.5, r"factor loadings must lie in \[1/sqrt\(2\), 1\)"),
+            (3, 1.0, r"factor loadings must lie in \[1/sqrt\(2\), 1\)"),
+            (3, [0.8, 0.8], r"need 3 factor loadings, got shape \(2,\)"),
+            (0, 0.8, "dimension must be positive"),
+            (
+                noise.MAX_DENSE_DIMENSION + 1,
+                0.8,
+                f"adversarial_equicorrelated noise builds dense D x D matrices: "
+                f"D = {noise.MAX_DENSE_DIMENSION + 1} exceeds the limit {noise.MAX_DENSE_DIMENSION}",
+            ),
+        ],
+    )
+    def test_adversarial_constructor_checks_eagerly(self, dimension, loading, message):
+        with pytest.raises(ValueError, match=message):
+            AdversarialEquicorrelated(dimension, loading)
+        with pytest.raises(ValueError, match=message):
+            adversarial_sigma(dimension, loading)
+
+    def test_adversarial_matrix_built_only_on_demand(self, monkeypatch):
+        class OuterCalled(Exception):
+            pass
+
+        def outer(*args, **kwargs):
+            raise OuterCalled
+
+        monkeypatch.setattr(np, "outer", outer)
+        model = AdversarialEquicorrelated(noise.MAX_DENSE_DIMENSION, 0.8)
+        assert model.sample_block(2, noise.MAX_DENSE_DIMENSION, np.random.default_rng(0)).shape == (
+            2,
+            noise.MAX_DENSE_DIMENSION,
+        )
+        with pytest.raises(OuterCalled):
+            model.correlation(noise.MAX_DENSE_DIMENSION)
+
+    @pytest.mark.parametrize("loading", [INV_SQRT2, 0.8, [0.71, 0.8, 0.9, 0.95, 0.99]])
+    def test_adversarial_correlation_and_draws(self, loading):
+        model = AdversarialEquicorrelated(5, loading)
+        assert np.array_equal(model.correlation(5).entries, adversarial_sigma(5, loading).entries)
+        assert model.correlation(5) is model.correlation(5)
+        d = np.broadcast_to(np.asarray(loading, dtype=float), (5,))
+        rng = np.random.default_rng(11)
+        shared, eta = rng.standard_normal((30, 1)), rng.standard_normal((30, 5))
+        want = d * shared + np.sqrt(1.0 - d * d) * eta
+        assert np.array_equal(model.sample_block(30, 5, np.random.default_rng(11)), want)

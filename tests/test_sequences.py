@@ -18,6 +18,7 @@ Covers:
 11. The constant-term skip-ahead against the chunk-by-chunk scan kept here
     as the oracle: the freeze rule's edges, a seeded randomised set of
     production and synthetic objectives, and the work it saves
+12. A NaN objective value is never a scan's optimum
 """
 
 import dataclasses
@@ -658,13 +659,15 @@ class TestConstantSpectra:
 
 def _dense_reference(terms, value_fn, limit, count, maximize=False):
     """The chunk-by-chunk scan: every running objective is evaluated on every
-    chunk of prefix sums until it freezes.  The oracle of the skip-ahead."""
+    chunk of prefix sums until it freezes.  The oracle of the skip-ahead.
+    A NaN value is never an optimum: it counts as the worst value."""
     best_d = np.zeros(count, dtype=np.int64)
     best = np.full(count, -math.inf if maximize else math.inf)
     rows = np.arange(count)
     for ks, sums in _prefix_sums(terms, limit):
         with np.errstate(over="ignore", invalid="ignore"):
             vals = value_fn(ks, sums, rows)
+        vals = np.where(np.isnan(vals), -math.inf if maximize else math.inf, vals)
         idx = np.argmax(vals, axis=1) if maximize else np.argmin(vals, axis=1)
         candidates = vals[np.arange(rows.size), idx]
         improved = candidates > best[rows] if maximize else candidates < best[rows]
@@ -941,3 +944,35 @@ def test_deep_classical_scan_skips_most_points(monkeypatch):
     assert results[-1].d == 3_464_102 and not results[-1].truncated
     assert counts["dense"] == 846 * _CHUNK
     assert counts["skip"] < 0.25 * counts["dense"]
+
+
+class TestNanIsNeverAnOptimum:
+    """A NaN counts as +inf when minimising and -inf when maximising."""
+
+    def test_classical_bound_at_a_vanishing_noise_square(self, monkeypatch):
+        # eps^2 underflows to 0 and b^-4 = 1e308: the classical objective is
+        # a_1^-2 = 1 at D = 1 and 0 * inf = NaN from D = 2 on
+        checked = _checked_scans(monkeypatch)
+        spec = ProblemSpec(OperatorFamily.well_posed(1e-77), SmoothnessFamily.ordinary_smooth(60.0),
+                           eps=0.1, d_max=3 * _CHUNK + 7)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            (result,) = bounds.bounds_over_grid(spec, [1e-170], 0.1, 0.1, c_beta=50.0)
+        assert (result.classical_r2, result.d_classical) == (1.0, 1)
+        assert len(checked) == 3
+
+    @pytest.mark.parametrize("maximize", [False, True])
+    @pytest.mark.parametrize("at", [1, 5, 60])
+    def test_finite_value_among_nans(self, maximize, at):
+        # the skip-ahead must not certify a chunk of NaNs, and the dense pass
+        # must find the one finite value among a chunk's NaNs (before the
+        # scan freezes, 64 bandwidths on)
+        limit = 3 * _CHUNK + 7
+
+        def value_fn(ks, sums, rows):
+            vals = np.where(ks == at, 2.0, math.nan)
+            return np.broadcast_to(vals, (rows.size, ks.size))
+
+        results = scan_bandwidths(1.0, value_fn, limit, 2, maximize=maximize)
+        assert results == [(at, 2.0, False)] * 2
+        assert results == _dense_reference(1.0, value_fn, limit, 2, maximize)
