@@ -10,6 +10,8 @@ Subcommands:
 All randomness derives from the configured master seed; outputs contain no
 timestamps or wall-clock values (those go to a sidecar .log file), so a rerun
 with the same config and seed is byte-identical at any thread count.
+A command computes all its outputs before any is written, and its .log line
+is written last; `main` alone writes them.
 Exit status is 0 only when every asserted check passed.
 """
 
@@ -19,7 +21,8 @@ import argparse
 import math
 import sys
 import time
-from dataclasses import replace
+from collections.abc import Callable
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -36,24 +39,33 @@ POWER_TOLERANCE = 0.05
 LOG_TOLERANCE = 0.3
 
 _MIN_SIMULATE_REPS = 1_000
-_BOUNDS_HEADER = ["eps", "lower_r2", "upper_r2", "classical_r2", "D_lower", "D_upper"]
+_BOUNDS_HEADER = "eps,lower_r2,upper_r2,classical_r2,D_lower,D_upper"
+_SIMULATE_HEADER = "scenario,noise_kind,alpha,beta,D,reps,seed,p_hat_type1,se1,p_hat_type2,se2,pass"
 _DIVERGENCE_CHECK_DS = tuple(range(1, 17))
+
+
+@dataclass(frozen=True)
+class Outcome:
+    """What one command computed, for `main` to write: its files in writing
+    order (name -> text), whether every asserted check passed, its ``.log``
+    line, and its stdout line for a given output directory."""
+
+    files: dict[str, str]
+    ok: bool
+    log: str
+    stdout: Callable[[Path], str]
 
 
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
-    lines = [",".join(header)]
-    lines.extend(",".join(row) for row in rows)
-    path.write_text("\n".join(lines) + "\n")
+def _text(lines: list[str]) -> str:
+    return "\n".join(lines) + "\n"
 
 
-def _sidecar_log(out_dir: Path, command: str, message: str) -> None:
-    stamp = time.strftime("%Y-%m-%dT%H:%M:%S")
-    with (out_dir / f"{command}.log").open("a") as fh:
-        fh.write(f"{stamp} {message}\n")
+def _csv(header: str, rows: list[list[str]]) -> str:
+    return _text([header, *(",".join(row) for row in rows)])
 
 
 def _fit_tolerance(law: bounds_mod.RateLaw) -> float:
@@ -81,8 +93,7 @@ def _calibration(
 
     A c_beta that is not a finite number above K1 (a tiny test.alpha puts the
     exact root on K1 in double precision, or K1 overflows, and the practical
-    constant can miss the calibration inequality) is a config error, raised
-    before any output is written."""
+    constant can miss the calibration inequality) is a config error."""
     constants = detector.derive_constants(config.problem.fourth_moment_bound, config.alpha)
     try:
         c_beta = detector.solve_c_beta(constants, config.beta, config.c_beta_mode)
@@ -96,18 +107,21 @@ def _calibration(
     return constants, c_beta
 
 
-def _bounds_rows(
+def _cell_table(
     config: ExperimentConfig, problem: ProblemSpec, c_beta: float, where: str
-) -> tuple[list[list[str]], list[tuple[float, float]]]:
-    """CSV rows over the eps grid plus the lower-bound grid used for fits.
+) -> tuple[str, list[str], bool]:
+    """The bounds CSV of one cell over the eps grid, with its rate-fit
+    summary lines and verdict; a grid of fewer than 5 eps gets a comment line
+    in place of a fit, and passes.
 
     One `bounds_over_grid` call covers the whole grid.  A bound whose
     objective is +inf at every bandwidth (its scan then reports D = 0), or a
     lower bound that underflows to 0 at every bandwidth, which no rate fit
-    can use, is a config error reported at ``where``.  Rate fits run on the
-    lower bound: its constants are of order one, so it reaches the asymptotic
-    decay already at desk-scale eps, while the upper bound's calibration
-    constant delays convergence of log-factor cells far beyond
+    can use, is a config error reported at ``where``; so is a grid the rate
+    law cannot be fitted on (a log-log fit needs every eps < 1).  Rate fits
+    run on the lower bound: its constants are of order one, so it reaches the
+    asymptotic decay already at desk-scale eps, while the upper bound's
+    calibration constant delays convergence of log-factor cells far beyond
     double-precision grids."""
     grid = bounds_mod.bounds_over_grid(
         problem, config.eps_grid, config.alpha, config.beta, c_beta=c_beta
@@ -128,28 +142,25 @@ def _bounds_rows(
                 f"{where}: at eps = {_fmt(eps)} the lower bound underflows to 0 at every "
                 "bandwidth; the family parameters or the noise level are too extreme"
             )
-    rows = [
+    table = _csv(
+        _BOUNDS_HEADER,
         [
-            _fmt(eps),
-            _fmt(point.bounds.lower_r2),
-            _fmt(point.bounds.upper_r2),
-            _fmt(point.classical_r2),
-            str(point.bounds.d_lower),
-            str(point.bounds.d_upper),
-        ]
-        for eps, point in zip(config.eps_grid, grid)
-    ]
+            [*map(_fmt, (eps, p.bounds.lower_r2, p.bounds.upper_r2, p.classical_r2)),
+             str(p.bounds.d_lower), str(p.bounds.d_upper)]
+            for eps, p in zip(config.eps_grid, grid)
+        ],
+    )
+    if len(config.eps_grid) < 5:
+        return table, ["# grid too small for a rate fit (need >= 5 eps values)"], True
+
+    operator, smoothness = problem.operator, problem.smoothness
+    cell = f"{operator.kind}/{smoothness.kind}"
+    law = bounds_mod.rate_law(
+        operator.kind, smoothness.kind, s=smoothness.exponent, t=operator.exponent
+    )
     fit_grid = [(eps, point.bounds.lower_r2) for eps, point in zip(config.eps_grid, grid)]
-    return rows, fit_grid
-
-
-def _fit_summary_lines(
-    cell: str, law: bounds_mod.RateLaw, grid: list[tuple[float, float]]
-) -> tuple[list[str], bool]:
-    """The fit summary of one cell; a grid its rate law cannot be fitted on
-    (a log-log fit needs every eps < 1) is a config error."""
     try:
-        fit = bounds_mod.fit_rate(grid, law.mode, law.eps_power_offset)
+        fit = bounds_mod.fit_rate(fit_grid, law.mode, law.eps_power_offset)
     except ValueError as exc:
         raise ConfigError(f"cell {cell!r}: {exc}") from exc
     tol = _fit_tolerance(law)
@@ -161,40 +172,25 @@ def _fit_summary_lines(
         f"tolerance = {_fmt(tol)}",
         f"pass = {'true' if passed else 'false'}",
     ]
-    return lines, passed
+    return table, lines, passed
 
 
-def run_bounds(config: ExperimentConfig, out_dir: Path) -> int:
+def run_bounds(config: ExperimentConfig) -> Outcome:
     """Radius bounds per eps plus, when the grid allows, a rate-fit summary."""
     if not config.eps_grid:
         raise ConfigError("bounds needs a non-empty run.eps_grid")
-    problem = config.problem
     _, c_beta = _calibration(config, "bounds")
-    rows, fit_grid = _bounds_rows(config, problem, c_beta, "bounds")
-
-    ok = True
-    summary: list[str] = []
-    if len(config.eps_grid) >= 5:
-        cell = f"{problem.operator.kind}/{problem.smoothness.kind}"
-        law = bounds_mod.rate_law(
-            problem.operator.kind,
-            problem.smoothness.kind,
-            s=problem.smoothness.exponent,
-            t=problem.operator.exponent,
-        )
-        lines, passed = _fit_summary_lines(cell, law, fit_grid)
-        summary.extend(lines)
-        ok = passed
-    else:
-        summary.append("# grid too small for a rate fit (need >= 5 eps values)")
-    _write_csv(out_dir / "bounds.csv", _BOUNDS_HEADER, rows)
-    (out_dir / "bounds_fit.txt").write_text("\n".join(summary) + "\n")
-    _sidecar_log(out_dir, "bounds", f"wrote {len(rows)} rows, fit_ok={ok}")
-    print(f"bounds: {len(rows)} rows -> {out_dir / 'bounds.csv'} (fit {'ok' if ok else 'FAILED'})")
-    return 0 if ok else 1
+    table, summary, ok = _cell_table(config, config.problem, c_beta, "bounds")
+    n = len(config.eps_grid)
+    return Outcome(
+        {"bounds.csv": table, "bounds_fit.txt": _text(summary)},
+        ok,
+        f"wrote {n} rows, fit_ok={ok}",
+        lambda out: f"bounds: {n} rows -> {out / 'bounds.csv'} (fit {'ok' if ok else 'FAILED'})",
+    )
 
 
-def run_calibrate(config: ExperimentConfig, out_dir: Path) -> int:
+def run_calibrate(config: ExperimentConfig) -> Outcome:
     """Constants, both calibration roots with margins, and a threshold ladder."""
     problem = config.problem
     constants, chosen = _calibration(config, "calibrate")
@@ -227,18 +223,19 @@ def run_calibrate(config: ExperimentConfig, out_dir: Path) -> int:
     for d in ladder:
         lines.append(f"threshold.D={d} = {_fmt(detector.threshold(constants, problem, d))}")
 
-    (out_dir / "calibrate.txt").write_text("\n".join(lines) + "\n")
-    _sidecar_log(out_dir, "calibrate", f"D_selected={d_star}")
-    print(f"calibrate: wrote {out_dir / 'calibrate.txt'} (D = {d_star})")
-    return 0
+    return Outcome(
+        {"calibrate.txt": _text(lines)},
+        True,
+        f"D_selected={d_star}",
+        lambda out: f"calibrate: wrote {out / 'calibrate.txt'} (D = {d_star})",
+    )
 
 
 def _bandwidth(config: ExperimentConfig, c_beta: float, command: str) -> tuple[int, bool]:
     """The fixed ``test.D``, or the selected bandwidth with its truncation flag.
 
     The selection minimises the upper bound's objective; one that is +inf at
-    every bandwidth (its scan then reports D = 0) is a config error, raised
-    before any output is written."""
+    every bandwidth (its scan then reports D = 0) is a config error."""
     if config.test_d is not None:
         return config.test_d, False
     sel = detector.select_bandwidth(config.problem, c_beta)
@@ -255,7 +252,7 @@ def _row_seeds(master_seed: int, count: int) -> list[int]:
     return [int(child.generate_state(1, np.uint64)[0]) for child in children]
 
 
-def run_simulate(config: ExperimentConfig, out_dir: Path, threads: int = 1) -> int:
+def run_simulate(config: ExperimentConfig, threads: int = 1) -> Outcome:
     """Empirical type I / type II error table, one row per noise family."""
     if config.reps < _MIN_SIMULATE_REPS:
         raise ConfigError(f"simulate needs run.reps >= {_MIN_SIMULATE_REPS}")
@@ -275,78 +272,58 @@ def run_simulate(config: ExperimentConfig, out_dir: Path, threads: int = 1) -> i
         alt = montecarlo.guaranteed_detectable_signal(problem, det.c_beta, det.d)
     except ValueError as exc:
         raise ConfigError(f"simulate at D = {det.d}: {exc}") from exc
+    # the analytic chain draws nothing, so a loading it cannot use stops the
+    # run before any estimate
+    chain: dict[str, str] = {}
+    chain_ok = True
+    adversarial = [m for m in models if isinstance(m, AdversarialEquicorrelated)]
+    if adversarial:
+        chain["lowerbound_check.txt"], chain_ok = _divergence_check(
+            config, float(adversarial[0].loadings[0])
+        )
     scenario = f"{problem.operator.kind}-{problem.smoothness.kind}-D{det.d}"
 
     # row i is seeded by the master seed's child 2i (the CSV's seed column);
     # both of its error rates are counted on the same replications
     seeds = _row_seeds(config.seed, 2 * len(config.noise))[::2]
     rows: list[list[str]] = []
-    all_ok = True
+    ok = chain_ok
     for settings, model, seed in zip(config.noise, models, seeds):
         est2 = montecarlo.estimate_type2(
             problem, det, model, alt.signal, config.reps, seed, threads=threads
         )
         est1 = est2.type1
-        ok = (
+        row_ok = (
             est1.p_hat <= config.alpha + 3.0 * est1.std_err
             and est2.p_hat <= config.beta + 3.0 * est2.std_err
         )
-        all_ok = all_ok and ok
+        ok = ok and row_ok
         rows.append(
-            [
-                scenario,
-                settings.kind,
-                _fmt(config.alpha),
-                _fmt(config.beta),
-                str(det.d),
-                str(config.reps),
-                str(est1.seed),
-                _fmt(est1.p_hat),
-                _fmt(est1.std_err),
-                _fmt(est2.p_hat),
-                _fmt(est2.std_err),
-                "true" if ok else "false",
-            ]
+            [scenario, settings.kind, _fmt(config.alpha), _fmt(config.beta), str(det.d),
+             str(config.reps), str(est1.seed),
+             *map(_fmt, (est1.p_hat, est1.std_err, est2.p_hat, est2.std_err)),
+             "true" if row_ok else "false"]
         )
 
-    _write_csv(
-        out_dir / "simulate.csv",
-        [
-            "scenario",
-            "noise_kind",
-            "alpha",
-            "beta",
-            "D",
-            "reps",
-            "seed",
-            "p_hat_type1",
-            "se1",
-            "p_hat_type2",
-            "se2",
-            "pass",
-        ],
-        rows,
+    n = len(rows)
+    return Outcome(
+        {"simulate.csv": _csv(_SIMULATE_HEADER, rows), **chain},
+        ok,
+        f"rows={n} ok={ok}",
+        lambda out: f"simulate: {n} rows -> {out / 'simulate.csv'} ({'ok' if ok else 'FAILED'})",
     )
 
-    chain_ok = True
-    adversarial = [m for m in models if isinstance(m, AdversarialEquicorrelated)]
-    if adversarial:
-        chain_ok = _write_divergence_check(config, adversarial[0].loadings[0], out_dir)
 
-    _sidecar_log(out_dir, "simulate", f"rows={len(rows)} ok={all_ok and chain_ok}")
-    status = "ok" if (all_ok and chain_ok) else "FAILED"
-    print(f"simulate: {len(rows)} rows -> {out_dir / 'simulate.csv'} ({status})")
-    return 0 if (all_ok and chain_ok) else 1
-
-
-def _write_divergence_check(config: ExperimentConfig, loading: float, out_dir: Path) -> bool:
+def _divergence_check(config: ExperimentConfig, loading: float) -> tuple[str, bool]:
     """Analytic lower-bound chain for the equicorrelated construction with
-    the same factor loading on every coordinate.
+    the same factor loading on every coordinate, as the text of
+    ``lowerbound_check.txt`` and its verdict.
 
     At the lower-bound radius the chi-square divergence must not exceed the
     budget 1 + 4 (1 - alpha - beta)^2, and the spectral/alignment bounds used
     to prove it must hold.  Every D reads the leading block of one matrix,
-    whose entries d^2 do not depend on its size."""
+    whose entries d^2 do not depend on its size.  A loading so close to 1
+    that this matrix is not strictly positive definite is a config error."""
     problem = config.problem
     budget = bounds_mod.c_alpha_beta(config.alpha, config.beta)
     coeff = bounds_mod.lower_coefficient(config.alpha, config.beta)
@@ -360,57 +337,52 @@ def _write_divergence_check(config: ExperimentConfig, loading: float, out_dir: P
         if math.isinf(s_w):
             break
         r_sq = min(coeff * problem.eps**2 * s_w, bias_term(problem, d))
-        value, rho_sq, v_sigma_v = montecarlo._chi_sq_chain(problem, d, math.sqrt(r_sq), sigma)
-        holds = (
-            value <= budget + 1e-10
-            and v_sigma_v <= d
-            and rho_sq >= 0.25 * d * s_w
-        )
+        try:
+            value, rho_sq, v_sigma_v = montecarlo._chi_sq_chain(
+                problem, d, math.sqrt(r_sq), sigma
+            )
+        except ValueError as exc:
+            raise ConfigError(
+                f"simulate: noise.d = {loading!r} is too close to 1 for the lower-bound "
+                f"check, whose covariance has smallest eigenvalue 1 - d^2: {exc}"
+            ) from exc
+        holds = value <= budget + 1e-10 and v_sigma_v <= d and rho_sq >= 0.25 * d * s_w
         ok = ok and holds
         lines.append(
             f"D={d} divergence = {_fmt(value)} pass = {'true' if holds else 'false'}"
         )
-    (out_dir / "lowerbound_check.txt").write_text("\n".join(lines) + "\n")
-    return ok
+    return _text(lines), ok
 
 
-def run_rates(config: ExperimentConfig, out_dir: Path) -> int:
+def run_rates(config: ExperimentConfig) -> Outcome:
     """Fit the bound decay per benchmark cell against the known rate laws."""
     if len(config.eps_grid) < 5:
         raise ConfigError("rates needs run.eps_grid with at least 5 values")
     problem = config.problem
     cells = [(cell, *_cell_families(cell, problem)) for cell in config.cells]
     _, c_beta = _calibration(config, "rates")
-    tables: list[tuple[str, list[list[str]]]] = []
-    summary: list[str] = []
-    all_ok = True
-    # every cell is bounded and fitted before any file is written, so a cell
-    # that cannot be leaves no output
+    files: dict[str, str] = {}
+    summaries: list[str] = []
+    ok = True
     for cell, operator, smoothness in cells:
-        law = bounds_mod.rate_law(
-            operator.kind, smoothness.kind, s=smoothness.exponent, t=operator.exponent
-        )
-        rows, fit_grid = _bounds_rows(
+        files[f"rates_{cell.replace('/', '-')}.csv"], lines, passed = _cell_table(
             config,
             replace(problem, operator=operator, smoothness=smoothness),
             c_beta,
             f"cell {cell!r}",
         )
-        tables.append((cell, rows))
-        lines, passed = _fit_summary_lines(cell, law, fit_grid)
-        summary.extend(lines)
-        summary.append("")
-        all_ok = all_ok and passed
-
-    for cell, rows in tables:
-        _write_csv(out_dir / f"rates_{cell.replace('/', '-')}.csv", _BOUNDS_HEADER, rows)
-    (out_dir / "rates_summary.txt").write_text("\n".join(summary).rstrip("\n") + "\n")
-    _sidecar_log(out_dir, "rates", f"cells={len(config.cells)} ok={all_ok}")
-    print(
-        f"rates: {len(config.cells)} cells -> {out_dir / 'rates_summary.txt'} "
-        f"({'ok' if all_ok else 'FAILED'})"
+        summaries.append("\n".join(lines))
+        ok = ok and passed
+    files["rates_summary.txt"] = "\n\n".join(summaries) + "\n"
+    n = len(config.cells)
+    return Outcome(
+        files,
+        ok,
+        f"cells={n} ok={ok}",
+        lambda out: (
+            f"rates: {n} cells -> {out / 'rates_summary.txt'} ({'ok' if ok else 'FAILED'})"
+        ),
     )
-    return 0 if all_ok else 1
 
 
 def _check_lower_bound_levels(config: ExperimentConfig, command: str) -> None:
@@ -418,7 +390,7 @@ def _check_lower_bound_levels(config: ExperimentConfig, command: str) -> None:
 
     ``bounds`` and ``rates`` form the lower bound, and ``simulate`` does in
     its divergence check when a noise block is adversarial; ``calibrate``
-    does not.  Checked before any output is written.
+    does not.  Checked before the command runs.
     """
     forms_lower_bound = command in ("bounds", "rates") or (
         command == "simulate"
@@ -438,7 +410,7 @@ def _check_null_threshold(config: ExperimentConfig, command: str) -> None:
     threshold K1 eps^2 sum b_k^-2 is 0, since K1 = sqrt(2 (C - 1) / alpha).
     The null statistic of that noise is exactly 0, so the test rejects on
     every null draw.  The other commands only report constants and bounds,
-    which stay valid at C = 1.  Checked before any output is written.
+    which stay valid at C = 1.  Checked before the command runs.
     """
     if command == "simulate" and config.problem.fourth_moment_bound == 1.0:
         raise ConfigError(
@@ -447,18 +419,26 @@ def _check_null_threshold(config: ExperimentConfig, command: str) -> None:
         )
 
 
+#: Each command's help text and how `main` runs it on the config and the
+#: parsed flags.
+_COMMANDS: dict[str, tuple[str, Callable[[ExperimentConfig, argparse.Namespace], Outcome]]] = {
+    "bounds": ("separation-radius bounds over an eps grid", lambda config, args: run_bounds(config)),
+    "calibrate": ("derived constants and thresholds", lambda config, args: run_calibrate(config)),
+    "simulate": (
+        "empirical type I/II error rates",
+        lambda config, args: run_simulate(config, threads=max(1, args.threads)),
+    ),
+    "rates": ("rate-law verification per benchmark cell", lambda config, args: run_rates(config)),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="seqdetect",
         description="Batch experiments for minimax detection in the sequence model",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("bounds", "separation-radius bounds over an eps grid"),
-        ("calibrate", "derived constants and thresholds"),
-        ("simulate", "empirical type I/II error rates"),
-        ("rates", "rate-law verification per benchmark cell"),
-    ):
+    for name, (help_text, _) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="path to the experiment config")
         p.add_argument("--output", default=None, help="output directory")
@@ -467,6 +447,16 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--reps", default=None, help="override run.reps")
             p.add_argument("--threads", type=int, default=1, help="worker threads (default 1)")
     return parser
+
+
+def _write(out_dir: Path, command: str, outcome: Outcome) -> None:
+    """The only writer: every file of the outcome in order, then its
+    timestamped line appended to ``<command>.log``."""
+    for name, text in outcome.files.items():
+        (out_dir / name).write_text(text)
+    stamp = time.strftime("%Y-%m-%dT%H:%M:%S")
+    with (out_dir / f"{command}.log").open("a") as fh:
+        fh.write(f"{stamp} {outcome.log}\n")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -494,18 +484,13 @@ def main(argv: list[str] | None = None) -> int:
             out_dir.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise ConfigError(f"output directory {out_dir} is not writable: {exc}") from exc
-        if args.command == "bounds":
-            return run_bounds(config, out_dir)
-        if args.command == "calibrate":
-            return run_calibrate(config, out_dir)
-        if args.command == "simulate":
-            return run_simulate(config, out_dir, threads=max(1, args.threads))
-        if args.command == "rates":
-            return run_rates(config, out_dir)
-        raise ConfigError(f"unknown command {args.command!r}")
+        outcome = _COMMANDS[args.command][1](config, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    _write(out_dir, args.command, outcome)
+    print(outcome.stdout(out_dir))
+    return 0 if outcome.ok else 1
 
 
 def entrypoint() -> None:

@@ -29,6 +29,7 @@ a Monte Carlo cross-check over the same replication blocks.
 
 from __future__ import annotations
 
+import bisect
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -231,7 +232,9 @@ def guaranteed_detectable_signal(
     exceeds the ellipsoid cap a_D^-2 at coordinate D itself, so the spike is
     placed at the largest coordinate <= D that keeps it inside the ellipsoid;
     the statistic's mean shift only involves the total mass below D, so the
-    guarantee is unaffected by the placement.
+    guarantee is unaffected by the placement.  Since a is non-decreasing, the
+    caps a_j^-2 do not grow with j, so the coordinates that keep the spike
+    inside form a prefix 1..j, whose end is found by bisection.
     """
     if d is None:
         sel = detector.select_bandwidth(spec, c_beta)
@@ -240,17 +243,16 @@ def guaranteed_detectable_signal(
     else:
         spec.check_bandwidth(d)
         r_sq = c_beta * spec.eps**2 * sum_inv_b_sq(spec, d) + bias_term(spec, d)
-    for j in range(d, 0, -1):
-        if within_cap(r_sq, bias_term(spec, j)):
-            return AlternativeSignal(
-                signal=boundary_signal(spec, j, math.sqrt(r_sq)),
-                d=int(d),
-                norm_sq=r_sq,
-                coordinate=j,
-            )
-    raise ValueError(
-        f"radius^2 {r_sq:.6g} exceeds the ellipsoid capacity a_1^-2 = "
-        f"{bias_term(spec, 1):.6g}; no in-ellipsoid signal attains it"
+    j = bisect.bisect_left(
+        range(1, d + 1), True, key=lambda k: not within_cap(r_sq, bias_term(spec, k))
+    )
+    if j == 0:
+        raise ValueError(
+            f"radius^2 {r_sq:.6g} exceeds the ellipsoid capacity a_1^-2 = "
+            f"{bias_term(spec, 1):.6g}; no in-ellipsoid signal attains it"
+        )
+    return AlternativeSignal(
+        signal=boundary_signal(spec, j, math.sqrt(r_sq)), d=int(d), norm_sq=r_sq, coordinate=j
     )
 
 

@@ -123,17 +123,19 @@ def _symmetric_sqrt(w: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 def _equicorrelated_loadings(dimension: int, d: Iterable[float] | float) -> np.ndarray:
     """The factor loadings of `adversarial_sigma`, one per coordinate, after
-    its dimension and loading checks."""
+    its dimension and loading checks: a read-only copy, so no later write to
+    the caller's array reaches a model built from it."""
     if dimension < 1:
         raise ValueError("dimension must be positive")
     check_dense_dimension("adversarial_equicorrelated", dimension)
-    dv = np.asarray(d, dtype=float)
+    dv = np.array(d, dtype=float)
     if dv.ndim == 0:
         dv = np.full(dimension, float(dv))
     if dv.shape != (dimension,):
         raise ValueError(f"need {dimension} factor loadings, got shape {dv.shape}")
     if not np.all((dv >= _D_MIN_EQUICORRELATED - 1e-12) & (dv < 1.0)):
         raise ValueError("factor loadings must lie in [1/sqrt(2), 1)")
+    dv.setflags(write=False)
     return dv
 
 

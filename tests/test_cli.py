@@ -23,6 +23,10 @@ Covers:
 10. A calibration constant that is not a finite number above K1, a lower
    bound that underflows to 0 and a grid a rate law cannot be fitted on are
    config errors before any output; noise parameters are checked at load
+11. Every command computes all its outputs before any is written: a failure
+   injected after a table is built leaves no file, and an adversarial
+   loading too close to 1 for the divergence chain is a config error before
+   any estimate runs
 """
 
 import inspect
@@ -910,3 +914,60 @@ class TestFourthMomentBound:
                 eps=0.1,
                 fourth_moment_bound=value,
             )
+
+
+class TestNothingWrittenOnFailure:
+    """A command computes all its outputs before `main` writes any of them:
+    a failure injected once the command has built a table leaves the output
+    directory, which `main` created, empty."""
+
+    class Injected(Exception):
+        pass
+
+    @pytest.mark.parametrize(
+        "command, module, name, failing_call",
+        [
+            # bounds: the fit after the bounds table
+            ("bounds", bounds_mod, "fit_rate", 1),
+            # calibrate: the threshold ladder after the constants
+            ("calibrate", detector, "threshold", 1),
+            # rates: the second cell's fit, after the first cell's table
+            ("rates", bounds_mod, "fit_rate", 2),
+            # simulate: the divergence chain of its adversarial block
+            ("simulate", montecarlo, "_chi_sq_chain", 1),
+        ],
+    )
+    def test_shipped_config(self, tmp_path, monkeypatch, command, module, name, failing_call):
+        original, calls = getattr(module, name), []
+
+        def failing(*args, **kwargs):
+            calls.append(name)
+            if len(calls) == failing_call:
+                raise self.Injected
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, failing)
+        out = tmp_path / "out"
+        argv = [command, "--config", str(REPO / "configs" / f"{command}.cfg"), "--output", str(out)]
+        with pytest.raises(self.Injected):
+            cli.main(argv + (["--reps", "1000"] if command == "simulate" else []))
+        assert list(out.iterdir()) == []
+
+
+class TestLoadingNearOne:
+    """A loading the config accepts (d < 1) but so close to 1 that the
+    divergence chain's covariance, with smallest eigenvalue 1 - d^2, is not
+    strictly positive definite is a config error before any estimate runs."""
+
+    def test_simulate_rejected_before_any_estimate(self, tmp_path, capsys, monkeypatch):
+        def no_estimate(*args, **kwargs):
+            raise AssertionError("an estimate ran")
+
+        monkeypatch.setattr(montecarlo, "estimate_type2", no_estimate)
+        text = BASE_CONFIG.replace("noise.d = 0.7071067811865476", "noise.d = 0.99999999999995")
+        assert text != BASE_CONFIG
+        cfg = write_config(tmp_path, text)
+        out = tmp_path / "out"
+        assert cli.main(["simulate", "--config", str(cfg), "--output", str(out)]) == 2
+        assert "noise.d = 0.99999999999995 is too close to 1" in capsys.readouterr().err
+        assert list(out.iterdir()) == []

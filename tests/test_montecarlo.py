@@ -6,7 +6,8 @@ Covers:
    theta = 0 and ellipsoid enforcement; the blocked kernel against a
    row-by-row reference; the type I estimate carried by `estimate_type2`;
    negative controls that the estimates must fail
-3. The guaranteed-detectable spike signal and its placement rule
+3. The guaranteed-detectable spike signal and its placement rule, whose
+   bisection finds the coordinate of a linear walk down from D
 4. The least-favourable signal construction and its norm identity
 5. Chi-square divergence: closed form, the Monte Carlo cross-check, and the
    enforced stability limits
@@ -18,6 +19,7 @@ Covers:
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -40,6 +42,8 @@ from seqdetect.sequences import (
     bias_term,
     boundary_signal,
     ellipsoid_membership,
+    sum_inv_b_sq,
+    within_cap,
 )
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -328,6 +332,48 @@ class TestGuaranteedDetectableSignal:
         config = detector.calibrate(spec, 0.1, 0.1, d=1)
         with pytest.raises(ValueError, match="capacity"):
             montecarlo.guaranteed_detectable_signal(spec, config.c_beta, d=1)
+
+    @pytest.mark.parametrize(
+        "smoothness",
+        [
+            SmoothnessFamily.ordinary_smooth(1.0),
+            SmoothnessFamily.ordinary_smooth(0.25),
+            SmoothnessFamily.super_smooth(0.2),
+            # plateaus: equal caps on runs of coordinates
+            SmoothnessFamily.custom(np.repeat(np.arange(1.0, 33.0) ** 0.75, 4)),
+        ],
+        ids=["ordinary-1", "ordinary-0.25", "super-0.2", "custom-plateaus"],
+    )
+    @pytest.mark.parametrize("d", [1, 2, 3, 7, 16, 100, 128])
+    @pytest.mark.parametrize("eps", [1e-4, 1e-3, 1e-2, 1.0])
+    def test_bisection_matches_the_linear_walk(self, smoothness, d, eps):
+        # the largest coordinate j <= D whose cap a_j^-2 holds the radius, by
+        # walking down from D; eps = 1 puts the radius beyond a_1^-2
+        spec = ProblemSpec(
+            OperatorFamily.well_posed(), smoothness, eps=eps, fourth_moment_bound=3.0
+        )
+        c_beta = 30.0
+        r_sq = c_beta * eps**2 * sum_inv_b_sq(spec, d) + bias_term(spec, d)
+        walk = next((j for j in range(d, 0, -1) if within_cap(r_sq, bias_term(spec, j))), None)
+        if walk is None:
+            message = (
+                f"radius^2 {r_sq:.6g} exceeds the ellipsoid capacity a_1^-2 = "
+                f"{bias_term(spec, 1):.6g}; no in-ellipsoid signal attains it"
+            )
+            with pytest.raises(ValueError, match=re.escape(message)):
+                montecarlo.guaranteed_detectable_signal(spec, c_beta, d)
+        else:
+            alt = montecarlo.guaranteed_detectable_signal(spec, c_beta, d)
+            assert (alt.coordinate, alt.d, alt.norm_sq) == (walk, d, r_sq)
+
+    def test_logarithmically_many_cap_evaluations(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(
+            montecarlo, "bias_term", lambda spec, j: calls.append(j) or bias_term(spec, j)
+        )
+        with pytest.raises(ValueError, match="capacity"):
+            montecarlo.guaranteed_detectable_signal(flat_spec(eps=1.0), 30.0, d=65536)
+        assert len(calls) <= 20
 
 
 class TestWorstCaseSignal:

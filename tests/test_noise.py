@@ -12,7 +12,8 @@ Covers:
 7. The dense families build each matrix once: the long-range matrix, its
    sampling factor and draws equal those of the dense c |k-l|^-s
    construction bit for bit, and the adversarial model checks its loadings
-   at construction but builds its D x D matrix only when asked for it
+   at construction, on a read-only copy of them, but builds its D x D
+   matrix only when asked for it
 """
 
 import math
@@ -378,3 +379,17 @@ class TestDenseMatricesBuiltOnce:
         shared, eta = rng.standard_normal((30, 1)), rng.standard_normal((30, 5))
         want = d * shared + np.sqrt(1.0 - d * d) * eta
         assert np.array_equal(model.sample_block(30, 5, np.random.default_rng(11)), want)
+
+    def test_adversarial_loadings_are_copied(self):
+        # a later write to the caller's loading array must not reach the
+        # model's loadings, draws or matrix
+        a = np.full(3, 0.8)
+        model = AdversarialEquicorrelated(3, a)
+        a[:] = 0.2
+        assert np.array_equal(model.loadings, np.full(3, 0.8))
+        draws = model.sample_block(20_000, 3, np.random.default_rng(5))
+        assert np.cov(draws.T)[0, 1] == pytest.approx(0.64, abs=0.03)
+        assert np.array_equal(model.correlation(3).entries, adversarial_sigma(3, 0.8).entries)
+        b = np.full(3, 0.9)
+        loadings = noise._equicorrelated_loadings(3, b)
+        assert not loadings.flags.writeable and not np.shares_memory(loadings, b)
