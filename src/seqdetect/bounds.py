@@ -83,8 +83,9 @@ def _lower_scans(
 ) -> list[ScanResult]:
     """sup_D [min(coeff eps^2 sum b^-2, a_D^-2)] at every eps of the grid.
 
-    The objective is non-decreasing in the sum and non-increasing in D, as
-    `scan_bandwidths` requires to skip ahead over a constant term.
+    The objective is non-decreasing in the sum and non-increasing in D: the
+    precondition of every `scan_bandwidths` scan, under which a block of
+    bandwidths is bounded by its corner value.
     """
     coeffs = lower_coefficient(alpha, beta) * eps_sq_grid(eps_grid)
     smooth = spec.smoothness
@@ -101,8 +102,9 @@ def _lower_scans(
 def _classical_scans(spec: ProblemSpec, eps_grid: Iterable[float]) -> list[ScanResult]:
     """inf_D [a_D^-2 + eps^2 sqrt(sum b^-4)] at every eps of the grid.
 
-    The objective is non-decreasing in the sum and non-increasing in D, as
-    `scan_bandwidths` requires to skip ahead over a constant term.
+    The objective is non-decreasing in the sum and non-increasing in D: the
+    precondition of every `scan_bandwidths` scan, under which a block of
+    bandwidths is bounded by its corner value.
     """
     eps_sq = eps_sq_grid(eps_grid)
     smooth = spec.smoothness

@@ -272,15 +272,19 @@ def run_simulate(config: ExperimentConfig, threads: int = 1) -> Outcome:
         alt = montecarlo.guaranteed_detectable_signal(problem, det.c_beta, det.d)
     except ValueError as exc:
         raise ConfigError(f"simulate at D = {det.d}: {exc}") from exc
-    # the analytic chain draws nothing, so a loading it cannot use stops the
-    # run before any estimate
+    # the analytic chain draws nothing, so a loading it cannot use, in any
+    # adversarial block, stops the run before any estimate
+    loadings = [float(m.loadings[0]) for m in models if isinstance(m, AdversarialEquicorrelated)]
+    checks = [_divergence_check(config, loading) for loading in loadings]
     chain: dict[str, str] = {}
-    chain_ok = True
-    adversarial = [m for m in models if isinstance(m, AdversarialEquicorrelated)]
-    if adversarial:
-        chain["lowerbound_check.txt"], chain_ok = _divergence_check(
-            config, float(adversarial[0].loadings[0])
+    if len(checks) == 1:
+        chain["lowerbound_check.txt"] = checks[0][0]
+    elif checks:
+        # one section per adversarial block, headed by its loading
+        chain["lowerbound_check.txt"] = "".join(
+            f"noise.d = {_fmt(d)}\n{text}" for d, (text, _) in zip(loadings, checks)
         )
+    chain_ok = all(ok for _, ok in checks)
     scenario = f"{problem.operator.kind}-{problem.smoothness.kind}-D{det.d}"
 
     # row i is seeded by the master seed's child 2i (the CSV's seed column);

@@ -164,7 +164,8 @@ def select_bandwidths(
     improving, and ties go to the smaller bandwidth.  ``truncated`` marks
     minimisers that sit on the scan limit, where the reported optimum is
     suspect.  The objective is non-decreasing in the sum and non-increasing
-    in D, as `scan_bandwidths` requires to skip ahead over a constant term.
+    in D: the precondition of every `scan_bandwidths` scan, under which a
+    block of bandwidths is bounded by its corner value.
     """
     if not c_beta > 0:
         raise ValueError("calibration constant must be positive")

@@ -32,7 +32,6 @@ from __future__ import annotations
 import bisect
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, TypeVar
 
@@ -124,6 +123,9 @@ def _map_blocks(
     workers = min(threads, n_blocks)
     if workers <= 1:
         return run_blocks(0, n_blocks)
+    # imported here, where a pool starts, to keep it off every import
+    from concurrent.futures import ThreadPoolExecutor
+
     bounds = np.linspace(0, n_blocks, workers + 1).astype(int)
     with ThreadPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(run_blocks, int(lo), int(hi)) for lo, hi in zip(bounds, bounds[1:])]

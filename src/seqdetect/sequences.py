@@ -22,19 +22,21 @@ loops can simply skip past the overflowed tail.
 Every optimisation over the bandwidth is one `scan_bandwidths` pass: the
 prefix sums of a spectrum are formed once per chunk and shared by any number
 of objectives (one per noise level of an eps grid, say), each of which
-freezes on its own once it stops improving.  Over a constant term, whose sum
-is known at any k, an objective that is monotone in k and in the sum first
-skips every chunk it can certify (`_skip_ahead`: the chunk's tail beats a
-lower bound on everything before it) and is evaluated densely only from its
-first uncertified chunk, near its optimum, with the results of the dense
-pass.
+freezes on its own once it stops improving.  Every objective is monotone in
+k and in the sum, so a block of bandwidths is bounded by one value at its
+corner, and only the bandwidths that can change an answer are evaluated.
+Over a constant term, whose sum is known at any k, each objective skips
+every chunk it can certify (`_skip_ahead`: the chunk's last value beats the
+bounds on everything before its tail) and is evaluated densely only from
+its first uncertified chunk, near its optimum.  On the first chunk, an
+objective is evaluated past a short prefix only where a bound says it can
+still improve (`_first_chunk`).  The results are those of the dense pass.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Callable, ClassVar, Iterable, Iterator, NamedTuple, Union
 
 import numpy as np
@@ -57,10 +59,13 @@ DEFAULT_D_MAX = 1 << 16
 _SCAN_CHUNK = 4096
 #: Consecutive non-improving bandwidths after which a scan stops.
 _SCAN_STALL_LIMIT = 64
-#: Skip-ahead over constant-term scans (see `_skip_ahead`): the head sub-blocks
-#: widen by this factor away from a chunk's tail, at most this many chunks are
-#: certified per objective evaluation, and each bound is shrunk by this
-#: relative slack before it is compared.
+#: Bandwidths of the first chunk at which every objective is evaluated
+#: before the rest of that chunk is bounded (see `_first_chunk`).
+_SCAN_PREFIX = 256
+#: Block bounds (see `_block_bounds`): the blocks widen by this factor away
+#: from a chunk's tail (or the first chunk's prefix), `_skip_ahead` certifies
+#: at most this many chunks per objective evaluation, and each bound is
+#: shrunk by this relative slack before it is compared.
 _SKIP_GROWTH = 1.05
 _SKIP_MAX_BATCH = 32
 _SKIP_SLACK = 2.0**-40
@@ -86,6 +91,9 @@ def _fsum_or_inf(terms: list[float]) -> float:
     try:
         return math.fsum(terms)
     except OverflowError:
+        # imported here, on this rare path, to keep it off every import
+        from fractions import Fraction
+
         try:
             return float(sum(map(Fraction, terms)))
         except OverflowError:
@@ -612,26 +620,37 @@ def scan_bandwidths(
 ) -> list[ScanResult]:
     """Optimise ``count`` objectives over integer bandwidths 1..limit in one pass.
 
-    ``value_fn(ks, sums, rows)`` gets an array of indices, the prefix sums of
-    ``terms`` at them (see `_prefix_sums`) and the indices of the objectives
-    still running, and returns one row of values per entry of ``rows``; a
-    row's values may depend only on its own objective.  Each objective keeps
-    its own incumbent and freezes once ``_SCAN_STALL_LIMIT`` consecutive
-    bandwidths fail to improve on it (the objectives used here are unimodal
-    after their crossover point); frozen objectives are never evaluated
-    again, and the pass ends when all are frozen.  Ties keep the smaller
-    bandwidth; `truncated` is set when an optimiser lands on the scan limit.
+    ``value_fn(ks, sums, rows)`` gets an array of indices, sums of ``terms``
+    and the indices of the objectives to evaluate, and returns one row of
+    values per entry of ``rows``; a row's values may depend only on its own
+    objective and on each (k, sum) pair, not on the other pairs passed with
+    it.  Each objective keeps its own incumbent and freezes once
+    ``_SCAN_STALL_LIMIT`` consecutive bandwidths fail to improve on it (the
+    objectives used here are unimodal after their crossover point); frozen
+    objectives are never evaluated again, and the pass ends when all are
+    frozen.  Ties keep the smaller bandwidth, a NaN is never an optimum, and
+    `truncated` is set when an optimiser lands on the scan limit.
 
-    The pass goes through the indices in chunks of ``_SCAN_CHUNK``.  A term
-    function gets every chunk evaluated for every running objective.  For a
-    constant term c, each objective first skips ahead over the chunks that
-    `_skip_ahead` certifies and is evaluated from its first uncertified
-    chunk on, so ``value_fn`` also sees mixed points ``(k, fl(j * c))`` with
-    j != k.  Precondition for constant terms: every objective is
-    non-decreasing in the sum and non-increasing in k, the shape of all three
-    bound objectives (``c eps^2 S + a_k^-2``, ``min(c eps^2 S, a_k^-2)`` and
-    ``eps^2 sqrt(S) + a_k^-2``).  Under it the results are exactly those of
-    evaluating every chunk.
+    Precondition, for every scan: each objective is non-decreasing in the
+    sum and non-increasing in k, the shape of all three bound objectives
+    (``c eps^2 S + a_k^-2``, ``min(c eps^2 S, a_k^-2)`` and
+    ``eps^2 sqrt(S) + a_k^-2``).  Prefix sums are non-decreasing in k, so an
+    objective's value at the corner (hi, S(lo)) of a block of bandwidths
+    lo..hi is at most each of its values over the block (at (lo, S(hi)), at
+    least each, when maximising; see `_block_bounds`), and ``value_fn`` also
+    sees such mixed points.  Under it the results are exactly those of
+    evaluating every running objective on every chunk of ``_SCAN_CHUNK``
+    prefix sums until it freezes, while only the bandwidths that can change
+    a result are evaluated:
+
+    * over a constant term, each objective first skips the chunks that
+      `_skip_ahead` certifies from one witness each, and joins the pass at
+      its first uncertified chunk with the incumbent the chunk-by-chunk pass
+      would have there;
+    * on the scan's first chunk, where no objective has an incumbent yet,
+      each is evaluated on the first ``_SCAN_PREFIX`` bandwidths only
+      (`_first_chunk`); the rest of the chunk is bounded block by block, and
+      evaluated only for the objectives that bound cannot settle.
     """
     if limit < 1:
         raise ValueError("bandwidth limit must be at least 1")
@@ -651,17 +670,35 @@ def scan_bandwidths(
         ks, sums = next(chunks)
         joining = int(np.searchsorted(first[waiting], chunk, side="right"))
         rows, waiting = np.concatenate((rows, waiting[:joining])), waiting[joining:]
-        with np.errstate(over="ignore", invalid="ignore"):
-            vals = value_fn(ks, sums, rows)
-        idx, candidates = _chunk_optima(vals, maximize)
-        improved = candidates > best[rows] if maximize else candidates < best[rows]
-        best[rows[improved]] = candidates[improved]
-        best_d[rows[improved]] = ks[idx[improved]]
+        if chunk:
+            _fold(value_fn, ks, sums, rows, best, best_d, maximize)
+        else:  # no objective has an incumbent yet
+            _first_chunk(value_fn, ks, sums, rows, best, best_d, maximize)
         rows = rows[ks[-1] - best_d[rows] < _SCAN_STALL_LIMIT]
         if ks[-1] == limit:
             break
         chunk += 1
     return [ScanResult(int(d), float(v), int(d) == limit) for d, v in zip(best_d, best)]
+
+
+def _fold(
+    value_fn: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
+    ks: np.ndarray,
+    sums: np.ndarray,
+    rows: np.ndarray,
+    best: np.ndarray,
+    best_d: np.ndarray,
+    maximize: bool,
+) -> None:
+    """Evaluate the rows at ``ks`` and take each row's first optimum there
+    as its incumbent where it is strictly better, so ties keep the smaller
+    bandwidth."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = value_fn(ks, sums, rows)
+    idx, candidates = _chunk_optima(vals, maximize)
+    improved = candidates > best[rows] if maximize else candidates < best[rows]
+    best[rows[improved]] = candidates[improved]
+    best_d[rows[improved]] = ks[idx[improved]]
 
 
 def _chunk_optima(vals: np.ndarray, maximize: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -683,25 +720,100 @@ def _chunk_optima(vals: np.ndarray, maximize: bool) -> tuple[np.ndarray, np.ndar
     return idx, candidates
 
 
-def _head_blocks() -> tuple[np.ndarray, np.ndarray]:
-    """First and last offset, from a chunk's first index, of each sub-block
-    of the chunk's head (all but its last ``_SCAN_STALL_LIMIT`` indices).
-
-    The block next to the tail is one index wide, and the widths grow by
-    ``_SKIP_GROWTH`` towards the chunk's start: about 110 blocks per chunk.
-    """
+def _growing_blocks(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """First and last offset of consecutive blocks covering offsets 0..n-1:
+    the first is one index wide, and each next one ``_SKIP_GROWTH`` times
+    wider (rounded down), about 110 blocks for a chunk."""
     los, his = [], []
-    hi, width = _SCAN_CHUNK - _SCAN_STALL_LIMIT - 1, 1.0
-    while hi >= 0:
-        lo = max(0, hi - int(width) + 1)
+    lo, width = 0, 1.0
+    while lo < n:
         los.append(lo)
-        his.append(hi)
-        hi, width = lo - 1, width * _SKIP_GROWTH
+        his.append(min(n - 1, lo + int(width) - 1))
+        lo, width = his[-1] + 1, width * _SKIP_GROWTH
     return np.array(los), np.array(his)
 
 
-_HEAD_LO, _HEAD_HI = _head_blocks()
+#: Offsets below a chunk's witness, its last index e, of the blocks that
+#: `_skip_ahead` bounds: the 4096 indices from e-64 down, in blocks that widen
+#: away from the tail.  They cover the previous chunk's tail and this chunk's
+#: head, 110 blocks.
+_SKIP_BELOW_LO, _SKIP_BELOW_HI = (_SCAN_STALL_LIMIT + b for b in _growing_blocks(_SCAN_CHUNK))
 _TAIL = np.arange(_SCAN_CHUNK - _SCAN_STALL_LIMIT, _SCAN_CHUNK)
+#: The blocks that bound the first chunk past its prefix, widening away from it.
+_REST_LO, _REST_HI = (_SCAN_PREFIX + b for b in _growing_blocks(_SCAN_CHUNK - _SCAN_PREFIX))
+_NO_POINTS = np.empty(0, dtype=np.int64)
+
+
+def _block_bounds(
+    value_fn: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
+    rows: np.ndarray,
+    lo: np.ndarray,
+    hi: np.ndarray,
+    sum_at: Callable[[np.ndarray], np.ndarray],
+    maximize: bool,
+    points: np.ndarray = _NO_POINTS,
+) -> tuple[np.ndarray, np.ndarray]:
+    """A bound on each row's values over each group of blocks of bandwidths
+    lo..hi (one group per row of the 2-d ``lo`` and ``hi``), and its exact
+    values at ``points``, from one ``value_fn`` call; ``sum_at`` gives the
+    prefix sum at any bandwidth.
+
+    Both are returned negated when maximising, so that they always read as
+    minimising: a group's bound is then at most every value in its blocks.
+    A block is bounded by the objective at (hi, S(lo)), or at (lo, S(hi))
+    when maximising: under the scan's precondition that is its extreme value
+    over the block, as S is non-decreasing in k.  A group's bound, the least
+    of its blocks' (NaN if any is NaN), is shrunk by the relative
+    ``_SKIP_SLACK``, so a value a few ulps off cannot pass it; a bound of
+    +inf becomes NaN, which no comparison passes.
+    """
+    sign = -1.0 if maximize else 1.0
+    corner_k, corner_s = (lo, hi) if maximize else (hi, lo)
+    ks = np.concatenate((points, corner_k.ravel()))
+    at = np.concatenate((points, corner_s.ravel()))
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = sign * value_fn(ks, sum_at(at), rows)
+        bounds = vals[:, points.size :].reshape(rows.size, *lo.shape).min(axis=2)
+        bounds -= np.abs(bounds) * _SKIP_SLACK
+    return bounds, vals[:, : points.size]
+
+
+def _first_chunk(
+    value_fn: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
+    ks: np.ndarray,
+    sums: np.ndarray,
+    rows: np.ndarray,
+    best: np.ndarray,
+    best_d: np.ndarray,
+    maximize: bool,
+) -> None:
+    """Fold the scan's first chunk into objectives with no incumbent yet,
+    evaluating it past its first ``_SCAN_PREFIX`` bandwidths only where that
+    can change an incumbent.
+
+    After the prefix, an objective whose incumbent lies within
+    ``_SCAN_STALL_LIMIT`` of the prefix end is evaluated on the rest of the
+    chunk.  Every other one is first bounded over the rest, in blocks that
+    widen away from the prefix (`_block_bounds`), and evaluated only when
+    some bound does not beat its incumbent strictly.  When every bound does,
+    no value past the prefix improves on the incumbent, and the
+    chunk-by-chunk pass freezes at the chunk's end with that incumbent too.
+    """
+    prefix = _SCAN_PREFIX
+    _fold(value_fn, ks[:prefix], sums[:prefix], rows, best, best_d, maximize)
+    if ks.size <= prefix:
+        return
+    evaluate = ks[prefix - 1] - best_d[rows] < _SCAN_STALL_LIMIT
+    far = rows[~evaluate]
+    if far.size:
+        keep = _REST_LO < ks.size
+        lo = ks[_REST_LO[keep]][np.newaxis]
+        hi = ks[np.minimum(_REST_HI[keep], ks.size - 1)][np.newaxis]
+        bounds, _ = _block_bounds(value_fn, far, lo, hi, lambda k: sums[k - ks[0]], maximize)
+        evaluate[~evaluate] = ~((-best[far] if maximize else best[far]) < bounds[:, 0])
+    rest = rows[evaluate]
+    if rest.size:
+        _fold(value_fn, ks[prefix:], sums[prefix:], rest, best, best_d, maximize)
 
 
 def _skip_ahead(
@@ -713,53 +825,45 @@ def _skip_ahead(
     maximize: bool,
 ) -> np.ndarray:
     """The chunk from which each objective of a constant-term scan must be
-    evaluated densely; ``best`` and ``best_d`` get the dense pass's state
-    just before that chunk.
+    evaluated densely; ``best`` and ``best_d`` get the chunk-by-chunk pass's
+    state just before that chunk.
 
-    Stated for minimising (maximising mirrors it).  A chunk with last index
-    e is certified for an objective when the minimum of its tail e-63..e is
-    strictly below every value at k <= e-64.  The values before the chunk
-    are bounded by the previous certified tail's minimum, which is exactly
-    their minimum.  A head sub-block [a, b] is bounded below by
-    ``value_fn([b], [fl(a * c)])`` (upper bound ``value_fn([a], [fl(b * c)])``
-    when maximising): the objective is monotone in k and in the sum, and
-    fl(k * c) is non-decreasing in k.  Each bound is shrunk by the relative
-    ``_SKIP_SLACK`` first, so a value a few ulps off cannot certify a chunk.
-    On a certified chunk the dense pass does not freeze (its incumbent is in
-    the tail) and its incumbent is the tail's first minimiser, so the
-    objective resumes dense evaluation at its first uncertified chunk in
-    exactly the dense pass's state.  Chunks are tried in doubling batches of
-    up to ``_SKIP_MAX_BATCH``, one ``value_fn`` call per batch for all
-    objectives still skipping; the last chunk is never certified, nor is a
-    chunk whose bound or tail holds a NaN (every comparison with it fails).
+    Stated for minimising (maximising mirrors it), with S(k) = fl(k * c).
+    Chunk i, with last index e, is certified from one witness, the value
+    f(e): it must be strictly below the bound (`_block_bounds`) on the 4096
+    values at k = e-4159..e-64, which are chunk i's head and chunk i-1's
+    64-value tail (for the first chunk, its head alone).  Then the least
+    value of chunk i's tail, at most f(e), is strictly below every value at
+    k <= e-64: below those by the bound, and below everything before chunk
+    i-1's tail as chunk i-1 was certified, which put its least value in its
+    tail.  The chunk-by-chunk pass therefore does not freeze on a certified
+    chunk, and its incumbent after one is the first optimum of that chunk's
+    tail.  A certified chunk costs 111 values (110 blocks and the witness);
+    each objective's incumbent is read once, from the 64-value tail of its
+    last certified chunk, with NaNs ranked as `_chunk_optima` ranks them.
+
+    Chunks are tried in doubling batches of up to ``_SKIP_MAX_BATCH``, one
+    ``value_fn`` call per batch for all objectives still skipping; the last
+    chunk is never certified, nor is a chunk whose witness or bound is NaN
+    (every comparison with it fails).
     """
     first = np.zeros(best.size, dtype=np.int64)
     certifiable = (limit - 1) // _SCAN_CHUNK
-    sign = -1.0 if maximize else 1.0
     rows = np.arange(best.size)
     chunk, batch = 0, 1
     while rows.size and chunk < certifiable:
         n = min(batch, certifiable - chunk)
-        starts = (chunk + np.arange(n))[:, np.newaxis] * _SCAN_CHUNK + 1
-        lo, hi = (starts + _HEAD_LO).ravel(), (starts + _HEAD_HI).ravel()
-        tail = (starts + _TAIL).ravel()
-        ks = np.concatenate((lo if maximize else hi, tail))
-        at = np.concatenate((hi if maximize else lo, tail))
-        with np.errstate(over="ignore", invalid="ignore"):
-            vals = sign * value_fn(ks, at * c, rows)
-            heads = vals[:, : lo.size].reshape(rows.size, n, -1).min(axis=2)
-            heads -= np.abs(heads) * _SKIP_SLACK
-        tails = vals[:, lo.size :].reshape(rows.size, n, _SCAN_STALL_LIMIT)
-        idx = tails.argmin(axis=2)
-        tail_min = np.take_along_axis(tails, idx[..., np.newaxis], axis=2)[..., 0]
-        before = np.concatenate((sign * best[rows, np.newaxis], tail_min[:, :-1]), axis=1)
-        certified = (tail_min < heads) & (tail_min < before)
+        ends = (chunk + 1 + np.arange(n)) * _SCAN_CHUNK
+        # only the first chunk's blocks reach below k = 1; they shrink to k = 1
+        lo = np.maximum(ends[:, np.newaxis] - _SKIP_BELOW_HI, 1)
+        hi = np.maximum(ends[:, np.newaxis] - _SKIP_BELOW_LO, 1)
+        bounds, witness = _block_bounds(value_fn, rows, lo, hi, lambda k: k * c, maximize, ends)
+        certified = witness < bounds
         run = np.where(certified.all(axis=1), n, certified.argmin(axis=1))
-        moved, last = run > 0, run[run > 0] - 1
-        best[rows[moved]] = sign * tail_min[moved, last]
-        best_d[rows[moved]] = tail.reshape(n, -1)[last, idx[moved, last]]
         first[rows] = chunk + run
         rows = rows[run == n]
         chunk, batch = chunk + n, min(2 * batch, _SKIP_MAX_BATCH)
+    for last in np.unique(first[first > 0]) - 1:
+        ks = last * _SCAN_CHUNK + 1 + _TAIL
+        _fold(value_fn, ks, ks * c, np.flatnonzero(first == last + 1), best, best_d, maximize)
     return first
-

@@ -25,8 +25,8 @@ Covers:
    config errors before any output; noise parameters are checked at load
 11. Every command computes all its outputs before any is written: a failure
    injected after a table is built leaves no file, and an adversarial
-   loading too close to 1 for the divergence chain is a config error before
-   any estimate runs
+   loading too close to 1 for the divergence chain, in any adversarial
+   block, is a config error before any estimate runs
 """
 
 import inspect
@@ -971,3 +971,34 @@ class TestLoadingNearOne:
         assert cli.main(["simulate", "--config", str(cfg), "--output", str(out)]) == 2
         assert "noise.d = 0.99999999999995 is too close to 1" in capsys.readouterr().err
         assert list(out.iterdir()) == []
+
+    def test_every_adversarial_block_is_checked(self, tmp_path, capsys, monkeypatch):
+        # the shipped config's adversarial block is usable; a second block
+        # with the loading above must stop the run just as a first one does
+        def no_estimate(*args, **kwargs):
+            raise AssertionError("an estimate ran")
+
+        monkeypatch.setattr(montecarlo, "estimate_type2", no_estimate)
+        text = (REPO / "configs" / "simulate.cfg").read_text()
+        text += "noise.kind = adversarial_equicorrelated\nnoise.d = 0.99999999999995\n"
+        cfg = write_config(tmp_path, text)
+        out = tmp_path / "out"
+        assert cli.main(["simulate", "--config", str(cfg), "--output", str(out)]) == 2
+        assert "noise.d = 0.99999999999995 is too close to 1" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    def test_one_chain_section_per_adversarial_block(self, tmp_path):
+        # two usable loadings: each block's chain, headed by its loading
+        text = BASE_CONFIG + "noise.kind = adversarial_equicorrelated\nnoise.d = 0.9\n"
+        single = tmp_path / "single"
+        assert cli.main(["simulate", "--config", str(write_config(tmp_path)),
+                         "--output", str(single)]) == 0
+        both = tmp_path / "both"
+        assert cli.main(["simulate", "--config", str(write_config(tmp_path, text, "two.cfg")),
+                         "--output", str(both)]) == 0
+        chain = (single / "lowerbound_check.txt").read_text()
+        sections = (both / "lowerbound_check.txt").read_text().split("noise.d = ")
+        assert sections[0] == ""
+        assert sections[1] == "0.70710678118654757\n" + chain
+        assert sections[2].startswith("0.90000000000000002\ndivergence_budget = ")
+        assert len((both / "simulate.csv").read_text().splitlines()) == 4

@@ -17,6 +17,7 @@ Covers:
    and determinism of the one-pass solve
 """
 
+import concurrent.futures
 import dataclasses
 import math
 import re
@@ -196,13 +197,14 @@ class TestBlockedKernelReference:
         config = dataclasses.replace(detector.calibrate(spec, 0.1, 0.1, d=d), threshold=0.0)
         want = montecarlo.estimate_type1(spec, config, IidGaussian(), reps, 5)
         workers = []
-        real_pool = montecarlo.ThreadPoolExecutor
+        real_pool = concurrent.futures.ThreadPoolExecutor
 
         def recording_pool(max_workers):
             workers.append(max_workers)
             return real_pool(max_workers=max_workers)
 
-        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", recording_pool)
+        # the pool class is imported where a pool starts
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", recording_pool)
         got = montecarlo.estimate_type1(spec, config, IidGaussian(), reps, 5, threads=64)
         assert workers and max(workers) <= 3
         assert got.p_hat == want.p_hat

@@ -15,22 +15,25 @@ Covers:
 9. The carry at the edge of the double range, against an exact fraction sum
 10. Constant (well-posed) spectra: exactly rounded closed-form prefix sums,
     the same scans as the chunked sum of the same constant, and overflow
-11. The constant-term skip-ahead against the chunk-by-chunk scan kept here
-    as the oracle: the freeze rule's edges, a seeded randomised set of
-    production and synthetic objectives, and the work it saves
+11. The constant-term skip-ahead and the bounded first chunk against the
+    chunk-by-chunk scan kept here as the oracle: the freeze rule's edges, a
+    seeded randomised set of production and synthetic objectives, every scan
+    of the shipped configs and of deep rates grids, and the work it saves
 12. A NaN objective value is never a scan's optimum
 """
 
 import dataclasses
 import itertools
 import math
+import re
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from seqdetect import bounds, detector
+from seqdetect import bounds, cli, detector
 from seqdetect.sequences import (
     DEFAULT_D_MAX,
     OPERATOR_KINDS,
@@ -113,10 +116,14 @@ class TestPartialSums:
         assert math.isinf(sum_inv_b_4(spec, 400))
 
 
+REPO = Path(__file__).resolve().parents[1]
+
 #: Chunk length of the prefix-sum primitive; the reference bandwidths straddle it.
 _CHUNK = 4096
 #: Consecutive non-improving bandwidths after which a scan objective freezes.
 _STALL = 64
+#: Bandwidths of the first chunk evaluated before the rest of it is bounded.
+_PREFIX = 256
 #: Fixed from float64 before measuring: a chunk adds at most 4096 terms in
 #: sequence (relative error <= 4096 u, u = 2^-53), the carry between chunks is
 #: exactly rounded, and a closed-form term may differ from its vectorised twin
@@ -535,7 +542,7 @@ class TestScanBandwidth:
     def test_truncation_flag(self):
         # strictly decreasing objective: minimiser is the scan limit
         def value_fn(ks, sums, rows):
-            return (1.0 / sums)[np.newaxis]
+            return (1.0 / ks)[np.newaxis]
 
         (result,) = scan_bandwidths(lambda ks: np.ones(len(ks)), value_fn, 300, 1)
         assert result.d == 300 and result.truncated
@@ -545,48 +552,53 @@ class TestScanBandwidths:
     """The multi-objective pass: per-objective freezing, exact agreement
     with one-objective scans."""
 
-    @staticmethod
-    def objectives(ks, sums):
-        # row 0 is minimised at D = 10 (first chunk); row 1 at D = 10000
-        # (third chunk); row 2 at D = 5000 (second chunk)
-        return np.abs(sums[np.newaxis, :] - np.array([[10.0], [10000.0], [5000.0]]))
+    #: row 0 is optimal at D = 10 (first chunk's prefix); row 1 at D = 10000
+    #: (third chunk); row 2 at D = 5000 (second chunk)
+    TARGETS = [10, 10000, 5000]
 
     def test_frozen_objectives_are_not_evaluated(self):
         seen = []
+        objectives = _peaks(self.TARGETS, maximize=False)
 
         def value_fn(ks, sums, rows):
-            seen.append((int(ks[0]), rows.tolist()))
-            return self.objectives(ks, sums)[rows]
+            seen.append((int(ks[0]), ks.size, rows.tolist()))
+            return objectives(ks, sums, rows)
 
         results = scan_bandwidths(lambda ks: np.ones(len(ks)), value_fn, 1 << 16, 3)
         assert [r.d for r in results] == [10, 10000, 5000]
-        assert [r.value for r in results] == [0.0, 0.0, 0.0]
+        assert [r.value for r in results] == [2.0, 2.0, 2.0]
         assert not any(r.truncated for r in results)
-        assert seen == [(1, [0, 1, 2]), (4097, [1, 2]), (8193, [1])]
+        # the first chunk's prefix for all rows; the bound on the rest of it
+        # settles row 0 (one value per block: 109 blocks widening by 1.05
+        # from 257 on); rows 1 and 2, still improving at the prefix end, get
+        # the rest of the chunk
+        assert seen == [
+            (1, _PREFIX, [0, 1, 2]),
+            (_PREFIX + 1, 109, [0]),
+            (_PREFIX + 1, _CHUNK - _PREFIX, [1, 2]),
+            (4097, _CHUNK, [1, 2]),
+            (8193, _CHUNK, [1]),
+        ]
 
     def test_rows_match_single_objective_scans(self):
-        def value_fn(ks, sums, rows):
-            return self.objectives(ks, sums)[rows]
-
+        value_fn = _peaks(self.TARGETS, maximize=False)
         results = scan_bandwidths(lambda ks: np.ones(len(ks)), value_fn, 9000, 3)
         for row, result in enumerate(results):
             (single,) = scan_bandwidths(
                 lambda ks: np.ones(len(ks)),
-                lambda ks, sums, rows: self.objectives(ks, sums)[[row]],
+                _peaks([self.TARGETS[row]], maximize=False),
                 9000,
                 1,
             )
             assert result == single
-        assert results[1] == (9000, 1000.0, True)
+        assert results[1] == (9000, 9000.0 / 10000.0 + 10000.0 / 9000, True)
 
     def test_maximize_freezes_per_row(self):
-        def value_fn(ks, sums, rows):
-            return -self.objectives(ks, sums)[rows]
-
         results = scan_bandwidths(
-            lambda ks: np.ones(len(ks)), value_fn, 1 << 16, 3, maximize=True
+            lambda ks: np.ones(len(ks)), _peaks(self.TARGETS, maximize=True), 1 << 16, 3,
+            maximize=True,
         )
-        assert [(r.d, r.value) for r in results] == [(10, 0.0), (10000, 0.0), (5000, 0.0)]
+        assert [(r.d, r.value) for r in results] == [(10, 1.0), (10000, 1.0), (5000, 1.0)]
 
 
 class TestConstantSpectra:
@@ -720,17 +732,22 @@ class TestFreezeRuleEdges:
         assert results == expected
         assert results == _dense_reference(terms, value_fn, limit, count, maximize)
 
-    @pytest.mark.parametrize("end", [_CHUNK, 2 * _CHUNK, 5 * _CHUNK])
+    @pytest.mark.parametrize(
+        "end", [_PREFIX, _PREFIX + _STALL, _PREFIX + 2 * _STALL, _CHUNK, 2 * _CHUNK, 5 * _CHUNK]
+    )
     def test_optimum_at_the_tail_edge(self, terms, maximize, end):
-        # e - 64 freezes at the chunk end e, e - 63 one chunk later
+        # e - 64 freezes at the chunk end e, e - 63 one chunk later; on the
+        # first chunk's prefix end e = 256, e - 64 is settled by the bound on
+        # the rest of the chunk and e - 63 is evaluated past it
         targets = [end - _STALL, end - _STALL + 1]
         opt = 1.0 if maximize else 2.0
         expected = [(t, opt, False) for t in targets]
         self.check(terms, _peaks(targets, maximize), 1 << 16, 2, maximize, expected)
 
-    @pytest.mark.parametrize("lo", [_CHUNK, 2 * _CHUNK, 3 * _CHUNK - 1])
+    @pytest.mark.parametrize("lo", [_PREFIX, _CHUNK, 2 * _CHUNK, 3 * _CHUNK - 1])
     def test_ties_across_a_chunk_boundary(self, terms, maximize, lo):
-        # the optimum is attained at lo and at lo + 1; the smaller one wins
+        # the optimum is attained at lo and at lo + 1; the smaller one wins,
+        # across a chunk boundary or the first chunk's prefix end
         self.check(terms, _plateaus(lo, lo + 1, maximize), 1 << 15, 1, maximize,
                    [(lo, 1.0, False)])
 
@@ -891,8 +908,32 @@ class TestSkipAheadMatchesTheDenseScan:
                 bounds.bounds_over_grid(spec, grid, 0.1, 0.1, c_beta=50.0)
         assert len(checked) == 6
 
+    def test_every_scan_of_the_shipped_configs(self, monkeypatch, tmp_path):
+        checked = _checked_scans(monkeypatch)
+        configs = REPO / "configs"
+        for command in ("bounds", "calibrate", "simulate", "rates"):
+            argv = [command, "--config", str(configs / f"{command}.cfg"),
+                    "--output", str(tmp_path / command)]
+            before = len(checked)
+            assert cli.main(argv + (["--reps", "1000"] if command == "simulate" else [])) == 0
+            assert len(checked) > before, command
+        # rates on all six cells down to eps = 5e-7 at D_max = 2^22, the
+        # deepest grid at which no scan of the six cells truncates
+        grid = ", ".join(map(repr, np.geomspace(0.0625, 5e-7, 48).tolist()))
+        text = (configs / "rates.cfg").read_text()
+        text = re.sub(r"(?m)^D_max = .*$", f"D_max = {1 << 22}", text)
+        text = re.sub(r"(?m)^run.eps_grid = .*$", f"run.eps_grid = {grid}", text)
+        cfg = tmp_path / "deep.cfg"
+        cfg.write_text(text)
+        before = len(checked)
+        assert cli.main(["rates", "--config", str(cfg), "--output", str(tmp_path / "deep")]) == 0
+        # the lower, upper and classical scans of each cell
+        assert checked[before:] == [(1 << 22, 48, m) for m in (False, True, False)] * 6
+
     def test_synthetic_objectives(self):
-        # quantised sums and weights: long runs of ties in both directions
+        # quantised sums and weights: long runs of ties in both directions;
+        # every third case sums the constant as a term function, which
+        # skips nothing but bounds its first chunk past the prefix
         rng = np.random.default_rng(4242)
         for case in range(60):
             c = float(rng.choice([1.0, 1 / 0.49, 1 / 2.25, 10 ** rng.uniform(-5, 5)]))
@@ -914,14 +955,15 @@ class TestSkipAheadMatchesTheDenseScan:
                 bias = np.where(quantised, np.ceil(bias * q) / q, bias)
                 return np.minimum(var, bias) if maximize else var + bias
 
-            results = scan_bandwidths(c, value_fn, limit, count, maximize=maximize)
-            assert results == _dense_reference(c, value_fn, limit, count, maximize), case
+            terms = c if case % 3 else (lambda ks, c=c: np.full(ks.size, c))
+            results = scan_bandwidths(terms, value_fn, limit, count, maximize=maximize)
+            assert results == _dense_reference(terms, value_fn, limit, count, maximize), case
 
 
 def test_deep_classical_scan_skips_most_points(monkeypatch):
     """The well-posed classical scan of a 48-point grid down to 5e-7 at
-    D_max = 2^22 (minimiser sqrt(3)/eps, near 3.46M) evaluates under a
-    quarter of the points of the chunk-by-chunk scan, with equal results."""
+    D_max = 2^22 (minimiser sqrt(3)/eps, near 3.46M) evaluates under 16 % of
+    the points of the chunk-by-chunk scan, with equal results."""
     spec = ProblemSpec(OperatorFamily.well_posed(), SmoothnessFamily.ordinary_smooth(0.75),
                        eps=0.1, d_max=1 << 22)
     grid = np.geomspace(0.0625, 5e-7, 48).tolist()
@@ -943,7 +985,7 @@ def test_deep_classical_scan_skips_most_points(monkeypatch):
     assert results == seen["dense"]
     assert results[-1].d == 3_464_102 and not results[-1].truncated
     assert counts["dense"] == 846 * _CHUNK
-    assert counts["skip"] < 0.25 * counts["dense"]
+    assert counts["skip"] < 0.16 * counts["dense"]
 
 
 class TestNanIsNeverAnOptimum:
@@ -962,11 +1004,12 @@ class TestNanIsNeverAnOptimum:
         assert len(checked) == 3
 
     @pytest.mark.parametrize("maximize", [False, True])
-    @pytest.mark.parametrize("at", [1, 5, 60])
+    @pytest.mark.parametrize("at", [1, 5, 60, 300, 4000])
     def test_finite_value_among_nans(self, maximize, at):
         # the skip-ahead must not certify a chunk of NaNs, and the dense pass
         # must find the one finite value among a chunk's NaNs (before the
-        # scan freezes, 64 bandwidths on)
+        # scan freezes, 64 bandwidths on), in the first chunk's prefix or in
+        # the rest of it, which NaN bounds cannot settle
         limit = 3 * _CHUNK + 7
 
         def value_fn(ks, sums, rows):
@@ -976,3 +1019,19 @@ class TestNanIsNeverAnOptimum:
         results = scan_bandwidths(1.0, value_fn, limit, 2, maximize=maximize)
         assert results == [(at, 2.0, False)] * 2
         assert results == _dense_reference(1.0, value_fn, limit, 2, maximize)
+
+    @pytest.mark.parametrize("maximize", [False, True])
+    def test_nans_inside_a_certified_tail(self, maximize):
+        # optimum 2 (or 1) at 22480 in the sixth chunk; chunks 1-5 are
+        # certified by their last values, and the incumbent read from the
+        # fifth chunk's tail 20417..20480 must pass over its NaNs
+        peaks = _peaks([5 * _CHUNK + 2000], maximize)
+        holes = [5 * _CHUNK - 63, 5 * _CHUNK - 40, 5 * _CHUNK - 1, 4 * _CHUNK - 5]
+
+        def value_fn(ks, sums, rows):
+            vals = peaks(ks, sums, rows)
+            return np.where(np.isin(ks, holes), math.nan, vals)
+
+        results = scan_bandwidths(1.0, value_fn, 1 << 15, 1, maximize=maximize)
+        assert results == [(5 * _CHUNK + 2000, 1.0 if maximize else 2.0, False)]
+        assert results == _dense_reference(1.0, value_fn, 1 << 15, 1, maximize)
