@@ -11,7 +11,8 @@ All randomness derives from the configured master seed; outputs contain no
 timestamps or wall-clock values (those go to a sidecar .log file), so a rerun
 with the same config and seed is byte-identical at any thread count.
 A command computes all its outputs before any is written, and its .log line
-is written last; `main` alone writes them.
+is written last; `main` alone writes them, creating the output directory
+only then, and a failed write is a config error.
 Exit status is 0 only when every asserted check passed.
 """
 
@@ -177,6 +178,7 @@ def _cell_table(
 
 def run_bounds(config: ExperimentConfig) -> Outcome:
     """Radius bounds per eps plus, when the grid allows, a rate-fit summary."""
+    _check_lower_bound_levels(config, "bounds")
     if not config.eps_grid:
         raise ConfigError("bounds needs a non-empty run.eps_grid")
     _, c_beta = _calibration(config, "bounds")
@@ -254,6 +256,15 @@ def _row_seeds(master_seed: int, count: int) -> list[int]:
 
 def run_simulate(config: ExperimentConfig, threads: int = 1) -> Outcome:
     """Empirical type I / type II error table, one row per noise family."""
+    # at C = 1 the class holds only random signs, xi_k^2 = 1, and the Markov
+    # threshold K1 eps^2 sum b_k^-2 is 0, since K1 = sqrt(2 (C - 1) / alpha):
+    # the null statistic of that noise is exactly 0, so the test would reject
+    # on every null draw (the other commands' constants and bounds stay valid)
+    if config.problem.fourth_moment_bound == 1.0:
+        raise ConfigError(
+            "simulate needs C > 1: at C = 1 the threshold is 0, and the class's "
+            "only noise, random signs, is rejected on every null draw"
+        )
     if config.reps < _MIN_SIMULATE_REPS:
         raise ConfigError(f"simulate needs run.reps >= {_MIN_SIMULATE_REPS}")
     if not config.noise:
@@ -275,6 +286,8 @@ def run_simulate(config: ExperimentConfig, threads: int = 1) -> Outcome:
     # the analytic chain draws nothing, so a loading it cannot use, in any
     # adversarial block, stops the run before any estimate
     loadings = [float(m.loadings[0]) for m in models if isinstance(m, AdversarialEquicorrelated)]
+    if loadings:
+        _check_lower_bound_levels(config, "simulate")
     checks = [_divergence_check(config, loading) for loading in loadings]
     chain: dict[str, str] = {}
     if len(checks) == 1:
@@ -360,6 +373,7 @@ def _divergence_check(config: ExperimentConfig, loading: float) -> tuple[str, bo
 
 def run_rates(config: ExperimentConfig) -> Outcome:
     """Fit the bound decay per benchmark cell against the known rate laws."""
+    _check_lower_bound_levels(config, "rates")
     if len(config.eps_grid) < 5:
         raise ConfigError("rates needs run.eps_grid with at least 5 values")
     problem = config.problem
@@ -390,36 +404,12 @@ def run_rates(config: ExperimentConfig) -> Outcome:
 
 
 def _check_lower_bound_levels(config: ExperimentConfig, command: str) -> None:
-    """The lower bound's divergence budget needs alpha + beta < 1.
-
-    ``bounds`` and ``rates`` form the lower bound, and ``simulate`` does in
-    its divergence check when a noise block is adversarial; ``calibrate``
-    does not.  Checked before the command runs.
-    """
-    forms_lower_bound = command in ("bounds", "rates") or (
-        command == "simulate"
-        and any(ns.kind == "adversarial_equicorrelated" for ns in config.noise)
-    )
-    if forms_lower_bound and not config.alpha + config.beta < 1.0:
+    """The lower bound's divergence budget needs alpha + beta < 1; checked
+    by each command that forms the lower bound before it does."""
+    if not config.alpha + config.beta < 1.0:
         raise ConfigError(
             f"{command} forms the lower bound, which needs test.alpha + test.beta < 1; "
             f"got {config.alpha!r} + {config.beta!r}"
-        )
-
-
-def _check_null_threshold(config: ExperimentConfig, command: str) -> None:
-    """``simulate`` needs C > 1.
-
-    At C = 1 the class holds only random signs, xi_k^2 = 1, and the Markov
-    threshold K1 eps^2 sum b_k^-2 is 0, since K1 = sqrt(2 (C - 1) / alpha).
-    The null statistic of that noise is exactly 0, so the test rejects on
-    every null draw.  The other commands only report constants and bounds,
-    which stay valid at C = 1.  Checked before the command runs.
-    """
-    if command == "simulate" and config.problem.fourth_moment_bound == 1.0:
-        raise ConfigError(
-            "simulate needs C > 1: at C = 1 the threshold is 0, and the class's "
-            "only noise, random signs, is rejected on every null draw"
         )
 
 
@@ -471,28 +461,26 @@ def main(argv: list[str] | None = None) -> int:
             raise ConfigError(
                 f"config pins run.command = {config.command!r} but {args.command!r} was invoked"
             )
-        if args.command == "simulate":
-            # each flag is read and checked as its config key would be
-            overrides = {}
-            for field, key, raw in (("seed", "rng.seed", args.seed), ("reps", "run.reps", args.reps)):
-                if raw is not None:
-                    try:
-                        overrides[field] = _KEYS[key][0](raw, key)
-                    except ValueError as exc:
-                        raise ConfigError(f"--{field}: {exc}") from None
-            config = replace(config, **overrides)
-        _check_lower_bound_levels(config, args.command)
-        _check_null_threshold(config, args.command)
+        # --seed and --reps exist for simulate alone; each is read and
+        # checked as its config key would be
+        overrides = {}
+        for field, key in (("seed", "rng.seed"), ("reps", "run.reps")):
+            raw = getattr(args, field, None)
+            if raw is not None:
+                try:
+                    overrides[field] = _KEYS[key][0](raw, key)
+                except ValueError as exc:
+                    raise ConfigError(f"--{field}: {exc}") from None
+        outcome = _COMMANDS[args.command][1](replace(config, **overrides), args)
         out_dir = Path(args.output or config.output_path or ".")
         try:
             out_dir.mkdir(parents=True, exist_ok=True)
+            _write(out_dir, args.command, outcome)
         except OSError as exc:
             raise ConfigError(f"output directory {out_dir} is not writable: {exc}") from exc
-        outcome = _COMMANDS[args.command][1](config, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    _write(out_dir, args.command, outcome)
     print(outcome.stdout(out_dir))
     return 0 if outcome.ok else 1
 

@@ -12,10 +12,9 @@ sum comes from one chunked prefix-sum primitive, `_prefix_sums`, over the
 spectrum's terms as `_inv_b_terms` gives them.  A well-posed spectrum's terms
 are one constant c, and its prefix sums are the closed form ``fl(k * c)``,
 the exactly rounded sum.  Any other spectrum gets a numpy ``cumsum`` inside
-each chunk of indices, with the total of the earlier chunks carried by an
-exactly rounded ``math.fsum``.  That fsum never sees the terms one by one: it
-sums the cumsum's last value and the last values of cumsums of its cascaded
-TwoSum residuals, whose exact sum is the chunk's sum.  Exponentially
+each chunk of indices, with the total of the earlier chunks carried as the
+exactly rounded sum of the previous carry and the chunk's terms
+(`_fsum_or_inf`, the one exactly rounded summation here).  Exponentially
 ill-posed spectra overflow to ``+inf`` instead of raising, so optimisation
 loops can simply skip past the overflowed tail.
 
@@ -391,7 +390,8 @@ class Signal:
         return self.coefficients[k - 1] if k <= len(self.coefficients) else 0.0
 
     def norm_sq(self) -> float:
-        return math.fsum(c * c for c in self.coefficients)
+        """The exactly rounded sum of squares; +inf once it overflows."""
+        return _fsum_or_inf([c * c for c in self.coefficients])
 
     def array(self, d: int) -> np.ndarray:
         """First d coefficients as a dense vector."""
@@ -424,15 +424,12 @@ def _prefix_sums(
     A term function is summed by a numpy cumsum inside each chunk, which
     adds up to ``_SCAN_CHUNK`` (4096) roundings to the running sums; the
     total of the earlier chunks is carried as the exactly rounded sum of the
-    previous carry and the chunk's terms, so the carry adds one rounding per
-    chunk, not one per term.  The carry is therefore exactly rounded at each
-    step, but a sum over several chunks is in general not the exactly
-    rounded sum of all its terms: the per-chunk roundings compound.  A
-    chunk's carry is formed only when the next chunk is requested, so a
-    consumer that stops early never pays for it.  The carry is an fsum over
-    a handful of floats whose exact sum is the carry plus the chunk's sum:
-    the cumsum's last value and the last values of cumsums of its cascaded
-    TwoSum residuals (`_exact_carry`).
+    previous carry and the chunk's terms (`_fsum_or_inf`), so the carry adds
+    one rounding per chunk, not one per term.  The carry is therefore
+    exactly rounded at each step, but a sum over several chunks is in
+    general not the exactly rounded sum of all its terms: the per-chunk
+    roundings compound.  A chunk's carry is formed only when the next chunk
+    is requested, so a consumer that stops early never pays for it.
     """
     carry = 0.0
     for k0 in range(1 + first_chunk * _SCAN_CHUNK, limit + 1, _SCAN_CHUNK):
@@ -444,51 +441,9 @@ def _prefix_sums(
             continue
         chunk = terms(ks)
         with np.errstate(over="ignore"):
-            run = np.cumsum(chunk)
-            sums = carry + run
+            sums = carry + np.cumsum(chunk)
         yield ks, sums
-        carry = _exact_carry(carry, chunk, run)
-
-
-def _two_sum_residuals(run: np.ndarray, terms: np.ndarray) -> np.ndarray:
-    """Exact rounding error of each step ``run[i] = fl(run[i-1] + terms[i])``.
-
-    Knuth's TwoSum, vectorised: ``run[i-1] + terms[i] == run[i] + err[i-1]``
-    holds in exact arithmetic for every finite step, so
-    ``sum(terms) == run[-1] + sum(err)``.
-    """
-    prev, total = run[:-1], run[1:]
-    virtual = total - prev
-    return (prev - (total - virtual)) + (terms[1:] - virtual)
-
-
-def _exact_carry(carry: float, terms: np.ndarray, run: np.ndarray) -> float:
-    """``fsum([carry, *terms])`` of non-negative terms, given ``run = np.cumsum(terms)``.
-
-    ``np.cumsum`` adds in sequence, so ``sum(terms)`` is exactly ``run[-1]``
-    plus the TwoSum residuals of ``run``.  The non-zero residuals are summed
-    the same way, level after level, until none is left (each level is shorter
-    than the last; smooth spectra need one or two).  fsum over ``carry`` and
-    the last running value of every level is then the same exactly rounded
-    sum, without boxing every term.  ``run`` is non-decreasing, so its finite
-    part is a prefix: only that prefix is decomposed, and the terms after it
-    go to fsum as they are, which keeps the overflow to +inf.
-
-    The parts reach fsum smallest level first, so it meets the negative
-    residuals before the large values.  Where an exact sum within a few ulps
-    below the largest double still trips fsum's intermediate-overflow check,
-    `_fsum_or_inf` sums the parts again exactly.
-    """
-    m = int(np.searchsorted(run, math.inf))
-    tail = terms[m:].tolist()
-    level, run = terms[:m], run[:m]
-    last_values = []
-    while run.size:
-        last_values.append(float(run[-1]))
-        level = _two_sum_residuals(run, level)
-        level = level[level != 0]
-        run = np.cumsum(level)
-    return _fsum_or_inf([*reversed(last_values), carry, *tail])
+        carry = _fsum_or_inf([carry, *chunk.tolist()])
 
 
 def _partial_sum(terms: Terms, d: int) -> float:

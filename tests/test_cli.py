@@ -24,7 +24,8 @@ Covers:
    bound that underflows to 0 and a grid a rate law cannot be fitted on are
    config errors before any output; noise parameters are checked at load
 11. Every command computes all its outputs before any is written: a failure
-   injected after a table is built leaves no file, and an adversarial
+   injected after a table is built, or a check inside a command, leaves no
+   output directory, a failed write is a config error, and an adversarial
    loading too close to 1 for the divergence chain, in any adversarial
    block, is a config error before any estimate runs
 """
@@ -564,7 +565,7 @@ class TestDenseNoiseLimit:
         assert cli.main(["simulate", "--config", str(cfg), "--output", str(out)]) == 2
         err = capsys.readouterr().err
         assert f"{kind} noise" in err and "D = 17" in err and "limit 16" in err
-        assert not (out / "simulate.csv").exists()
+        assert not out.exists()
 
     def test_simulate_runs_at_the_limit(self, tmp_path, monkeypatch):
         # 16 also covers the divergence check's adversarial matrices (D <= 16)
@@ -710,7 +711,7 @@ class TestBoundOverflow:
         assert cli.main([command, "--config", str(cfg), "--output", str(out)]) == 2
         err = capsys.readouterr().err
         assert f"{command}: at eps = 1 the upper bound overflows at every bandwidth" in err
-        assert not any(out.iterdir())
+        assert not out.exists()
 
 
 class TestUnusableCalibrationOrFit:
@@ -787,7 +788,7 @@ class TestUnusableCalibrationOrFit:
         cfg = write_config(tmp_path, text)
         assert cli.main([command, "--config", str(cfg), "--output", str(out)]) == 2
         assert f"config error: {message}" in capsys.readouterr().err
-        assert not any(out.iterdir())
+        assert not out.exists()
 
 
 class TestSimulateOnlyFlags:
@@ -918,8 +919,8 @@ class TestFourthMomentBound:
 
 class TestNothingWrittenOnFailure:
     """A command computes all its outputs before `main` writes any of them:
-    a failure injected once the command has built a table leaves the output
-    directory, which `main` created, empty."""
+    a failure injected once the command has built a table leaves no output
+    directory, which `main` creates only after the command has returned."""
 
     class Injected(Exception):
         pass
@@ -951,7 +952,26 @@ class TestNothingWrittenOnFailure:
         argv = [command, "--config", str(REPO / "configs" / f"{command}.cfg"), "--output", str(out)]
         with pytest.raises(self.Injected):
             cli.main(argv + (["--reps", "1000"] if command == "simulate" else []))
-        assert list(out.iterdir()) == []
+        assert not out.exists()
+
+    def test_a_check_of_the_command_leaves_no_directory(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, BASE_CONFIG.replace("run.reps = 1000", "run.reps = 10"))
+        assert cli.main(["simulate", "--config", str(cfg), "--output", str(out)]) == 2
+        assert "simulate needs run.reps >= 1000" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_a_failed_write_is_a_config_error(self, tmp_path, capsys, monkeypatch):
+        # the directory exists and the write itself fails, as on a full disk
+        def failing(self, *args, **kwargs):
+            raise PermissionError(13, "Permission denied", str(self))
+
+        monkeypatch.setattr(Path, "write_text", failing)
+        cfg = REPO / "configs" / "calibrate.cfg"
+        assert cli.main(["calibrate", "--config", str(cfg), "--output", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: output directory {tmp_path} is not writable" in err
+        assert "Permission denied" in err
 
 
 class TestLoadingNearOne:
@@ -970,7 +990,7 @@ class TestLoadingNearOne:
         out = tmp_path / "out"
         assert cli.main(["simulate", "--config", str(cfg), "--output", str(out)]) == 2
         assert "noise.d = 0.99999999999995 is too close to 1" in capsys.readouterr().err
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     def test_every_adversarial_block_is_checked(self, tmp_path, capsys, monkeypatch):
         # the shipped config's adversarial block is usable; a second block
@@ -985,7 +1005,7 @@ class TestLoadingNearOne:
         out = tmp_path / "out"
         assert cli.main(["simulate", "--config", str(cfg), "--output", str(out)]) == 2
         assert "noise.d = 0.99999999999995 is too close to 1" in capsys.readouterr().err
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     def test_one_chain_section_per_adversarial_block(self, tmp_path):
         # two usable loadings: each block's chain, headed by its loading

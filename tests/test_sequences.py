@@ -3,13 +3,15 @@
 Covers:
 1. Frozen oracle values for the partial sums and bias terms
 2. Monotonicity in the bandwidth and the fourth-power domination inequality
-3. Ellipsoid membership arithmetic, including the boundary convention
+3. Ellipsoid membership arithmetic, including the boundary convention, and
+   squared norms that overflow to +inf
 4. Overflow behaviour of severely ill-posed spectra (inf, never an exception)
 5. Bandwidth range enforcement for finite index sets and custom sequences
 6. Chunked prefix sums against an fsum of closed-form terms, across chunk
    boundaries
-7. The chunk carry bitwise against an fsum of every earlier term, and the
-   in-sequence cumsum it relies on
+7. The chunk carry bitwise against an fsum of every earlier term and, in a
+   seeded fuzz, against its definition in exact fractions; the in-sequence
+   cumsum the in-chunk prefix sums rely on
 8. Noise levels whose square overflows, scales whose inverse square is not a
    positive finite float, and custom sequences' cached arrays
 9. The carry at the edge of the double range, against an exact fraction sum
@@ -309,13 +311,80 @@ class TestExactCarry:
             assert _partial_sum(_array_terms(values), values.size) == carry
 
     def test_cumsum_adds_in_sequence(self):
-        # the carry's TwoSum residuals are exact only if every cumsum step is
+        # the in-chunk prefix sums, and through them the golden rates
+        # outputs, are fixed only if every cumsum step is
         # run[i] = fl(run[i-1] + x[i]); pin that order on mixed signs and a
         # wide exponent range, where any other order would round differently
         rng = np.random.default_rng(43)
         x = rng.choice([-1.0, 1.0], 3 * _CHUNK) * 10.0 ** rng.uniform(-300.0, 300.0, 3 * _CHUNK)
         expected = list(itertools.accumulate(x.tolist()))
         assert np.cumsum(x).tobytes() == np.array(expected).tobytes()
+
+
+def _exactly_rounded(values):
+    """The exactly rounded sum of non-negative floats, from exact fractions;
+    +inf when a term is +inf or the sum rounds past the largest double."""
+    if math.inf in values:
+        return math.inf
+    try:
+        return float(sum(map(Fraction, values)))
+    except OverflowError:
+        return math.inf
+
+
+def _fuzzed_values(kind, rng):
+    """Four chunks of non-negative terms of one kind."""
+    size = 4 * _CHUNK
+    if kind == "wide_range":
+        return 10.0 ** rng.uniform(-300.0, 300.0, size)
+    if kind == "subnormal_ties":
+        return rng.choice([0.0, 2.0**-1074, 3 * 2.0**-1070, 1.0, 3.0, 2.0**53, 1e16], size)
+    if kind == "near_max":
+        # six terms over the first three chunks whose exact total lies within
+        # a few ulps of the largest double, on either side, so the carries
+        # meet fsum's intermediate-overflow edge; one more term in the last
+        # chunk overflows its running sum mid-chunk
+        big = np.finfo(float).max
+        weights = rng.uniform(0.5, 1.5, 6)
+        values = np.zeros(size)
+        positions = rng.choice(3 * _CHUNK, 6, replace=False)
+        shares = weights / weights.sum() * big
+        values[positions] = shares * (1.0 + rng.uniform(-4, 4, 6) * 2.0**-53)
+        values[3 * _CHUNK + rng.integers(_CHUNK)] = big / 4
+        return values
+    values = 10.0 ** rng.uniform(-300.0, 300.0, size)
+    values[rng.integers(3 * _CHUNK)] = math.inf
+    return values
+
+
+class TestCarryMatchesItsDefinition:
+    """A seeded fuzz of `_partial_sum` at d = n * CHUNK + j against the
+    carry's definition, with exact fractions as the reference: the carry
+    into chunk n + 1 is the exactly rounded sum of the carry into chunk n and
+    chunk n's terms, and each partial sum is the carry plus the in-chunk
+    running sum, added in sequence.  Eight draws of j per chunk and
+    spectrum; six near-maximum spectra, as about one in four has a carry on
+    which fsum raises its intermediate-overflow error."""
+
+    @pytest.mark.parametrize(
+        "kind,seed",
+        [("wide_range", 61), ("subnormal_ties", 67), ("inf", 73)]
+        + [("near_max", seed) for seed in range(80, 86)],
+    )
+    def test_partial_sums(self, kind, seed):
+        rng = np.random.default_rng(seed)
+        values = _fuzzed_values(kind, rng)
+        carries = [0.0]
+        for chunk in values.reshape(-1, _CHUNK)[:-1]:
+            carries.append(_exactly_rounded([carries[-1], *chunk.tolist()]))
+        term_fn = _array_terms(values)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for n, carry in enumerate(carries):
+                for j in rng.integers(1, _CHUNK + 1, 8).tolist():
+                    run = itertools.accumulate(values[n * _CHUNK : n * _CHUNK + j].tolist())
+                    expected = carry + list(run)[-1]
+                    assert _partial_sum(term_fn, n * _CHUNK + j) == expected, (n, j)
 
 
 class TestBiasTerm:
@@ -345,6 +414,13 @@ class TestEllipsoid:
     def test_boundary_counts_as_inside(self):
         check = ellipsoid_membership(SmoothnessFamily.ordinary_smooth(1.0), Signal((1.0,)))
         assert check.value == pytest.approx(1.0) and check.inside
+
+    def test_overflow_reads_inf(self):
+        # the exact sum of squares, 3.38e308, overflows: +inf, not fsum's
+        # intermediate-overflow error
+        theta = Signal((1.3e154, 1.3e154))
+        assert theta.norm_sq() == math.inf
+        assert ellipsoid_membership(SmoothnessFamily.ordinary_smooth(1.0), theta).value == math.inf
 
     def test_outside_value(self):
         # a_2 = 2, theta_2 = 0.6: weighted mass 4 * 0.36 = 1.44
