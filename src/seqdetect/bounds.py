@@ -95,7 +95,12 @@ def _lower_scans(
         return np.minimum(vals, smooth.inv_sq_array(ks), out=vals)
 
     return scan_bandwidths(
-        _inv_b_terms(spec.operator, 2), value_fn, spec.bandwidth_limit, coeffs.size, maximize=True
+        _inv_b_terms(spec.operator, 2),
+        value_fn,
+        spec.bandwidth_limit,
+        coeffs.size,
+        maximize=True,
+        stall=spec.named,
     )
 
 
@@ -115,7 +120,11 @@ def _classical_scans(spec: ProblemSpec, eps_grid: Iterable[float]) -> list[ScanR
         return vals
 
     return scan_bandwidths(
-        _inv_b_terms(spec.operator, 4), value_fn, spec.bandwidth_limit, eps_sq.size
+        _inv_b_terms(spec.operator, 4),
+        value_fn,
+        spec.bandwidth_limit,
+        eps_sq.size,
+        stall=spec.named,
     )
 
 

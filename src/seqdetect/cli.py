@@ -39,7 +39,6 @@ from .sequences import OperatorFamily, ProblemSpec, SmoothnessFamily, bias_term,
 POWER_TOLERANCE = 0.05
 LOG_TOLERANCE = 0.3
 
-_MIN_SIMULATE_REPS = 1_000
 _BOUNDS_HEADER = "eps,lower_r2,upper_r2,classical_r2,D_lower,D_upper"
 _SIMULATE_HEADER = "scenario,noise_kind,alpha,beta,D,reps,seed,p_hat_type1,se1,p_hat_type2,se2,pass"
 _DIVERGENCE_CHECK_DS = tuple(range(1, 17))
@@ -265,8 +264,8 @@ def run_simulate(config: ExperimentConfig, threads: int = 1) -> Outcome:
             "simulate needs C > 1: at C = 1 the threshold is 0, and the class's "
             "only noise, random signs, is rejected on every null draw"
         )
-    if config.reps < _MIN_SIMULATE_REPS:
-        raise ConfigError(f"simulate needs run.reps >= {_MIN_SIMULATE_REPS}")
+    if config.reps < montecarlo.MIN_REPS:
+        raise ConfigError(f"simulate needs run.reps >= {montecarlo.MIN_REPS}")
     if not config.noise:
         raise ConfigError("simulate needs at least one noise block")
     problem = config.problem

@@ -16,7 +16,6 @@ Schema (dotted keys, one per line, '#' starts a comment line):
                        positive float
   C                    fourth-moment class constant, finite and >= 1,
                        default 3; simulate needs C > 1
-  index_mode           'infinite' or a positive integer n, default infinite
   D_max                positive bandwidth truncation, default 65536
 
   noise.kind           iid_gaussian | iid_rademacher | iid_scaled_uniform |
@@ -36,7 +35,7 @@ Schema (dotted keys, one per line, '#' starts a comment line):
                        and simulate with an adversarial block form the lower
                        bound, which needs test.alpha + test.beta < 1
   test.D               fixed positive bandwidth, at most the bandwidth limit
-                       (D_max, n); omit to auto-select
+                       D_max; omit to auto-select
   test.c_beta_mode     exact | practical, default exact
 
   run.command          bounds | calibrate | simulate | rates (optional; must
@@ -45,7 +44,7 @@ Schema (dotted keys, one per line, '#' starts a comment line):
                        checked like eps
   run.reps             positive replications per estimate, default 10000
   run.output_path      default output directory (CLI --output overrides)
-  run.cells            'all' or comma-separated operator/smoothness cells
+  run.cells            'all' or comma-separated, distinct operator/smoothness cells
                        for the rates command
 
 Unknown keys, a key repeated at the top level or within one noise block, and
@@ -179,10 +178,6 @@ _POSITIVE = _checked(_integer, lambda n: n >= 1, "be positive")
 _CELL = _one_of(ALL_CELLS, "cell")
 
 
-def _index_mode(raw: str, key: str) -> int | None:
-    return None if raw == "infinite" else _POSITIVE(raw, key)
-
-
 def _items(raw: str, key: str, read: Reader) -> tuple:
     """The comma-separated items of ``raw``, each read by ``read``."""
     items = tuple(read(item.strip(), key) for item in raw.split(",") if item.strip())
@@ -199,7 +194,13 @@ def _eps_grid(raw: str, key: str) -> tuple[float, ...]:
 
 
 def _cells(raw: str, key: str) -> tuple[str, ...]:
-    return ALL_CELLS if raw == "all" else _items(raw, key, _CELL)
+    if raw == "all":
+        return ALL_CELLS
+    cells = _items(raw, key, _CELL)
+    for i, cell in enumerate(cells):
+        if cell in cells[:i]:
+            raise ValueError(f"{key} lists {cell} twice")
+    return cells
 
 
 #: Marks a key that has no default.
@@ -217,7 +218,6 @@ _KEYS: dict[str, tuple[Reader, object]] = {
     "smoothness.scale": (_number, 1.0),
     "eps": (_noise_level, _REQUIRED),
     "C": (_checked(_number, lambda c: 1.0 <= c < math.inf, "be a finite number >= 1"), 3.0),
-    "index_mode": (_index_mode, None),
     "D_max": (_POSITIVE, DEFAULT_D_MAX),
     "noise.kind": (_one_of(NOISE_KINDS, "noise kind"), None),
     **{f"noise.{name}": (_number, None) for cls in NOISE_KINDS.values() for name in cls.params},
@@ -297,7 +297,6 @@ def parse_config(text: str, source: str = "<config>") -> ExperimentConfig:
         operator=family(OperatorFamily, "operator", "t"),
         smoothness=family(SmoothnessFamily, "smoothness", "s"),
         eps=value["eps"],
-        n_max=value["index_mode"],
         fourth_moment_bound=value["C"],
         d_max=value["D_max"],
     )

@@ -161,7 +161,8 @@ def select_bandwidths(
 
     Exact integer search up to the spec's bandwidth limit, in one pass over
     the spectrum for the whole grid; each objective stops once it stops
-    improving, and ties go to the smaller bandwidth.  ``truncated`` marks
+    improving (for named families; a custom one is scanned to the limit),
+    and ties go to the smaller bandwidth.  ``truncated`` marks
     minimisers that sit on the scan limit, where the reported optimum is
     suspect.  The objective is non-decreasing in the sum and non-increasing
     in D: the precondition of every `scan_bandwidths` scan, under which a
@@ -180,7 +181,11 @@ def select_bandwidths(
         return vals
 
     return scan_bandwidths(
-        _inv_b_terms(spec.operator, 2), value_fn, spec.bandwidth_limit, coeffs.size
+        _inv_b_terms(spec.operator, 2),
+        value_fn,
+        spec.bandwidth_limit,
+        coeffs.size,
+        stall=spec.named,
     )
 
 

@@ -52,7 +52,8 @@ from .sequences import (
 _R = TypeVar("_R")
 
 _U64_MASK = (1 << 64) - 1
-_MIN_REPS = 1_000
+#: Fewest replications an estimate accepts.
+MIN_REPS = 1_000
 #: The likelihood-ratio moment estimator has finite variance only while the
 #: divergence is moderate; both limits are enforced, not advisory.
 _MC_DIVERGENCE_MAX_D = 5
@@ -88,8 +89,8 @@ class McEstimate:
 
 
 def _check_reps(reps: int) -> None:
-    if reps < _MIN_REPS:
-        raise ValueError(f"need at least {_MIN_REPS} replications, got {reps}")
+    if reps < MIN_REPS:
+        raise ValueError(f"need at least {MIN_REPS} replications, got {reps}")
 
 
 def _map_blocks(

@@ -35,7 +35,7 @@ still improve (`_first_chunk`).  The results are those of the dense pass.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import KW_ONLY, dataclass, field
 from typing import Callable, ClassVar, Iterable, Iterator, NamedTuple, Union
 
 import numpy as np
@@ -321,16 +321,17 @@ class ProblemSpec:
       operator: spectrum b of the forward operator.
       smoothness: ellipsoid weights a.
       eps: noise level, strictly positive, with a finite square.
-      n_max: size of a finite index set, or None for the unbounded set.
       fourth_moment_bound: the class constant C with sup_k E[xi_k^4] <= C,
         finite, and C >= 1 because unit variance forces E[xi^4] >= 1.
       d_max: truncation bound for optimisations over the bandwidth D.
+
+    The fields after ``eps`` are keyword-only.
     """
 
     operator: OperatorFamily
     smoothness: SmoothnessFamily
     eps: float
-    n_max: int | None = None
+    _: KW_ONLY
     fourth_moment_bound: float = 3.0
     d_max: int = DEFAULT_D_MAX
 
@@ -341,21 +342,24 @@ class ProblemSpec:
                 "fourth moment bound must be finite and at least 1 (unit variance "
                 f"forces E[xi^4] >= 1), got {self.fourth_moment_bound!r}"
             )
-        if self.n_max is not None and self.n_max < 1:
-            raise ValueError("finite index set must contain at least one index")
         if self.d_max < 1:
             raise ValueError("d_max must be at least 1")
 
     @property
     def bandwidth_limit(self) -> int:
-        """Largest bandwidth any optimisation or sum may touch."""
+        """Largest bandwidth any optimisation or sum may touch: ``d_max``,
+        capped by the length of a custom family."""
         limit = self.d_max
-        if self.n_max is not None:
-            limit = min(limit, self.n_max)
         for family in (self.operator, self.smoothness):
             if family.max_index is not None:
                 limit = min(limit, family.max_index)
         return limit
+
+    @property
+    def named(self) -> bool:
+        """Whether both families are of a named kind, whose bandwidth scans
+        may stop where they stall (see `scan_bandwidths`)."""
+        return CUSTOM not in (self.operator.kind, self.smoothness.kind)
 
     def check_bandwidth(self, d: int) -> None:
         if not isinstance(d, (int, np.integer)) or d < 1:
@@ -572,6 +576,7 @@ def scan_bandwidths(
     count: int,
     *,
     maximize: bool = False,
+    stall: bool = True,
 ) -> list[ScanResult]:
     """Optimise ``count`` objectives over integer bandwidths 1..limit in one pass.
 
@@ -579,12 +584,29 @@ def scan_bandwidths(
     and the indices of the objectives to evaluate, and returns one row of
     values per entry of ``rows``; a row's values may depend only on its own
     objective and on each (k, sum) pair, not on the other pairs passed with
-    it.  Each objective keeps its own incumbent and freezes once
-    ``_SCAN_STALL_LIMIT`` consecutive bandwidths fail to improve on it (the
-    objectives used here are unimodal after their crossover point); frozen
-    objectives are never evaluated again, and the pass ends when all are
-    frozen.  Ties keep the smaller bandwidth, a NaN is never an optimum, and
+    it.  Each objective keeps its own incumbent.  With ``stall`` set, it
+    freezes once ``_SCAN_STALL_LIMIT`` consecutive bandwidths fail to improve
+    on it; frozen objectives are never evaluated again, and the pass ends
+    when all are frozen.  Without it, every objective runs to the limit.
+    Ties keep the smaller bandwidth, a NaN is never an optimum, and
     `truncated` is set when an optimiser lands on the scan limit.
+
+    The stall rule finds the optimum of an objective with one valley (one
+    peak, when maximising) in k.  The three bound objectives have one for
+    the named kinds, where b_k^-2 is a constant, k^2t or e^2tk (times the
+    scale) and a_k^-2 is k^-2s or e^-2sk, so it falls ever more slowly:
+
+    * the step of ``c eps^2 S + a_k^-2`` from k to k+1, ``c eps^2 b_{k+1}^-2``
+      less the fall of a_k^-2, is non-decreasing in k: it is convex;
+    * ``min(c eps^2 S, a_k^-2)`` is the least of a non-decreasing and a
+      non-increasing sequence: it rises up to their crossing, then falls;
+    * in ``eps^2 sqrt(S) + a_k^-2``, with S the sum of b^-4, the rise of the
+      first term per step shrinks no faster than k^-1/2, and the fall of
+      a_k^-2 like k^(-2s-1) or e^-2sk; their ratio grows with k, so the
+      objective falls until the rise outweighs the fall, then rises.
+
+    Custom values need not have one: a plateau of a_k hides a later drop of
+    a_k^-2 from the stall rule, so callers scan them with ``stall=False``.
 
     Precondition, for every scan: each objective is non-decreasing in the
     sum and non-increasing in k, the shape of all three bound objectives
@@ -595,8 +617,8 @@ def scan_bandwidths(
     least each, when maximising; see `_block_bounds`), and ``value_fn`` also
     sees such mixed points.  Under it the results are exactly those of
     evaluating every running objective on every chunk of ``_SCAN_CHUNK``
-    prefix sums until it freezes, while only the bandwidths that can change
-    a result are evaluated:
+    prefix sums until it freezes (or to the limit, without ``stall``), while
+    only the bandwidths that can change a result are evaluated:
 
     * over a constant term, each objective first skips the chunks that
       `_skip_ahead` certifies from one witness each, and joins the pass at
@@ -606,6 +628,9 @@ def scan_bandwidths(
       each is evaluated on the first ``_SCAN_PREFIX`` bandwidths only
       (`_first_chunk`); the rest of the chunk is bounded block by block, and
       evaluated only for the objectives that bound cannot settle.
+
+    Both only prove where the running optimum lies, so they hold with or
+    without ``stall``.
     """
     if limit < 1:
         raise ValueError("bandwidth limit must be at least 1")
@@ -629,7 +654,8 @@ def scan_bandwidths(
             _fold(value_fn, ks, sums, rows, best, best_d, maximize)
         else:  # no objective has an incumbent yet
             _first_chunk(value_fn, ks, sums, rows, best, best_d, maximize)
-        rows = rows[ks[-1] - best_d[rows] < _SCAN_STALL_LIMIT]
+        if stall:
+            rows = rows[ks[-1] - best_d[rows] < _SCAN_STALL_LIMIT]
         if ks[-1] == limit:
             break
         chunk += 1

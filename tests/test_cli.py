@@ -157,10 +157,15 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="missing required key 'smoothness.s'"):
             parse_config("operator.kind = well_posed\nsmoothness.kind = ordinary_smooth\neps = 0.1\n")
 
-    def test_finite_index_mode(self):
-        config = parse_config(BASE_CONFIG + "index_mode = 32\n")
-        assert config.problem.n_max == 32
-        assert config.problem.bandwidth_limit == 32
+    def test_index_mode_is_an_unknown_key(self):
+        # D_max is the one bandwidth cap
+        with pytest.raises(ConfigError, match="line 19: unknown key 'index_mode'"):
+            parse_config(BASE_CONFIG + "index_mode = 32\n")
+
+    def test_cell_listed_twice_rejected(self):
+        cell = "well_posed/ordinary_smooth"
+        with pytest.raises(ConfigError, match=f"line 19: run.cells lists {cell} twice"):
+            parse_config(BASE_CONFIG + f"run.cells = {cell}, {cell}\n")
 
     def test_empty_cell_list_rejected(self):
         # no cell to check would let rates pass without checking anything

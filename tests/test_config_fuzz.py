@@ -47,7 +47,6 @@ FUZZ_VALUES = {
     "smoothness.scale": [*NUMBERS, "1e-154", "1e154"],
     "eps": [*NUMBERS, "1", "1e-150", "1e150"],
     "C": [*NUMBERS, "1", "1.5"],
-    "index_mode": ["infinite", "0", "-1", "1", "7", "1e3", "x"],
     "D_max": ["0", "-1", "1", "2", SIMULATE_D_MAX, "1e3", "x"],
     "noise.kind": [*noise.NOISE_KINDS, "x"],
     "noise.s": [*NUMBERS, "0.25"],

@@ -6,7 +6,7 @@ Covers:
 3. Ellipsoid membership arithmetic, including the boundary convention, and
    squared norms that overflow to +inf
 4. Overflow behaviour of severely ill-posed spectra (inf, never an exception)
-5. Bandwidth range enforcement for finite index sets and custom sequences
+5. Bandwidth range enforcement for D_max and custom sequences
 6. Chunked prefix sums against an fsum of closed-form terms, across chunk
    boundaries
 7. The chunk carry bitwise against an fsum of every earlier term and, in a
@@ -18,9 +18,10 @@ Covers:
 10. Constant (well-posed) spectra: exactly rounded closed-form prefix sums,
     the same scans as the chunked sum of the same constant, and overflow
 11. The constant-term skip-ahead and the bounded first chunk against the
-    chunk-by-chunk scan kept here as the oracle: the freeze rule's edges, a
-    seeded randomised set of production and synthetic objectives, every scan
-    of the shipped configs and of deep rates grids, and the work it saves
+    chunk-by-chunk scan kept here as the oracle: the freeze rule's edges,
+    custom families scanned to the limit, a seeded randomised set of
+    production and synthetic objectives, every scan of the shipped configs
+    and of deep rates grids, and the work it saves
 12. A NaN objective value is never a scan's optimum
 """
 
@@ -479,7 +480,7 @@ class TestBoundarySignal:
 
 class TestRangesAndValidation:
     def test_finite_mode_bandwidth_cap(self):
-        spec = make_spec(OperatorFamily.well_posed(), n_max=8)
+        spec = make_spec(OperatorFamily.well_posed(), d_max=8)
         assert sum_inv_b_sq(spec, 8) == 8.0
         with pytest.raises(ValueError, match="exceeds the usable index range"):
             sum_inv_b_sq(spec, 9)
@@ -510,6 +511,9 @@ class TestRangesAndValidation:
         with pytest.raises(ValueError):
             ProblemSpec(op, sm, eps=0.1, fourth_moment_bound=0.5)
         assert ProblemSpec(op, sm, eps=0.1).d_max == DEFAULT_D_MAX
+        # the fields after eps are keyword-only
+        with pytest.raises(TypeError):
+            ProblemSpec(op, sm, 0.1, 32)
 
     @pytest.mark.parametrize("eps", [1e200, math.inf, math.nan, -0.1])
     def test_noise_level_square_must_be_finite(self, eps):
@@ -745,10 +749,11 @@ class TestConstantSpectra:
             assert math.isinf(sum_inv_b_4(spec, 1))
 
 
-def _dense_reference(terms, value_fn, limit, count, maximize=False):
+def _dense_reference(terms, value_fn, limit, count, maximize=False, stall=True):
     """The chunk-by-chunk scan: every running objective is evaluated on every
-    chunk of prefix sums until it freezes.  The oracle of the skip-ahead.
-    A NaN value is never an optimum: it counts as the worst value."""
+    chunk of prefix sums until it freezes (without ``stall``, to the limit).
+    The oracle of the skip-ahead.  A NaN value is never an optimum: it counts
+    as the worst value."""
     best_d = np.zeros(count, dtype=np.int64)
     best = np.full(count, -math.inf if maximize else math.inf)
     rows = np.arange(count)
@@ -761,7 +766,8 @@ def _dense_reference(terms, value_fn, limit, count, maximize=False):
         improved = candidates > best[rows] if maximize else candidates < best[rows]
         best[rows[improved]] = candidates[improved]
         best_d[rows[improved]] = ks[idx[improved]]
-        rows = rows[ks[-1] - best_d[rows] < _STALL]
+        if stall:
+            rows = rows[ks[-1] - best_d[rows] < _STALL]
         if not rows.size:
             break
     return [(int(d), float(v), int(d) == limit) for d, v in zip(best_d, best)]
@@ -911,15 +917,48 @@ def _checked_scans(monkeypatch):
     scans as (limit, count, maximize)."""
     checked = []
 
-    def scan(terms, value_fn, limit, count, *, maximize=False):
-        results = scan_bandwidths(terms, value_fn, limit, count, maximize=maximize)
-        assert results == _dense_reference(terms, value_fn, limit, count, maximize)
+    def scan(terms, value_fn, limit, count, *, maximize=False, stall=True):
+        results = scan_bandwidths(terms, value_fn, limit, count, maximize=maximize, stall=stall)
+        assert results == _dense_reference(terms, value_fn, limit, count, maximize, stall)
         checked.append((limit, count, maximize))
         return results
 
     monkeypatch.setattr(bounds, "scan_bandwidths", scan)
     monkeypatch.setattr(detector, "scan_bandwidths", scan)
     return checked
+
+
+class TestCustomScansRunToTheLimit:
+    """A custom a_k may hold still past the stall rule's reach and then jump,
+    so the scans of a custom family run to its limit: each finds the optimum
+    just past a plateau of a_k = 1 and equals the chunk-by-chunk oracle run
+    to the limit."""
+
+    @pytest.mark.parametrize(
+        "op, value",
+        [(OperatorFamily.well_posed(), 0.005002), (OperatorFamily.mildly_ill_posed(0.1), 0.0228956)],
+        ids=["well_posed", "mildly_ill_posed"],
+    )
+    def test_optimum_past_a_plateau(self, monkeypatch, op, value):
+        # the radius objective is 1 + 1e-6 S up to k = 5000 and 1e-6 (S + 1)
+        # after it; a stalling scan freezes at D = 1 with 1.000001
+        checked = _checked_scans(monkeypatch)
+        spec = ProblemSpec(op, SmoothnessFamily.custom([1.0] * 5000 + [1000.0] * 7000), eps=1e-3)
+        result = detector.select_bandwidth(spec, 1.0)
+        assert (result.d, result.truncated) == (5001, False)
+        assert result.value == pytest.approx(value, abs=5e-8)
+        assert checked == [(12_000, 1, False)]
+
+    def test_plateau_past_the_second_chunk(self, monkeypatch):
+        # the plateau ends at k = 9000, in the third chunk: all three bounds
+        # sit at its edge
+        checked = _checked_scans(monkeypatch)
+        spec = ProblemSpec(OperatorFamily.well_posed(),
+                           SmoothnessFamily.custom([1.0] * 9000 + [1000.0] * 3000), eps=1e-3)
+        (grid,) = bounds.bounds_over_grid(spec, [1e-3], 0.1, 0.1, c_beta=1.0)
+        assert (grid.bounds.d_lower, grid.bounds.d_upper, grid.d_classical) == (9000, 9001, 9001)
+        assert grid.bounds.upper_r2 == pytest.approx(0.009002)
+        assert len(checked) == 3
 
 
 @pytest.mark.filterwarnings("ignore:.*hit the scan limit:UserWarning")
@@ -1045,7 +1084,7 @@ def test_deep_classical_scan_skips_most_points(monkeypatch):
     grid = np.geomspace(0.0625, 5e-7, 48).tolist()
     counts, seen = {"skip": 0, "dense": 0}, {}
 
-    def counting(terms, value_fn, limit, count, *, maximize=False):
+    def counting(terms, value_fn, limit, count, *, maximize=False, stall=True):
         def counted(key):
             def fn(ks, sums, rows):
                 counts[key] += ks.size
@@ -1053,8 +1092,10 @@ def test_deep_classical_scan_skips_most_points(monkeypatch):
 
             return fn
 
-        seen["dense"] = _dense_reference(terms, counted("dense"), limit, count, maximize)
-        return scan_bandwidths(terms, counted("skip"), limit, count, maximize=maximize)
+        seen["dense"] = _dense_reference(terms, counted("dense"), limit, count, maximize, stall)
+        return scan_bandwidths(
+            terms, counted("skip"), limit, count, maximize=maximize, stall=stall
+        )
 
     monkeypatch.setattr(bounds, "scan_bandwidths", counting)
     results = bounds._classical_scans(spec, grid)
