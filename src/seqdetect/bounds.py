@@ -15,6 +15,10 @@ bound, each a single pass over its spectrum for the whole grid; the per-eps
 functions are that computation on a grid of one.  Rate checks fit the decay
 of these bounds against the benchmark families on log-log axes and compare
 the fitted exponent with the known rate laws.
+
+Scope: every lower bound here rests on Gaussian constructions (E xi^4 = 3),
+so an in-class construction backs it only for C >= 3.  Below that, as in
+``configs/rates.cfg`` at C = 1, a rate fit checks the formulas only.
 """
 
 from __future__ import annotations
@@ -129,7 +133,8 @@ def _classical_scans(spec: ProblemSpec, eps_grid: Iterable[float]) -> list[ScanR
 
 
 def upper_radius_sq(spec: ProblemSpec, c_beta: float) -> tuple[float, int]:
-    """inf_D [c_beta eps^2 sum b^-2 + a_D^-2] with its integer minimiser."""
+    """inf_D [c_beta eps^2 sum b^-2 + a_D^-2] with its integer minimiser;
+    `detector.select_bandwidth` raises when the objective is +inf at every D."""
     return _checked(detector.select_bandwidth(spec, c_beta), _UPPER_TRUNCATED)
 
 

@@ -88,23 +88,14 @@ def _cell_families(cell: str, problem: ProblemSpec) -> tuple[OperatorFamily, Smo
 def _calibration(
     config: ExperimentConfig, command: str
 ) -> tuple[detector.DetectorConstants, float]:
-    """The derived constants and the calibration constant c_beta of the
-    configured C, levels and mode, computed once per command.
-
-    A c_beta that is not a finite number above K1 (a tiny test.alpha puts the
-    exact root on K1 in double precision, or K1 overflows, and the practical
-    constant can miss the calibration inequality) is a config error."""
+    """The derived constants and the one calibration constant c_beta of the
+    configured C and levels, computed once per command; a c_beta that
+    `detector.solve_c_beta` refuses is a config error."""
     constants = detector.derive_constants(config.problem.fourth_moment_bound, config.alpha)
     try:
-        c_beta = detector.solve_c_beta(constants, config.beta, config.c_beta_mode)
+        return constants, detector.solve_c_beta(constants, config.beta)
     except ValueError as exc:
         raise ConfigError(f"{command}: {exc}") from exc
-    if not constants.k1 < c_beta < math.inf:
-        raise ConfigError(
-            f"{command}: the calibration constant c_beta = {_fmt(c_beta)} is not a finite "
-            f"number above K1 = {_fmt(constants.k1)}; C or the levels are too extreme"
-        )
-    return constants, c_beta
 
 
 def _cell_table(
@@ -192,10 +183,11 @@ def run_bounds(config: ExperimentConfig) -> Outcome:
 
 
 def run_calibrate(config: ExperimentConfig) -> Outcome:
-    """Constants, both calibration roots with margins, and a threshold ladder."""
+    """Constants, the calibration constant and, for comparison, the
+    practical 8 K2/beta, each with its residual and margin, and a threshold
+    ladder."""
     problem = config.problem
-    constants, chosen = _calibration(config, "calibrate")
-    exact = detector.solve_c_beta(constants, config.beta, "exact")
+    constants, exact = _calibration(config, "calibrate")
     practical = 8.0 * constants.k2 / config.beta
 
     lines = [
@@ -216,7 +208,7 @@ def run_calibrate(config: ExperimentConfig) -> Outcome:
         lines.append(f"margin_{label} = {_fmt(margin)}")
         lines.append(f"margin_{label}_flag = {'true' if margin < detector.MARGIN_FLAG_LEVEL else 'false'}")
 
-    d_star, truncated = _bandwidth(config, chosen, "calibrate")
+    d_star, truncated = _bandwidth(config, exact, "calibrate")
     lines.append(f"D_selected = {d_star}")
     lines.append(f"D_truncated = {'true' if truncated else 'false'}")
 
@@ -236,15 +228,14 @@ def _bandwidth(config: ExperimentConfig, c_beta: float, command: str) -> tuple[i
     """The fixed ``test.D``, or the selected bandwidth with its truncation flag.
 
     The selection minimises the upper bound's objective; one that is +inf at
-    every bandwidth (its scan then reports D = 0) is a config error."""
+    every bandwidth, which `detector.select_bandwidth` refuses, is a config
+    error."""
     if config.test_d is not None:
         return config.test_d, False
-    sel = detector.select_bandwidth(config.problem, c_beta)
-    if sel.d == 0:
-        raise ConfigError(
-            f"{command}: at eps = {_fmt(config.problem.eps)} the upper bound overflows at "
-            "every bandwidth; the operator scale or the noise level is too extreme"
-        )
+    try:
+        sel = detector.select_bandwidth(config.problem, c_beta)
+    except ValueError as exc:
+        raise ConfigError(f"{command}: {exc}") from exc
     return sel.d, sel.truncated
 
 

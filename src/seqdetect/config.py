@@ -36,14 +36,15 @@ Schema (dotted keys, one per line, '#' starts a comment line):
                        bound, which needs test.alpha + test.beta < 1
   test.D               fixed positive bandwidth, at most the bandwidth limit
                        D_max; omit to auto-select
-  test.c_beta_mode     exact | practical, default exact
 
   run.command          bounds | calibrate | simulate | rates (optional; must
                        match the invoked subcommand when present)
   run.eps_grid         comma-separated, strictly decreasing floats, each
                        checked like eps
   run.reps             positive replications per estimate, default 10000
-  run.output_path      default output directory (CLI --output overrides)
+  run.output_path      default output directory (CLI --output overrides); a
+                       relative path resolves against the working directory,
+                       not the config file's directory
   run.cells            'all' or comma-separated, distinct operator/smoothness cells
                        for the rates command
 
@@ -104,7 +105,6 @@ class ExperimentConfig:
     alpha: float
     beta: float
     test_d: int | None
-    c_beta_mode: str
     eps_grid: tuple[float, ...]
     reps: int
     seed: int
@@ -225,7 +225,6 @@ _KEYS: dict[str, tuple[Reader, object]] = {
     "test.alpha": (_LEVEL, 0.1),
     "test.beta": (_LEVEL, 0.1),
     "test.D": (_POSITIVE, None),
-    "test.c_beta_mode": (_one_of(("exact", "practical"), "calibration mode"), "exact"),
     "run.command": (_one_of(COMMANDS, "command"), None),
     "run.eps_grid": (_eps_grid, ()),
     "run.reps": (_POSITIVE, 10_000),
@@ -324,7 +323,6 @@ def parse_config(text: str, source: str = "<config>") -> ExperimentConfig:
         alpha=value["test.alpha"],
         beta=value["test.beta"],
         test_d=test_d,
-        c_beta_mode=value["test.c_beta_mode"],
         eps_grid=value["run.eps_grid"],
         reps=value["run.reps"],
         seed=value["rng.seed"],

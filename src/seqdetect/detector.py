@@ -14,9 +14,10 @@ Derived constants (for noise class constant C and level alpha):
   K1 = sqrt(2 C1) / sqrt(alpha)      threshold coefficient
   K2 = 10 + 5 C1 + 2 C2 + 12 sqrt(C1)  variance envelope coefficient
 
-The type II calibration constant solves
-``2 K2 / x / (1 - K1/x)^2 = beta``; its quadratic form is solved exactly, and
-the practical fallback ``8 K2 / beta`` is exposed separately.
+The one type II calibration constant C_beta solves
+``2 K2 / x / (1 - K1/x)^2 = beta``; `solve_c_beta` solves its quadratic form
+exactly and refuses a root that is not a finite number above K1, so every
+caller gets a usable constant or a ValueError.
 """
 
 from __future__ import annotations
@@ -100,8 +101,8 @@ class DetectorConfig:
             raise ValueError("bandwidth must be positive")
         if not 0.0 < self.beta < 1.0:
             raise ValueError("beta must lie in (0, 1)")
-        if self.c_beta <= self.constants.k1:
-            raise ValueError("calibration constant must exceed K1")
+        if not self.constants.k1 < self.c_beta < math.inf:
+            raise ValueError("calibration constant must be finite and exceed K1")
 
     @property
     def margin(self) -> float:
@@ -128,29 +129,25 @@ def c_beta_residual(constants: DetectorConstants, c_beta: float) -> float:
     return (2.0 * constants.k2 / c_beta) / (denom * denom)
 
 
-def solve_c_beta(constants: DetectorConstants, beta: float, mode: str = "exact") -> float:
+def solve_c_beta(constants: DetectorConstants, beta: float) -> float:
     """Calibration constant solving 2 K2/x / (1 - K1/x)^2 = beta.
 
-    ``exact`` returns the largest root of the equivalent quadratic
-    ``beta x^2 - (2 beta K1 + 2 K2) x + beta K1^2 = 0``, which always
-    exceeds K1.  ``practical`` returns 8 K2 / beta, valid whenever its
-    residual does not exceed beta (guaranteed for beta small enough).
+    The largest root of the equivalent quadratic
+    ``beta x^2 - (2 beta K1 + 2 K2) x + beta K1^2 = 0``, which exceeds K1 in
+    exact arithmetic.  A root that is not a finite number above K1 in double
+    precision (a tiny alpha puts it on K1, or K1 overflows) raises ValueError.
     """
     if not 0.0 < beta < 1.0:
         raise ValueError("beta must lie in (0, 1)")
     k1, k2 = constants.k1, constants.k2
-    if mode == "exact":
-        p = beta * k1 + k2
-        return (p + math.sqrt(p * p - (beta * k1) ** 2)) / beta
-    if mode == "practical":
-        value = 8.0 * k2 / beta
-        if value <= k1 or c_beta_residual(constants, value) > beta * (1.0 + 1e-9):
-            raise ValueError(
-                f"practical constant 8*K2/beta = {value:.6g} does not satisfy the "
-                f"calibration inequality at beta = {beta:.6g}"
-            )
-        return value
-    raise ValueError(f"unknown calibration mode {mode!r}")
+    p = beta * k1 + k2
+    root = (p + math.sqrt(p * p - (beta * k1) ** 2)) / beta
+    if not k1 < root < math.inf:
+        raise ValueError(
+            f"the calibration constant c_beta = {root:.17g} is not a finite number above "
+            f"K1 = {k1:.17g}; C or the levels are too extreme"
+        )
+    return root
 
 
 def select_bandwidths(
@@ -190,8 +187,15 @@ def select_bandwidths(
 
 
 def select_bandwidth(spec: ProblemSpec, c_beta: float) -> ScanResult:
-    """`select_bandwidths` at the spec's own eps."""
+    """`select_bandwidths` at the spec's own eps.  An objective that is +inf
+    at every bandwidth (its scan then reports D = 0) leaves none to select
+    and raises ValueError."""
     (selection,) = select_bandwidths(spec, c_beta, [spec.eps])
+    if selection.d == 0:
+        raise ValueError(
+            f"at eps = {spec.eps:.17g} the upper bound overflows at every bandwidth; "
+            "the operator scale or the noise level is too extreme"
+        )
     return selection
 
 
@@ -200,7 +204,6 @@ def calibrate(
     alpha: float,
     beta: float,
     d: int | None = None,
-    c_beta_mode: str = "exact",
 ) -> DetectorConfig:
     """Assemble a ready-to-run test for the given spec and error levels.
 
@@ -208,7 +211,7 @@ def calibrate(
     pin it explicitly.
     """
     constants = derive_constants(spec.fourth_moment_bound, alpha)
-    c_beta = solve_c_beta(constants, beta, mode=c_beta_mode)
+    c_beta = solve_c_beta(constants, beta)
     if d is None:
         d = select_bandwidth(spec, c_beta).d
     spec.check_bandwidth(d)

@@ -439,6 +439,9 @@ def chi_sq_divergence(
     L is the likelihood ratio between the worst-case signal at radius r and
     the null, both under Gaussian noise with covariance sigma_star; the
     matrix must be strictly positive definite for the densities to exist.
+    It is 1 at r = 0 and +inf where the exponential overflows, so also for
+    r > 0 at eps^2 = 0, the noise-free limit, where the two laws are
+    mutually singular.
     """
     return _chi_sq_chain(spec, d, r, sigma_star)[0]
 
@@ -455,7 +458,15 @@ def _chi_sq_chain(
     if d > 0 and float(np.linalg.eigvalsh(sub)[0]) <= 1e-12:
         raise ValueError("covariance must be strictly positive definite")
     _, _, rho_sq, v_sigma_v = direction_stats(spec, d, sigma_star)
-    return math.exp(r * r * v_sigma_v / (spec.eps**2 * rho_sq)), rho_sq, v_sigma_v
+    if r == 0.0:
+        return 1.0, rho_sq, v_sigma_v
+    scale = spec.eps**2 * rho_sq
+    exponent = r * r * v_sigma_v / scale if scale > 0.0 else math.inf
+    try:
+        value = math.exp(exponent)
+    except OverflowError:
+        value = math.inf
+    return value, rho_sq, v_sigma_v
 
 
 def chi_sq_divergence_mc(
@@ -472,7 +483,10 @@ def chi_sq_divergence_mc(
 
     Limited to d <= 5 and closed-form divergence <= 5: beyond that the
     estimator's variance (a fourth moment of the likelihood ratio) explodes.
+    The likelihood ratio divides by eps^2, so eps^2 = 0 is refused.
     """
+    if not spec.eps**2 > 0.0:
+        raise ValueError("Monte Carlo divergence estimation needs eps^2 > 0")
     if d > _MC_DIVERGENCE_MAX_D:
         raise ValueError(f"Monte Carlo divergence estimation is limited to D <= {_MC_DIVERGENCE_MAX_D}")
     if reps < 1:

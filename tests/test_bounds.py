@@ -11,6 +11,7 @@ Covers:
 """
 
 import math
+import re
 import warnings
 from dataclasses import replace
 
@@ -70,6 +71,14 @@ class TestRadiusOptimisations:
         spec_lo = replace(spec_hi, eps=0.1)
         assert bounds.upper_radius_sq(spec_lo, 50.0)[0] <= bounds.upper_radius_sq(spec_hi, 50.0)[0]
 
+    def test_upper_overflowing_everywhere_raises(self):
+        # every weight b_k^-2 is 1e308: no bandwidth has a finite objective
+        spec = make_spec(
+            OperatorFamily.well_posed(1e-154), SmoothnessFamily.ordinary_smooth(1.0), 1.0
+        )
+        with pytest.raises(ValueError, match="upper bound overflows at every bandwidth"):
+            bounds.upper_radius_sq(spec, 2.0)
+
     def test_truncation_warns(self):
         spec = make_spec(
             OperatorFamily.well_posed(), SmoothnessFamily.ordinary_smooth(1.0), 1e-30, d_max=256
@@ -110,6 +119,23 @@ class TestTheorem1Bounds:
         assert rb.c_lower == pytest.approx(bounds.lower_coefficient(0.05, 0.05))
         constants = detector.derive_constants(3.0, 0.05)
         assert rb.c_beta == pytest.approx(detector.solve_c_beta(constants, 0.05))
+
+    @pytest.mark.parametrize(
+        "c, message",
+        [
+            # the root rounds onto K1 = 2e150: the upper bound was 2e146
+            (3.0, "c_beta = 2e+150 is not a finite number above K1 = 2e+150;"),
+            # K1 overflows and the root is nan
+            (1e300, "c_beta = nan is not a finite number above K1 = inf;"),
+        ],
+        ids=["root-on-K1", "K1-overflows"],
+    )
+    def test_unusable_calibration_constant_raises(self, c, message):
+        spec = make_spec(
+            OperatorFamily.well_posed(), SmoothnessFamily.ordinary_smooth(1.0), 0.1, c=c
+        )
+        with pytest.raises(ValueError, match=re.escape(message)):
+            bounds.theorem1_bounds(spec, 1e-300, 0.1)
 
 
 class TestClassicalComparator:

@@ -2,7 +2,8 @@
 
 Covers:
 1. Schema validation with line diagnostics; unknown keys are hard errors
-2. Noise blocks, defaults, overrides, and command pinning
+2. Noise blocks, defaults, overrides, command pinning, and the output
+   directory `run.output_path`, which --output overrides
 3. Each subcommand's outputs: headers, key lines, exit codes
 4. Byte-level determinism of the simulate CSV across reruns and threads;
    each replication block drawn once per family for both error types
@@ -20,9 +21,10 @@ Covers:
    noise key the block's kind does not take, and a rates cell without a
    usable exponent are config errors; --seed, --reps and
    --threads belong to simulate alone
-10. A calibration constant that is not a finite number above K1, a lower
-   bound that underflows to 0 and a grid a rate law cannot be fitted on are
-   config errors before any output; noise parameters are checked at load
+10. A calibration constant that is not a finite number above K1, the
+   removed key test.c_beta_mode, a lower bound that underflows to 0 and a
+   grid a rate law cannot be fitted on are config errors before any output;
+   noise parameters are checked at load
 11. Every command computes all its outputs before any is written: a failure
    injected after a table is built, or a check inside a command, leaves no
    output directory, a failed write is a config error, and an adversarial
@@ -595,6 +597,35 @@ class TestCommandPinning:
         assert cli.main(["calibrate", "--config", str(cfg), "--output", str(tmp_path)]) == 0
 
 
+class TestOutputPath:
+    """`run.output_path` is where a command writes without --output; --output
+    overrides it, and a relative path resolves against the working
+    directory, not the config file's."""
+
+    def test_written_there_without_output_flag(self, tmp_path):
+        out = tmp_path / "from_config"
+        cfg = write_config(tmp_path, BASE_CONFIG + f"run.output_path = {out}\n")
+        assert cli.main(["calibrate", "--config", str(cfg)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["calibrate.log", "calibrate.txt"]
+
+    def test_output_flag_overrides(self, tmp_path):
+        out, flag = tmp_path / "from_config", tmp_path / "from_flag"
+        cfg = write_config(tmp_path, BASE_CONFIG + f"run.output_path = {out}\n")
+        assert cli.main(["calibrate", "--config", str(cfg), "--output", str(flag)]) == 0
+        assert (flag / "calibrate.txt").is_file()
+        assert not out.exists()
+
+    def test_relative_path_resolves_against_working_directory(self, tmp_path, monkeypatch):
+        config_dir, work = tmp_path / "configs", tmp_path / "work"
+        config_dir.mkdir()
+        work.mkdir()
+        cfg = write_config(config_dir, BASE_CONFIG + "run.output_path = out/run1\n")
+        monkeypatch.chdir(work)
+        assert cli.main(["calibrate", "--config", str(cfg)]) == 0
+        assert (work / "out" / "run1" / "calibrate.txt").is_file()
+        assert not (config_dir / "out").exists()
+
+
 #: Output fields compared exactly; every other value is a float compared at
 #: a relative tolerance that absorbs libm and SIMD differences between
 #: platforms.  The simulate columns are strings or follow from integer
@@ -720,12 +751,10 @@ class TestBoundOverflow:
 
 
 class TestUnusableCalibrationOrFit:
-    """A calibration constant that is not a finite number above K1, a
-    practical constant that misses the calibration inequality, a lower bound
-    that underflows to 0 and a grid a rate law cannot be fitted on are config
-    errors (exit 2) before any output, never a traceback."""
-
-    PRACTICAL = ("test.alpha = 0.1", "test.alpha = 1e-7\ntest.c_beta_mode = practical")
+    """A calibration constant that is not a finite number above K1, a config
+    that still picks a calibration mode (there is one constant), a lower
+    bound that underflows to 0 and a grid a rate law cannot be fitted on are
+    config errors (exit 2) before any output, never a traceback."""
 
     @pytest.mark.parametrize(
         "command,edits,message",
@@ -749,13 +778,8 @@ class TestUnusableCalibrationOrFit:
             ),
             (
                 "bounds",
-                [PRACTICAL],
-                "bounds: practical constant 8*K2/beta = 3234.77 does not satisfy",
-            ),
-            (
-                "simulate",
-                [PRACTICAL],
-                "simulate: practical constant 8*K2/beta = 3234.77 does not satisfy",
+                [("test.alpha = 0.1", "test.alpha = 0.1\ntest.c_beta_mode = exact")],
+                "line 12: unknown key 'test.c_beta_mode'",
             ),
             (
                 "rates",
@@ -777,8 +801,7 @@ class TestUnusableCalibrationOrFit:
             "exact-root-on-K1",
             "K1-overflows-bounds",
             "K1-overflows-calibrate",
-            "practical-bounds",
-            "practical-simulate",
+            "calibration-mode-is-an-unknown-key",
             "lower-bound-underflows-rates",
             "lower-bound-underflows-bounds",
             "log-log-fit-eps-above-1",
@@ -792,7 +815,9 @@ class TestUnusableCalibrationOrFit:
         out = tmp_path / "out"
         cfg = write_config(tmp_path, text)
         assert cli.main([command, "--config", str(cfg), "--output", str(out)]) == 2
-        assert f"config error: {message}" in capsys.readouterr().err
+        # a parse error names the config file before its line
+        err = capsys.readouterr().err.replace(f"{cfg}, ", "")
+        assert f"config error: {message}" in err
         assert not out.exists()
 
 

@@ -56,7 +56,6 @@ FUZZ_VALUES = {
     "test.alpha": LEVELS,
     "test.beta": LEVELS,
     "test.D": ["0", "-1", "1", "17", "65537", "nan", "1e3"],
-    "test.c_beta_mode": ["exact", "practical", "x"],
     "run.command": [*COMMANDS, "x"],
     "run.eps_grid": GRIDS,
     "run.reps": ["0", "-1", "1", "1000", "nan", "1e3"],

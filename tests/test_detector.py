@@ -3,13 +3,15 @@
 Covers:
 1. Derived constants (C1, C2, K1, K2) at frozen oracle values
 2. Threshold and statistic arithmetic, boundary rejection convention
-3. The calibration equation: exact root, residual, practical fallback
+3. The calibration equation: exact root, residual, the refusal of an
+   unusable root, and the residual of the practical 8 K2/beta
 4. Bandwidth selection against a brute-force grid search
 5. Statistical behaviour: type I control, mean of the statistic, the
    variance envelope, and threshold dominance over the null variance
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -150,10 +152,10 @@ class TestCalibrationEquation:
         assert detector.c_beta_residual(constants, root) == pytest.approx(0.5, abs=1e-4)
 
     def test_practical_value(self):
+        # the practical 8 K2/beta = 160 that `calibrate` reports next to the
+        # exact root
         constants = detector.DetectorConstants(c1=0.0, c2=0.0, k1=2.0, k2=10.0, alpha=0.5)
-        value = detector.solve_c_beta(constants, 0.5, mode="practical")
-        assert value == 160.0
-        assert detector.c_beta_residual(constants, value) == pytest.approx(
+        assert detector.c_beta_residual(constants, 160.0) == pytest.approx(
             0.125 / 0.9875**2, rel=1e-12
         )
 
@@ -177,12 +179,20 @@ class TestCalibrationEquation:
             residual = detector.c_beta_residual(constants, root)
             assert abs(residual - beta) <= 1e-8 * beta
 
-    def test_practical_mode_rejected_when_margin_collapses(self):
-        # tiny alpha blows K1 up so 1 - K1/(8 K2/beta) < 0 and the practical
-        # inequality cannot hold
-        constants = detector.derive_constants(3.0, 1e-6)
-        with pytest.raises(ValueError, match="practical"):
-            detector.solve_c_beta(constants, 0.9, mode="practical")
+    @pytest.mark.parametrize(
+        "c, alpha, message",
+        [
+            # the root rounds onto K1 = 2e150
+            (3.0, 1e-300, "c_beta = 2e+150 is not a finite number above K1 = 2e+150;"),
+            # K1 overflows and the root is nan
+            (1e300, 1e-300, "c_beta = nan is not a finite number above K1 = inf;"),
+        ],
+        ids=["root-on-K1", "K1-overflows"],
+    )
+    def test_unusable_root_rejected(self, c, alpha, message):
+        constants = detector.derive_constants(c, alpha)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            detector.solve_c_beta(constants, 0.1)
 
 
 class TestBandwidthSelection:
@@ -235,11 +245,12 @@ class TestCalibrateConfig:
         config = detector.calibrate(spec, 0.1, 0.1)
         assert config.margin > 0.9 and not config.margin_flagged
 
-    def test_c_beta_must_exceed_k1(self):
+    @pytest.mark.parametrize("c_beta", [1.0, math.nan, math.inf])
+    def test_c_beta_must_exceed_k1(self, c_beta):
         constants = detector.derive_constants(3.0, 0.01)
-        with pytest.raises(ValueError, match="exceed K1"):
+        with pytest.raises(ValueError, match="finite and exceed K1"):
             detector.DetectorConfig(
-                constants=constants, d=1, threshold=1.0, c_beta=1.0, beta=0.1
+                constants=constants, d=1, threshold=1.0, c_beta=c_beta, beta=0.1
             )
 
     def test_degenerate_rademacher_calibration(self):
@@ -250,6 +261,26 @@ class TestCalibrateConfig:
         assert config.threshold == 0.0
         xi = IidRademacher().sample(4, np.random.default_rng(0))
         assert detector.decide(spec.eps * xi, config, spec)
+
+    @pytest.mark.parametrize("d", [None, 3])
+    def test_unusable_calibration_constant_raises(self, d):
+        # K1 overflows, so the root is nan; calibrate refuses it with or
+        # without a pinned bandwidth
+        with pytest.raises(ValueError, match="c_beta = nan is not a finite number above K1"):
+            detector.calibrate(flat_spec(c=1e300), 1e-300, 0.1, d=d)
+
+    def test_upper_bound_overflowing_everywhere_raises(self):
+        # every weight b_k^-2 is 1e308, so c_beta eps^2 sum b^-2 overflows
+        # at every bandwidth: none is left to select
+        spec = ProblemSpec(
+            OperatorFamily.well_posed(1e-154), SmoothnessFamily.ordinary_smooth(1.0), 1.0
+        )
+        with pytest.raises(
+            ValueError,
+            match="at eps = 1 the upper bound overflows at every bandwidth; the operator "
+            "scale or the noise level is too extreme",
+        ):
+            detector.calibrate(spec, 0.1, 0.1)
 
 
 class TestStatisticalBehaviour:

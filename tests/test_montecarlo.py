@@ -5,12 +5,14 @@ Covers:
 2. Type I / type II estimation, including the exact complement identity at
    theta = 0 and ellipsoid enforcement; the blocked kernel against a
    row-by-row reference; the type I estimate carried by `estimate_type2`;
-   negative controls that the estimates must fail
+   negative controls that the estimates must fail; the exact error rates of
+   Rademacher and scaled-uniform noise, as equalities
 3. The guaranteed-detectable spike signal and its placement rule, whose
    bisection finds the coordinate of a linear walk down from D
 4. The least-favourable signal construction and its norm identity
-5. Chi-square divergence: closed form, the Monte Carlo cross-check, and the
-   enforced stability limits
+5. Chi-square divergence: closed form (1 at r = 0, +inf where it overflows
+   or eps^2 = 0), the Monte Carlo cross-check, and the enforced stability
+   limits
 6. Empirical separation radius: bracketing, monotonicity in beta, and the
    noise-level scaling implied by the well-posed rate; the exact endpoint
    sweep on handcrafted replications, agreement with the type II kernel,
@@ -19,6 +21,7 @@ Covers:
 
 import concurrent.futures
 import dataclasses
+import itertools
 import math
 import re
 
@@ -276,6 +279,85 @@ class TestNegativeControls:
         assert est.p_hat > self.BETA + 3.0 * est.std_err, model.kind
 
 
+class TestBoundedFamiliesExact:
+    """Exact answers for the bounded families, as equalities rather than
+    3-SE bands, so a wrong eps scaling, signal shift or projection in the
+    engine fails them.
+
+    Rademacher noise has y_k^2 = eps^2 exactly, so the null T_D is 0 and a
+    spike of radius r at coordinate D gives T = r^2 + 2 r eps xi_D / b_D.
+    Scaled-uniform noise has xi_k^2 <= 3, so T_D <= 2 eps^2 sum_{k<=D} w_k,
+    below the threshold K1 eps^2 sum w_k whenever K1 > 2.
+    """
+
+    REPS = 2000
+    SEED = 23
+    CASES = pytest.mark.parametrize(
+        "operator, d, eps",
+        list(itertools.product(
+            [OperatorFamily.well_posed(), OperatorFamily.mildly_ill_posed(0.5)],
+            [1, 7, 200],
+            [1e-3, 1e-5, 1e-9],
+        )),
+        ids=lambda v: v.kind if isinstance(v, OperatorFamily) else repr(v),
+    )
+
+    @staticmethod
+    def _setup(operator, d, eps, c=3.0, alpha=0.1):
+        # s = 0.1 keeps every spike below inside the ellipsoid
+        spec = ProblemSpec(
+            operator, SmoothnessFamily.ordinary_smooth(0.1), eps=eps, fourth_moment_bound=c
+        )
+        return spec, detector.calibrate(spec, alpha, 0.1, d=d)
+
+    def _signs_at_d(self, d):
+        """xi_D of every replication, drawn as the estimates draw it."""
+        rows = max(1, montecarlo._MC_BLOCK_ELEMENTS // d)
+        return np.concatenate([
+            IidRademacher().sample_block(
+                min(rows, self.REPS - b * rows), d, montecarlo.replication_rng(self.SEED, b)
+            )[:, -1]
+            for b in range(-(-self.REPS // rows))
+        ])
+
+    @CASES
+    def test_rademacher_type1_is_zero(self, operator, d, eps):
+        spec, config = self._setup(operator, d, eps)
+        est = montecarlo.estimate_type1(spec, config, IidRademacher(), self.REPS, self.SEED)
+        assert config.threshold > 0.0
+        assert est.p_hat == 0.0
+
+    @CASES
+    # K1 = sqrt(2 (C - 1) / alpha) = 6.32 and 2.24
+    @pytest.mark.parametrize("c, alpha", [(3.0, 0.1), (1.5, 0.2)])
+    def test_scaled_uniform_type1_is_zero(self, operator, d, eps, c, alpha):
+        spec, config = self._setup(operator, d, eps, c, alpha)
+        assert config.constants.k1 > 2.0
+        est = montecarlo.estimate_type1(spec, config, IidScaledUniform(), self.REPS, self.SEED)
+        assert est.p_hat == 0.0
+
+    @CASES
+    def test_rademacher_spike_type2(self, operator, d, eps):
+        spec, config = self._setup(operator, d, eps)
+        thr = config.threshold
+        half = eps / float(operator.value_array(np.array([d]))[0])  # eps / b_D
+        minus = np.count_nonzero(self._signs_at_d(d) == -1.0) / self.REPS
+        assert 0.0 < minus < 1.0
+        # r^2 - c r eps/b_D = thr: for |c| < 2 exactly the replications with
+        # xi_D = -1 accept, above 2 every one rejects, below -2 every one
+        # accepts; c = +-2.5 and +-1.5 sit either side of both band edges, so
+        # a projection scaled by over 5/4 or under 3/4 moves one of them
+        for c, expected in ((2.5, 0.0), (1.5, minus), (-1.5, minus), (-2.5, 1.0)):
+            r = 0.5 * c * half + math.sqrt((0.5 * c * half) ** 2 + thr)
+            low, high = r * r - 2.0 * r * half, r * r + 2.0 * r * half
+            assert (low >= thr, high < thr) == (expected == 0.0, expected == 1.0)
+            theta = boundary_signal(spec, d, r)
+            est = montecarlo.estimate_type2(
+                spec, config, IidRademacher(), theta, self.REPS, self.SEED
+            )
+            assert est.p_hat == expected, c
+
+
 class TestMarkovSlackOneSided:
     def test_type_one_never_exceeds_level_across_random_configs(self):
         # the Markov calibration is conservative for every family in the
@@ -462,6 +544,24 @@ class TestChiSquareDivergence:
         with pytest.raises(ValueError, match="stability limit"):
             montecarlo.chi_sq_divergence_mc(spec, 2, 3.0, adversarial_sigma(2, 0.8), 1000, 0)
 
+    def test_noise_free_limit(self):
+        # eps^2 underflows to 0 at 1e-170: a spike of any positive radius
+        # makes the laws mutually singular, and r = 0 leaves them equal
+        spec = flat_spec(eps=1e-170)
+        assert spec.eps**2 == 0.0
+        sigma = adversarial_sigma(4, 0.8)
+        assert montecarlo.chi_sq_divergence(spec, 3, 0.1, sigma) == math.inf
+        assert montecarlo.chi_sq_divergence(spec, 3, 0.0, sigma) == 1.0
+        for r in (0.0, 0.1):
+            with pytest.raises(ValueError, match="needs eps\\^2 > 0"):
+                montecarlo.chi_sq_divergence_mc(spec, 3, r, sigma, 1000, 0)
+
+    def test_overflowing_exponential_is_inf(self):
+        # the exponent r^2 v'Sigma v / (eps^2 rho^2) is about 1e4, past the
+        # largest double's logarithm (709.78)
+        spec = flat_spec(eps=0.01)
+        assert montecarlo.chi_sq_divergence(spec, 3, 1.0, adversarial_sigma(3, 0.8)) == math.inf
+
 
 class TestSeparationRadius:
     def test_bracketing_and_upper_bound(self):
@@ -505,6 +605,20 @@ class TestSeparationRadius:
         )
         assert not est.bracketed
         assert est.radius == math.sqrt(bias_term(spec, 24))
+
+    def test_unusable_calibration_constant_raises(self):
+        # K1 overflows, so the root is nan; a pinned bandwidth used to hide it
+        # behind a silent radius 0, unbracketed
+        spec = flat_spec(eps=0.01, c=1e300)
+        with pytest.raises(ValueError, match="c_beta = nan is not a finite number above K1"):
+            montecarlo.empirical_separation_radius(spec, 1e-300, 0.1, IidGaussian(), 1000, 1, d=3)
+
+    def test_upper_bound_overflowing_everywhere_raises(self):
+        spec = ProblemSpec(
+            OperatorFamily.well_posed(1e-154), SmoothnessFamily.ordinary_smooth(1.0), 1.0
+        )
+        with pytest.raises(ValueError, match="upper bound overflows at every bandwidth"):
+            montecarlo.empirical_separation_radius(spec, 0.1, 0.1, IidGaussian(), 1000, 1)
 
     def test_radius_scaling_follows_rate(self):
         # well-posed, s = 1: r^2 ~ eps^(4/3), so halving eps shrinks the
