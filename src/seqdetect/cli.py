@@ -208,7 +208,15 @@ def run_calibrate(config: ExperimentConfig) -> Outcome:
         lines.append(f"margin_{label} = {_fmt(margin)}")
         lines.append(f"margin_{label}_flag = {'true' if margin < detector.MARGIN_FLAG_LEVEL else 'false'}")
 
-    d_star, truncated = _bandwidth(config, exact, "calibrate")
+    # the fixed test.D, or the minimiser of the upper bound's objective; one
+    # that is +inf at every bandwidth, which select_bandwidth refuses, is a
+    # config error
+    d_star, truncated = config.test_d, False
+    if d_star is None:
+        try:
+            d_star, _, truncated = detector.select_bandwidth(problem, exact)
+        except ValueError as exc:
+            raise ConfigError(f"calibrate: {exc}") from exc
     lines.append(f"D_selected = {d_star}")
     lines.append(f"D_truncated = {'true' if truncated else 'false'}")
 
@@ -222,21 +230,6 @@ def run_calibrate(config: ExperimentConfig) -> Outcome:
         f"D_selected={d_star}",
         lambda out: f"calibrate: wrote {out / 'calibrate.txt'} (D = {d_star})",
     )
-
-
-def _bandwidth(config: ExperimentConfig, c_beta: float, command: str) -> tuple[int, bool]:
-    """The fixed ``test.D``, or the selected bandwidth with its truncation flag.
-
-    The selection minimises the upper bound's objective; one that is +inf at
-    every bandwidth, which `detector.select_bandwidth` refuses, is a config
-    error."""
-    if config.test_d is not None:
-        return config.test_d, False
-    try:
-        sel = detector.select_bandwidth(config.problem, c_beta)
-    except ValueError as exc:
-        raise ConfigError(f"{command}: {exc}") from exc
-    return sel.d, sel.truncated
 
 
 def _row_seeds(master_seed: int, count: int) -> list[int]:
@@ -260,12 +253,8 @@ def run_simulate(config: ExperimentConfig, threads: int = 1) -> Outcome:
     if not config.noise:
         raise ConfigError("simulate needs at least one noise block")
     problem = config.problem
-    constants, c_beta = _calibration(config, "simulate")
-    d, _ = _bandwidth(config, c_beta, "simulate")
-    det = detector.DetectorConfig(
-        constants, d, detector.threshold(constants, problem, d), c_beta, config.beta
-    )
     try:
+        det = detector.calibrate(problem, config.alpha, config.beta, d=config.test_d)
         models = [settings.build(det.d) for settings in config.noise]
     except ValueError as exc:
         raise ConfigError(f"simulate: {exc}") from exc

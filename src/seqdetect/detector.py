@@ -150,6 +150,14 @@ def solve_c_beta(constants: DetectorConstants, beta: float) -> float:
     return root
 
 
+def _check_c_beta(c_beta: float) -> None:
+    """Refuse a calibration constant that is not a positive finite number."""
+    if not 0.0 < c_beta < math.inf:
+        raise ValueError(
+            f"calibration constant c_beta must be a positive finite number, got {c_beta!r}"
+        )
+
+
 def select_bandwidths(
     spec: ProblemSpec, c_beta: float, eps_grid: Iterable[float]
 ) -> list[ScanResult]:
@@ -163,10 +171,11 @@ def select_bandwidths(
     minimisers that sit on the scan limit, where the reported optimum is
     suspect.  The objective is non-decreasing in the sum and non-increasing
     in D: the precondition of every `scan_bandwidths` scan, under which a
-    block of bandwidths is bounded by its corner value.
+    block of bandwidths is bounded by its corner value.  A ``c_beta`` that
+    is not a positive finite number raises ValueError; one at or below K1
+    is accepted, since the objective is defined for any positive constant.
     """
-    if not c_beta > 0:
-        raise ValueError("calibration constant must be positive")
+    _check_c_beta(c_beta)
     with np.errstate(over="ignore"):
         # an overflowed coefficient makes its objective +inf at every D
         coeffs = c_beta * eps_sq_grid(eps_grid)

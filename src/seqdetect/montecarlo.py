@@ -237,8 +237,10 @@ def guaranteed_detectable_signal(
     the statistic's mean shift only involves the total mass below D, so the
     guarantee is unaffected by the placement.  Since a is non-decreasing, the
     caps a_j^-2 do not grow with j, so the coordinates that keep the spike
-    inside form a prefix 1..j, whose end is found by bisection.
+    inside form a prefix 1..j, whose end is found by bisection.  A
+    ``c_beta`` that is not a positive finite number raises ValueError.
     """
+    detector._check_c_beta(c_beta)
     if d is None:
         sel = detector.select_bandwidth(spec, c_beta)
         d = sel.d
@@ -378,7 +380,6 @@ class WorstCaseSignal:
 
     theta_star: Signal
     rho_sq: float
-    direction: np.ndarray
 
 
 def direction_stats(
@@ -422,13 +423,7 @@ def worst_case_signal(
     if not within_cap(r * r, cap):
         raise ValueError(f"radius^2 {r * r:.6g} exceeds the ellipsoid cap {cap:.6g} at D={d}")
     coeffs, rho_sq = _worst_case_coefficients(spec, d, r, sigma_star)
-    direction = np.full(d, 1.0 / math.sqrt(d))
-    direction.setflags(write=False)
-    return WorstCaseSignal(
-        theta_star=Signal(tuple(float(c) for c in coeffs)),
-        rho_sq=rho_sq,
-        direction=direction,
-    )
+    return WorstCaseSignal(theta_star=Signal(tuple(float(c) for c in coeffs)), rho_sq=rho_sq)
 
 
 def chi_sq_divergence(

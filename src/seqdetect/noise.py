@@ -2,7 +2,8 @@
 
 Every model here claims membership of the moment class with constant
 ``claimed_fourth_moment`` (written C below): E[xi_k] = 0, E[xi_k^2] = 1 and
-sup_k E[xi_k^4] <= C.  Independence and Gaussianity are deliberately NOT part
+sup_k E[xi_k^4] <= C.  C is a class attribute fixed by the law, not a
+constructor argument.  Independence and Gaussianity are deliberately NOT part
 of the class; the correlated families below are the whole point.
 
 Shipped families:
@@ -222,6 +223,8 @@ class NoiseModel(abc.ABC):
     """Sampleable noise law claiming membership of the moment class."""
 
     kind: str
+    #: The class constant C of the law; a model whose constant depends on
+    #: its parameters sets it in its constructor.
     claimed_fourth_moment: float
     #: Fixed coordinate count, or None when the model samples any dimension.
     dimension: int | None = None
@@ -254,9 +257,7 @@ class NoiseModel(abc.ABC):
 
 class IidGaussian(NoiseModel):
     kind = "iid_gaussian"
-
-    def __init__(self, claimed_fourth_moment: float = GAUSSIAN_FOURTH_MOMENT):
-        self.claimed_fourth_moment = float(claimed_fourth_moment)
+    claimed_fourth_moment = GAUSSIAN_FOURTH_MOMENT
 
     def sample_block(self, n: int, d: int, rng: np.random.Generator) -> np.ndarray:
         self._check_dimension(d)
@@ -271,9 +272,7 @@ class IidRademacher(NoiseModel):
     """Symmetric signs; every moment is +-1 so the class constant is exactly 1."""
 
     kind = "iid_rademacher"
-
-    def __init__(self, claimed_fourth_moment: float = 1.0):
-        self.claimed_fourth_moment = float(claimed_fourth_moment)
+    claimed_fourth_moment = 1.0
 
     def sample_block(self, n: int, d: int, rng: np.random.Generator) -> np.ndarray:
         self._check_dimension(d)
@@ -284,9 +283,7 @@ class IidScaledUniform(NoiseModel):
     """Uniform on [-sqrt(3), sqrt(3)]: unit variance, fourth moment 9/5."""
 
     kind = "iid_scaled_uniform"
-
-    def __init__(self, claimed_fourth_moment: float = 1.8):
-        self.claimed_fourth_moment = float(claimed_fourth_moment)
+    claimed_fourth_moment = 1.8
 
     def sample_block(self, n: int, d: int, rng: np.random.Generator) -> np.ndarray:
         self._check_dimension(d)
@@ -302,16 +299,21 @@ class CorrelatedGaussian(NoiseModel):
     """
 
     kind = "correlated_gaussian"
+    claimed_fourth_moment = GAUSSIAN_FOURTH_MOMENT
 
-    def __init__(
-        self,
-        cov: CorrelationMatrix,
-        claimed_fourth_moment: float = GAUSSIAN_FOURTH_MOMENT,
-    ):
-        self.claimed_fourth_moment = float(claimed_fourth_moment)
+    def __init__(self, cov: CorrelationMatrix):
+        self._set_cov(cov, None)
+
+    def _set_cov(
+        self, cov: CorrelationMatrix, eig: tuple[np.ndarray, np.ndarray] | None
+    ) -> None:
+        """Sample with matrix ``cov``; ``eig`` is its ``eigh`` when the
+        caller already has it, else None."""
         self._cov = cov
         self.dimension = cov.dimension
-        self._factor = _symmetric_sqrt(*np.linalg.eigh(cov.entries))
+        if eig is None:
+            eig = np.linalg.eigh(cov.entries)
+        self._factor = _symmetric_sqrt(*eig)
 
     def sample_block(self, n: int, d: int, rng: np.random.Generator) -> np.ndarray:
         self._check_dimension(d)
@@ -334,20 +336,8 @@ class LongRangeGaussian(CorrelatedGaussian):
     params = ("s", "c")
     dense = True
 
-    def __init__(
-        self,
-        dimension: int,
-        s: float = 1.0,
-        c: float = 0.5,
-        claimed_fourth_moment: float = GAUSSIAN_FOURTH_MOMENT,
-    ):
-        cov, eig = _long_range(dimension, s, c)
-        self.claimed_fourth_moment = float(claimed_fourth_moment)
-        self._cov = cov
-        self.dimension = cov.dimension
-        if eig is None:
-            eig = np.linalg.eigh(cov.entries)
-        self._factor = _symmetric_sqrt(*eig)
+    def __init__(self, dimension: int, s: float = 1.0, c: float = 0.5):
+        self._set_cov(*_long_range(dimension, s, c))
         self.s = float(s)
         self.c = float(c)
 
@@ -366,19 +356,14 @@ class AdversarialEquicorrelated(NoiseModel):
     kind = "adversarial_equicorrelated"
     params = ("d",)
     dense = True
+    claimed_fourth_moment = GAUSSIAN_FOURTH_MOMENT
 
-    def __init__(
-        self,
-        dimension: int,
-        d: Iterable[float] | float = _D_MIN_EQUICORRELATED,
-        claimed_fourth_moment: float = GAUSSIAN_FOURTH_MOMENT,
-    ):
+    def __init__(self, dimension: int, d: Iterable[float] | float = _D_MIN_EQUICORRELATED):
         dv = _equicorrelated_loadings(dimension, d)
         self._loadings = dv
         self._residual = np.sqrt(1.0 - dv * dv)
         self._sigma: CorrelationMatrix | None = None
         self.dimension = int(dimension)
-        self.claimed_fourth_moment = float(claimed_fourth_moment)
 
     @property
     def loadings(self) -> np.ndarray:
@@ -416,9 +401,9 @@ def build_noise(kind: str, dimension: int, **params: float) -> NoiseModel:
     """The `NOISE_KINDS` model ``kind`` for ``dimension`` coordinates.
 
     A dense kind is built at that dimension; the iid kinds sample any.
-    ``params`` are constructor keywords: the kind's `params` and
-    ``claimed_fourth_moment``.  Raises ValueError for an invalid parameter or
-    a dense kind above `MAX_DENSE_DIMENSION`.
+    ``params`` are constructor keywords, the kind's `params`: law parameters
+    only, since each class fixes its own C.  Raises ValueError for an invalid
+    parameter or a dense kind above `MAX_DENSE_DIMENSION`.
     """
     cls = NOISE_KINDS[kind]
     return cls(dimension, **params) if cls.dense else cls(**params)

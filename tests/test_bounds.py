@@ -137,6 +137,26 @@ class TestTheorem1Bounds:
         with pytest.raises(ValueError, match=re.escape(message)):
             bounds.theorem1_bounds(spec, 1e-300, 0.1)
 
+    @pytest.mark.parametrize("c_beta", [0.0, -1.0, math.nan, math.inf])
+    def test_unusable_caller_c_beta_raises(self, c_beta):
+        # unchecked, c_beta = inf comes back as upper_r2 = inf, d_upper = 0
+        spec = make_spec(
+            OperatorFamily.well_posed(), SmoothnessFamily.ordinary_smooth(1.0), 0.01
+        )
+        message = f"c_beta must be a positive finite number, got {c_beta!r}"
+        for call in (
+            lambda: detector.select_bandwidths(spec, c_beta, [0.01]),
+            lambda: bounds.upper_radius_sq(spec, c_beta),
+            lambda: bounds.theorem1_bounds(spec, 0.1, 0.1, c_beta=c_beta),
+            lambda: bounds.bounds_over_grid(spec, [0.01, 0.02], 0.1, 0.1, c_beta=c_beta),
+        ):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                call()
+        # a finite c_beta whose objective overflows everywhere is a scan that
+        # selects no bandwidth, D = 0, as before
+        (point,) = bounds.bounds_over_grid(spec, [10.0], 0.1, 0.1, c_beta=1e308)
+        assert (point.bounds.upper_r2, point.bounds.d_upper) == (math.inf, 0)
+
 
 class TestClassicalComparator:
     def test_never_exceeds_general_upper_bound(self):

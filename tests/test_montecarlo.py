@@ -450,6 +450,15 @@ class TestGuaranteedDetectableSignal:
             alt = montecarlo.guaranteed_detectable_signal(spec, c_beta, d)
             assert (alt.coordinate, alt.d, alt.norm_sq) == (walk, d, r_sq)
 
+    @pytest.mark.parametrize("c_beta", [0.0, -1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("d", [None, 3])
+    def test_unusable_c_beta_raises(self, c_beta, d):
+        # unchecked, c_beta = -1 at D = 3 gives a spike of norm^2 0.1108, and
+        # nan or inf a misleading capacity error
+        message = f"c_beta must be a positive finite number, got {c_beta!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            montecarlo.guaranteed_detectable_signal(flat_spec(eps=0.01), c_beta, d)
+
     def test_logarithmically_many_cap_evaluations(self, monkeypatch):
         calls = []
         monkeypatch.setattr(

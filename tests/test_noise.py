@@ -14,8 +14,11 @@ Covers:
    construction bit for bit, and the adversarial model checks its loadings
    at construction, on a read-only copy of them, but builds its D x D
    matrix only when asked for it
+8. Each family's class constant C is a class attribute fixed by its law,
+   never a constructor argument
 """
 
+import inspect
 import math
 
 import numpy as np
@@ -179,6 +182,27 @@ class TestMomentValidation:
     def test_reps_floor(self):
         with pytest.raises(ValueError, match="10\\^4"):
             validate_moments(IidGaussian(), 5000, np.random.default_rng(0))
+
+
+class TestClassConstant:
+    IID = (IidGaussian, IidRademacher, IidScaledUniform)
+
+    @pytest.mark.parametrize(
+        "cls, constant",
+        [
+            (IidGaussian, 3.0),
+            (IidRademacher, 1.0),
+            (IidScaledUniform, 1.8),
+            (CorrelatedGaussian, 3.0),
+            (LongRangeGaussian, 3.0),
+            (AdversarialEquicorrelated, 3.0),
+        ],
+    )
+    def test_constant_is_fixed_by_the_law(self, cls, constant):
+        assert cls.claimed_fourth_moment == constant
+        assert "claimed_fourth_moment" not in inspect.signature(cls).parameters
+        # the iid laws have no parameter at all
+        assert ("__init__" in cls.__dict__) == (cls not in self.IID)
 
 
 class TestSquaredNoiseIdentities:
