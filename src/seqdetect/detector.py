@@ -121,7 +121,7 @@ def decide(y: np.ndarray, config: DetectorConfig, spec: ProblemSpec) -> bool:
 
 def c_beta_residual(constants: DetectorConstants, c_beta: float) -> float:
     """Left-hand side 2 K2/x / (1 - K1/x)^2 of the calibration equation."""
-    if c_beta <= 0:
+    if not c_beta > 0:  # NaN too
         raise ValueError("calibration constant must be positive")
     denom = 1.0 - constants.k1 / c_beta
     if denom == 0.0:

@@ -447,7 +447,7 @@ def _chi_sq_chain(
     """`chi_sq_divergence` with the rho^2 and v' Sigma v of `direction_stats`
     it is computed from: the three quantities of the lower-bound chain."""
     spec.check_bandwidth(d)
-    if r < 0:
+    if not r >= 0:  # NaN too
         raise ValueError("radius must be non-negative")
     sub = sigma_star.submatrix(d)
     if d > 0 and float(np.linalg.eigvalsh(sub)[0]) <= 1e-12:

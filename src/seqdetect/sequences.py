@@ -68,6 +68,13 @@ _SCAN_PREFIX = 256
 _SKIP_GROWTH = 1.05
 _SKIP_MAX_BATCH = 32
 _SKIP_SLACK = 2.0**-40
+#: An objective that `_skip_ahead`'s lockstep pass stops at least this many
+#: chunks deep retries its next chunks one at a time with blocks widening by
+#: the finer factor.  A shallower objective has a sharper optimum, which the
+#: lockstep pass certifies nearly up to, so its retries would mostly fail and
+#: cost more than they save.
+_REFINE_DEPTH = 16
+_REFINE_GROWTH = 1.004
 _MEMBERSHIP_SLACK = 1e-12
 
 
@@ -580,11 +587,14 @@ def scan_bandwidths(
 ) -> list[ScanResult]:
     """Optimise ``count`` objectives over integer bandwidths 1..limit in one pass.
 
-    ``value_fn(ks, sums, rows)`` gets an array of indices, sums of ``terms``
-    and the indices of the objectives to evaluate, and returns one row of
-    values per entry of ``rows``; a row's values may depend only on its own
-    objective and on each (k, sum) pair, not on the other pairs passed with
-    it.  Each objective keeps its own incumbent.  With ``stall`` set, it
+    ``value_fn(ks, sums, rows)`` gets indices, sums of ``terms`` and the
+    indices of the objectives to evaluate, and returns one row of values per
+    entry of ``rows``.  ``ks`` and ``sums`` are 1-d, shared by every row, or
+    2-d, one row of points per entry of ``rows``; a row's values may depend
+    only on its own objective and on each (k, sum) pair, not on the other
+    pairs passed with it, so a 2-d call equals the 1-d calls of its rows
+    (numpy broadcasting of ``coeffs[rows, np.newaxis] * sums`` gives both).
+    Each objective keeps its own incumbent.  With ``stall`` set, it
     freezes once ``_SCAN_STALL_LIMIT`` consecutive bandwidths fail to improve
     on it; frozen objectives are never evaluated again, and the pass ends
     when all are frozen.  Without it, every objective runs to the limit.
@@ -621,9 +631,10 @@ def scan_bandwidths(
     only the bandwidths that can change a result are evaluated:
 
     * over a constant term, each objective first skips the chunks that
-      `_skip_ahead` certifies from one witness each, and joins the pass at
-      its first uncertified chunk with the incumbent the chunk-by-chunk pass
-      would have there;
+      `_skip_ahead` certifies from one witness each (all objectives in
+      lockstep, then each deep one on its own, with finer blocks and 2-d
+      points), and joins the pass at its first uncertified chunk with the
+      incumbent the chunk-by-chunk pass would have there;
     * on the scan's first chunk, where no objective has an incumbent yet,
       each is evaluated on the first ``_SCAN_PREFIX`` bandwidths only
       (`_first_chunk`); the rest of the chunk is bounded block by block, and
@@ -701,27 +712,36 @@ def _chunk_optima(vals: np.ndarray, maximize: bool) -> tuple[np.ndarray, np.ndar
     return idx, candidates
 
 
-def _growing_blocks(n: int) -> tuple[np.ndarray, np.ndarray]:
+def _growing_blocks(n: int, growth: float) -> tuple[np.ndarray, np.ndarray]:
     """First and last offset of consecutive blocks covering offsets 0..n-1:
-    the first is one index wide, and each next one ``_SKIP_GROWTH`` times
-    wider (rounded down), about 110 blocks for a chunk."""
+    the first is one index wide, and each next one ``growth`` times wider
+    (rounded down).  A chunk takes about 110 blocks at ``_SKIP_GROWTH`` and
+    about 735 at ``_REFINE_GROWTH``."""
     los, his = [], []
     lo, width = 0, 1.0
     while lo < n:
         los.append(lo)
         his.append(min(n - 1, lo + int(width) - 1))
-        lo, width = his[-1] + 1, width * _SKIP_GROWTH
+        lo, width = his[-1] + 1, width * growth
     return np.array(los), np.array(his)
 
 
 #: Offsets below a chunk's witness, its last index e, of the blocks that
 #: `_skip_ahead` bounds: the 4096 indices from e-64 down, in blocks that widen
 #: away from the tail.  They cover the previous chunk's tail and this chunk's
-#: head, 110 blocks.
-_SKIP_BELOW_LO, _SKIP_BELOW_HI = (_SCAN_STALL_LIMIT + b for b in _growing_blocks(_SCAN_CHUNK))
+#: head, in 110 blocks (the lockstep pass) or 735 (the retries of deep
+#: objectives).
+_SKIP_BELOW_LO, _SKIP_BELOW_HI = (
+    _SCAN_STALL_LIMIT + b for b in _growing_blocks(_SCAN_CHUNK, _SKIP_GROWTH)
+)
+_FINE_BELOW_LO, _FINE_BELOW_HI = (
+    _SCAN_STALL_LIMIT + b for b in _growing_blocks(_SCAN_CHUNK, _REFINE_GROWTH)
+)
 _TAIL = np.arange(_SCAN_CHUNK - _SCAN_STALL_LIMIT, _SCAN_CHUNK)
 #: The blocks that bound the first chunk past its prefix, widening away from it.
-_REST_LO, _REST_HI = (_SCAN_PREFIX + b for b in _growing_blocks(_SCAN_CHUNK - _SCAN_PREFIX))
+_REST_LO, _REST_HI = (
+    _SCAN_PREFIX + b for b in _growing_blocks(_SCAN_CHUNK - _SCAN_PREFIX, _SKIP_GROWTH)
+)
 _NO_POINTS = np.empty(0, dtype=np.int64)
 
 
@@ -735,9 +755,14 @@ def _block_bounds(
     points: np.ndarray = _NO_POINTS,
 ) -> tuple[np.ndarray, np.ndarray]:
     """A bound on each row's values over each group of blocks of bandwidths
-    lo..hi (one group per row of the 2-d ``lo`` and ``hi``), and its exact
-    values at ``points``, from one ``value_fn`` call; ``sum_at`` gives the
-    prefix sum at any bandwidth.
+    lo..hi, and its exact values at ``points``, from one ``value_fn`` call;
+    ``sum_at`` gives the prefix sum at any bandwidth.
+
+    The blocks are shared by all rows, with ``lo`` and ``hi`` of shape
+    (groups, blocks) and ``points`` 1-d, or each row has its own, with
+    shapes (rows, groups, blocks) and (rows, points); ``value_fn`` then gets
+    2-d indices and sums, one row per entry of ``rows``.  The bounds have
+    shape (rows, groups), the values (rows, points).
 
     Both are returned negated when maximising, so that they always read as
     minimising: a group's bound is then at most every value in its blocks.
@@ -750,13 +775,15 @@ def _block_bounds(
     """
     sign = -1.0 if maximize else 1.0
     corner_k, corner_s = (lo, hi) if maximize else (hi, lo)
-    ks = np.concatenate((points, corner_k.ravel()))
-    at = np.concatenate((points, corner_s.ravel()))
+    shape = (*points.shape[:-1], -1)
+    ks = np.concatenate((points, corner_k.reshape(shape)), axis=-1)
+    at = np.concatenate((points, corner_s.reshape(shape)), axis=-1)
+    n = points.shape[-1]
     with np.errstate(over="ignore", invalid="ignore"):
         vals = sign * value_fn(ks, sum_at(at), rows)
-        bounds = vals[:, points.size :].reshape(rows.size, *lo.shape).min(axis=2)
+        bounds = vals[:, n:].reshape(rows.size, *lo.shape[-2:]).min(axis=2)
         bounds -= np.abs(bounds) * _SKIP_SLACK
-    return bounds, vals[:, : points.size]
+    return bounds, vals[:, :n]
 
 
 def _first_chunk(
@@ -823,10 +850,16 @@ def _skip_ahead(
     each objective's incumbent is read once, from the 64-value tail of its
     last certified chunk, with NaNs ranked as `_chunk_optima` ranks them.
 
-    Chunks are tried in doubling batches of up to ``_SKIP_MAX_BATCH``, one
-    ``value_fn`` call per batch for all objectives still skipping; the last
-    chunk is never certified, nor is a chunk whose witness or bound is NaN
-    (every comparison with it fails).
+    Chunks are tried in lockstep, in doubling batches of up to
+    ``_SKIP_MAX_BATCH``, one ``value_fn`` call per batch for all objectives
+    still skipping.  Near a deep, flat optimum the 110 blocks are too wide:
+    the bound on the widest, about 200 bandwidths each, is loose by more than
+    the objective falls over a chunk.  So an objective stopped at least
+    ``_REFINE_DEPTH`` chunks deep then retries its next chunk with the same
+    proof over 735 blocks that widen by ``_REFINE_GROWTH``, and advances one
+    chunk per success, all such objectives in one ``value_fn`` call per round
+    with each row's own indices.  The last chunk is never certified, nor is a
+    chunk whose witness or bound is NaN (every comparison with it fails).
     """
     first = np.zeros(best.size, dtype=np.int64)
     certifiable = (limit - 1) // _SCAN_CHUNK
@@ -844,6 +877,15 @@ def _skip_ahead(
         first[rows] = chunk + run
         rows = rows[run == n]
         chunk, batch = chunk + n, min(2 * batch, _SKIP_MAX_BATCH)
+    rows = np.flatnonzero((first >= _REFINE_DEPTH) & (first < certifiable))
+    while rows.size:
+        ends = (first[rows, np.newaxis] + 1) * _SCAN_CHUNK
+        lo = (ends - _FINE_BELOW_HI)[:, np.newaxis]
+        hi = (ends - _FINE_BELOW_LO)[:, np.newaxis]
+        bounds, witness = _block_bounds(value_fn, rows, lo, hi, lambda k: k * c, maximize, ends)
+        rows = rows[witness[:, 0] < bounds[:, 0]]
+        first[rows] += 1
+        rows = rows[first[rows] < certifiable]
     for last in np.unique(first[first > 0]) - 1:
         ks = last * _SCAN_CHUNK + 1 + _TAIL
         _fold(value_fn, ks, ks * c, np.flatnonzero(first == last + 1), best, best_d, maximize)

@@ -159,6 +159,14 @@ class TestCalibrationEquation:
             0.125 / 0.9875**2, rel=1e-12
         )
 
+    def test_residual_refuses_nan_and_reads_its_limits(self):
+        constants = detector.derive_constants(3.0, 0.1)
+        for c_beta in (math.nan, 0.0, -1.0):
+            with pytest.raises(ValueError, match="calibration constant must be positive"):
+                detector.c_beta_residual(constants, c_beta)
+        assert detector.c_beta_residual(constants, math.inf) == 0.0
+        assert detector.c_beta_residual(constants, constants.k1) == math.inf
+
     def test_degenerate_k1_zero(self):
         constants = detector.derive_constants(1.0, 0.5)  # K1 = 0, K2 = 12
         assert detector.solve_c_beta(constants, 0.25) == pytest.approx(2.0 * 12.0 / 0.25)

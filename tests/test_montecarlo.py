@@ -571,6 +571,14 @@ class TestChiSquareDivergence:
         spec = flat_spec(eps=0.01)
         assert montecarlo.chi_sq_divergence(spec, 3, 1.0, adversarial_sigma(3, 0.8)) == math.inf
 
+    def test_nan_radius_rejected_and_infinite_radius_is_inf(self):
+        spec = flat_spec(eps=1.0)
+        sigma = adversarial_sigma(3, 0.8)
+        for r in (math.nan, -1.0):
+            with pytest.raises(ValueError, match="radius must be non-negative"):
+                montecarlo.chi_sq_divergence(spec, 3, r, sigma)
+        assert montecarlo.chi_sq_divergence(spec, 3, math.inf, sigma) == math.inf
+
 
 class TestSeparationRadius:
     def test_bracketing_and_upper_bound(self):
