@@ -40,9 +40,8 @@ from .sequences import (
     WELL_POSED,
     ProblemSpec,
     ScanResult,
-    _inv_b_terms,
     eps_sq_grid,
-    scan_bandwidths,
+    scan_spectrum,
 )
 
 _RATIO_FLOOR = 1e-6
@@ -85,12 +84,7 @@ def _checked(result: ScanResult, message: str) -> tuple[float, int]:
 def _lower_scans(
     spec: ProblemSpec, eps_grid: Iterable[float], alpha: float, beta: float
 ) -> list[ScanResult]:
-    """sup_D [min(coeff eps^2 sum b^-2, a_D^-2)] at every eps of the grid.
-
-    The objective is non-decreasing in the sum and non-increasing in D: the
-    precondition of every `scan_bandwidths` scan, under which a block of
-    bandwidths is bounded by its corner value.
-    """
+    """sup_D [min(coeff eps^2 sum b^-2, a_D^-2)] at every eps of the grid."""
     coeffs = lower_coefficient(alpha, beta) * eps_sq_grid(eps_grid)
     smooth = spec.smoothness
 
@@ -98,23 +92,11 @@ def _lower_scans(
         vals = coeffs[rows, np.newaxis] * sums
         return np.minimum(vals, smooth.inv_sq_array(ks), out=vals)
 
-    return scan_bandwidths(
-        _inv_b_terms(spec.operator, 2),
-        value_fn,
-        spec.bandwidth_limit,
-        coeffs.size,
-        maximize=True,
-        stall=spec.named,
-    )
+    return scan_spectrum(spec, 2, value_fn, coeffs.size, maximize=True)
 
 
 def _classical_scans(spec: ProblemSpec, eps_grid: Iterable[float]) -> list[ScanResult]:
-    """inf_D [a_D^-2 + eps^2 sqrt(sum b^-4)] at every eps of the grid.
-
-    The objective is non-decreasing in the sum and non-increasing in D: the
-    precondition of every `scan_bandwidths` scan, under which a block of
-    bandwidths is bounded by its corner value.
-    """
+    """inf_D [a_D^-2 + eps^2 sqrt(sum b^-4)] at every eps of the grid."""
     eps_sq = eps_sq_grid(eps_grid)
     smooth = spec.smoothness
 
@@ -123,13 +105,7 @@ def _classical_scans(spec: ProblemSpec, eps_grid: Iterable[float]) -> list[ScanR
         vals += smooth.inv_sq_array(ks)
         return vals
 
-    return scan_bandwidths(
-        _inv_b_terms(spec.operator, 4),
-        value_fn,
-        spec.bandwidth_limit,
-        eps_sq.size,
-        stall=spec.named,
-    )
+    return scan_spectrum(spec, 4, value_fn, eps_sq.size)
 
 
 def upper_radius_sq(spec: ProblemSpec, c_beta: float) -> tuple[float, int]:
@@ -263,15 +239,19 @@ def check_hyp_ab(spec: ProblemSpec, d_probe: int = 64) -> HypAbReport:
     """Check that consecutive ratios of a and b stay in fixed positive ranges.
 
     When they do, the two radius bounds are of the same order.  Ratios are
-    probed over D = 2..d_probe; `holds` requires every ratio to stay within
+    probed over D = 2..d_probe, capped by the bandwidth limit, which must
+    leave at least D = 2; `holds` requires every ratio to stay within
     [1e-6, 1e6].  Power-exponential growth (for example a_k = exp(s k^2))
     drives the a-ratio to 0 and fails the check.
     """
-    if d_probe < 2:
-        raise ValueError("need d_probe >= 2 to form consecutive ratios")
-    d_probe = min(d_probe, spec.bandwidth_limit)
-    a_ratios = [spec.smoothness.consecutive_ratio(k) for k in range(2, d_probe + 1)]
-    b_ratios = [spec.operator.consecutive_ratio(k) for k in range(2, d_probe + 1)]
+    probe = min(d_probe, spec.bandwidth_limit)
+    if probe < 2:
+        raise ValueError(
+            "need d_probe and the bandwidth limit both >= 2 to form consecutive "
+            f"ratios, got d_probe = {d_probe} and limit {spec.bandwidth_limit}"
+        )
+    a_ratios = [spec.smoothness.consecutive_ratio(k) for k in range(2, probe + 1)]
+    b_ratios = [spec.operator.consecutive_ratio(k) for k in range(2, probe + 1)]
     a_star, a_sup = min(a_ratios), max(a_ratios)
     b_star, b_sup = min(b_ratios), max(b_ratios)
     holds = (
@@ -313,8 +293,8 @@ def fit_rate(
         raise ValueError("rate fitting needs at least 5 grid points")
     eps = np.array([p[0] for p in pts])
     vals = np.array([p[1] for p in pts])
-    if np.any(eps <= 0) or np.any(np.diff(eps) >= 0):
-        raise ValueError("eps grid must be positive and strictly decreasing")
+    if not (np.all((eps > 0) & (eps < math.inf)) and np.all(np.diff(eps) < 0)):  # NaN too
+        raise ValueError("eps grid must be positive, finite and strictly decreasing")
     if np.any(vals <= 0) or not np.all(np.isfinite(vals)):
         raise ValueError("rate values must be positive and finite")
 

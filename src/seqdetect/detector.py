@@ -28,14 +28,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .sequences import (
-    ProblemSpec,
-    ScanResult,
-    _inv_b_terms,
-    eps_sq_grid,
-    scan_bandwidths,
-    sum_inv_b_sq,
-)
+from .sequences import ProblemSpec, ScanResult, eps_sq_grid, scan_spectrum, sum_inv_b_sq
 
 #: Configurations with 1 - K1/C_beta below this are flagged: the type II
 #: guarantee constant blows up as the margin closes.
@@ -162,18 +155,11 @@ def select_bandwidths(
     spec: ProblemSpec, c_beta: float, eps_grid: Iterable[float]
 ) -> list[ScanResult]:
     """Bandwidths minimising the radius objective c_beta eps^2 sum b^-2 + a_D^-2,
-    one per noise level of ``eps_grid`` (the spec's own eps is not used).
-
-    Exact integer search up to the spec's bandwidth limit, in one pass over
-    the spectrum for the whole grid; each objective stops once it stops
-    improving (for named families; a custom one is scanned to the limit),
-    and ties go to the smaller bandwidth.  ``truncated`` marks
-    minimisers that sit on the scan limit, where the reported optimum is
-    suspect.  The objective is non-decreasing in the sum and non-increasing
-    in D: the precondition of every `scan_bandwidths` scan, under which a
-    block of bandwidths is bounded by its corner value.  A ``c_beta`` that
-    is not a positive finite number raises ValueError; one at or below K1
-    is accepted, since the objective is defined for any positive constant.
+    one per noise level of ``eps_grid`` (the spec's own eps is not used), from
+    one `scan_spectrum` pass; ``truncated`` marks a minimiser on the scan
+    limit, where the reported optimum is suspect.  A ``c_beta`` that is not
+    a positive finite number raises ValueError; one at or below K1 is
+    accepted, since the objective is defined for any positive constant.
     """
     _check_c_beta(c_beta)
     with np.errstate(over="ignore"):
@@ -186,13 +172,7 @@ def select_bandwidths(
         vals += smooth.inv_sq_array(ks)
         return vals
 
-    return scan_bandwidths(
-        _inv_b_terms(spec.operator, 2),
-        value_fn,
-        spec.bandwidth_limit,
-        coeffs.size,
-        stall=spec.named,
-    )
+    return scan_spectrum(spec, 2, value_fn, coeffs.size)
 
 
 def select_bandwidth(spec: ProblemSpec, c_beta: float) -> ScanResult:

@@ -89,8 +89,8 @@ class McEstimate:
 
 
 def _check_reps(reps: int) -> None:
-    if reps < MIN_REPS:
-        raise ValueError(f"need at least {MIN_REPS} replications, got {reps}")
+    if not isinstance(reps, (int, np.integer)) or reps < MIN_REPS:
+        raise ValueError(f"need an integer of at least {MIN_REPS} replications, got {reps!r}")
 
 
 def _map_blocks(
@@ -484,8 +484,8 @@ def chi_sq_divergence_mc(
         raise ValueError("Monte Carlo divergence estimation needs eps^2 > 0")
     if d > _MC_DIVERGENCE_MAX_D:
         raise ValueError(f"Monte Carlo divergence estimation is limited to D <= {_MC_DIVERGENCE_MAX_D}")
-    if reps < 1:
-        raise ValueError("need at least one sample")
+    if not isinstance(reps, (int, np.integer)) or reps < 1:
+        raise ValueError(f"need an integer of at least 1 sample, got {reps!r}")
     closed = chi_sq_divergence(spec, d, r, sigma_star)
     if closed > _MC_DIVERGENCE_MAX_VALUE:
         raise ValueError(

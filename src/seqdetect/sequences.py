@@ -18,18 +18,19 @@ exactly rounded sum of the previous carry and the chunk's terms
 ill-posed spectra overflow to ``+inf`` instead of raising, so optimisation
 loops can simply skip past the overflowed tail.
 
-Every optimisation over the bandwidth is one `scan_bandwidths` pass: the
-prefix sums of a spectrum are formed once per chunk and shared by any number
-of objectives (one per noise level of an eps grid, say), each of which
-freezes on its own once it stops improving.  Every objective is monotone in
-k and in the sum, so a block of bandwidths is bounded by one value at its
-corner, and only the bandwidths that can change an answer are evaluated.
-Over a constant term, whose sum is known at any k, each objective skips
-every chunk it can certify (`_skip_ahead`: the chunk's last value beats the
-bounds on everything before its tail) and is evaluated densely only from
-its first uncertified chunk, near its optimum.  On the first chunk, an
-objective is evaluated past a short prefix only where a bound says it can
-still improve (`_first_chunk`).  The results are those of the dense pass.
+Every optimisation over the bandwidth is one `scan_spectrum` call, a
+`scan_bandwidths` pass: the prefix sums of a spectrum are formed once per
+chunk and shared by any number of objectives (one per noise level of an eps
+grid, say), each of which freezes on its own once it stops improving.  Every
+objective is monotone in k and in the sum, so a block of bandwidths is
+bounded by one value at its corner, and only the bandwidths that can change
+an answer are evaluated.  Over a constant term, whose sum is known at any k,
+each objective skips every chunk it can certify (`_skip_ahead`: the chunk's
+last value beats the bounds on everything before its tail) and is evaluated
+densely only from its first uncertified chunk, near its optimum.  On the
+first chunk, an objective is evaluated past a short prefix only where a
+bound says it can still improve (`_first_chunk`).  The results are those of
+the dense pass.
 """
 
 from __future__ import annotations
@@ -349,8 +350,8 @@ class ProblemSpec:
                 "fourth moment bound must be finite and at least 1 (unit variance "
                 f"forces E[xi^4] >= 1), got {self.fourth_moment_bound!r}"
             )
-        if self.d_max < 1:
-            raise ValueError("d_max must be at least 1")
+        if not isinstance(self.d_max, (int, np.integer)) or self.d_max < 1:
+            raise ValueError(f"d_max must be an integer of at least 1, got {self.d_max!r}")
 
     @property
     def bandwidth_limit(self) -> int:
@@ -361,12 +362,6 @@ class ProblemSpec:
             if family.max_index is not None:
                 limit = min(limit, family.max_index)
         return limit
-
-    @property
-    def named(self) -> bool:
-        """Whether both families are of a named kind, whose bandwidth scans
-        may stop where they stall (see `scan_bandwidths`)."""
-        return CUSTOM not in (self.operator.kind, self.smoothness.kind)
 
     def check_bandwidth(self, d: int) -> None:
         if not isinstance(d, (int, np.integer)) or d < 1:
@@ -576,6 +571,46 @@ class ScanResult(NamedTuple):
     truncated: bool
 
 
+def scan_spectrum(
+    spec: ProblemSpec,
+    power: int,
+    value_fn: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
+    count: int,
+    *,
+    maximize: bool = False,
+) -> list[ScanResult]:
+    """Optimise ``count`` objectives over the bandwidths 1..``spec.bandwidth_limit``
+    in one `scan_bandwidths` pass over the partial sums of b_k^-power (power
+    2 or 4), with ``value_fn`` and ``maximize`` as there: the one scan behind
+    every bound.
+
+    The pass stalls only when neither family is custom.  For the named
+    kinds the three bound objectives have one valley (one peak, when
+    maximising) in k, as b_k^-2 is a constant, k^2t or e^2tk (times the
+    scale) and a_k^-2 is k^-2s or e^-2sk, so it falls ever more slowly:
+
+    * the step of ``c eps^2 S + a_k^-2`` from k to k+1, ``c eps^2 b_{k+1}^-2``
+      less the fall of a_k^-2, is non-decreasing in k: it is convex;
+    * ``min(c eps^2 S, a_k^-2)`` is the least of a non-decreasing and a
+      non-increasing sequence: it rises up to their crossing, then falls;
+    * in ``eps^2 sqrt(S) + a_k^-2``, with S the sum of b^-4, the rise of the
+      first term per step shrinks no faster than k^-1/2, and the fall of
+      a_k^-2 like k^(-2s-1) or e^-2sk; their ratio grows with k, so the
+      objective falls until the rise outweighs the fall, then rises.
+
+    Custom values need not have one: a plateau of a_k hides a later drop of
+    a_k^-2 from the stall rule, so a custom family is scanned to its limit.
+    """
+    return scan_bandwidths(
+        _inv_b_terms(spec.operator, power),
+        value_fn,
+        spec.bandwidth_limit,
+        count,
+        maximize=maximize,
+        stall=CUSTOM not in (spec.operator.kind, spec.smoothness.kind),
+    )
+
+
 def scan_bandwidths(
     terms: Terms,
     value_fn: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
@@ -599,24 +634,9 @@ def scan_bandwidths(
     on it; frozen objectives are never evaluated again, and the pass ends
     when all are frozen.  Without it, every objective runs to the limit.
     Ties keep the smaller bandwidth, a NaN is never an optimum, and
-    `truncated` is set when an optimiser lands on the scan limit.
-
-    The stall rule finds the optimum of an objective with one valley (one
-    peak, when maximising) in k.  The three bound objectives have one for
-    the named kinds, where b_k^-2 is a constant, k^2t or e^2tk (times the
-    scale) and a_k^-2 is k^-2s or e^-2sk, so it falls ever more slowly:
-
-    * the step of ``c eps^2 S + a_k^-2`` from k to k+1, ``c eps^2 b_{k+1}^-2``
-      less the fall of a_k^-2, is non-decreasing in k: it is convex;
-    * ``min(c eps^2 S, a_k^-2)`` is the least of a non-decreasing and a
-      non-increasing sequence: it rises up to their crossing, then falls;
-    * in ``eps^2 sqrt(S) + a_k^-2``, with S the sum of b^-4, the rise of the
-      first term per step shrinks no faster than k^-1/2, and the fall of
-      a_k^-2 like k^(-2s-1) or e^-2sk; their ratio grows with k, so the
-      objective falls until the rise outweighs the fall, then rises.
-
-    Custom values need not have one: a plateau of a_k hides a later drop of
-    a_k^-2 from the stall rule, so callers scan them with ``stall=False``.
+    `truncated` is set when an optimiser lands on the scan limit.  The stall
+    rule finds the optimum of an objective with one valley (one peak, when
+    maximising) in k; `scan_spectrum` says which scans may use it.
 
     Precondition, for every scan: each objective is non-decreasing in the
     sum and non-increasing in k, the shape of all three bound objectives

@@ -391,6 +391,15 @@ class TestHypAbCheck:
         assert 0.0 < report.a_star <= report.a_sup <= 1.0
         assert 1.0 <= report.b_star <= report.b_sup
 
+    def test_a_limit_below_two_leaves_no_ratio(self):
+        # one custom value caps the probe at D = 1, with no ratio to form
+        spec = make_spec(OperatorFamily.well_posed(), SmoothnessFamily.custom([1.0]), 0.1)
+        with pytest.raises(ValueError, match="got d_probe = 64 and limit 1"):
+            bounds.check_hyp_ab(spec, 64)
+        with pytest.raises(ValueError, match="got d_probe = 1 and limit 65536"):
+            bounds.check_hyp_ab(make_spec(OperatorFamily.well_posed(),
+                                          SmoothnessFamily.ordinary_smooth(1.0), 0.1), 1)
+
 
 class TestRateFitting:
     def test_recovers_synthetic_power(self):
@@ -417,6 +426,16 @@ class TestRateFitting:
             bounds.fit_rate(list(reversed(good)), bounds.LOG_EPS)
         with pytest.raises(ValueError, match="unknown fit mode"):
             bounds.fit_rate(good, "loglog")
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("at", [0, 3])
+    def test_non_finite_eps_is_refused(self, bad, at):
+        # at 0, among the dropped pre-asymptotic points, NaN used to land in
+        # the fit's grid; at 3, in the regression, it failed inside LAPACK
+        grid = [(10.0 ** -k, 10.0 ** -k) for k in range(1, 7)]
+        grid[at] = (bad, 1.0)
+        with pytest.raises(ValueError, match="finite and strictly decreasing"):
+            bounds.fit_rate(grid, bounds.LOG_EPS)
 
     def test_grid_is_recorded_in_full(self):
         grid = [(e, e) for e in np.geomspace(0.1, 1e-4, 7)]

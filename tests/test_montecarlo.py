@@ -85,6 +85,16 @@ class TestErrorEstimates:
         with pytest.raises(ValueError, match="replications"):
             montecarlo.estimate_type1(spec, config, IidGaussian(), 10, 0)
 
+    @pytest.mark.parametrize("reps", [1000.5, 2000.0, math.nan, "1000"])
+    def test_reps_must_be_an_integer(self, reps):
+        # a float count used to reach range() in the replication blocks
+        spec = flat_spec()
+        config = detector.calibrate(spec, 0.1, 0.1, d=4)
+        with pytest.raises(ValueError, match="integer of at least 1000 replications"):
+            montecarlo.estimate_type1(spec, config, IidGaussian(), reps, 0)
+        with pytest.raises(ValueError, match="integer of at least 1000 replications"):
+            montecarlo.empirical_separation_radius(spec, 0.1, 0.1, IidGaussian(), reps, 0, d=4)
+
     def test_std_err_formula(self):
         spec = flat_spec(eps=0.2)
         config = detector.calibrate(spec, 0.1, 0.1, d=5)
@@ -552,6 +562,8 @@ class TestChiSquareDivergence:
             montecarlo.chi_sq_divergence_mc(spec, 6, 0.1, adversarial_sigma(6, 0.8), 1000, 0)
         with pytest.raises(ValueError, match="stability limit"):
             montecarlo.chi_sq_divergence_mc(spec, 2, 3.0, adversarial_sigma(2, 0.8), 1000, 0)
+        with pytest.raises(ValueError, match="integer of at least 1 sample"):
+            montecarlo.chi_sq_divergence_mc(spec, 2, 0.1, adversarial_sigma(2, 0.8), 1000.5, 0)
 
     def test_noise_free_limit(self):
         # eps^2 underflows to 0 at 1e-170: a spike of any positive radius

@@ -25,6 +25,8 @@ Covers:
     grids, and the work it saves
 12. A NaN objective value is never a scan's optimum
 13. The bound objectives' 2-d (per-row) calls equal their 1-d calls bitwise
+14. Every bound scan goes through `scan_spectrum`, to the spec's bandwidth
+    limit, and stalls only when neither family is custom
 """
 
 import dataclasses
@@ -38,7 +40,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from seqdetect import bounds, cli, detector
+from seqdetect import bounds, cli, detector, sequences
 from seqdetect.sequences import (
     DEFAULT_D_MAX,
     OPERATOR_KINDS,
@@ -517,6 +519,15 @@ class TestRangesAndValidation:
         with pytest.raises(TypeError):
             ProblemSpec(op, sm, 0.1, 32)
 
+    @pytest.mark.parametrize("d_max", [100.5, 100.0, math.nan, math.inf, 0, -3, "64"])
+    def test_d_max_must_be_a_positive_integer(self, d_max):
+        # 100.5 used to build a spec whose bound scans failed in range()
+        op = OperatorFamily.well_posed()
+        sm = SmoothnessFamily.ordinary_smooth(1.0)
+        with pytest.raises(ValueError, match=re.escape(f"got {d_max!r}")):
+            ProblemSpec(op, sm, eps=0.1, d_max=d_max)
+        assert ProblemSpec(op, sm, eps=0.1, d_max=np.int64(64)).bandwidth_limit == 64
+
     @pytest.mark.parametrize("eps", [1e200, math.inf, math.nan, -0.1])
     def test_noise_level_square_must_be_finite(self, eps):
         op = OperatorFamily.well_posed()
@@ -913,21 +924,47 @@ class TestFreezeRuleEdges:
         self.check(terms, value_fn, limit, 1, maximize, [(*local, False)])
 
 
-def _checked_scans(monkeypatch):
-    """Patch the scans of `bounds` and `detector` so that every scan is also
-    run chunk by chunk and must agree exactly; returns the list of checked
-    scans as (limit, count, maximize)."""
+def _checked_scans(monkeypatch, stalls=None):
+    """Patch `sequences.scan_bandwidths`, which every bound scan goes
+    through, so that every scan is also run chunk by chunk and must agree
+    exactly; returns the list of checked scans as (limit, count, maximize),
+    and appends each scan's ``stall`` to ``stalls`` when one is given."""
     checked = []
 
     def scan(terms, value_fn, limit, count, *, maximize=False, stall=True):
         results = scan_bandwidths(terms, value_fn, limit, count, maximize=maximize, stall=stall)
         assert results == _dense_reference(terms, value_fn, limit, count, maximize, stall)
         checked.append((limit, count, maximize))
+        if stalls is not None:
+            stalls.append(stall)
         return results
 
-    monkeypatch.setattr(bounds, "scan_bandwidths", scan)
-    monkeypatch.setattr(detector, "scan_bandwidths", scan)
+    monkeypatch.setattr(sequences, "scan_bandwidths", scan)
     return checked
+
+
+@pytest.mark.parametrize(
+    "op, smooth, limit, named",
+    [
+        (OperatorFamily.mildly_ill_posed(0.5), SmoothnessFamily.ordinary_smooth(1.0), 5000, True),
+        (OperatorFamily.well_posed(), SmoothnessFamily.custom(np.arange(1.0, 3001.0)), 3000, False),
+        (OperatorFamily.custom(np.arange(1.0, 2001.0) ** -0.5),
+         SmoothnessFamily.super_smooth(0.01), 2000, False),
+    ],
+    ids=["named", "custom_smoothness", "short_custom_operator"],
+)
+def test_every_bound_scan_goes_through_scan_spectrum(monkeypatch, op, smooth, limit, named):
+    """`scan_spectrum` owns the scan policy: the three bounds of a grid and
+    the bandwidth of a calibration all scan to the spec's bandwidth limit,
+    and stall only when neither family is custom."""
+    stalls = []
+    checked = _checked_scans(monkeypatch, stalls)
+    spec = ProblemSpec(op, smooth, eps=0.01, d_max=5000)
+    assert spec.bandwidth_limit == limit
+    bounds.bounds_over_grid(spec, [0.1, 0.01, 1e-3], 0.1, 0.1)
+    detector.calibrate(spec, 0.1, 0.1)
+    assert checked == [(limit, 3, False), (limit, 3, True), (limit, 3, False), (limit, 1, False)]
+    assert stalls == [named] * 4
 
 
 class TestCustomScansRunToTheLimit:
@@ -1176,8 +1213,7 @@ def test_per_row_calls_match_shared_calls(monkeypatch, smooth):
         value_fns.append(value_fn)
         return scan_bandwidths(terms, value_fn, limit, count, maximize=maximize, stall=stall)
 
-    monkeypatch.setattr(bounds, "scan_bandwidths", capture)
-    monkeypatch.setattr(detector, "scan_bandwidths", capture)
+    monkeypatch.setattr(sequences, "scan_bandwidths", capture)
     spec = ProblemSpec(OperatorFamily.well_posed(0.7), smooth, eps=0.1, d_max=5000)
     # eps^2 underflows to 0 at 1e-170, so 0 * inf is NaN at an inf sum
     grid = [0.3, 1e-2, 1e-4, 1e-7, 1e-170]
@@ -1227,7 +1263,7 @@ def test_deep_classical_scan_skips_most_points(monkeypatch):
             terms, counted("skip"), limit, count, maximize=maximize, stall=stall
         )
 
-    monkeypatch.setattr(bounds, "scan_bandwidths", counting)
+    monkeypatch.setattr(sequences, "scan_bandwidths", counting)
     results = bounds._classical_scans(spec, grid)
     assert results == seen["dense"]
     assert results[-1].d == 3_464_102 and not results[-1].truncated
