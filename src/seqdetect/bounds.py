@@ -40,6 +40,7 @@ from .sequences import (
     WELL_POSED,
     ProblemSpec,
     ScanResult,
+    _is_count,
     eps_sq_grid,
     scan_spectrum,
 )
@@ -244,12 +245,12 @@ def check_hyp_ab(spec: ProblemSpec, d_probe: int = 64) -> HypAbReport:
     [1e-6, 1e6].  Power-exponential growth (for example a_k = exp(s k^2))
     drives the a-ratio to 0 and fails the check.
     """
-    probe = min(d_probe, spec.bandwidth_limit)
-    if probe < 2:
+    if not _is_count(d_probe, 2) or spec.bandwidth_limit < 2:
         raise ValueError(
-            "need d_probe and the bandwidth limit both >= 2 to form consecutive "
-            f"ratios, got d_probe = {d_probe} and limit {spec.bandwidth_limit}"
+            "need an integer d_probe and the bandwidth limit both >= 2 to form "
+            f"consecutive ratios, got d_probe = {d_probe!r} and limit {spec.bandwidth_limit}"
         )
+    probe = min(d_probe, spec.bandwidth_limit)
     a_ratios = [spec.smoothness.consecutive_ratio(k) for k in range(2, probe + 1)]
     b_ratios = [spec.operator.consecutive_ratio(k) for k in range(2, probe + 1)]
     a_star, a_sup = min(a_ratios), max(a_ratios)
@@ -297,6 +298,8 @@ def fit_rate(
         raise ValueError("eps grid must be positive, finite and strictly decreasing")
     if np.any(vals <= 0) or not np.all(np.isfinite(vals)):
         raise ValueError("rate values must be positive and finite")
+    if not math.isfinite(eps_power_offset):
+        raise ValueError(f"eps power offset must be finite, got {eps_power_offset!r}")
 
     eps = eps[_PREASYMPTOTIC_DROP:]
     vals = vals[_PREASYMPTOTIC_DROP:]

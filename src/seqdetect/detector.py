@@ -28,7 +28,14 @@ from typing import Iterable
 
 import numpy as np
 
-from .sequences import ProblemSpec, ScanResult, eps_sq_grid, scan_spectrum, sum_inv_b_sq
+from .sequences import (
+    ProblemSpec,
+    ScanResult,
+    _is_count,
+    eps_sq_grid,
+    scan_spectrum,
+    sum_inv_b_sq,
+)
 
 #: Configurations with 1 - K1/C_beta below this are flagged: the type II
 #: guarantee constant blows up as the margin closes.
@@ -90,8 +97,8 @@ class DetectorConfig:
     beta: float
 
     def __post_init__(self) -> None:
-        if self.d < 1:
-            raise ValueError("bandwidth must be positive")
+        if not _is_count(self.d):
+            raise ValueError(f"bandwidth must be a positive integer, got {self.d!r}")
         if not 0.0 < self.beta < 1.0:
             raise ValueError("beta must lie in (0, 1)")
         if not self.constants.k1 < self.c_beta < math.inf:

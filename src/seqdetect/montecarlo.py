@@ -42,6 +42,7 @@ from .noise import CorrelatedGaussian, CorrelationMatrix, NoiseModel
 from .sequences import (
     ProblemSpec,
     Signal,
+    _is_count,
     bias_term,
     boundary_signal,
     ellipsoid_membership,
@@ -65,9 +66,12 @@ _MC_BLOCK_ELEMENTS = 1 << 13
 
 
 def replication_rng(seed: int, block: int) -> np.random.Generator:
-    """Independent substream for one replication block, keyed by (seed, block)."""
-    if not 0 <= int(seed) <= _U64_MASK:
-        raise ValueError("seed must be an unsigned 64-bit integer")
+    """Independent substream for one replication block, keyed by (seed, block),
+    each an integer in [0, 2^64)."""
+    if not all(_is_count(n, 0) and n <= _U64_MASK for n in (seed, block)):
+        raise ValueError(
+            f"seed must be an unsigned 64-bit integer, got seed {seed!r} and block {block!r}"
+        )
     return np.random.default_rng((int(seed), int(block)))
 
 
@@ -89,7 +93,7 @@ class McEstimate:
 
 
 def _check_reps(reps: int) -> None:
-    if not isinstance(reps, (int, np.integer)) or reps < MIN_REPS:
+    if not _is_count(reps, MIN_REPS):
         raise ValueError(f"need an integer of at least {MIN_REPS} replications, got {reps!r}")
 
 
@@ -484,7 +488,7 @@ def chi_sq_divergence_mc(
         raise ValueError("Monte Carlo divergence estimation needs eps^2 > 0")
     if d > _MC_DIVERGENCE_MAX_D:
         raise ValueError(f"Monte Carlo divergence estimation is limited to D <= {_MC_DIVERGENCE_MAX_D}")
-    if not isinstance(reps, (int, np.integer)) or reps < 1:
+    if not _is_count(reps):
         raise ValueError(f"need an integer of at least 1 sample, got {reps!r}")
     closed = chi_sq_divergence(spec, d, r, sigma_star)
     if closed > _MC_DIVERGENCE_MAX_VALUE:

@@ -39,7 +39,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .sequences import ProblemSpec
+from .sequences import ProblemSpec, _is_count
 
 _EIG_TOLERANCE = 1e-10
 _MIN_LONG_RANGE_AMPLITUDE = 1e-3
@@ -104,9 +104,16 @@ class CorrelationMatrix:
         return float(np.linalg.eigvalsh(self.entries)[0])
 
 
+def _check_positive_dimension(dimension: int) -> None:
+    if not _is_count(dimension):
+        raise ValueError(f"dimension must be positive and an integer, got {dimension!r}")
+
+
 def check_dense_dimension(kind: str, dimension: int) -> None:
-    """Reject a dimension above `MAX_DENSE_DIMENSION` for a family that
-    builds dense D x D matrices, before anything is allocated."""
+    """Reject a dimension that is not a positive integer, or is above
+    `MAX_DENSE_DIMENSION` for a family that builds dense D x D matrices,
+    before anything is allocated."""
+    _check_positive_dimension(dimension)
     if dimension > MAX_DENSE_DIMENSION:
         raise ValueError(
             f"{kind} noise builds dense D x D matrices: D = {dimension} exceeds "
@@ -126,8 +133,6 @@ def _equicorrelated_loadings(dimension: int, d: Iterable[float] | float) -> np.n
     """The factor loadings of `adversarial_sigma`, one per coordinate, after
     its dimension and loading checks: a read-only copy, so no later write to
     the caller's array reaches a model built from it."""
-    if dimension < 1:
-        raise ValueError("dimension must be positive")
     check_dense_dimension("adversarial_equicorrelated", dimension)
     dv = np.array(d, dtype=float)
     if dv.ndim == 0:
@@ -164,8 +169,6 @@ def _long_range(
 ) -> tuple[CorrelationMatrix, tuple[np.ndarray, np.ndarray] | None]:
     """`long_range_correlation`, with the ``eigh`` of its entries when they
     are the accepted proposal itself (None when they were repaired)."""
-    if dimension < 1:
-        raise ValueError("dimension must be positive")
     check_dense_dimension("long_range_gaussian", dimension)
     if not s > 0:
         raise ValueError("decay exponent must be positive")
@@ -247,8 +250,7 @@ class NoiseModel(abc.ABC):
         return None
 
     def _check_dimension(self, d: int) -> None:
-        if d < 1:
-            raise ValueError("dimension must be positive")
+        _check_positive_dimension(d)
         if self.dimension is not None and d != self.dimension:
             raise ValueError(
                 f"{self.kind} noise is fixed at dimension {self.dimension}, got {d}"
@@ -438,8 +440,10 @@ def validate_moments(
 
     Report-only: nothing is raised when the model falls outside the class.
     """
-    if reps < 10_000:
-        raise ValueError("moment validation needs at least 10^4 replications")
+    if not _is_count(reps, 10_000):
+        raise ValueError(
+            f"moment validation needs an integer of at least 10^4 replications, got {reps!r}"
+        )
     if d is None:
         d = model.dimension if model.dimension is not None else 8
     x = model.sample_block(reps, d, rng)

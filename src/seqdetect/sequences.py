@@ -52,6 +52,19 @@ CUSTOM = "custom"
 OPERATOR_KINDS = (WELL_POSED, MILDLY_ILL_POSED, SEVERELY_ILL_POSED)
 SMOOTHNESS_KINDS = (ORDINARY_SMOOTH, SUPER_SMOOTH)
 
+_CONSTANT, _POWER, _EXP = "constant", "power", "exp"
+#: Each named kind's law, as (law, sign): the unscaled value at index k is
+#: 1 (constant), k^(sign e) (power) or exp(sign e k) (exp), for the
+#: family's exponent e.  The spectra b decay (sign -1), the weights a grow
+#: (sign +1).
+_LAWS: dict[str, tuple[str, int]] = {
+    WELL_POSED: (_CONSTANT, -1),
+    MILDLY_ILL_POSED: (_POWER, -1),
+    SEVERELY_ILL_POSED: (_EXP, -1),
+    ORDINARY_SMOOTH: (_POWER, 1),
+    SUPER_SMOOTH: (_EXP, 1),
+}
+
 #: Default truncation of the (conceptually infinite) index set for all
 #: optimisations over the bandwidth D.
 DEFAULT_D_MAX = 1 << 16
@@ -134,6 +147,12 @@ def _check_scale(scale: float, what: str) -> None:
         )
 
 
+def _is_count(n: object, least: int = 1) -> bool:
+    """The rule for every count (a bandwidth, a dimension, a number of
+    replications): an ``int`` or numpy integer of at least ``least``."""
+    return isinstance(n, (int, np.integer)) and n >= least
+
+
 def _custom_at(values: np.ndarray, ks: np.ndarray) -> np.ndarray:
     """values[k - 1] for each index k of a custom sequence."""
     ks = np.asarray(ks)
@@ -149,15 +168,14 @@ class _Family:
     """A positive sequence of one kind: a named kind with its exponent and
     scale, or ``custom`` explicit values times the scale.
 
-    Subclasses name the sequence (``_what``), list their named kinds
-    (``_kinds``, of which ``_exponent_kinds`` need a positive exponent) and
-    evaluate them, down to the ratio of consecutive values (``_named_ratio``);
-    custom values, the checks and indexing live here.
+    Every named kind is evaluated from its law and sign in `_LAWS`, times
+    the scale.  Subclasses name the sequence (``_what``) and list their
+    named kinds (``_kinds``); the evaluation, custom values, the checks and
+    indexing live here.
     """
 
     _what: ClassVar[str]
     _kinds: ClassVar[tuple[str, ...]]
-    _exponent_kinds: ClassVar[tuple[str, ...]]
 
     kind: str
     exponent: float = 0.0
@@ -170,7 +188,7 @@ class _Family:
         if self.kind not in self._kinds and self.kind != CUSTOM:
             raise ValueError(f"unknown {self._what} kind {self.kind!r}")
         _check_scale(self.scale, self._what)
-        if self.kind in self._exponent_kinds and not self.exponent > 0:
+        if self.kind != CUSTOM and _LAWS[self.kind][0] != _CONSTANT and not self.exponent > 0:
             raise ValueError(f"{self.kind} requires a positive exponent, got {self.exponent!r}")
         if self.kind == CUSTOM:
             if not self.values:
@@ -190,14 +208,50 @@ class _Family:
         """Largest valid index, or None when the family is unbounded."""
         return len(self.values) if self.values is not None else None
 
+    def value_array(self, ks: np.ndarray) -> np.ndarray:
+        """The values over an index array: a growing sequence overflows to
+        +inf and a decaying one underflows to 0.0 at extreme indices."""
+        return self._law_array(ks, 1, self.scale)
+
+    def inv_sq_array(self, ks: np.ndarray) -> np.ndarray:
+        """The values^-2 over an index array, computed directly so that an
+        ill-posed spectrum's overflow to +inf and a smooth weight's underflow
+        to 0.0 happen at the index where the result leaves the double range."""
+        return self._law_array(ks, -2, 1.0 / (self.scale * self.scale))
+
+    def _law_array(self, ks: np.ndarray, power: int, factor: float) -> np.ndarray:
+        """``factor`` times the unscaled values to the ``power`` (1 or -2), a
+        named kind's law at the multiplier ``power * sign * exponent``.  Only
+        a result that may grow (custom values too) runs under
+        ``np.errstate(over="ignore")``; a decaying one underflows quietly."""
+        if self.kind == CUSTOM:
+            vals = _custom_at(self._array, ks)
+            with np.errstate(over="ignore"):
+                return factor * vals if power == 1 else factor / (vals * vals)
+        law, sign = _LAWS[self.kind]
+        if law == _CONSTANT:
+            return np.full(len(ks), factor)
+        m = power * sign * self.exponent
+        x = np.asarray(ks, dtype=float)
+        if m < 0:
+            return factor * (x**m if law == _POWER else np.exp(m * x))
+        with np.errstate(over="ignore"):
+            return factor * (x**m if law == _POWER else np.exp(m * x))
+
     def consecutive_ratio(self, k: int) -> float:
-        """The ratio of the (k-1)-th to the k-th value, for k >= 2."""
+        """The ratio of the (k-1)-th to the k-th value, for k >= 2, in a form
+        that cannot overflow."""
         if k < 2:
             raise ValueError("consecutive ratio needs k >= 2")
         self._check_index(k)
         if self.kind == CUSTOM:
             return self.values[k - 2] / self.values[k - 1]
-        return self._named_ratio(k)
+        law, sign = _LAWS[self.kind]
+        if law == _CONSTANT:
+            return 1.0
+        if law == _POWER:
+            return math.pow(k / (k - 1) if sign < 0 else (k - 1) / k, self.exponent)
+        return _exp_or_inf(-sign * self.exponent)
 
     def _check_index(self, k: int) -> None:
         if k < 1:
@@ -218,7 +272,9 @@ class OperatorFamily(_Family):
 
     _what = "operator"
     _kinds = OPERATOR_KINDS
-    _exponent_kinds = (MILDLY_ILL_POSED, SEVERELY_ILL_POSED)
+    #: also bound on each family's own class, where benchmark/tracing.py
+    #: wraps it family by family
+    inv_sq_array = _Family.inv_sq_array
 
     @classmethod
     def well_posed(cls, scale: float = 1.0) -> "OperatorFamily":
@@ -232,39 +288,6 @@ class OperatorFamily(_Family):
     def severely_ill_posed(cls, exponent: float, scale: float = 1.0) -> "OperatorFamily":
         return cls(SEVERELY_ILL_POSED, exponent=exponent, scale=scale)
 
-    def value_array(self, ks: np.ndarray) -> np.ndarray:
-        """b_k over an index array (underflows to 0.0 for extreme severely
-        ill-posed indices)."""
-        if self.kind == WELL_POSED:
-            return np.full(len(ks), self.scale)
-        if self.kind == MILDLY_ILL_POSED:
-            return self.scale * np.asarray(ks, dtype=float) ** -self.exponent
-        if self.kind == SEVERELY_ILL_POSED:
-            return self.scale * np.exp(-self.exponent * np.asarray(ks, dtype=float))
-        return self.scale * _custom_at(self._array, ks)
-
-    def inv_sq_array(self, ks: np.ndarray) -> np.ndarray:
-        """b_k^-2 over an index array, computed directly so ill-posed spectra
-        overflow to +inf."""
-        inv_scale_sq = 1.0 / (self.scale * self.scale)
-        with np.errstate(over="ignore"):
-            if self.kind == WELL_POSED:
-                return np.full(len(ks), inv_scale_sq)
-            if self.kind == MILDLY_ILL_POSED:
-                return inv_scale_sq * np.asarray(ks, dtype=float) ** (2.0 * self.exponent)
-            if self.kind == SEVERELY_ILL_POSED:
-                return inv_scale_sq * np.exp(2.0 * self.exponent * np.asarray(ks, dtype=float))
-            vals = _custom_at(self._array, ks)
-            return inv_scale_sq / (vals * vals)
-
-    def _named_ratio(self, k: int) -> float:
-        """b_{k-1} / b_k, in a form that cannot overflow."""
-        if self.kind == WELL_POSED:
-            return 1.0
-        if self.kind == MILDLY_ILL_POSED:
-            return math.pow(k / (k - 1), self.exponent)
-        return _exp_or_inf(self.exponent)
-
 
 class SmoothnessFamily(_Family):
     """Non-decreasing positive weights a = (a_k) defining the ellipsoid.
@@ -277,7 +300,7 @@ class SmoothnessFamily(_Family):
 
     _what = "smoothness"
     _kinds = SMOOTHNESS_KINDS
-    _exponent_kinds = SMOOTHNESS_KINDS
+    inv_sq_array = _Family.inv_sq_array  # as in OperatorFamily
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -292,33 +315,6 @@ class SmoothnessFamily(_Family):
     @classmethod
     def super_smooth(cls, exponent: float, scale: float = 1.0) -> "SmoothnessFamily":
         return cls(SUPER_SMOOTH, exponent=exponent, scale=scale)
-
-    def value_array(self, ks: np.ndarray) -> np.ndarray:
-        """a_k over an index array (overflows to +inf for extreme super-smooth
-        indices)."""
-        with np.errstate(over="ignore"):
-            if self.kind == ORDINARY_SMOOTH:
-                return self.scale * np.asarray(ks, dtype=float) ** self.exponent
-            if self.kind == SUPER_SMOOTH:
-                return self.scale * np.exp(self.exponent * np.asarray(ks, dtype=float))
-        return self.scale * _custom_at(self._array, ks)
-
-    def inv_sq_array(self, ks: np.ndarray) -> np.ndarray:
-        """a_k^-2 over an index array; underflows to 0.0 once a_k exceeds the
-        double range."""
-        inv_scale_sq = 1.0 / (self.scale * self.scale)
-        if self.kind == ORDINARY_SMOOTH:
-            return inv_scale_sq * np.asarray(ks, dtype=float) ** (-2.0 * self.exponent)
-        if self.kind == SUPER_SMOOTH:
-            return inv_scale_sq * np.exp(-2.0 * self.exponent * np.asarray(ks, dtype=float))
-        vals = _custom_at(self._array, ks)
-        return inv_scale_sq / (vals * vals)
-
-    def _named_ratio(self, k: int) -> float:
-        """a_{k-1} / a_k (always <= 1 for valid families)."""
-        if self.kind == ORDINARY_SMOOTH:
-            return math.pow((k - 1) / k, self.exponent)
-        return math.exp(-self.exponent)
 
 
 @dataclass(frozen=True)
@@ -350,7 +346,7 @@ class ProblemSpec:
                 "fourth moment bound must be finite and at least 1 (unit variance "
                 f"forces E[xi^4] >= 1), got {self.fourth_moment_bound!r}"
             )
-        if not isinstance(self.d_max, (int, np.integer)) or self.d_max < 1:
+        if not _is_count(self.d_max):
             raise ValueError(f"d_max must be an integer of at least 1, got {self.d_max!r}")
 
     @property
@@ -364,7 +360,7 @@ class ProblemSpec:
         return limit
 
     def check_bandwidth(self, d: int) -> None:
-        if not isinstance(d, (int, np.integer)) or d < 1:
+        if not _is_count(d):
             raise ValueError(f"bandwidth must be a positive integer, got {d!r}")
         if d > self.bandwidth_limit:
             raise ValueError(

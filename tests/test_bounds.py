@@ -400,6 +400,14 @@ class TestHypAbCheck:
             bounds.check_hyp_ab(make_spec(OperatorFamily.well_posed(),
                                           SmoothnessFamily.ordinary_smooth(1.0), 0.1), 1)
 
+    @pytest.mark.parametrize("d_probe", [10.5, 64.0, math.nan, math.inf])
+    def test_d_probe_must_be_an_integer(self, d_probe):
+        # 10.5 and NaN used to reach range() and raise a TypeError there
+        spec = make_spec(OperatorFamily.well_posed(), SmoothnessFamily.ordinary_smooth(1.0), 0.1)
+        with pytest.raises(ValueError, match=f"got d_probe = {d_probe!r} and limit 65536"):
+            bounds.check_hyp_ab(spec, d_probe)
+        assert bounds.check_hyp_ab(spec, np.int64(64)) == bounds.check_hyp_ab(spec, 64)
+
 
 class TestRateFitting:
     def test_recovers_synthetic_power(self):
@@ -436,6 +444,15 @@ class TestRateFitting:
         grid[at] = (bad, 1.0)
         with pytest.raises(ValueError, match="finite and strictly decreasing"):
             bounds.fit_rate(grid, bounds.LOG_EPS)
+
+    @pytest.mark.parametrize("offset", [math.nan, math.inf, -math.inf])
+    def test_non_finite_offset_is_refused(self, offset):
+        # NaN used to return an all-NaN fit, and inf to warn in a subtraction
+        grid = [(e, e**2.0 * math.log(1.0 / e) ** 3.0) for e in np.geomspace(0.1, 1e-5, 10)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"eps power offset must be finite, got {offset!r}"):
+                bounds.fit_rate(grid, bounds.LOG_LOG_EPS, eps_power_offset=offset)
 
     def test_grid_is_recorded_in_full(self):
         grid = [(e, e) for e in np.geomspace(0.1, 1e-4, 7)]

@@ -261,6 +261,15 @@ class TestCalibrateConfig:
                 constants=constants, d=1, threshold=1.0, c_beta=c_beta, beta=0.1
             )
 
+    @pytest.mark.parametrize("d", [2.5, 3.0, math.nan, 0])
+    def test_bandwidth_must_be_a_positive_integer(self, d):
+        # 2.5 used to build, and failed only inside estimate_type1
+        constants = detector.derive_constants(3.0, 0.01)
+        with pytest.raises(ValueError, match=f"bandwidth must be a positive integer, got {d!r}"):
+            detector.DetectorConfig(
+                constants=constants, d=d, threshold=1.0, c_beta=100.0, beta=0.1
+            )
+
     def test_degenerate_rademacher_calibration(self):
         # C = 1 makes K1 = 0: the threshold collapses to 0 and the boundary
         # convention rejects the (degenerate) statistic that is identically 0

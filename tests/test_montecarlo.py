@@ -77,6 +77,28 @@ class TestReplicationStreams:
         with pytest.raises(ValueError, match="64-bit"):
             montecarlo.replication_rng(-1, 0)
 
+    @pytest.mark.parametrize(
+        "seed, block", [(7.9, 0), (7.0, 0), (math.nan, 0), (1 << 64, 0), (7, 0.5), (7, -1)]
+    )
+    def test_seed_and_block_must_be_unsigned_64_bit_integers(self, seed, block):
+        # a float seed used to be truncated: seed 7.9 drew seed 7's stream
+        with pytest.raises(ValueError, match="seed must be an unsigned 64-bit integer"):
+            montecarlo.replication_rng(seed, block)
+
+    def test_float_seed_is_refused_by_the_estimates(self):
+        spec = flat_spec()
+        config = detector.calibrate(spec, 0.1, 0.1, d=3)
+        with pytest.raises(ValueError, match="got seed 1.5 and block 0"):
+            montecarlo.estimate_type1(spec, config, IidGaussian(), 1000, 1.5)
+        with pytest.raises(ValueError, match="got seed 7.9 and block 0"):
+            montecarlo.empirical_separation_radius(
+                spec, 0.1, 0.1, IidGaussian(), 1000, 7.9, d=3
+            )
+        # numpy integers across the whole unsigned range are keys as before
+        a = montecarlo.replication_rng(np.uint64((1 << 64) - 1), np.int64(3))
+        b = montecarlo.replication_rng((1 << 64) - 1, 3)
+        assert np.array_equal(a.standard_normal(4), b.standard_normal(4))
+
 
 class TestErrorEstimates:
     def test_reps_floor(self):

@@ -183,6 +183,14 @@ class TestMomentValidation:
         with pytest.raises(ValueError, match="10\\^4"):
             validate_moments(IidGaussian(), 5000, np.random.default_rng(0))
 
+    def test_counts_must_be_integers(self):
+        # both used to reach numpy and raise a TypeError there
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match="at least 10\\^4 replications, got 10000.5"):
+            validate_moments(IidGaussian(), 10_000.5, rng)
+        with pytest.raises(ValueError, match="dimension must be positive and an integer, got 3.0"):
+            validate_moments(IidGaussian(), 10_000, rng, d=3.0)
+
 
 class TestClassConstant:
     IID = (IidGaussian, IidRademacher, IidScaledUniform)
@@ -290,6 +298,24 @@ class TestNullVarianceDecomposition:
 
 class TestDenseDimensionLimit:
     """Dense families check the dimension before building any D x D matrix."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            LongRangeGaussian,
+            AdversarialEquicorrelated,
+            lambda n: long_range_correlation(n, 1.0),
+            lambda n: adversarial_sigma(n, 0.8),
+            lambda n: noise.build_noise("long_range_gaussian", n),
+        ],
+    )
+    @pytest.mark.parametrize("dimension", [20.0, math.nan, "20"])
+    def test_dimension_must_be_an_integer(self, build, dimension):
+        # 20.0 used to reach numpy and raise a TypeError there
+        with pytest.raises(
+            ValueError, match=f"dimension must be positive and an integer, got {dimension!r}"
+        ):
+            build(dimension)
 
     def test_rejected_above_the_limit(self, monkeypatch):
         monkeypatch.setattr(noise, "MAX_DENSE_DIMENSION", 8)

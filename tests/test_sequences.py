@@ -574,6 +574,62 @@ class TestRangesAndValidation:
             math.exp(-0.3)
         )
 
+    # the named laws, as written before the law table; every entry is
+    # (value, inverse square, consecutive ratio at k) for exponent e, scale c
+    _LAW_FORMS = {
+        "well_posed": (
+            lambda x, e, c: np.full(len(x), c),
+            lambda x, e, c: np.full(len(x), 1.0 / (c * c)),
+            lambda k, e: 1.0,
+        ),
+        "mildly_ill_posed": (
+            lambda x, e, c: c * x**-e,
+            lambda x, e, c: 1.0 / (c * c) * x ** (2.0 * e),
+            lambda k, e: math.pow(k / (k - 1), e),
+        ),
+        "severely_ill_posed": (
+            lambda x, e, c: c * np.exp(-e * x),
+            lambda x, e, c: 1.0 / (c * c) * np.exp(2.0 * e * x),
+            lambda k, e: math.exp(e),
+        ),
+        "ordinary_smooth": (
+            lambda x, e, c: c * x**e,
+            lambda x, e, c: 1.0 / (c * c) * x ** (-2.0 * e),
+            lambda k, e: math.pow((k - 1) / k, e),
+        ),
+        "super_smooth": (
+            lambda x, e, c: c * np.exp(e * x),
+            lambda x, e, c: 1.0 / (c * c) * np.exp(-2.0 * e * x),
+            lambda k, e: math.exp(-e),
+        ),
+    }
+    # 1..4096 holds every exponential law's overflow and underflow index at
+    # these exponents (e^(0.25 k) overflows from k = 2840, e^(-0.25 k) is 0
+    # from k = 2981); the power laws stay in range up to 2^62
+    _LAW_KS = np.concatenate(
+        (np.arange(1, _CHUNK + 1), np.geomspace(_CHUNK + 1, 2**62, 64).astype(np.int64))
+    )
+
+    @pytest.mark.parametrize("scale", [0.7, 1.0, 3.0])
+    @pytest.mark.parametrize("exponent", [0.25, 0.5, 1.0, 1.5, 2.5])
+    @pytest.mark.parametrize("kind", OPERATOR_KINDS + SMOOTHNESS_KINDS)
+    def test_law_table_matches_the_named_formulas_bitwise(self, kind, exponent, scale):
+        family_cls = OperatorFamily if kind in OPERATOR_KINDS else SmoothnessFamily
+        family = family_cls(kind, exponent, scale)
+        value, inv_sq, ratio = self._LAW_FORMS[kind]
+        x = self._LAW_KS.astype(float)
+        with np.errstate(over="ignore"):
+            expected = (value(x, exponent, scale), inv_sq(x, exponent, scale))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = (family.value_array(self._LAW_KS), family.inv_sq_array(self._LAW_KS))
+            ratios = [family.consecutive_ratio(k) for k in (2, 3, 10, 1000, _CHUNK)]
+        assert [g.tobytes() for g in got] == [e.tobytes() for e in expected]
+        assert ratios == [ratio(k, exponent) for k in (2, 3, 10, 1000, _CHUNK)]
+
+    def test_law_table_covers_exactly_the_named_kinds(self):
+        assert tuple(sequences._LAWS) == OPERATOR_KINDS + SMOOTHNESS_KINDS
+
     def test_kind_constructor_matches_the_named_makers(self):
         # config and the rates cells build families by kind name
         assert OperatorFamily("well_posed", 0.0, 2.0) == OperatorFamily.well_posed(2.0)
