@@ -46,17 +46,12 @@ from .detector import (
     threshold,
 )
 from .bounds import (
-    GridBounds,
     RadiusBounds,
     bounds_over_grid,
     RateFit,
     check_hyp_ab,
-    classical_upper_radius_sq,
     fit_rate,
-    lower_radius_sq,
     rate_law,
-    theorem1_bounds,
-    upper_radius_sq,
 )
 from .montecarlo import (
     McEstimate,

@@ -11,10 +11,10 @@ calibration.  The classical comparator replaces the variance term by
 eps^2 sqrt(sum b_k^-4), which is what independent Gaussian noise would give.
 
 `bounds_over_grid` evaluates all three over an eps grid with one scan per
-bound, each a single pass over its spectrum for the whole grid; the per-eps
-functions are that computation on a grid of one.  Rate checks fit the decay
-of these bounds against the benchmark families on log-log axes and compare
-the fitted exponent with the known rate laws.
+bound, each a single pass over its spectrum for the whole grid; one eps is a
+grid of one.  Rate checks fit the decay of these bounds against the
+benchmark families on log-log axes and compare the fitted exponent with the
+known rate laws.
 
 Scope: every lower bound here rests on Gaussian constructions (E xi^4 = 3),
 so an in-class construction backs it only for C >= 3.  Below that, as in
@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -76,7 +76,8 @@ _CLASSICAL_TRUNCATED = "classical-bound minimiser hit the scan limit D = {d}"
 
 
 def _checked(result: ScanResult, message: str) -> tuple[float, int]:
-    """(value, D) of one scan, warning with ``message`` when it is truncated."""
+    """(value, D) of one scan, warning with ``message`` when it is truncated;
+    the warning points at the line that called `bounds_over_grid`."""
     if result.truncated:
         warnings.warn(message.format(d=result.d), stacklevel=3)
     return result.value, result.d
@@ -109,97 +110,16 @@ def _classical_scans(spec: ProblemSpec, eps_grid: Iterable[float]) -> list[ScanR
     return scan_spectrum(spec, 4, value_fn, eps_sq.size)
 
 
-def upper_radius_sq(spec: ProblemSpec, c_beta: float) -> tuple[float, int]:
-    """inf_D [c_beta eps^2 sum b^-2 + a_D^-2] with its integer minimiser;
-    `detector.select_bandwidth` raises when the objective is +inf at every D."""
-    return _checked(detector.select_bandwidth(spec, c_beta), _UPPER_TRUNCATED)
-
-
-def lower_radius_sq(spec: ProblemSpec, alpha: float, beta: float) -> tuple[float, int]:
-    """sup_D [min(coeff eps^2 sum b^-2, a_D^-2)] with its integer maximiser."""
-    (result,) = _lower_scans(spec, [spec.eps], alpha, beta)
-    return _checked(result, _LOWER_TRUNCATED)
-
-
 @dataclass(frozen=True)
 class RadiusBounds:
-    """Two-sided bracket on the squared separation radius."""
+    """The bounds at one eps of a grid: the two-sided bracket on the squared
+    separation radius, the classical comparator, and their bandwidths."""
 
     lower_r2: float
     upper_r2: float
+    classical_r2: float
     d_lower: int
     d_upper: int
-    c_lower: float
-    c_beta: float
-
-
-def _theorem1_grid(
-    spec: ProblemSpec,
-    eps_grid: Sequence[float],
-    alpha: float,
-    beta: float,
-    c_beta: float | None,
-) -> list[RadiusBounds]:
-    """Both radius bounds at every eps of the grid, one scan per bound."""
-    if c_beta is None:
-        constants = detector.derive_constants(spec.fourth_moment_bound, alpha)
-        c_beta = detector.solve_c_beta(constants, beta)
-    uppers = detector.select_bandwidths(spec, c_beta, eps_grid)
-    lowers = _lower_scans(spec, eps_grid, alpha, beta)
-    c_lower = lower_coefficient(alpha, beta)
-    out = []
-    for upper_scan, lower_scan in zip(uppers, lowers):
-        upper, d_upper = _checked(upper_scan, _UPPER_TRUNCATED)
-        lower, d_lower = _checked(lower_scan, _LOWER_TRUNCATED)
-        if lower > upper:
-            raise RuntimeError(
-                f"radius bounds out of order (lower {lower:.6g} > upper {upper:.6g}); "
-                "this indicates an implementation bug"
-            )
-        out.append(
-            RadiusBounds(
-                lower_r2=lower,
-                upper_r2=upper,
-                d_lower=d_lower,
-                d_upper=d_upper,
-                c_lower=c_lower,
-                c_beta=c_beta,
-            )
-        )
-    return out
-
-
-def theorem1_bounds(
-    spec: ProblemSpec,
-    alpha: float,
-    beta: float,
-    c_beta: float | None = None,
-) -> RadiusBounds:
-    """Assemble both radius bounds; the ordering lower <= upper always holds.
-
-    A violated ordering is mathematically impossible, so it is raised as an
-    implementation bug rather than returned.
-    """
-    (rb,) = _theorem1_grid(spec, [spec.eps], alpha, beta, c_beta)
-    return rb
-
-
-def classical_upper_radius_sq(spec: ProblemSpec) -> tuple[float, int]:
-    """inf_D [a_D^-2 + eps^2 sqrt(sum b^-4)]: the independent-noise comparator.
-
-    This is the radius scaling the test achieves once the cross terms of the
-    statistic's variance are negligible next to the diagonal ones (decaying
-    correlations).
-    """
-    (result,) = _classical_scans(spec, [spec.eps])
-    return _checked(result, _CLASSICAL_TRUNCATED)
-
-
-class GridBounds(NamedTuple):
-    """Theorem 1 bounds and the classical comparator at one eps of a grid."""
-
-    bounds: RadiusBounds
-    classical_r2: float
     d_classical: int
 
 
@@ -209,20 +129,44 @@ def bounds_over_grid(
     alpha: float,
     beta: float,
     c_beta: float | None = None,
-) -> list[GridBounds]:
-    """`theorem1_bounds` and `classical_upper_radius_sq` at every eps of a grid.
+) -> list[RadiusBounds]:
+    """Both radius bounds and the classical comparator at every eps of a grid.
 
-    The spec's own eps is not used.  Each of the three bounds is one pass over
-    its spectrum for the whole grid, so the prefix sums are formed once per
-    chunk rather than once per eps; values, bandwidths and truncation
-    warnings are those of the per-eps functions.
+    The spec's own eps is not used; one eps is a grid of one.  Each of the
+    three bounds is one pass over its spectrum for the whole grid, so the
+    prefix sums are formed once per chunk rather than once per eps.
+    ``c_beta`` defaults to `detector.solve_c_beta` at the spec's fourth
+    moment bound; a caller's value must be a positive finite number of at
+    least `lower_coefficient`, which keeps every lower term at or below every
+    upper term.  A scan that stops on the scan limit warns, at the caller's
+    line.  The ordering lower <= upper then always holds, so a violation is
+    raised as an implementation bug rather than returned.
     """
-    radius_bounds = _theorem1_grid(spec, eps_grid, alpha, beta, c_beta)
+    if c_beta is None:
+        constants = detector.derive_constants(spec.fourth_moment_bound, alpha)
+        c_beta = detector.solve_c_beta(constants, beta)
+    detector._check_c_beta(c_beta)
+    coeff = lower_coefficient(alpha, beta)
+    if c_beta < coeff:
+        raise ValueError(
+            f"calibration constant c_beta = {c_beta!r} is below the lower-bound "
+            f"coefficient ln(C_ab)/4 = {coeff!r}, so the lower bound could exceed the upper"
+        )
+    uppers = detector.select_bandwidths(spec, c_beta, eps_grid)
+    lowers = _lower_scans(spec, eps_grid, alpha, beta)
     classicals = _classical_scans(spec, eps_grid)
-    return [
-        GridBounds(rb, *_checked(classical, _CLASSICAL_TRUNCATED))
-        for rb, classical in zip(radius_bounds, classicals)
-    ]
+    out = []
+    for upper_scan, lower_scan, classical_scan in zip(uppers, lowers, classicals):
+        upper, d_upper = _checked(upper_scan, _UPPER_TRUNCATED)
+        lower, d_lower = _checked(lower_scan, _LOWER_TRUNCATED)
+        if lower > upper:
+            raise RuntimeError(
+                f"radius bounds out of order (lower {lower:.6g} > upper {upper:.6g}); "
+                "this indicates an implementation bug"
+            )
+        classical, d_classical = _checked(classical_scan, _CLASSICAL_TRUNCATED)
+        out.append(RadiusBounds(lower, upper, classical, d_lower, d_upper, d_classical))
+    return out
 
 
 @dataclass(frozen=True)
@@ -344,10 +288,10 @@ def rate_law(operator_kind: str, smoothness_kind: str, *, s: float, t: float = 0
     """
     if operator_kind == CUSTOM or smoothness_kind == CUSTOM:
         raise ValueError("rate laws are defined for the named families only")
-    if not s > 0:
-        raise ValueError("smoothness exponent must be positive")
-    if operator_kind != WELL_POSED and not t > 0:
-        raise ValueError("ill-posed cells need a positive operator exponent")
+    if not 0.0 < s < math.inf:
+        raise ValueError("smoothness exponent must be positive and finite")
+    if operator_kind != WELL_POSED and not 0.0 < t < math.inf:
+        raise ValueError("ill-posed cells need a positive finite operator exponent")
 
     if smoothness_kind == ORDINARY_SMOOTH:
         if operator_kind == WELL_POSED:

@@ -119,8 +119,8 @@ def _cell_table(
     )
     for eps, point in zip(config.eps_grid, grid):
         for name, value in (
-            ("lower", point.bounds.lower_r2),
-            ("upper", point.bounds.upper_r2),
+            ("lower", point.lower_r2),
+            ("upper", point.upper_r2),
             ("classical", point.classical_r2),
         ):
             if not math.isfinite(value):
@@ -128,7 +128,7 @@ def _cell_table(
                     f"{where}: at eps = {_fmt(eps)} the {name} bound overflows at every "
                     "bandwidth; the operator scale or the noise level is too extreme"
                 )
-        if point.bounds.lower_r2 == 0.0:
+        if point.lower_r2 == 0.0:
             raise ConfigError(
                 f"{where}: at eps = {_fmt(eps)} the lower bound underflows to 0 at every "
                 "bandwidth; the family parameters or the noise level are too extreme"
@@ -136,8 +136,8 @@ def _cell_table(
     table = _csv(
         _BOUNDS_HEADER,
         [
-            [*map(_fmt, (eps, p.bounds.lower_r2, p.bounds.upper_r2, p.classical_r2)),
-             str(p.bounds.d_lower), str(p.bounds.d_upper)]
+            [*map(_fmt, (eps, p.lower_r2, p.upper_r2, p.classical_r2)),
+             str(p.d_lower), str(p.d_upper)]
             for eps, p in zip(config.eps_grid, grid)
         ],
     )
@@ -149,7 +149,7 @@ def _cell_table(
     law = bounds_mod.rate_law(
         operator.kind, smoothness.kind, s=smoothness.exponent, t=operator.exponent
     )
-    fit_grid = [(eps, point.bounds.lower_r2) for eps, point in zip(config.eps_grid, grid)]
+    fit_grid = [(eps, point.lower_r2) for eps, point in zip(config.eps_grid, grid)]
     try:
         fit = bounds_mod.fit_rate(fit_grid, law.mode, law.eps_power_offset)
     except ValueError as exc:

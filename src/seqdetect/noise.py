@@ -170,8 +170,8 @@ def _long_range(
     """`long_range_correlation`, with the ``eigh`` of its entries when they
     are the accepted proposal itself (None when they were repaired)."""
     check_dense_dimension("long_range_gaussian", dimension)
-    if not s > 0:
-        raise ValueError("decay exponent must be positive")
+    if not 0.0 < s < math.inf:
+        raise ValueError(f"decay exponent must be positive and finite, got {s!r}")
     if not 0.0 < c <= 1.0:
         raise ValueError("amplitude must lie in (0, 1]")
 

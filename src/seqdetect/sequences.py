@@ -82,11 +82,11 @@ _SCAN_PREFIX = 256
 _SKIP_GROWTH = 1.05
 _SKIP_MAX_BATCH = 32
 _SKIP_SLACK = 2.0**-40
-#: An objective that `_skip_ahead`'s lockstep pass stops at least this many
-#: chunks deep retries its next chunks one at a time with blocks widening by
-#: the finer factor.  A shallower objective has a sharper optimum, which the
-#: lockstep pass certifies nearly up to, so its retries would mostly fail and
-#: cost more than they save.
+#: A minimising objective that `_skip_ahead`'s lockstep pass stops at least
+#: this many chunks deep retries its next chunks one at a time with blocks
+#: widening by the finer factor.  A shallower objective has a sharper optimum,
+#: which the lockstep pass certifies nearly up to, so its retries would mostly
+#: fail and cost more than they save.
 _REFINE_DEPTH = 16
 _REFINE_GROWTH = 1.004
 _MEMBERSHIP_SLACK = 1e-12
@@ -188,8 +188,13 @@ class _Family:
         if self.kind not in self._kinds and self.kind != CUSTOM:
             raise ValueError(f"unknown {self._what} kind {self.kind!r}")
         _check_scale(self.scale, self._what)
-        if self.kind != CUSTOM and _LAWS[self.kind][0] != _CONSTANT and not self.exponent > 0:
-            raise ValueError(f"{self.kind} requires a positive exponent, got {self.exponent!r}")
+        if self.kind != CUSTOM and _LAWS[self.kind][0] != _CONSTANT and not (
+            0.0 < self.exponent < math.inf
+        ):
+            raise ValueError(
+                f"{self.kind} requires a positive exponent, and a finite one, "
+                f"got {self.exponent!r}"
+            )
         if self.kind == CUSTOM:
             if not self.values:
                 raise ValueError(f"custom {self._what} requires explicit values")
@@ -874,8 +879,12 @@ def _skip_ahead(
     ``_REFINE_DEPTH`` chunks deep then retries its next chunk with the same
     proof over 735 blocks that widen by ``_REFINE_GROWTH``, and advances one
     chunk per success, all such objectives in one ``value_fn`` call per round
-    with each row's own indices.  The last chunk is never certified, nor is a
-    chunk whose witness or bound is NaN (every comparison with it fails).
+    with each row's own indices.  Only minimising objectives retry.  The one
+    maximised objective, the lower bound's min(c S, a^-2), equals c S below
+    its kink, where the corner (lo, S(hi)) bounds a block exactly, so the
+    lockstep pass stops only at its peak and no finer cover moves it.  The
+    last chunk is never certified, nor is a chunk whose witness or bound is
+    NaN (every comparison with it fails).
     """
     first = np.zeros(best.size, dtype=np.int64)
     certifiable = (limit - 1) // _SCAN_CHUNK
@@ -894,7 +903,7 @@ def _skip_ahead(
         rows = rows[run == n]
         chunk, batch = chunk + n, min(2 * batch, _SKIP_MAX_BATCH)
     rows = np.flatnonzero((first >= _REFINE_DEPTH) & (first < certifiable))
-    while rows.size:
+    while rows.size and not maximize:
         ends = (first[rows, np.newaxis] + 1) * _SCAN_CHUNK
         lo = (ends - _FINE_BELOW_HI)[:, np.newaxis]
         hi = (ends - _FINE_BELOW_LO)[:, np.newaxis]

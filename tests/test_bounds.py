@@ -52,24 +52,28 @@ class TestRadiusOptimisations:
         spec = make_spec(
             OperatorFamily.well_posed(), SmoothnessFamily.ordinary_smooth(1.0), eps
         )
-        value, d = bounds.lower_radius_sq(spec, 0.05, 0.05)
+        (rb,) = bounds.bounds_over_grid(spec, [eps], 0.05, 0.05)
         brute = max(range(1, 200), key=lambda k: min(0.001 * k, k**-2.0))
-        assert d == brute == 10
-        assert value == pytest.approx(0.01, rel=1e-12)
+        assert rb.d_lower == brute == 10
+        assert rb.lower_r2 == pytest.approx(0.01, rel=1e-12)
 
     def test_upper_delegates_to_bandwidth_selection(self):
+        # c_beta eps^2 = 0.002 against bias D^-2: minimised at D = 10
         spec = make_spec(
             OperatorFamily.well_posed(), SmoothnessFamily.ordinary_smooth(1.0), eps=1.0
         )
-        value, d = bounds.upper_radius_sq(spec, 0.002)
-        assert (value, d) == (pytest.approx(0.03), 10)
+        eps = math.sqrt(0.001)
+        (rb,) = bounds.bounds_over_grid(spec, [eps], 0.05, 0.05, c_beta=2.0)
+        assert (rb.upper_r2, rb.d_upper) == (pytest.approx(0.03), 10)
+        selection = detector.select_bandwidth(replace(spec, eps=eps), 2.0)
+        assert (rb.upper_r2, rb.d_upper) == (selection.value, selection.d)
 
     def test_upper_monotone_in_eps(self):
-        spec_hi = make_spec(
+        spec = make_spec(
             OperatorFamily.mildly_ill_posed(0.5), SmoothnessFamily.ordinary_smooth(1.0), 0.2
         )
-        spec_lo = replace(spec_hi, eps=0.1)
-        assert bounds.upper_radius_sq(spec_lo, 50.0)[0] <= bounds.upper_radius_sq(spec_hi, 50.0)[0]
+        hi, lo = bounds.bounds_over_grid(spec, [0.2, 0.1], 0.05, 0.05, c_beta=50.0)
+        assert lo.upper_r2 <= hi.upper_r2
 
     def test_upper_overflowing_everywhere_raises(self):
         # every weight b_k^-2 is 1e308: no bandwidth has a finite objective
@@ -77,14 +81,20 @@ class TestRadiusOptimisations:
             OperatorFamily.well_posed(1e-154), SmoothnessFamily.ordinary_smooth(1.0), 1.0
         )
         with pytest.raises(ValueError, match="upper bound overflows at every bandwidth"):
-            bounds.upper_radius_sq(spec, 2.0)
+            detector.select_bandwidth(spec, 2.0)
 
-    def test_truncation_warns(self):
+    def test_truncation_warns_at_the_caller(self):
+        # all three optima lie past D = 256, so each eps warns three times,
+        # upper, lower and classical in turn, and every warning names this file
         spec = make_spec(
             OperatorFamily.well_posed(), SmoothnessFamily.ordinary_smooth(1.0), 1e-30, d_max=256
         )
-        with pytest.warns(UserWarning, match="scan limit"):
-            bounds.upper_radius_sq(spec, 100.0)
+        with pytest.warns(UserWarning, match="scan limit") as record:
+            bounds.bounds_over_grid(spec, [1e-30, 1e-31], 0.05, 0.05, c_beta=100.0)
+        assert [str(w.message).split("-")[0] for w in record] == [
+            "upper", "lower", "classical"
+        ] * 2
+        assert {w.filename for w in record} == {__file__}
 
 
 class TestTheorem1Bounds:
@@ -107,18 +117,9 @@ class TestTheorem1Bounds:
             eps = float(10.0 ** rng.uniform(-4, -0.5))
             alpha = float(rng.uniform(0.02, 0.4))
             beta = float(rng.uniform(0.02, 0.4))
-            rb = bounds.theorem1_bounds(make_spec(op, sm, eps), alpha, beta)
+            (rb,) = bounds.bounds_over_grid(make_spec(op, sm, eps), [eps], alpha, beta)
             assert rb.lower_r2 <= rb.upper_r2
             assert rb.lower_r2 > 0
-
-    def test_reports_components(self):
-        spec = make_spec(
-            OperatorFamily.well_posed(), SmoothnessFamily.ordinary_smooth(1.0), 0.1
-        )
-        rb = bounds.theorem1_bounds(spec, 0.05, 0.05)
-        assert rb.c_lower == pytest.approx(bounds.lower_coefficient(0.05, 0.05))
-        constants = detector.derive_constants(3.0, 0.05)
-        assert rb.c_beta == pytest.approx(detector.solve_c_beta(constants, 0.05))
 
     @pytest.mark.parametrize(
         "c, message",
@@ -135,7 +136,7 @@ class TestTheorem1Bounds:
             OperatorFamily.well_posed(), SmoothnessFamily.ordinary_smooth(1.0), 0.1, c=c
         )
         with pytest.raises(ValueError, match=re.escape(message)):
-            bounds.theorem1_bounds(spec, 1e-300, 0.1)
+            bounds.bounds_over_grid(spec, [0.1], 1e-300, 0.1)
 
     @pytest.mark.parametrize("c_beta", [0.0, -1.0, math.nan, math.inf])
     def test_unusable_caller_c_beta_raises(self, c_beta):
@@ -146,8 +147,8 @@ class TestTheorem1Bounds:
         message = f"c_beta must be a positive finite number, got {c_beta!r}"
         for call in (
             lambda: detector.select_bandwidths(spec, c_beta, [0.01]),
-            lambda: bounds.upper_radius_sq(spec, c_beta),
-            lambda: bounds.theorem1_bounds(spec, 0.1, 0.1, c_beta=c_beta),
+            lambda: detector.select_bandwidth(spec, c_beta),
+            lambda: bounds.bounds_over_grid(spec, [0.01], 0.1, 0.1, c_beta=c_beta),
             lambda: bounds.bounds_over_grid(spec, [0.01, 0.02], 0.1, 0.1, c_beta=c_beta),
         ):
             with pytest.raises(ValueError, match=re.escape(message)):
@@ -155,7 +156,22 @@ class TestTheorem1Bounds:
         # a finite c_beta whose objective overflows everywhere is a scan that
         # selects no bandwidth, D = 0, as before
         (point,) = bounds.bounds_over_grid(spec, [10.0], 0.1, 0.1, c_beta=1e308)
-        assert (point.bounds.upper_r2, point.bounds.d_upper) == (math.inf, 0)
+        assert (point.upper_r2, point.d_upper) == (math.inf, 0)
+
+    def test_caller_c_beta_below_lower_coefficient_raises(self):
+        # below ln(C_ab)/4 the lower bound can exceed the upper one: here
+        # 0.000984 against 0.000189, which is the caller's error, not a bug
+        spec = make_spec(
+            OperatorFamily.well_posed(), SmoothnessFamily.ordinary_smooth(1.0), 0.01
+        )
+        coeff = bounds.lower_coefficient(0.1, 0.1)
+        message = f"c_beta = 0.01 is below the lower-bound coefficient ln(C_ab)/4 = {coeff!r}"
+        for eps_grid in ([0.01], [0.1, 0.01]):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                bounds.bounds_over_grid(spec, eps_grid, 0.1, 0.1, c_beta=0.01)
+        # at the coefficient itself every lower term is at most every upper term
+        points = bounds.bounds_over_grid(spec, [0.1, 0.01], 0.1, 0.1, c_beta=coeff)
+        assert all(0.0 < p.lower_r2 <= p.upper_r2 for p in points)
 
 
 class TestClassicalComparator:
@@ -169,19 +185,21 @@ class TestClassicalComparator:
                 SmoothnessFamily.ordinary_smooth(1.0),
                 eps=float(10.0 ** rng.uniform(-3, -1)),
             )
-            classical, _ = bounds.classical_upper_radius_sq(spec)
-            general, _ = bounds.upper_radius_sq(spec, 25.0)
-            assert classical <= general * (1.0 + 1e-12)
+            (point,) = bounds.bounds_over_grid(spec, [spec.eps], 0.1, 0.1, c_beta=25.0)
+            assert point.classical_r2 <= point.upper_r2 * (1.0 + 1e-12)
 
     def test_bias_only_limit_hits_truncation(self):
         spec = make_spec(
             OperatorFamily.well_posed(), SmoothnessFamily.ordinary_smooth(1.0), 1e-300,
             d_max=128,
         )
-        with pytest.warns(UserWarning, match="scan limit"):
-            value, d = bounds.classical_upper_radius_sq(spec)
-        assert d == 128
-        assert value == pytest.approx(128.0**-2.0, rel=1e-6)
+        with pytest.warns(UserWarning, match="scan limit") as record:
+            (point,) = bounds.bounds_over_grid(spec, [spec.eps], 0.1, 0.1)
+        assert "classical-bound minimiser hit the scan limit D = 128" in [
+            str(w.message) for w in record
+        ]
+        assert point.d_classical == 128
+        assert point.classical_r2 == pytest.approx(128.0**-2.0, rel=1e-6)
 
     def test_brute_force_interior_minimiser(self):
         # D^-2 + eps^2 sqrt(D) at eps = 0.1 is minimised near D = 400^0.4 = 11,
@@ -191,21 +209,20 @@ class TestClassicalComparator:
         )
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            value, d = bounds.classical_upper_radius_sq(spec)
+            (point,) = bounds.bounds_over_grid(spec, [0.1], 0.1, 0.1)
         oracle = {k: k**-2.0 + 0.1**2 * math.sqrt(k) for k in range(1, 65)}
         best = min(oracle, key=oracle.get)
-        assert d == best == 11
-        assert value == pytest.approx(oracle[best], rel=1e-14)
+        assert point.d_classical == best == 11
+        assert point.classical_r2 == pytest.approx(oracle[best], rel=1e-14)
 
     def test_well_posed_rate_exponent(self):
         # balancing eps^2 sqrt(D) against D^-2s gives r^2 ~ eps^(8s/(4s+1))
-        spec0 = make_spec(
+        spec = make_spec(
             OperatorFamily.well_posed(), SmoothnessFamily.ordinary_smooth(1.0), 0.1
         )
-        grid = []
-        for k in range(6, 17):
-            spec = replace(spec0, eps=2.0**-k)
-            grid.append((2.0**-k, bounds.classical_upper_radius_sq(spec)[0]))
+        eps_grid = [2.0**-k for k in range(6, 17)]
+        points = bounds.bounds_over_grid(spec, eps_grid, 0.1, 0.1)
+        grid = [(eps, point.classical_r2) for eps, point in zip(eps_grid, points)]
         fit = bounds.fit_rate(grid, bounds.LOG_EPS)
         assert fit.exponent == pytest.approx(8.0 / 5.0, abs=0.05)
 
@@ -214,16 +231,15 @@ class TestClassicalComparator:
         # buys a strictly faster decay exponent for polynomial spectra
         s, t = 1.0, 0.5
         c_beta = detector.solve_c_beta(detector.derive_constants(1.0, 0.25), 0.25)
-        spec0 = make_spec(
+        spec = make_spec(
             OperatorFamily.mildly_ill_posed(t), SmoothnessFamily.ordinary_smooth(s), 0.1, c=1.0
         )
-        classical_grid, general_grid = [], []
-        for k in range(4, 15):
-            spec = replace(spec0, eps=2.0**-k)
-            classical_grid.append((2.0**-k, bounds.classical_upper_radius_sq(spec)[0]))
-            general_grid.append((2.0**-k, bounds.upper_radius_sq(spec, c_beta)[0]))
-        classical_fit = bounds.fit_rate(classical_grid, bounds.LOG_EPS).exponent
-        general_fit = bounds.fit_rate(general_grid, bounds.LOG_EPS).exponent
+        eps_grid = [2.0**-k for k in range(4, 15)]
+        points = bounds.bounds_over_grid(spec, eps_grid, 0.25, 0.25, c_beta)
+        classical_fit, general_fit = (
+            bounds.fit_rate(list(zip(eps_grid, values)), bounds.LOG_EPS).exponent
+            for values in zip(*((p.classical_r2, p.upper_r2) for p in points))
+        )
         assert classical_fit == pytest.approx(8.0 * s / (4.0 * s + 4.0 * t + 1.0), abs=0.05)
         assert general_fit == pytest.approx(4.0 * s / (2.0 * s + 2.0 * t + 1.0), abs=0.05)
         assert classical_fit > general_fit + 0.05
@@ -233,16 +249,15 @@ class TestClassicalComparator:
         # scale, so dependence costs nothing in the rate
         s = t = 0.25
         c_beta = detector.solve_c_beta(detector.derive_constants(1.0, 0.25), 0.25)
-        spec0 = make_spec(
+        spec = make_spec(
             OperatorFamily.severely_ill_posed(t), SmoothnessFamily.super_smooth(s), 0.1, c=1.0
         )
-        classical_grid, general_grid = [], []
-        for k in range(4, 15):
-            spec = replace(spec0, eps=2.0**-k)
-            classical_grid.append((2.0**-k, bounds.classical_upper_radius_sq(spec)[0]))
-            general_grid.append((2.0**-k, bounds.upper_radius_sq(spec, c_beta)[0]))
-        classical_fit = bounds.fit_rate(classical_grid, bounds.LOG_EPS).exponent
-        general_fit = bounds.fit_rate(general_grid, bounds.LOG_EPS).exponent
+        eps_grid = [2.0**-k for k in range(4, 15)]
+        points = bounds.bounds_over_grid(spec, eps_grid, 0.25, 0.25, c_beta)
+        classical_fit, general_fit = (
+            bounds.fit_rate(list(zip(eps_grid, values)), bounds.LOG_EPS).exponent
+            for values in zip(*((p.classical_r2, p.upper_r2) for p in points))
+        )
         assert abs(classical_fit - general_fit) <= 0.05
 
 
@@ -278,7 +293,7 @@ GRID_SPECS = _grid_specs()
 
 
 class TestGridScan:
-    """`bounds_over_grid` against its grid-of-one wrappers, compared exactly."""
+    """`bounds_over_grid` on a grid against its grids of one, compared exactly."""
 
     @pytest.mark.parametrize("name", list(GRID_SPECS))
     def test_grid_equals_per_eps_calls(self, name):
@@ -293,12 +308,8 @@ class TestGridScan:
         with warnings.catch_warnings(record=True) as single_caught:
             warnings.simplefilter("always")
             for eps, point, selection in zip(eps_grid, grid, selections):
-                single = replace(spec, eps=eps)
-                assert point.bounds == bounds.theorem1_bounds(single, alpha, beta, c_beta)
-                assert (point.classical_r2, point.d_classical) == (
-                    bounds.classical_upper_radius_sq(single)
-                )
-                assert selection == detector.select_bandwidth(single, c_beta)
+                assert [point] == bounds.bounds_over_grid(spec, [eps], alpha, beta, c_beta)
+                assert selection == detector.select_bandwidth(replace(spec, eps=eps), c_beta)
         assert sorted(str(w.message) for w in grid_caught) == sorted(
             str(w.message) for w in single_caught
         )
@@ -308,7 +319,7 @@ class TestGridScan:
         assert math.isinf(sum_inv_b_sq(spec, 71)) and math.isfinite(sum_inv_b_sq(spec, 70))
         assert math.isinf(sum_inv_b_4(spec, 36)) and math.isfinite(sum_inv_b_4(spec, 35))
         deepest = bounds.bounds_over_grid(spec, eps_grid, 0.25, 0.25)[-1]
-        assert (deepest.bounds.d_lower, deepest.d_classical) == (71, 35)
+        assert (deepest.d_lower, deepest.d_classical) == (71, 35)
 
     def test_only_deepest_eps_warns(self):
         # classical minimisers sit at D = 5, 9, ..., 147 for eps = 2^-2..2^-8
@@ -324,7 +335,7 @@ class TestGridScan:
             "classical-bound minimiser hit the scan limit D = 200"
         ]
         assert [p.d_classical for p in points][-2:] == [147, 200]
-        assert max(p.bounds.d_lower for p in points) < 200
+        assert max(p.d_lower for p in points) < 200
 
     @pytest.mark.parametrize(
         "eps_grid",
@@ -481,6 +492,15 @@ class TestRateLaws:
         with pytest.raises(ValueError, match="named families"):
             bounds.rate_law("custom", "ordinary_smooth", s=1.0)
 
+    @pytest.mark.parametrize("exponent", [0.0, math.nan, math.inf])
+    def test_exponents_must_be_positive_and_finite(self, exponent):
+        with pytest.raises(ValueError, match="smoothness exponent must be positive"):
+            bounds.rate_law("well_posed", "ordinary_smooth", s=exponent)
+        with pytest.raises(ValueError, match="operator exponent"):
+            bounds.rate_law("mildly_ill_posed", "super_smooth", s=1.0, t=exponent)
+        # a well-posed cell has no operator exponent to check
+        assert bounds.rate_law("well_posed", "super_smooth", s=1.0, t=exponent).exponent == 1.0
+
 
 class TestUpperBoundDeepAsymptotics:
     """Log-factor cells need very small eps before the upper bound's constant
@@ -500,10 +520,9 @@ class TestUpperBoundDeepAsymptotics:
     def test_log_cells_fit_on_deep_grid(self, op, sm, s, t):
         c_beta = detector.solve_c_beta(detector.derive_constants(1.0, 0.25), 0.25)
         law = bounds.rate_law(op.kind, sm.kind, s=s, t=t)
-        grid = []
-        for k in range(30, 85, 5):
-            spec = make_spec(op, sm, eps=2.0**-k, c=1.0)
-            value, _ = bounds.upper_radius_sq(spec, c_beta)
-            grid.append((2.0**-k, value))
+        spec = make_spec(op, sm, eps=0.1, c=1.0)
+        eps_grid = [2.0**-k for k in range(30, 85, 5)]
+        selections = detector.select_bandwidths(spec, c_beta, eps_grid)
+        grid = [(eps, selection.value) for eps, selection in zip(eps_grid, selections)]
         fit = bounds.fit_rate(grid, law.mode, law.eps_power_offset)
         assert fit.exponent == pytest.approx(law.exponent, abs=0.3)

@@ -528,6 +528,32 @@ class TestFamilyParameters:
                 "decay exponent must be positive",
             ),
             ("rates", "noise.d = 0.7071067811865476", "noise.d = nan", "line 11", "factor loadings"),
+            # an infinite exponent collapses its law: a_k = inf or b_k = 0
+            # past k = 1, or the identity for long-range noise
+            *(
+                (command, "smoothness.s = 1.0", "smoothness.s = inf", "line 5", "positive exponent")
+                for command in ("bounds", "calibrate", "simulate")
+            ),
+            *(
+                (
+                    command,
+                    "operator.kind = well_posed",
+                    "operator.kind = mildly_ill_posed\noperator.t = inf",
+                    "line 4",
+                    "positive exponent",
+                )
+                for command in ("bounds", "calibrate")
+            ),
+            *(
+                (
+                    command,
+                    "noise.kind = iid_gaussian",
+                    "noise.kind = long_range_gaussian\nnoise.s = inf",
+                    "line 10",
+                    "decay exponent must be positive",
+                )
+                for command in ("bounds", "calibrate", "simulate", "rates")
+            ),
         ],
         ids=[
             "smoothness-s-zero",
@@ -539,6 +565,9 @@ class TestFamilyParameters:
             "noise-s-negative-calibrate",
             "noise-s-negative-bounds",
             "noise-d-nan",
+            *(f"smoothness-s-inf-{c}" for c in ("bounds", "calibrate", "simulate")),
+            *(f"operator-t-inf-{c}" for c in ("bounds", "calibrate")),
+            *(f"noise-s-inf-{c}" for c in ("bounds", "calibrate", "simulate", "rates")),
         ],
     )
     def test_rejected_at_load(self, tmp_path, capsys, command, old, new, line, message):

@@ -428,10 +428,10 @@ class TestGuaranteedDetectableSignal:
         spec = flat_spec(eps=0.01)
         config = detector.calibrate(spec, 0.1, 0.1)
         alt = montecarlo.guaranteed_detectable_signal(spec, config.c_beta)
-        upper, d_upper = bounds.upper_radius_sq(spec, config.c_beta)
-        assert alt.d == d_upper
-        assert alt.norm_sq == pytest.approx(upper)
-        assert alt.signal.norm_sq() == pytest.approx(upper, rel=1e-12)
+        upper = detector.select_bandwidth(spec, config.c_beta)
+        assert alt.d == upper.d
+        assert alt.norm_sq == pytest.approx(upper.value)
+        assert alt.signal.norm_sq() == pytest.approx(upper.value, rel=1e-12)
 
     def test_signal_is_ellipsoid_member(self):
         spec = flat_spec(eps=0.01)
@@ -620,7 +620,7 @@ class TestSeparationRadius:
         est = montecarlo.empirical_separation_radius(spec, 0.1, 0.1, IidGaussian(), 2000, 5)
         assert est.bracketed
         config = detector.calibrate(spec, 0.1, 0.1)
-        upper, _ = bounds.upper_radius_sq(spec, config.c_beta)
+        upper = detector.select_bandwidth(spec, config.c_beta).value
         assert est.radius <= math.sqrt(upper) * 1.02
 
     def test_monotone_in_beta(self):

@@ -96,6 +96,13 @@ class TestLongRangeCorrelation:
         assert abs(m[0, 1]) <= 0.9 + 1e-12
         assert abs(m[0, 2]) <= 0.45 + 1e-12
 
+    @pytest.mark.parametrize("s", [0.0, math.nan, math.inf])
+    def test_decay_exponent_must_be_positive_and_finite(self, s):
+        # at s = inf every off-diagonal entry would be 0: the identity
+        for build in (lambda: long_range_correlation(4, s), lambda: LongRangeGaussian(4, s)):
+            with pytest.raises(ValueError, match="decay exponent must be positive"):
+                build()
+
     def test_envelope_holds_at_larger_dimension(self):
         cov = long_range_correlation(64, 0.7, 0.9)
         gaps = np.abs(np.subtract.outer(np.arange(64), np.arange(64)))

@@ -483,6 +483,13 @@ class TestBoundarySignal:
 
 
 class TestRangesAndValidation:
+    @pytest.mark.parametrize("exponent", [0.0, -1.0, math.nan, math.inf])
+    def test_named_laws_need_a_positive_finite_exponent(self, exponent):
+        for make in (OperatorFamily.mildly_ill_posed, OperatorFamily.severely_ill_posed,
+                     SmoothnessFamily.ordinary_smooth, SmoothnessFamily.super_smooth):
+            with pytest.raises(ValueError, match="requires a positive exponent"):
+                make(exponent)
+
     def test_finite_mode_bandwidth_cap(self):
         spec = make_spec(OperatorFamily.well_posed(), d_max=8)
         assert sum_inv_b_sq(spec, 8) == 8.0
@@ -1051,8 +1058,8 @@ class TestCustomScansRunToTheLimit:
         spec = ProblemSpec(OperatorFamily.well_posed(),
                            SmoothnessFamily.custom([1.0] * 9000 + [1000.0] * 3000), eps=1e-3)
         (grid,) = bounds.bounds_over_grid(spec, [1e-3], 0.1, 0.1, c_beta=1.0)
-        assert (grid.bounds.d_lower, grid.bounds.d_upper, grid.d_classical) == (9000, 9001, 9001)
-        assert grid.bounds.upper_r2 == pytest.approx(0.009002)
+        assert (grid.d_lower, grid.d_upper, grid.d_classical) == (9000, 9001, 9001)
+        assert grid.upper_r2 == pytest.approx(0.009002)
         assert len(checked) == 3
 
 
@@ -1172,11 +1179,11 @@ class TestSkipAheadMatchesTheDenseScan:
     @pytest.mark.parametrize("maximize", [False, True], ids=["min", "max"])
     def test_deep_objectives(self, maximize):
         # limits of 64 chunks or more and optima from 8 chunks deep to past
-        # the limit, so that many objectives stop 16 or more chunks deep and
-        # retry their next chunks over the finer blocks, one 2-d call per
-        # round.  A second round follows a certified retry, which a maximised
-        # min(var, bias) never gets: the coarse blocks already certify it up
-        # to its peak, a kink.  About a third of the rows are quantised, with
+        # the limit, so that many objectives stop 16 or more chunks deep;
+        # minimised ones retry their next chunks over the finer blocks, one
+        # 2-d call per round, and a second round follows a certified retry.
+        # A maximised min(var, bias) makes none: the coarse blocks already
+        # certify it up to its peak, a kink.  About a third of the rows are quantised, with
         # long runs of ties, and about a third turn NaN from a bandwidth near
         # their optimum on
         rng = np.random.default_rng(2016 + maximize)
@@ -1213,7 +1220,7 @@ class TestSkipAheadMatchesTheDenseScan:
             rounds.append(0)
             results = scan_bandwidths(c, counted, limit, count, maximize=maximize)
             assert results == _dense_reference(c, value_fn, limit, count, maximize), case
-        assert max(rounds) >= (1 if maximize else 2), rounds
+        assert (max(rounds) == 0) if maximize else (max(rounds) >= 2), rounds
 
     @pytest.mark.parametrize("maximize", [False, True], ids=["min", "max"])
     def test_deep_ties_at_zero(self, maximize):
@@ -1326,6 +1333,34 @@ def test_deep_classical_scan_skips_most_points(monkeypatch):
     assert counts["dense"] == 846 * _CHUNK
     assert counts["skip"] < 0.10 * counts["dense"]
     assert counts["folds"] <= 40
+
+
+def test_deep_lower_scan_makes_no_retries(monkeypatch):
+    """The well-posed lower scan of a 48-point grid down to 5e-7 at
+    D_max = 2^22 stops its lockstep pass deep into the spectrum for some
+    objectives, but a maximising scan never retries with the finer, per-row
+    blocks (a 3-d `_block_bounds` call): it equals the chunk-by-chunk scan
+    without them."""
+    spec = ProblemSpec(OperatorFamily.well_posed(), SmoothnessFamily.ordinary_smooth(0.75),
+                       eps=0.1, d_max=1 << 22)
+    grid = np.geomspace(0.0625, 5e-7, 48).tolist()
+    block_dims, seen = [], {}
+
+    def recording(value_fn, rows, lo, *args):
+        block_dims.append(lo.ndim)
+        return block_bounds(value_fn, rows, lo, *args)
+
+    def scan(terms, value_fn, limit, count, *, maximize=False, stall=True):
+        seen["dense"] = _dense_reference(terms, value_fn, limit, count, maximize, stall)
+        return scan_bandwidths(terms, value_fn, limit, count, maximize=maximize, stall=stall)
+
+    block_bounds = sequences._block_bounds
+    monkeypatch.setattr(sequences, "_block_bounds", recording)
+    monkeypatch.setattr(sequences, "scan_bandwidths", scan)
+    results = bounds._lower_scans(spec, grid, 0.25, 0.25)
+    assert results == seen["dense"]
+    assert max(r.d for r in results) > sequences._REFINE_DEPTH * _CHUNK
+    assert block_dims and set(block_dims) == {2}
 
 
 class TestNanIsNeverAnOptimum:
