@@ -125,7 +125,7 @@ class RadiusBounds:
 
 def bounds_over_grid(
     spec: ProblemSpec,
-    eps_grid: Sequence[float],
+    eps_grid: Iterable[float],
     alpha: float,
     beta: float,
     c_beta: float | None = None,
@@ -142,6 +142,7 @@ def bounds_over_grid(
     line.  The ordering lower <= upper then always holds, so a violation is
     raised as an implementation bug rather than returned.
     """
+    eps_grid = tuple(eps_grid)  # read by three scans
     if c_beta is None:
         constants = detector.derive_constants(spec.fourth_moment_bound, alpha)
         c_beta = detector.solve_c_beta(constants, beta)

@@ -3,13 +3,13 @@
 Schema (dotted keys, one per line, '#' starts a comment line):
 
   operator.kind        well_posed | mildly_ill_posed | severely_ill_posed
-  operator.t           decay exponent (required for the ill-posed kinds; a
-                       well-posed block may set it for the ill-posed cells
-                       of rates)
+  operator.t           decay exponent, positive and finite (required for the
+                       ill-posed kinds; a well-posed block may set it for
+                       the ill-posed cells of rates)
   operator.scale       positive multiplier, default 1; 1/scale^2 must be a
                        finite positive float
   smoothness.kind      ordinary_smooth | super_smooth
-  smoothness.s         growth exponent (required)
+  smoothness.s         growth exponent, positive and finite (required)
   smoothness.scale     positive multiplier, default 1; 1/scale^2 must be a
                        finite positive float
   eps                  base noise level (required); eps^2 must be a finite
@@ -21,7 +21,8 @@ Schema (dotted keys, one per line, '#' starts a comment line):
   noise.kind           iid_gaussian | iid_rademacher | iid_scaled_uniform |
                        long_range_gaussian | adversarial_equicorrelated
                        (each occurrence starts a new noise block)
-  noise.s              decay exponent > 0, default 1 (long_range_gaussian only)
+  noise.s              decay exponent, positive and finite, default 1
+                       (long_range_gaussian only)
   noise.c              decay amplitude in (0, 1], default 0.5
                        (long_range_gaussian only)
   noise.d              factor loading in [1/sqrt(2), 1), default 1/sqrt(2),

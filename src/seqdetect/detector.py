@@ -94,13 +94,10 @@ class DetectorConfig:
     d: int
     threshold: float
     c_beta: float
-    beta: float
 
     def __post_init__(self) -> None:
         if not _is_count(self.d):
             raise ValueError(f"bandwidth must be a positive integer, got {self.d!r}")
-        if not 0.0 < self.beta < 1.0:
-            raise ValueError("beta must lie in (0, 1)")
         if not self.constants.k1 < self.c_beta < math.inf:
             raise ValueError("calibration constant must be finite and exceed K1")
 
@@ -216,5 +213,4 @@ def calibrate(
         d=int(d),
         threshold=threshold(constants, spec, int(d)),
         c_beta=c_beta,
-        beta=beta,
     )

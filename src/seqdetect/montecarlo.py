@@ -170,11 +170,10 @@ def estimate_type1(
     model: NoiseModel,
     reps: int,
     seed: int,
-    threads: int = 1,
 ) -> McEstimate:
     """Fraction of replications rejecting the null under theta = 0: the
     ``type1`` of `estimate_type2` at the zero signal."""
-    return estimate_type2(spec, config, model, Signal.zero(), reps, seed, threads).type1
+    return estimate_type2(spec, config, model, Signal.zero(), reps, seed).type1
 
 
 def estimate_type2(
@@ -246,12 +245,8 @@ def guaranteed_detectable_signal(
     """
     detector._check_c_beta(c_beta)
     if d is None:
-        sel = detector.select_bandwidth(spec, c_beta)
-        d = sel.d
-        r_sq = sel.value
-    else:
-        spec.check_bandwidth(d)
-        r_sq = c_beta * spec.eps**2 * sum_inv_b_sq(spec, d) + bias_term(spec, d)
+        d = detector.select_bandwidth(spec, c_beta).d
+    r_sq = c_beta * spec.eps**2 * sum_inv_b_sq(spec, d) + bias_term(spec, d)
     j = bisect.bisect_left(
         range(1, d + 1), True, key=lambda k: not within_cap(r_sq, bias_term(spec, k))
     )
@@ -342,7 +337,6 @@ def empirical_separation_radius(
     seed: int,
     *,
     d: int | None = None,
-    threads: int = 1,
 ) -> SeparationEstimate:
     """Smallest spike radius past which the empirical type II error stays <= beta.
 
@@ -361,7 +355,7 @@ def empirical_separation_radius(
     v = np.zeros(d)
     v[-1] = 1.0 / spec.operator.value_array(ks[-1:])[0]
     parts = _map_blocks(
-        model, d, spec.eps, reps, seed, threads,
+        model, d, spec.eps, reps, seed, 1,
         _statistics(spec.operator.inv_sq_array(ks), spec.eps, v),
     )
     radius, bracketed = _last_down_crossing(

@@ -340,8 +340,6 @@ class LongRangeGaussian(CorrelatedGaussian):
 
     def __init__(self, dimension: int, s: float = 1.0, c: float = 0.5):
         self._set_cov(*_long_range(dimension, s, c))
-        self.s = float(s)
-        self.c = float(c)
 
 
 class AdversarialEquicorrelated(NoiseModel):

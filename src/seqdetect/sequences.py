@@ -387,10 +387,6 @@ class Signal:
     def zero(cls) -> "Signal":
         return cls(())
 
-    @property
-    def support(self) -> int:
-        return len(self.coefficients)
-
     def coefficient(self, k: int) -> float:
         if k < 1:
             raise ValueError("sequence indices start at 1")

@@ -337,6 +337,17 @@ class TestGridScan:
         assert [p.d_classical for p in points][-2:] == [147, 200]
         assert max(p.d_lower for p in points) < 200
 
+    def test_iterator_grid_equals_the_list(self):
+        # the grid is read by three scans, so a one-shot iterable must be
+        # read once
+        spec = make_spec(
+            OperatorFamily.mildly_ill_posed(1.0), SmoothnessFamily.ordinary_smooth(1.0), 0.1
+        )
+        grid = [0.1, 0.01, 0.001]
+        want = bounds.bounds_over_grid(spec, grid, 0.1, 0.1)
+        assert len(want) == len(grid)
+        assert bounds.bounds_over_grid(spec, iter(grid), 0.1, 0.1) == want
+
     @pytest.mark.parametrize(
         "eps_grid",
         [[], [0.1, 0.0], [0.1, -0.01], [0.1, math.nan], [math.inf]],

@@ -127,7 +127,7 @@ class TestDecide:
     def _config(self, threshold):
         constants = detector.derive_constants(3.0, 0.1)
         return detector.DetectorConfig(
-            constants=constants, d=2, threshold=threshold, c_beta=100.0, beta=0.1
+            constants=constants, d=2, threshold=threshold, c_beta=100.0
         )
 
     def test_above_threshold_rejects(self):
@@ -258,7 +258,7 @@ class TestCalibrateConfig:
         constants = detector.derive_constants(3.0, 0.01)
         with pytest.raises(ValueError, match="finite and exceed K1"):
             detector.DetectorConfig(
-                constants=constants, d=1, threshold=1.0, c_beta=c_beta, beta=0.1
+                constants=constants, d=1, threshold=1.0, c_beta=c_beta
             )
 
     @pytest.mark.parametrize("d", [2.5, 3.0, math.nan, 0])
@@ -267,7 +267,7 @@ class TestCalibrateConfig:
         constants = detector.derive_constants(3.0, 0.01)
         with pytest.raises(ValueError, match=f"bandwidth must be a positive integer, got {d!r}"):
             detector.DetectorConfig(
-                constants=constants, d=d, threshold=1.0, c_beta=100.0, beta=0.1
+                constants=constants, d=d, threshold=1.0, c_beta=100.0
             )
 
     def test_degenerate_rademacher_calibration(self):

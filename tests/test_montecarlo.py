@@ -146,8 +146,12 @@ class TestErrorEstimates:
         spec = flat_spec(eps=0.15)
         config = detector.calibrate(spec, 0.1, 0.1, d=6)
         model = IidGaussian()
-        single = montecarlo.estimate_type1(spec, config, model, 3000, 5, threads=1)
-        pooled = montecarlo.estimate_type1(spec, config, model, 3000, 5, threads=4)
+        single, pooled = (
+            montecarlo.estimate_type2(
+                spec, config, model, Signal.zero(), 3000, 5, threads=threads
+            ).type1
+            for threads in (1, 4)
+        )
         assert single.p_hat == pooled.p_hat
 
     def test_dominant_signal_never_accepted(self):
@@ -215,12 +219,10 @@ class TestBlockedKernelReference:
                 assert 0 < ref1 < reps and 0 < ref2 < reps
                 # four threads exceed the three blocks of the d = 1 case
                 for threads in (1, 2, 4):
-                    est1 = montecarlo.estimate_type1(
-                        spec, config, model, reps, seed, threads=threads
-                    )
                     est2 = montecarlo.estimate_type2(
                         spec, config, model, theta, reps, seed, threads=threads
                     )
+                    est1 = est2.type1
                     assert est1.p_hat == ref1 / reps, (model.kind, threads)
                     assert est2.p_hat == (reps - ref2) / reps, (model.kind, threads)
 
@@ -240,7 +242,9 @@ class TestBlockedKernelReference:
 
         # the pool class is imported where a pool starts
         monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", recording_pool)
-        got = montecarlo.estimate_type1(spec, config, IidGaussian(), reps, 5, threads=64)
+        got = montecarlo.estimate_type2(
+            spec, config, IidGaussian(), Signal.zero(), reps, 5, threads=64
+        ).type1
         assert workers and max(workers) <= 3
         assert got.p_hat == want.p_hat
 
@@ -424,13 +428,34 @@ class TestMarkovSlackOneSided:
 
 
 class TestGuaranteedDetectableSignal:
-    def test_norm_matches_radius_objective(self):
-        spec = flat_spec(eps=0.01)
-        config = detector.calibrate(spec, 0.1, 0.1)
-        alt = montecarlo.guaranteed_detectable_signal(spec, config.c_beta)
-        upper = detector.select_bandwidth(spec, config.c_beta)
-        assert alt.d == upper.d
-        assert alt.norm_sq == pytest.approx(upper.value)
+    @pytest.mark.parametrize(
+        "operator,smoothness",
+        [
+            *itertools.product(
+                [
+                    OperatorFamily.well_posed(),
+                    OperatorFamily.mildly_ill_posed(1.0),
+                    OperatorFamily.severely_ill_posed(0.5),
+                ],
+                [SmoothnessFamily.ordinary_smooth(1.0), SmoothnessFamily.super_smooth(0.2)],
+            ),
+            (
+                OperatorFamily.custom(np.arange(1.0, 2001.0) ** -0.5),
+                SmoothnessFamily.custom(np.repeat(np.arange(1.0, 201.0) ** 0.75, 10)),
+            ),
+        ],
+        ids=lambda family: family.kind,
+    )
+    @pytest.mark.parametrize("eps", [1e-3, 1e-4, 1e-6])
+    @pytest.mark.parametrize("c_beta", [25.0, 3633.0])
+    def test_norm_matches_radius_objective(self, operator, smoothness, eps, c_beta):
+        # the default bandwidth is the radius-objective minimiser, and the
+        # radius at it is the minimum the scan reports, bit for bit
+        spec = ProblemSpec(operator, smoothness, eps=eps, fourth_moment_bound=3.0)
+        upper = detector.select_bandwidth(spec, c_beta)
+        alt = montecarlo.guaranteed_detectable_signal(spec, c_beta)
+        assert alt == montecarlo.guaranteed_detectable_signal(spec, c_beta, upper.d)
+        assert (alt.d, alt.norm_sq) == (upper.d, upper.value)
         assert alt.signal.norm_sq() == pytest.approx(upper.value, rel=1e-12)
 
     def test_signal_is_ellipsoid_member(self):
@@ -783,15 +808,14 @@ class TestExactSeparationRadius:
         assert type2(est.radius * (1 + 1e-9)) <= 0.1
         assert type2(est.radius * (1 - 1e-9)) > 0.1
 
-    def test_identical_across_threads_and_reruns(self):
+    def test_identical_across_reruns(self):
         spec = flat_spec(eps=0.01)
         # 5000 reps at D = 8 are five blocks of 1024 rows, the last ragged
         runs = [
             montecarlo.empirical_separation_radius(
-                spec, 0.1, 0.1, AdversarialEquicorrelated(8, INV_SQRT2), 5000, 3,
-                d=8, threads=threads,
+                spec, 0.1, 0.1, AdversarialEquicorrelated(8, INV_SQRT2), 5000, 3, d=8
             )
-            for threads in (1, 2, 4, 1)
+            for _ in range(4)
         ]
         assert runs[0].bracketed
         assert all(run == runs[0] for run in runs)
