@@ -264,17 +264,17 @@ def run_simulate(config: ExperimentConfig, threads: int = 1) -> Outcome:
         raise ConfigError(f"simulate at D = {det.d}: {exc}") from exc
     # the analytic chain draws nothing, so a loading it cannot use, in any
     # adversarial block, stops the run before any estimate
-    loadings = [float(m.loadings[0]) for m in models if isinstance(m, AdversarialEquicorrelated)]
-    if loadings:
+    ds = [m.loading for m in models if isinstance(m, AdversarialEquicorrelated)]
+    if ds:
         _check_lower_bound_levels(config, "simulate")
-    checks = [_divergence_check(config, loading) for loading in loadings]
+    checks = [_divergence_check(config, d) for d in ds]
     chain: dict[str, str] = {}
     if len(checks) == 1:
         chain["lowerbound_check.txt"] = checks[0][0]
     elif checks:
         # one section per adversarial block, headed by its loading
         chain["lowerbound_check.txt"] = "".join(
-            f"noise.d = {_fmt(d)}\n{text}" for d, (text, _) in zip(loadings, checks)
+            f"noise.d = {_fmt(d)}\n{text}" for d, (text, _) in zip(ds, checks)
         )
     chain_ok = all(ok for _, ok in checks)
     scenario = f"{problem.operator.kind}-{problem.smoothness.kind}-D{det.d}"
@@ -334,14 +334,13 @@ def _divergence_check(config: ExperimentConfig, loading: float) -> tuple[str, bo
             break
         r_sq = min(coeff * problem.eps**2 * s_w, bias_term(problem, d))
         try:
-            value, rho_sq, v_sigma_v = montecarlo._chi_sq_chain(
-                problem, d, math.sqrt(r_sq), sigma
-            )
+            value = montecarlo.chi_sq_divergence(problem, d, math.sqrt(r_sq), sigma)
         except ValueError as exc:
             raise ConfigError(
                 f"simulate: noise.d = {loading!r} is too close to 1 for the lower-bound "
                 f"check, whose covariance has smallest eigenvalue 1 - d^2: {exc}"
             ) from exc
+        _, _, rho_sq, v_sigma_v = montecarlo.direction_stats(problem, d, sigma)
         holds = value <= budget + 1e-10 and v_sigma_v <= d and rho_sq >= 0.25 * d * s_w
         ok = ok and holds
         lines.append(

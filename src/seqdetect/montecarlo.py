@@ -42,6 +42,7 @@ from .noise import CorrelatedGaussian, CorrelationMatrix, NoiseModel
 from .sequences import (
     ProblemSpec,
     Signal,
+    _exp_or_inf,
     _is_count,
     bias_term,
     boundary_signal,
@@ -388,6 +389,7 @@ def direction_stats(
     These are the two quantities the lower-bound argument actually bounds:
     the alignment rho^2 = sum_k b_k^-2 (Sigma v)_k^2 and the quadratic form
     v' Sigma v (at most D, the largest possible eigenvalue)."""
+    spec.check_bandwidth(d)
     sigma = sigma_star.submatrix(d)
     v = np.full(d, 1.0 / math.sqrt(d))
     u = sigma @ v
@@ -436,30 +438,16 @@ def chi_sq_divergence(
     r > 0 at eps^2 = 0, the noise-free limit, where the two laws are
     mutually singular.
     """
-    return _chi_sq_chain(spec, d, r, sigma_star)[0]
-
-
-def _chi_sq_chain(
-    spec: ProblemSpec, d: int, r: float, sigma_star: CorrelationMatrix
-) -> tuple[float, float, float]:
-    """`chi_sq_divergence` with the rho^2 and v' Sigma v of `direction_stats`
-    it is computed from: the three quantities of the lower-bound chain."""
     spec.check_bandwidth(d)
     if not r >= 0:  # NaN too
         raise ValueError("radius must be non-negative")
-    sub = sigma_star.submatrix(d)
-    if d > 0 and float(np.linalg.eigvalsh(sub)[0]) <= 1e-12:
+    if float(np.linalg.eigvalsh(sigma_star.submatrix(d))[0]) <= 1e-12:
         raise ValueError("covariance must be strictly positive definite")
-    _, _, rho_sq, v_sigma_v = direction_stats(spec, d, sigma_star)
     if r == 0.0:
-        return 1.0, rho_sq, v_sigma_v
+        return 1.0
+    _, _, rho_sq, v_sigma_v = direction_stats(spec, d, sigma_star)
     scale = spec.eps**2 * rho_sq
-    exponent = r * r * v_sigma_v / scale if scale > 0.0 else math.inf
-    try:
-        value = math.exp(exponent)
-    except OverflowError:
-        value = math.inf
-    return value, rho_sq, v_sigma_v
+    return _exp_or_inf(r * r * v_sigma_v / scale) if scale > 0.0 else math.inf
 
 
 def chi_sq_divergence_mc(

@@ -18,9 +18,10 @@ Shipped families:
                            by an amplitude c, repaired to the nearest
                            correlation matrix
   AdversarialEquicorrelated  the common-factor construction
-                           xi_k = d_k eta_0 + sqrt(1 - d_k^2) eta_k with
-                           d_k in [1/sqrt(2), 1), which forces every
-                           off-diagonal correlation to be at least 1/2
+                           xi_k = d eta_0 + sqrt(1 - d^2) eta_k with one
+                           loading d in [1/sqrt(2), 1), which pins every
+                           off-diagonal correlation at d^2 >= 1/2; it
+                           samples any dimension
 
 `NOISE_KINDS` names the kinds a config block can build, each class lists the
 parameters a block may set in ``params``, and `build_noise` builds one.
@@ -35,7 +36,6 @@ from __future__ import annotations
 import abc
 import math
 from dataclasses import dataclass, field
-from typing import Iterable
 
 import numpy as np
 
@@ -129,31 +129,26 @@ def _symmetric_sqrt(w: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (v * np.sqrt(w)) @ v.T
 
 
-def _equicorrelated_loadings(dimension: int, d: Iterable[float] | float) -> np.ndarray:
-    """The factor loadings of `adversarial_sigma`, one per coordinate, after
-    its dimension and loading checks: a read-only copy, so no later write to
-    the caller's array reaches a model built from it."""
-    check_dense_dimension("adversarial_equicorrelated", dimension)
-    dv = np.array(d, dtype=float)
-    if dv.ndim == 0:
-        dv = np.full(dimension, float(dv))
-    if dv.shape != (dimension,):
-        raise ValueError(f"need {dimension} factor loadings, got shape {dv.shape}")
-    if not np.all((dv >= _D_MIN_EQUICORRELATED - 1e-12) & (dv < 1.0)):
+def _check_loading(d: float) -> float:
+    """The factor loading of the common-factor construction as a float,
+    refused outside [1/sqrt(2), 1)."""
+    d = float(d)
+    if not _D_MIN_EQUICORRELATED - 1e-12 <= d < 1.0:
         raise ValueError("factor loadings must lie in [1/sqrt(2), 1)")
-    dv.setflags(write=False)
-    return dv
+    return d
 
 
-def adversarial_sigma(dimension: int, d: Iterable[float] | float) -> CorrelationMatrix:
-    """Correlation matrix of the common-factor construction: entries d_k d_l.
+def adversarial_sigma(dimension: int, d: float) -> CorrelationMatrix:
+    """Correlation matrix of the common-factor construction: entries d^2 off
+    the diagonal.
 
-    Requires 1/sqrt(2) <= d_k < 1, which pins every off-diagonal entry at or
+    Requires 1/sqrt(2) <= d < 1, which pins every off-diagonal entry at or
     above 1/2.  The matrix is PSD by construction: it equals
-    I - diag(d^2) + d d', a rank-one bump of a positive diagonal.
+    (1 - d^2) I + d^2 11', a rank-one bump of a positive diagonal.
     """
-    dv = _equicorrelated_loadings(dimension, d)
-    m = np.outer(dv, dv)
+    check_dense_dimension("adversarial_equicorrelated", dimension)
+    d = _check_loading(d)
+    m = np.full((dimension, dimension), d * d)
     np.fill_diagonal(m, 1.0)
     return CorrelationMatrix(m, validate_psd=False)
 
@@ -343,45 +338,34 @@ class LongRangeGaussian(CorrelatedGaussian):
 
 
 class AdversarialEquicorrelated(NoiseModel):
-    """Common-factor Gaussian noise: xi_k = d_k eta_0 + sqrt(1 - d_k^2) eta_k.
+    """Common-factor Gaussian noise: xi_k = d eta_0 + sqrt(1 - d^2) eta_k.
 
     Each coordinate is exactly standard Gaussian (fourth moment 3), while the
-    shared factor eta_0 pushes every pairwise correlation to d_k d_l >= 1/2.
+    shared factor eta_0 pushes every pairwise correlation to d^2 >= 1/2.
     Sampling draws the shared factor plus independent remainders directly,
     which is both cheaper than a matrix factor and exactly the defining
-    representation.  The constructor checks the dimension and the loadings;
-    the D x D matrix d_k d_l is built only by the first `correlation` call.
+    representation, so the model samples any dimension; only `correlation`
+    builds the D x D matrix, through `adversarial_sigma`.
     """
 
     kind = "adversarial_equicorrelated"
     params = ("d",)
-    dense = True
     claimed_fourth_moment = GAUSSIAN_FOURTH_MOMENT
 
-    def __init__(self, dimension: int, d: Iterable[float] | float = _D_MIN_EQUICORRELATED):
-        dv = _equicorrelated_loadings(dimension, d)
-        self._loadings = dv
-        self._residual = np.sqrt(1.0 - dv * dv)
-        self._sigma: CorrelationMatrix | None = None
-        self.dimension = int(dimension)
-
-    @property
-    def loadings(self) -> np.ndarray:
-        return self._loadings.copy()
+    def __init__(self, d: float = _D_MIN_EQUICORRELATED):
+        self.loading = _check_loading(d)
+        self._residual = math.sqrt(1.0 - self.loading * self.loading)
 
     def sample_block(self, n: int, d: int, rng: np.random.Generator) -> np.ndarray:
         self._check_dimension(d)
         shared = rng.standard_normal((n, 1))
         xi = rng.standard_normal((n, d))
         xi *= self._residual
-        xi += self._loadings * shared
+        xi += self.loading * shared
         return xi
 
     def correlation(self, d: int) -> CorrelationMatrix:
-        self._check_dimension(d)
-        if self._sigma is None:
-            self._sigma = adversarial_sigma(self.dimension, self._loadings)
-        return self._sigma
+        return adversarial_sigma(d, self.loading)
 
 
 #: Every noise kind a config block can name, keyed by its ``kind``.
@@ -400,10 +384,11 @@ NOISE_KINDS: dict[str, type[NoiseModel]] = {
 def build_noise(kind: str, dimension: int, **params: float) -> NoiseModel:
     """The `NOISE_KINDS` model ``kind`` for ``dimension`` coordinates.
 
-    A dense kind is built at that dimension; the iid kinds sample any.
-    ``params`` are constructor keywords, the kind's `params`: law parameters
-    only, since each class fixes its own C.  Raises ValueError for an invalid
-    parameter or a dense kind above `MAX_DENSE_DIMENSION`.
+    The dense kind, long-range Gaussian, is built at that dimension; every
+    other kind samples any.  ``params`` are constructor keywords, the kind's
+    `params`: law parameters only, since each class fixes its own C.  Raises
+    ValueError for an invalid parameter or a dense kind above
+    `MAX_DENSE_DIMENSION`.
     """
     cls = NOISE_KINDS[kind]
     return cls(dimension, **params) if cls.dense else cls(**params)

@@ -149,8 +149,9 @@ def _check_scale(scale: float, what: str) -> None:
 
 def _is_count(n: object, least: int = 1) -> bool:
     """The rule for every count (a bandwidth, a dimension, a number of
-    replications): an ``int`` or numpy integer of at least ``least``."""
-    return isinstance(n, (int, np.integer)) and n >= least
+    replications): an ``int`` or numpy integer of at least ``least``, never a
+    ``bool``."""
+    return isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n >= least
 
 
 def _custom_at(values: np.ndarray, ks: np.ndarray) -> np.ndarray:

@@ -61,7 +61,7 @@ def shipped_models(d: int):
         IidRademacher(),
         IidScaledUniform(),
         LongRangeGaussian(d, 1.0, 0.5),
-        AdversarialEquicorrelated(d, INV_SQRT2),
+        AdversarialEquicorrelated(INV_SQRT2),
     ]
 
 
@@ -101,7 +101,7 @@ class TestCriterion2TypeII:
         )
         failures = []
         for i, model in enumerate(
-            [IidGaussian(), AdversarialEquicorrelated(config.d, INV_SQRT2)]
+            [IidGaussian(), AdversarialEquicorrelated(INV_SQRT2)]
         ):
             est = montecarlo.estimate_type2(
                 spec, config, model, alt.signal, reps, seed=2000 + i

@@ -584,10 +584,11 @@ class TestFamilyParameters:
 
 
 class TestDenseNoiseLimit:
-    """Dense correlated families above `noise.MAX_DENSE_DIMENSION` are a
-    config error of simulate that names the family, D and the limit."""
+    """The long-range family above `noise.MAX_DENSE_DIMENSION` is a config
+    error of simulate that names the family, D and the limit; the adversarial
+    family samples without a D x D matrix and runs there."""
 
-    @pytest.mark.parametrize("kind", ["long_range_gaussian", "adversarial_equicorrelated"])
+    @pytest.mark.parametrize("kind", ["long_range_gaussian"])
     def test_simulate_rejects_dimension_above_limit(self, tmp_path, capsys, monkeypatch, kind):
         monkeypatch.setattr(noise, "MAX_DENSE_DIMENSION", 16)
         text = BASE_CONFIG.replace(
@@ -600,6 +601,19 @@ class TestDenseNoiseLimit:
         err = capsys.readouterr().err
         assert f"{kind} noise" in err and "D = 17" in err and "limit 16" in err
         assert not out.exists()
+
+    def test_simulate_runs_adversarial_above_the_limit(self, tmp_path, monkeypatch):
+        # the divergence check builds at most the 16 x 16 matrix it reads
+        monkeypatch.setattr(noise, "MAX_DENSE_DIMENSION", 16)
+        # at eps = 0.001 the guaranteed alternative at D = 17 fits the ellipsoid
+        text = BASE_CONFIG.replace("eps = 0.01", "eps = 0.001")
+        cfg = write_config(tmp_path, text + "test.D = 17\n")
+        assert cli.main(["simulate", "--config", str(cfg), "--output", str(tmp_path)]) == 0
+        rows = (tmp_path / "lowerbound_check.txt").read_text().splitlines()
+        assert [line.split()[0] for line in rows if line.startswith("D=")] == [
+            f"D={d}" for d in range(1, 17)
+        ]
+        assert ",17," in (tmp_path / "simulate.csv").read_text()
 
     def test_simulate_runs_at_the_limit(self, tmp_path, monkeypatch):
         # 16 also covers the divergence check's adversarial matrices (D <= 16)
@@ -992,7 +1006,7 @@ class TestNothingWrittenOnFailure:
             # rates: the second cell's fit, after the first cell's table
             ("rates", bounds_mod, "fit_rate", 2),
             # simulate: the divergence chain of its adversarial block
-            ("simulate", montecarlo, "_chi_sq_chain", 1),
+            ("simulate", montecarlo, "chi_sq_divergence", 1),
         ],
     )
     def test_shipped_config(self, tmp_path, monkeypatch, command, module, name, failing_call):

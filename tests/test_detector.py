@@ -101,7 +101,7 @@ class TestThresholdAndStatistic:
             IidRademacher(),
             IidScaledUniform(),
             LongRangeGaussian(6, 1.0, 0.5),
-            AdversarialEquicorrelated(6),
+            AdversarialEquicorrelated(),
         ],
         ids=lambda m: m.kind,
     )
@@ -261,9 +261,9 @@ class TestCalibrateConfig:
                 constants=constants, d=1, threshold=1.0, c_beta=c_beta
             )
 
-    @pytest.mark.parametrize("d", [2.5, 3.0, math.nan, 0])
+    @pytest.mark.parametrize("d", [2.5, 3.0, math.nan, 0, True])
     def test_bandwidth_must_be_a_positive_integer(self, d):
-        # 2.5 used to build, and failed only inside estimate_type1
+        # 2.5 used to build, and failed only inside estimate_type1; True built
         constants = detector.derive_constants(3.0, 0.01)
         with pytest.raises(ValueError, match=f"bandwidth must be a positive integer, got {d!r}"):
             detector.DetectorConfig(
@@ -308,7 +308,7 @@ class TestStatisticalBehaviour:
             IidRademacher(),
             IidScaledUniform(),
             LongRangeGaussian(8, 1.0, 0.5),
-            AdversarialEquicorrelated(8),
+            AdversarialEquicorrelated(),
         ],
         ids=lambda m: m.kind,
     )
@@ -352,7 +352,7 @@ class TestStatisticalBehaviour:
         spec = flat_spec(eps=0.3, c=3.0)
         config = detector.calibrate(spec, 0.1, 0.1, d=6)
         gamma = 1.0 / config.c_beta
-        model = AdversarialEquicorrelated(6, 0.8)
+        model = AdversarialEquicorrelated(0.8)
         for trial in range(4):
             d = 6
             r = float(rng.uniform(0.02, 1.0 / 6.0))

@@ -129,7 +129,7 @@ class TestErrorEstimates:
         # same seed, same draws: accept counts are exactly 1 - reject counts
         spec = flat_spec(eps=0.2)
         config = detector.calibrate(spec, 0.1, 0.1, d=5)
-        model = AdversarialEquicorrelated(5)
+        model = AdversarialEquicorrelated()
         p1 = montecarlo.estimate_type1(spec, config, model, 2000, 99).p_hat
         p2 = montecarlo.estimate_type2(spec, config, model, Signal.zero(), 2000, 99).p_hat
         assert p1 + p2 == pytest.approx(1.0)
@@ -199,8 +199,8 @@ class TestBlockedKernelReference:
         s = mild.operator.value_array(ks) * spread.array(d)
         assert d == 1 or np.any(s * (mild.operator.inv_sq_array(ks) * s) != spread.array(d) ** 2)
         return [
-            (flat, boundary_signal(flat, 1, 0.05), [IidGaussian(), AdversarialEquicorrelated(d)]),
-            (mild, spread, [IidGaussian(), AdversarialEquicorrelated(d), LongRangeGaussian(d)]),
+            (flat, boundary_signal(flat, 1, 0.05), [IidGaussian(), AdversarialEquicorrelated()]),
+            (mild, spread, [IidGaussian(), AdversarialEquicorrelated(), LongRangeGaussian(d)]),
         ]
 
     @pytest.mark.parametrize("d,reps", CASES)
@@ -260,7 +260,7 @@ class TestTypeOneFromTheTypeTwoDraws:
         # threshold 0 keeps the Gaussian rejection rates inside (0, 1)
         config = dataclasses.replace(detector.calibrate(spec, 0.1, 0.1, d=d), threshold=0.0)
         theta = boundary_signal(spec, 1, 0.05)
-        models = [IidGaussian(), IidRademacher(), AdversarialEquicorrelated(d, INV_SQRT2)]
+        models = [IidGaussian(), IidRademacher(), AdversarialEquicorrelated(INV_SQRT2)]
         for i, model in enumerate(models):
             seed = 300 + i
             want = montecarlo.estimate_type1(spec, config, model, reps, seed)
@@ -280,7 +280,7 @@ class TestTypeOneFromTheTypeTwoDraws:
 def _shipped_models(d):
     return [
         IidGaussian(),
-        AdversarialEquicorrelated(d, INV_SQRT2),
+        AdversarialEquicorrelated(INV_SQRT2),
         IidRademacher(),
         IidScaledUniform(),
         LongRangeGaussian(d, 1.0, 0.5),
@@ -630,6 +630,16 @@ class TestChiSquareDivergence:
         spec = flat_spec(eps=0.01)
         assert montecarlo.chi_sq_divergence(spec, 3, 1.0, adversarial_sigma(3, 0.8)) == math.inf
 
+    def test_direction_stats_refuses_past_the_bandwidth_limit(self):
+        # it used to sum the alignment over all 5 coordinates at d_max = 3,
+        # where the divergence built from it refuses the bandwidth
+        spec = dataclasses.replace(flat_spec(eps=1.0), d_max=3)
+        sigma = adversarial_sigma(5, 0.8)
+        with pytest.raises(ValueError, match="bandwidth 5 exceeds the usable index range"):
+            montecarlo.direction_stats(spec, 5, sigma)
+        with pytest.raises(ValueError, match="bandwidth 5 exceeds the usable index range"):
+            montecarlo.chi_sq_divergence(spec, 5, 0.1, sigma)
+
     def test_nan_radius_rejected_and_infinite_radius_is_inf(self):
         spec = flat_spec(eps=1.0)
         sigma = adversarial_sigma(3, 0.8)
@@ -771,7 +781,7 @@ def _pinned_radius_cases():
         eps=0.005,
         fourth_moment_bound=3.0,
     )
-    models = [IidGaussian(), LongRangeGaussian(d, 1.0, 0.5), AdversarialEquicorrelated(d, INV_SQRT2)]
+    models = [IidGaussian(), LongRangeGaussian(d, 1.0, 0.5), AdversarialEquicorrelated(INV_SQRT2)]
     return [
         pytest.param(spec, d, model, id=f"{name}-{model.kind}")
         for name, spec in (("well_posed", flat_spec(eps=0.01)), ("mildly_ill_posed", mild))
@@ -813,7 +823,7 @@ class TestExactSeparationRadius:
         # 5000 reps at D = 8 are five blocks of 1024 rows, the last ragged
         runs = [
             montecarlo.empirical_separation_radius(
-                spec, 0.1, 0.1, AdversarialEquicorrelated(8, INV_SQRT2), 5000, 3, d=8
+                spec, 0.1, 0.1, AdversarialEquicorrelated(INV_SQRT2), 5000, 3, d=8
             )
             for _ in range(4)
         ]
@@ -830,7 +840,7 @@ class TestExactSeparationRadius:
         # rows and a ragged last block of 17
         d, reps, seed = 7, 3 * (8192 // 7) + 17, 11
         spec = flat_spec(eps=0.1)
-        model = AdversarialEquicorrelated(d, INV_SQRT2)
+        model = AdversarialEquicorrelated(INV_SQRT2)
         v = np.zeros(d)
         v[-1] = 1.0  # b_D = 1 on the flat spectrum, so L = y_D
         w = spec.operator.inv_sq_array(np.arange(1, d + 1))

@@ -9,11 +9,10 @@ Covers:
 5. The null variance split R0 + S0, its exact small cases, and the
    class-wide envelope 2 C1 eps^4 (sum b^-2)^2
 6. The size limit of the dense correlated families
-7. The dense families build each matrix once: the long-range matrix, its
-   sampling factor and draws equal those of the dense c |k-l|^-s
-   construction bit for bit, and the adversarial model checks its loadings
-   at construction, on a read-only copy of them, but builds its D x D
-   matrix only when asked for it
+7. The long-range family builds each matrix once: its matrix, sampling
+   factor and draws equal those of the dense c |k-l|^-s construction bit
+   for bit.  The adversarial model checks its one loading at construction,
+   samples any dimension, and builds its D x D matrix only when asked for it
 8. Each family's class constant C is a class attribute fixed by its law,
    never a constructor argument
 """
@@ -74,8 +73,8 @@ class TestAdversarialSigma:
         rng = np.random.default_rng(1)
         for _ in range(20):
             d = int(rng.integers(1, 40))
-            loadings = rng.uniform(INV_SQRT2, 0.999, size=d)
-            sigma = adversarial_sigma(d, loadings)
+            loading = float(rng.uniform(INV_SQRT2, 0.999))
+            sigma = adversarial_sigma(d, loading)
             assert sigma.min_eigenvalue() >= -1e-12
 
 
@@ -145,12 +144,12 @@ class TestSampling:
         assert np.array_equal(a, b)
 
     def test_fixed_dimension_mismatch(self):
-        model = AdversarialEquicorrelated(4)
+        model = LongRangeGaussian(4)
         with pytest.raises(ValueError, match="fixed at dimension"):
             model.sample(5, np.random.default_rng(0))
 
     def test_adversarial_empirical_correlation(self):
-        model = AdversarialEquicorrelated(3, INV_SQRT2)
+        model = AdversarialEquicorrelated(INV_SQRT2)
         x = model.sample_block(200_000, 3, np.random.default_rng(8))
         emp = np.corrcoef(x.T)
         assert emp[0, 1] == pytest.approx(0.5, abs=0.01)
@@ -172,7 +171,7 @@ class TestMomentValidation:
             IidRademacher(),
             IidScaledUniform(),
             LongRangeGaussian(8, 1.0, 0.5),
-            AdversarialEquicorrelated(8, INV_SQRT2),
+            AdversarialEquicorrelated(INV_SQRT2),
         ],
         ids=lambda m: m.kind,
     )
@@ -182,7 +181,7 @@ class TestMomentValidation:
 
     def test_adversarial_marginals_are_gaussian(self):
         report = validate_moments(
-            AdversarialEquicorrelated(6, INV_SQRT2), 100_000, np.random.default_rng(21)
+            AdversarialEquicorrelated(INV_SQRT2), 100_000, np.random.default_rng(21), d=6
         )
         assert np.all(np.abs(report.fourth_moment - 3.0) <= 3.0 * report.fourth_moment_se)
 
@@ -310,7 +309,7 @@ class TestDenseDimensionLimit:
         "build",
         [
             LongRangeGaussian,
-            AdversarialEquicorrelated,
+            lambda n: AdversarialEquicorrelated().correlation(n),
             lambda n: long_range_correlation(n, 1.0),
             lambda n: adversarial_sigma(n, 0.8),
             lambda n: noise.build_noise("long_range_gaussian", n),
@@ -333,9 +332,9 @@ class TestDenseDimensionLimit:
         with pytest.raises(ValueError, match="adversarial_equicorrelated noise .* D = 9"):
             adversarial_sigma(9, INV_SQRT2)
         with pytest.raises(ValueError, match="adversarial_equicorrelated noise .* D = 9"):
-            AdversarialEquicorrelated(9)
+            AdversarialEquicorrelated().correlation(9)
         assert long_range_correlation(8, 1.0).dimension == 8
-        assert AdversarialEquicorrelated(8).correlation(8).dimension == 8
+        assert AdversarialEquicorrelated().correlation(8).dimension == 8
 
 
 def _dense_long_range(dimension, s, c):
@@ -394,7 +393,6 @@ class TestDenseMatricesBuiltOnce:
         [
             (3, 0.5, r"factor loadings must lie in \[1/sqrt\(2\), 1\)"),
             (3, 1.0, r"factor loadings must lie in \[1/sqrt\(2\), 1\)"),
-            (3, [0.8, 0.8], r"need 3 factor loadings, got shape \(2,\)"),
             (0, 0.8, "dimension must be positive"),
             (
                 noise.MAX_DENSE_DIMENSION + 1,
@@ -405,48 +403,58 @@ class TestDenseMatricesBuiltOnce:
         ],
     )
     def test_adversarial_constructor_checks_eagerly(self, dimension, loading, message):
-        with pytest.raises(ValueError, match=message):
-            AdversarialEquicorrelated(dimension, loading)
+        # the model takes no dimension: it checks only its loading when built
+        if dimension == 3:
+            with pytest.raises(ValueError, match=message):
+                AdversarialEquicorrelated(loading)
         with pytest.raises(ValueError, match=message):
             adversarial_sigma(dimension, loading)
 
     def test_adversarial_matrix_built_only_on_demand(self, monkeypatch):
-        class OuterCalled(Exception):
+        class SigmaBuilt(Exception):
             pass
 
-        def outer(*args, **kwargs):
-            raise OuterCalled
+        def built(*args, **kwargs):
+            raise SigmaBuilt
 
-        monkeypatch.setattr(np, "outer", outer)
-        model = AdversarialEquicorrelated(noise.MAX_DENSE_DIMENSION, 0.8)
+        monkeypatch.setattr(noise, "adversarial_sigma", built)
+        model = AdversarialEquicorrelated(0.8)
         assert model.sample_block(2, noise.MAX_DENSE_DIMENSION, np.random.default_rng(0)).shape == (
             2,
             noise.MAX_DENSE_DIMENSION,
         )
-        with pytest.raises(OuterCalled):
+        with pytest.raises(SigmaBuilt):
             model.correlation(noise.MAX_DENSE_DIMENSION)
 
-    @pytest.mark.parametrize("loading", [INV_SQRT2, 0.8, [0.71, 0.8, 0.9, 0.95, 0.99]])
+    @pytest.mark.parametrize("loading", [INV_SQRT2, 0.8])
     def test_adversarial_correlation_and_draws(self, loading):
-        model = AdversarialEquicorrelated(5, loading)
+        model = AdversarialEquicorrelated(loading)
         assert np.array_equal(model.correlation(5).entries, adversarial_sigma(5, loading).entries)
-        assert model.correlation(5) is model.correlation(5)
-        d = np.broadcast_to(np.asarray(loading, dtype=float), (5,))
         rng = np.random.default_rng(11)
         shared, eta = rng.standard_normal((30, 1)), rng.standard_normal((30, 5))
-        want = d * shared + np.sqrt(1.0 - d * d) * eta
+        want = loading * shared + math.sqrt(1.0 - loading * loading) * eta
         assert np.array_equal(model.sample_block(30, 5, np.random.default_rng(11)), want)
 
-    def test_adversarial_loadings_are_copied(self):
-        # a later write to the caller's loading array must not reach the
-        # model's loadings, draws or matrix
-        a = np.full(3, 0.8)
-        model = AdversarialEquicorrelated(3, a)
-        a[:] = 0.2
-        assert np.array_equal(model.loadings, np.full(3, 0.8))
-        draws = model.sample_block(20_000, 3, np.random.default_rng(5))
-        assert np.cov(draws.T)[0, 1] == pytest.approx(0.64, abs=0.03)
-        assert np.array_equal(model.correlation(3).entries, adversarial_sigma(3, 0.8).entries)
-        b = np.full(3, 0.9)
-        loadings = noise._equicorrelated_loadings(3, b)
-        assert not loadings.flags.writeable and not np.shares_memory(loadings, b)
+    def test_adversarial_samples_any_dimension(self):
+        # one model, two sizes, the second above any dense size: each draw is
+        # the defining representation from the same generator, bit for bit
+        model, d = AdversarialEquicorrelated(0.8), 0.8
+        for dimension in (5, 37, noise.MAX_DENSE_DIMENSION + 1):
+            rng = np.random.default_rng(dimension)
+            shared, eta = rng.standard_normal((3, 1)), rng.standard_normal((3, dimension))
+            want = d * shared + math.sqrt(1.0 - d * d) * eta
+            got = model.sample_block(3, dimension, np.random.default_rng(dimension))
+            assert np.array_equal(got, want), dimension
+        with pytest.raises(ValueError, match="exceeds the limit"):
+            model.correlation(noise.MAX_DENSE_DIMENSION + 1)
+
+    @pytest.mark.parametrize(
+        "cls", [cls for cls in noise.NOISE_KINDS.values() if not cls.dense], ids=lambda c: c.kind
+    )
+    def test_every_sampling_kind_builds_from_its_params_alone(self, cls):
+        # no dimension reaches a kind that samples any: its constructor takes
+        # exactly its config parameters, and build_noise ignores the dimension
+        assert tuple(inspect.signature(cls).parameters) == cls.params
+        model = noise.build_noise(cls.kind, noise.MAX_DENSE_DIMENSION + 1)
+        assert type(model) is cls and model.dimension is None
+        assert model.sample_block(2, 7, np.random.default_rng(0)).shape == (2, 7)

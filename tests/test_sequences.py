@@ -526,9 +526,10 @@ class TestRangesAndValidation:
         with pytest.raises(TypeError):
             ProblemSpec(op, sm, 0.1, 32)
 
-    @pytest.mark.parametrize("d_max", [100.5, 100.0, math.nan, math.inf, 0, -3, "64"])
+    @pytest.mark.parametrize("d_max", [100.5, 100.0, math.nan, math.inf, 0, -3, "64", True])
     def test_d_max_must_be_a_positive_integer(self, d_max):
-        # 100.5 used to build a spec whose bound scans failed in range()
+        # 100.5 used to build a spec whose bound scans failed in range(), and
+        # True one whose bandwidth limit was True
         op = OperatorFamily.well_posed()
         sm = SmoothnessFamily.ordinary_smooth(1.0)
         with pytest.raises(ValueError, match=re.escape(f"got {d_max!r}")):
