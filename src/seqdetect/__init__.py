@@ -49,14 +49,12 @@ from .bounds import (
     RadiusBounds,
     bounds_over_grid,
     RateFit,
-    check_hyp_ab,
     fit_rate,
     rate_law,
 )
 from .montecarlo import (
     McEstimate,
     chi_sq_divergence,
-    chi_sq_divergence_mc,
     empirical_separation_radius,
     estimate_type1,
     estimate_type2,

@@ -40,12 +40,10 @@ from .sequences import (
     WELL_POSED,
     ProblemSpec,
     ScanResult,
-    _is_count,
     eps_sq_grid,
     scan_spectrum,
 )
 
-_RATIO_FLOOR = 1e-6
 _PREASYMPTOTIC_DROP = 2
 
 LOG_EPS = "log_eps"
@@ -168,42 +166,6 @@ def bounds_over_grid(
         classical, d_classical = _checked(classical_scan, _CLASSICAL_TRUNCATED)
         out.append(RadiusBounds(lower, upper, classical, d_lower, d_upper, d_classical))
     return out
-
-
-@dataclass(frozen=True)
-class HypAbReport:
-    """Extremes of the consecutive ratios a_{D-1}/a_D and b_{D-1}/b_D."""
-
-    a_star: float
-    a_sup: float
-    b_star: float
-    b_sup: float
-    holds: bool
-
-
-def check_hyp_ab(spec: ProblemSpec, d_probe: int = 64) -> HypAbReport:
-    """Check that consecutive ratios of a and b stay in fixed positive ranges.
-
-    When they do, the two radius bounds are of the same order.  Ratios are
-    probed over D = 2..d_probe, capped by the bandwidth limit, which must
-    leave at least D = 2; `holds` requires every ratio to stay within
-    [1e-6, 1e6].  Power-exponential growth (for example a_k = exp(s k^2))
-    drives the a-ratio to 0 and fails the check.
-    """
-    if not _is_count(d_probe, 2) or spec.bandwidth_limit < 2:
-        raise ValueError(
-            "need an integer d_probe and the bandwidth limit both >= 2 to form "
-            f"consecutive ratios, got d_probe = {d_probe!r} and limit {spec.bandwidth_limit}"
-        )
-    probe = min(d_probe, spec.bandwidth_limit)
-    a_ratios = [spec.smoothness.consecutive_ratio(k) for k in range(2, probe + 1)]
-    b_ratios = [spec.operator.consecutive_ratio(k) for k in range(2, probe + 1)]
-    a_star, a_sup = min(a_ratios), max(a_ratios)
-    b_star, b_sup = min(b_ratios), max(b_ratios)
-    holds = (
-        min(a_star, b_star) >= _RATIO_FLOOR and max(a_sup, b_sup) <= 1.0 / _RATIO_FLOOR
-    )
-    return HypAbReport(a_star=a_star, a_sup=a_sup, b_star=b_star, b_sup=b_sup, holds=holds)
 
 
 @dataclass(frozen=True)

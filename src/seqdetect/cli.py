@@ -42,6 +42,9 @@ LOG_TOLERANCE = 0.3
 _BOUNDS_HEADER = "eps,lower_r2,upper_r2,classical_r2,D_lower,D_upper"
 _SIMULATE_HEADER = "scenario,noise_kind,alpha,beta,D,reps,seed,p_hat_type1,se1,p_hat_type2,se2,pass"
 _DIVERGENCE_CHECK_DS = tuple(range(1, 17))
+#: Calibration constants with 1 - K1/C_beta below this are flagged: the type
+#: II guarantee constant blows up as the margin closes.
+MARGIN_FLAG_LEVEL = 0.1
 
 
 @dataclass(frozen=True)
@@ -206,7 +209,7 @@ def run_calibrate(config: ExperimentConfig) -> Outcome:
     for label, value in (("exact", exact), ("practical", practical)):
         margin = 1.0 - constants.k1 / value
         lines.append(f"margin_{label} = {_fmt(margin)}")
-        lines.append(f"margin_{label}_flag = {'true' if margin < detector.MARGIN_FLAG_LEVEL else 'false'}")
+        lines.append(f"margin_{label}_flag = {'true' if margin < MARGIN_FLAG_LEVEL else 'false'}")
 
     # the fixed test.D, or the minimiser of the upper bound's objective; one
     # that is +inf at every bandwidth, which select_bandwidth refuses, is a

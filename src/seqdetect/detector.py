@@ -37,10 +37,6 @@ from .sequences import (
     sum_inv_b_sq,
 )
 
-#: Configurations with 1 - K1/C_beta below this are flagged: the type II
-#: guarantee constant blows up as the margin closes.
-MARGIN_FLAG_LEVEL = 0.1
-
 
 @dataclass(frozen=True)
 class DetectorConstants:
@@ -100,15 +96,6 @@ class DetectorConfig:
             raise ValueError(f"bandwidth must be a positive integer, got {self.d!r}")
         if not self.constants.k1 < self.c_beta < math.inf:
             raise ValueError("calibration constant must be finite and exceed K1")
-
-    @property
-    def margin(self) -> float:
-        """1 - K1 / C_beta; small margins inflate the type II guarantee."""
-        return 1.0 - self.constants.k1 / self.c_beta
-
-    @property
-    def margin_flagged(self) -> bool:
-        return self.margin < MARGIN_FLAG_LEVEL
 
 
 def decide(y: np.ndarray, config: DetectorConfig, spec: ProblemSpec) -> bool:

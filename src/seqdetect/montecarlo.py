@@ -23,8 +23,7 @@ interval endpoints, with no re-draws.
 
 The module also carries the machinery of the two-point lower-bound argument:
 the least-favourable signal aligned with an adversarial covariance, and the
-chi-square divergence of the induced likelihood ratio, in closed form and as
-a Monte Carlo cross-check over the same replication blocks.
+chi-square divergence of the induced likelihood ratio, in closed form.
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ from typing import Callable, TypeVar
 import numpy as np
 
 from . import detector
-from .noise import CorrelatedGaussian, CorrelationMatrix, NoiseModel
+from .noise import CorrelationMatrix, NoiseModel
 from .sequences import (
     ProblemSpec,
     Signal,
@@ -56,10 +55,6 @@ _R = TypeVar("_R")
 _U64_MASK = (1 << 64) - 1
 #: Fewest replications an estimate accepts.
 MIN_REPS = 1_000
-#: The likelihood-ratio moment estimator has finite variance only while the
-#: divergence is moderate; both limits are enforced, not advisory.
-_MC_DIVERGENCE_MAX_D = 5
-_MC_DIVERGENCE_MAX_VALUE = 5.0
 #: Noise values per replication block of the error-rate estimates: a block
 #: holds max(1, _MC_BLOCK_ELEMENTS // D) replications, a count fixed by D
 #: alone and never by the thread count.
@@ -399,30 +394,23 @@ def direction_stats(
     return v, u, rho_sq, v_sigma_v
 
 
-def _worst_case_coefficients(
-    spec: ProblemSpec, d: int, r: float, sigma_star: CorrelationMatrix
-) -> tuple[np.ndarray, float]:
-    """Coefficients r b_k^-1 (Sigma v)_k / rho and rho^2, without the
-    ellipsoid cap (the likelihood-ratio formulas hold for any radius)."""
-    spec.check_bandwidth(d)
-    if r < 0 or not math.isfinite(r):
-        raise ValueError("radius must be non-negative and finite")
-    _, u, rho_sq, _ = direction_stats(spec, d, sigma_star)
-    w = spec.operator.inv_sq_array(np.arange(1, d + 1))
-    return r * np.sqrt(w) * u / math.sqrt(rho_sq), rho_sq
-
-
 def worst_case_signal(
     spec: ProblemSpec, d: int, r: float, sigma_star: CorrelationMatrix
 ) -> WorstCaseSignal:
     """Least-favourable signal of norm r for the covariance sigma_star.
 
-    Requires r^2 <= a_D^-2 so the signal stays inside the ellipsoid.
+    Requires r^2 <= a_D^-2 so the signal stays inside the ellipsoid, and r
+    itself non-negative and finite: the cap alone, a test of r^2, would let
+    a negative radius through.
     """
     cap = bias_term(spec, d)
     if not within_cap(r * r, cap):
         raise ValueError(f"radius^2 {r * r:.6g} exceeds the ellipsoid cap {cap:.6g} at D={d}")
-    coeffs, rho_sq = _worst_case_coefficients(spec, d, r, sigma_star)
+    if r < 0 or not math.isfinite(r):
+        raise ValueError("radius must be non-negative and finite")
+    _, u, rho_sq, _ = direction_stats(spec, d, sigma_star)
+    w = spec.operator.inv_sq_array(np.arange(1, d + 1))
+    coeffs = r * np.sqrt(w) * u / math.sqrt(rho_sq)
     return WorstCaseSignal(theta_star=Signal(tuple(float(c) for c in coeffs)), rho_sq=rho_sq)
 
 
@@ -448,45 +436,3 @@ def chi_sq_divergence(
     _, _, rho_sq, v_sigma_v = direction_stats(spec, d, sigma_star)
     scale = spec.eps**2 * rho_sq
     return _exp_or_inf(r * r * v_sigma_v / scale) if scale > 0.0 else math.inf
-
-
-def chi_sq_divergence_mc(
-    spec: ProblemSpec,
-    d: int,
-    r: float,
-    sigma_star: CorrelationMatrix,
-    reps: int,
-    seed: int,
-) -> float:
-    """Monte Carlo estimate of E_0[L^2] by averaging the squared likelihood
-    ratio over draws from the null, in the replication blocks of the
-    error-rate estimates.
-
-    Limited to d <= 5 and closed-form divergence <= 5: beyond that the
-    estimator's variance (a fourth moment of the likelihood ratio) explodes.
-    The likelihood ratio divides by eps^2, so eps^2 = 0 is refused.
-    """
-    if not spec.eps**2 > 0.0:
-        raise ValueError("Monte Carlo divergence estimation needs eps^2 > 0")
-    if d > _MC_DIVERGENCE_MAX_D:
-        raise ValueError(f"Monte Carlo divergence estimation is limited to D <= {_MC_DIVERGENCE_MAX_D}")
-    if not _is_count(reps):
-        raise ValueError(f"need an integer of at least 1 sample, got {reps!r}")
-    closed = chi_sq_divergence(spec, d, r, sigma_star)
-    if closed > _MC_DIVERGENCE_MAX_VALUE:
-        raise ValueError(
-            f"divergence {closed:.4g} exceeds the Monte Carlo stability limit "
-            f"{_MC_DIVERGENCE_MAX_VALUE}"
-        )
-    sigma = sigma_star.submatrix(d)
-    coeffs, _ = _worst_case_coefficients(spec, d, r, sigma_star)
-    b_theta = spec.operator.value_array(np.arange(1, d + 1)) * coeffs
-    m = np.linalg.solve(sigma, b_theta)
-    eps2 = spec.eps**2
-    quad = float(b_theta @ m) / eps2
-    model = CorrelatedGaussian(CorrelationMatrix(sigma, validate_psd=False))
-    sums = _map_blocks(
-        model, d, spec.eps, reps, seed, 1,
-        lambda y: float(np.exp(2.0 * ((y @ m) / eps2 - 0.5 * quad)).sum()),
-    )
-    return math.fsum(sums) / reps

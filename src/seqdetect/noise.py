@@ -100,9 +100,6 @@ class CorrelationMatrix:
             raise ValueError(f"submatrix size {d} out of range for dimension {self.dimension}")
         return self.entries[:d, :d]
 
-    def min_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh(self.entries)[0])
-
 
 def _check_positive_dimension(dimension: int) -> None:
     if not _is_count(dimension):

@@ -244,27 +244,6 @@ class _Family:
         with np.errstate(over="ignore"):
             return factor * (x**m if law == _POWER else np.exp(m * x))
 
-    def consecutive_ratio(self, k: int) -> float:
-        """The ratio of the (k-1)-th to the k-th value, for k >= 2, in a form
-        that cannot overflow."""
-        if k < 2:
-            raise ValueError("consecutive ratio needs k >= 2")
-        self._check_index(k)
-        if self.kind == CUSTOM:
-            return self.values[k - 2] / self.values[k - 1]
-        law, sign = _LAWS[self.kind]
-        if law == _CONSTANT:
-            return 1.0
-        if law == _POWER:
-            return math.pow(k / (k - 1) if sign < 0 else (k - 1) / k, self.exponent)
-        return _exp_or_inf(-sign * self.exponent)
-
-    def _check_index(self, k: int) -> None:
-        if k < 1:
-            raise ValueError("sequence indices start at 1")
-        if self.values is not None and k > len(self.values):
-            raise ValueError(f"index {k} beyond custom sequence of length {len(self.values)}")
-
 
 class OperatorFamily(_Family):
     """Positive spectrum b = (b_k) of the forward operator.
@@ -387,11 +366,6 @@ class Signal:
     @classmethod
     def zero(cls) -> "Signal":
         return cls(())
-
-    def coefficient(self, k: int) -> float:
-        if k < 1:
-            raise ValueError("sequence indices start at 1")
-        return self.coefficients[k - 1] if k <= len(self.coefficients) else 0.0
 
     def norm_sq(self) -> float:
         """The exactly rounded sum of squares; +inf once it overflows."""

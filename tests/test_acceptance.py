@@ -112,6 +112,19 @@ class TestCriterion2TypeII:
         assert not failures, failures
 
 
+def _ratios_hold(spec: ProblemSpec) -> bool:
+    """Every consecutive ratio a_{k-1}/a_k and b_{k-1}/b_k, k <= 64, lies in
+    [1e-6, 1e6]: the regularity under which the two radius bounds are of the
+    same order."""
+    ks = np.arange(1, 65)
+    for family in (spec.smoothness, spec.operator):
+        values = family.value_array(ks)
+        ratios = values[:-1] / values[1:]
+        if not np.all((ratios >= 1e-6) & (ratios <= 1e6)):
+            return False
+    return True
+
+
 def _random_spec(rng) -> ProblemSpec:
     kind = int(rng.integers(0, 3))
     t = float(rng.uniform(0.3, 1.2))
@@ -177,7 +190,7 @@ class TestCriterion3OrderingAndSameOrder:
         worst_slope = 0.0
         checked = 0
         for spec in specs:
-            if not bounds.check_hyp_ab(spec, 64).holds:
+            if not _ratios_hold(spec):
                 continue
             checked += 1
             window = _slope_window(spec)
@@ -195,7 +208,7 @@ class TestCriterion3OrderingAndSameOrder:
             f"50 specs x 8 eps; worst |slope| {worst_slope:.4f}",
         )
         assert ordering_ok
-        assert checked == 48  # the two power-exponential specs must fail hyp_ab
+        assert checked == 48  # the two power-exponential specs must fail the ratio check
         assert worst_slope <= 0.05
 
 
@@ -258,6 +271,22 @@ class TestCriterion4RateTable:
         assert not failures, failures
 
 
+def _mc_divergence(spec: ProblemSpec, d: int, r: float, sigma, reps: int, seed: int) -> float:
+    """Monte Carlo E_0[L^2]: the squared likelihood ratio of the worst-case
+    signal against the null, averaged over Gaussian null draws with
+    covariance sigma in the replication blocks of the error-rate estimates."""
+    theta = montecarlo.worst_case_signal(spec, d, r, sigma).theta_star.array(d)
+    b_theta = spec.operator.value_array(np.arange(1, d + 1)) * theta
+    m = np.linalg.solve(sigma.submatrix(d), b_theta)
+    eps2 = spec.eps**2
+    quad = float(b_theta @ m) / eps2
+    sums = montecarlo._map_blocks(
+        CorrelatedGaussian(sigma), d, spec.eps, reps, seed, 1,
+        lambda y: float(np.exp(2.0 * ((y @ m) / eps2 - 0.5 * quad)).sum()),
+    )
+    return math.fsum(sums) / reps
+
+
 class TestCriterion5LowerBoundChain:
     def test_divergence_chain_and_monte_carlo(self):
         alpha = beta = 0.05
@@ -286,9 +315,7 @@ class TestCriterion5LowerBoundChain:
             sigma = adversarial_sigma(d, INV_SQRT2)
             r_sq = min(coeff * d, bias_term(spec, d))
             closed = montecarlo.chi_sq_divergence(spec, d, math.sqrt(r_sq), sigma)
-            mc = montecarlo.chi_sq_divergence_mc(
-                spec, d, math.sqrt(r_sq), sigma, 1_000_000, seed=500 + d
-            )
+            mc = _mc_divergence(spec, d, math.sqrt(r_sq), sigma, 1_000_000, seed=500 + d)
             rel = abs(mc - closed) / closed
             worst_rel = max(worst_rel, rel)
             mc_ok = mc_ok and rel <= 0.05

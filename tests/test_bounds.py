@@ -4,9 +4,7 @@ Covers:
 1. The lower-bound coefficient and both optimisations against grid oracles
 2. Ordering lower <= upper over randomized specs, and the truncation warning
 3. The classical comparator: termwise domination and bias-only limit
-4. Consecutive-ratio regularity check, including the power-exponential
-   counterexample that must fail it
-5. Rate fitting on synthetic data and the known rate laws per cell,
+4. Rate fitting on synthetic data and the known rate laws per cell,
    including the upper bound fitted deep in its asymptotic regime
 """
 
@@ -361,74 +359,6 @@ class TestGridScan:
             bounds.bounds_over_grid(spec, eps_grid, 0.1, 0.1)
         with pytest.raises(ValueError):
             detector.select_bandwidths(spec, 25.0, eps_grid)
-
-
-class TestHypAbCheck:
-    def test_ordinary_smooth_holds(self):
-        spec = make_spec(
-            OperatorFamily.mildly_ill_posed(1.0), SmoothnessFamily.ordinary_smooth(2.0), 0.1
-        )
-        report = bounds.check_hyp_ab(spec, 64)
-        assert report.holds
-        assert report.a_star == pytest.approx(2.0**-2.0)  # ratio extreme at D = 2
-        assert report.a_sup < 1.0
-        assert report.b_sup == pytest.approx(2.0)
-
-    def test_super_smooth_constant_ratio(self):
-        spec = make_spec(
-            OperatorFamily.severely_ill_posed(0.5), SmoothnessFamily.super_smooth(1.0), 0.1
-        )
-        report = bounds.check_hyp_ab(spec, 32)
-        assert report.holds
-        assert report.a_star == pytest.approx(math.exp(-1.0))
-        assert report.a_sup == pytest.approx(math.exp(-1.0))
-        assert report.b_star == pytest.approx(math.exp(0.5))
-
-    def test_power_exponential_fails(self):
-        # a_k = exp(s k^2): consecutive ratio exp(-s (2k - 1)) -> 0
-        values = [math.exp(min(0.5 * k * k, 700.0)) for k in range(1, 65)]
-        sm = SmoothnessFamily.custom(values)
-        spec = make_spec(OperatorFamily.well_posed(), sm, 0.1)
-        report = bounds.check_hyp_ab(spec, 40)
-        assert not report.holds
-        assert report.a_star < 1e-6
-
-    @pytest.mark.parametrize(
-        "op",
-        [
-            OperatorFamily.well_posed(),
-            OperatorFamily.mildly_ill_posed(1.3),
-            OperatorFamily.severely_ill_posed(0.9),
-        ],
-        ids=lambda f: f.kind,
-    )
-    @pytest.mark.parametrize(
-        "sm",
-        [SmoothnessFamily.ordinary_smooth(1.1), SmoothnessFamily.super_smooth(0.6)],
-        ids=lambda f: f.kind,
-    )
-    def test_all_named_combinations_hold(self, op, sm):
-        report = bounds.check_hyp_ab(make_spec(op, sm, 0.1), 128)
-        assert report.holds
-        assert 0.0 < report.a_star <= report.a_sup <= 1.0
-        assert 1.0 <= report.b_star <= report.b_sup
-
-    def test_a_limit_below_two_leaves_no_ratio(self):
-        # one custom value caps the probe at D = 1, with no ratio to form
-        spec = make_spec(OperatorFamily.well_posed(), SmoothnessFamily.custom([1.0]), 0.1)
-        with pytest.raises(ValueError, match="got d_probe = 64 and limit 1"):
-            bounds.check_hyp_ab(spec, 64)
-        with pytest.raises(ValueError, match="got d_probe = 1 and limit 65536"):
-            bounds.check_hyp_ab(make_spec(OperatorFamily.well_posed(),
-                                          SmoothnessFamily.ordinary_smooth(1.0), 0.1), 1)
-
-    @pytest.mark.parametrize("d_probe", [10.5, 64.0, math.nan, math.inf])
-    def test_d_probe_must_be_an_integer(self, d_probe):
-        # 10.5 and NaN used to reach range() and raise a TypeError there
-        spec = make_spec(OperatorFamily.well_posed(), SmoothnessFamily.ordinary_smooth(1.0), 0.1)
-        with pytest.raises(ValueError, match=f"got d_probe = {d_probe!r} and limit 65536"):
-            bounds.check_hyp_ab(spec, d_probe)
-        assert bounds.check_hyp_ab(spec, np.int64(64)) == bounds.check_hyp_ab(spec, 64)
 
 
 class TestRateFitting:

@@ -9,7 +9,10 @@ Covers:
    each replication block drawn once per family for both error types
 5. The shipped bounds, calibrate, rates and simulate configs against golden
    outputs
-6. A negative control: simulate with a zero threshold must fail
+6. A negative control: simulate with a zero threshold must fail; every
+   pass gate at its boundary, with hand-made values just inside and just
+   past it: simulate's two error-rate gates, the divergence budget and the
+   two alignment bounds of lowerbound_check.txt, and calibrate's margin flag
 7. Config errors (exit 2, never a traceback) for family parameters the
    spectra cannot use, for dense noise families above their size limit and
    for a guaranteed radius no in-ellipsoid signal attains
@@ -240,6 +243,20 @@ class TestCalibrateCommand:
         assert "margin_exact_flag = true" in out
         assert "margin_practical_flag = true" in out
 
+    @pytest.mark.parametrize(
+        "alpha, margin, flag", [("1e-9", "0.1069", "false"), ("1e-10", "0.0616", "true")]
+    )
+    def test_margin_flag_on_each_side_of_the_level(self, tmp_path, alpha, margin, flag):
+        # at C = 3 and beta = 0.1 the exact margin 1 - K1/c_beta crosses
+        # cli.MARGIN_FLAG_LEVEL = 0.1 between these two alphas
+        text = BASE_CONFIG.replace("test.alpha = 0.1", f"test.alpha = {alpha}")
+        cfg = write_config(tmp_path, text)
+        assert cli.main(["calibrate", "--config", str(cfg), "--output", str(tmp_path)]) == 0
+        out = (tmp_path / "calibrate.txt").read_text()
+        value = float(re.search(r"^margin_exact = (\S+)$", out, re.M).group(1))
+        assert round(value, 4) == float(margin)
+        assert f"\nmargin_exact_flag = {flag}\n" in out
+
 
 class TestBoundsCommand:
     def test_csv_and_fit(self, tmp_path):
@@ -361,6 +378,78 @@ class TestLowerBoundCheckExact:
         config = parse_config(text + extra)
         assert got == _lower_bound_reference(config, loading)
         assert got.count("\nD=") == min(16, config.problem.bandwidth_limit)
+
+
+class TestSimulateGates:
+    """Each simulate row passes when p_hat <= level + 3 SE for both error
+    types, and the command exits 1 when a row fails.  The estimates are
+    hand-made, with SE 0.01, so each sits just inside or just past its gate
+    at 0.1 + 3 * 0.01 = 0.13."""
+
+    @pytest.mark.parametrize(
+        "p1, p2, verdict, code",
+        [
+            (0.1299, 0.05, "true", 0),
+            (0.1301, 0.05, "false", 1),
+            (0.05, 0.1299, "true", 0),
+            (0.05, 0.1301, "false", 1),
+        ],
+    )
+    def test_row_verdict_at_each_gate(self, tmp_path, monkeypatch, p1, p2, verdict, code):
+        def estimate_type2(spec, config, model, theta, reps, seed, threads=1):
+            type1 = montecarlo.McEstimate(p1, reps, 0.01, seed, 0.0)
+            return montecarlo.McEstimate(p2, reps, 0.01, seed, 0.0, type1)
+
+        monkeypatch.setattr(montecarlo, "estimate_type2", estimate_type2)
+        cfg = write_config(tmp_path)
+        assert cli.main(["simulate", "--config", str(cfg), "--output", str(tmp_path)]) == code
+        rows = (tmp_path / "simulate.csv").read_text().splitlines()[1:]
+        assert len(rows) == 2
+        assert all(row.split(",")[-1] == verdict for row in rows)
+
+
+class TestLowerBoundCheckGates:
+    """Each D line of lowerbound_check.txt passes when the divergence is
+    within the budget 1 + 4 (1 - alpha - beta)^2 (plus 1e-10), v' Sigma v <= D
+    and rho^2 >= D sum b^-2 / 4; a line that fails makes simulate exit 1."""
+
+    def _run(self, tmp_path) -> tuple[int, list[str]]:
+        cfg = write_config(tmp_path)
+        code = cli.main(["simulate", "--config", str(cfg), "--output", str(tmp_path)])
+        lines = (tmp_path / "lowerbound_check.txt").read_text().splitlines()[1:]
+        assert len(lines) == 16 and all(line.startswith("D=") for line in lines)
+        return code, [line.rsplit(" = ", 1)[1] for line in lines]
+
+    @pytest.mark.parametrize("excess, verdict, code", [(0.0, "true", 0), (1e-9, "false", 1)])
+    def test_divergence_at_the_budget(self, tmp_path, monkeypatch, excess, verdict, code):
+        budget = bounds_mod.c_alpha_beta(0.1, 0.1)
+        monkeypatch.setattr(montecarlo, "chi_sq_divergence", lambda *args: budget + excess)
+        assert self._run(tmp_path) == (code, [verdict] * 16)
+
+    @pytest.mark.parametrize(
+        "which, past, verdict, code",
+        [
+            ("v_sigma_v", False, "true", 0),
+            ("v_sigma_v", True, "false", 1),
+            ("rho_sq", False, "true", 0),
+            ("rho_sq", True, "false", 1),
+        ],
+    )
+    def test_alignment_at_its_bound(self, tmp_path, monkeypatch, which, past, verdict, code):
+        # v' Sigma v set to D, or rho^2 to D sum b^-2 / 4, or one ulp past it
+        original = montecarlo.direction_stats
+
+        def direction_stats(spec, d, sigma):
+            v, u, rho_sq, v_sigma_v = original(spec, d, sigma)
+            if which == "v_sigma_v":
+                bound = float(d)
+                return v, u, rho_sq, math.nextafter(bound, math.inf) if past else bound
+            bound = 0.25 * d * sum_inv_b_sq(spec, d)
+            return v, u, math.nextafter(bound, -math.inf) if past else bound, v_sigma_v
+
+        monkeypatch.setattr(montecarlo, "chi_sq_divergence", lambda *args: 1.0)
+        monkeypatch.setattr(montecarlo, "direction_stats", direction_stats)
+        assert self._run(tmp_path) == (code, [verdict] * 16)
 
 
 class TestSimulateDrawsOnce:

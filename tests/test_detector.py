@@ -248,11 +248,6 @@ class TestBandwidthSelection:
 
 
 class TestCalibrateConfig:
-    def test_margin_flag(self):
-        spec = flat_spec(c=3.0)
-        config = detector.calibrate(spec, 0.1, 0.1)
-        assert config.margin > 0.9 and not config.margin_flagged
-
     @pytest.mark.parametrize("c_beta", [1.0, math.nan, math.inf])
     def test_c_beta_must_exceed_k1(self, c_beta):
         constants = detector.derive_constants(3.0, 0.01)

@@ -445,7 +445,7 @@ class TestBoundarySignal:
     def test_interior_construction(self):
         spec = make_spec(OperatorFamily.well_posed())
         theta = boundary_signal(spec, 3, 0.1)
-        assert theta.coefficient(3) == 0.1
+        assert theta.coefficients == (0.0, 0.0, 0.1)
         assert theta.norm_sq() == pytest.approx(0.01)
 
     def test_rejects_signal_leaving_ellipsoid(self):
@@ -573,42 +573,28 @@ class TestRangesAndValidation:
         replaced = dataclasses.replace(op, values=(2.0, 4.0), scale=1.0)
         assert replaced.inv_sq_array(np.array([1, 2])).tolist() == [0.25, 0.0625]
 
-    def test_consecutive_ratios(self):
-        assert OperatorFamily.severely_ill_posed(0.5).consecutive_ratio(7) == pytest.approx(
-            math.exp(0.5)
-        )
-        assert SmoothnessFamily.ordinary_smooth(2.0).consecutive_ratio(2) == pytest.approx(0.25)
-        assert SmoothnessFamily.super_smooth(0.3).consecutive_ratio(9) == pytest.approx(
-            math.exp(-0.3)
-        )
-
     # the named laws, as written before the law table; every entry is
-    # (value, inverse square, consecutive ratio at k) for exponent e, scale c
+    # (value, inverse square) for exponent e, scale c
     _LAW_FORMS = {
         "well_posed": (
             lambda x, e, c: np.full(len(x), c),
             lambda x, e, c: np.full(len(x), 1.0 / (c * c)),
-            lambda k, e: 1.0,
         ),
         "mildly_ill_posed": (
             lambda x, e, c: c * x**-e,
             lambda x, e, c: 1.0 / (c * c) * x ** (2.0 * e),
-            lambda k, e: math.pow(k / (k - 1), e),
         ),
         "severely_ill_posed": (
             lambda x, e, c: c * np.exp(-e * x),
             lambda x, e, c: 1.0 / (c * c) * np.exp(2.0 * e * x),
-            lambda k, e: math.exp(e),
         ),
         "ordinary_smooth": (
             lambda x, e, c: c * x**e,
             lambda x, e, c: 1.0 / (c * c) * x ** (-2.0 * e),
-            lambda k, e: math.pow((k - 1) / k, e),
         ),
         "super_smooth": (
             lambda x, e, c: c * np.exp(e * x),
             lambda x, e, c: 1.0 / (c * c) * np.exp(-2.0 * e * x),
-            lambda k, e: math.exp(-e),
         ),
     }
     # 1..4096 holds every exponential law's overflow and underflow index at
@@ -624,16 +610,14 @@ class TestRangesAndValidation:
     def test_law_table_matches_the_named_formulas_bitwise(self, kind, exponent, scale):
         family_cls = OperatorFamily if kind in OPERATOR_KINDS else SmoothnessFamily
         family = family_cls(kind, exponent, scale)
-        value, inv_sq, ratio = self._LAW_FORMS[kind]
+        value, inv_sq = self._LAW_FORMS[kind]
         x = self._LAW_KS.astype(float)
         with np.errstate(over="ignore"):
             expected = (value(x, exponent, scale), inv_sq(x, exponent, scale))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = (family.value_array(self._LAW_KS), family.inv_sq_array(self._LAW_KS))
-            ratios = [family.consecutive_ratio(k) for k in (2, 3, 10, 1000, _CHUNK)]
         assert [g.tobytes() for g in got] == [e.tobytes() for e in expected]
-        assert ratios == [ratio(k, exponent) for k in (2, 3, 10, 1000, _CHUNK)]
 
     def test_law_table_covers_exactly_the_named_kinds(self):
         assert tuple(sequences._LAWS) == OPERATOR_KINDS + SMOOTHNESS_KINDS
@@ -664,12 +648,11 @@ class TestRangesAndValidation:
         op = OperatorFamily.custom([4.0, 2.0, 1.0])
         sm = SmoothnessFamily.custom([1.0, 2.0, 8.0])
         assert (op.max_index, sm.max_index) == (3, 3)
-        assert (op.consecutive_ratio(3), sm.consecutive_ratio(3)) == (2.0, 0.25)
         for family in (op, sm):
-            with pytest.raises(ValueError, match="needs k >= 2"):
-                family.consecutive_ratio(1)
+            with pytest.raises(ValueError, match="sequence indices start at 1"):
+                family.value_array(np.array([0, 1]))
             with pytest.raises(ValueError, match="index 4 beyond custom sequence of length 3"):
-                family.consecutive_ratio(4)
+                family.inv_sq_array(np.array([2, 4]))
         assert OperatorFamily.well_posed().max_index is None
         assert repr(sm).startswith("SmoothnessFamily(kind='custom'")
 
