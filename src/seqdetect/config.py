@@ -23,7 +23,8 @@ Schema (dotted keys, one per line, '#' starts a comment line):
                        (each occurrence starts a new noise block)
   noise.s              decay exponent, positive and finite, default 1
                        (long_range_gaussian only)
-  noise.c              decay amplitude in (0, 1], default 0.5
+  noise.c              decay amplitude in (0, 1], default 0.5; above
+                       1/(2 - 2^-s) it may be repaired, or shrunk up to 4 times
                        (long_range_gaussian only)
   noise.d              factor loading in [1/sqrt(2), 1), default 1/sqrt(2),
                        applied to all coordinates (adversarial_equicorrelated
@@ -42,7 +43,7 @@ Schema (dotted keys, one per line, '#' starts a comment line):
                        match the invoked subcommand when present)
   run.eps_grid         comma-separated, strictly decreasing floats, each
                        checked like eps
-  run.reps             positive replications per estimate, default 10000
+  run.reps             positive replications, default 10000; >= 1000 in simulate
   run.output_path      default output directory (CLI --output overrides); a
                        relative path resolves against the working directory,
                        not the config file's directory

@@ -42,7 +42,6 @@ import numpy as np
 from .sequences import ProblemSpec, _is_count
 
 _EIG_TOLERANCE = 1e-10
-_MIN_LONG_RANGE_AMPLITUDE = 1e-3
 _LONG_RANGE_SHRINK = 0.8
 _D_MIN_EQUICORRELATED = 1.0 / math.sqrt(2.0)
 
@@ -172,29 +171,26 @@ def _long_range(
     decay[1:] = np.arange(1, dimension, dtype=float) ** (-s)
     envelope = _toeplitz(c * decay + 1e-12)
 
+    # Polya: for c <= 1/(2 - 2^-s), at least 1/2, the row 1, c 1^-s, c 2^-s, ... is
+    # convex, so PSD at every D; from c <= 1 four shrinks (0.8^4 < 1/2) reach it: at
+    # most five ``eigh``.  A PSD proposal has c_try <= c, so it lies in the envelope.
     c_try = c
-    while c_try >= _MIN_LONG_RANGE_AMPLITUDE:
+    while True:
         proposal = c_try * _toeplitz(decay)
         np.fill_diagonal(proposal, 1.0)
         w, v = np.linalg.eigh(proposal)
         if float(w[0]) >= -_EIG_TOLERANCE:
-            repaired, eig = proposal, (w, v)
-        else:
-            eig = None
-            clipped = (v * np.clip(w, 0.0, None)) @ v.T
-            diag = np.sqrt(np.clip(np.diag(clipped), 1e-300, None))
-            repaired = clipped / np.outer(diag, diag)
-            repaired = (repaired + repaired.T) / 2.0
-            np.fill_diagonal(repaired, 1.0)
+            return CorrelationMatrix(proposal, validate_psd=False), (w, v)
+        clipped = (v * np.clip(w, 0.0, None)) @ v.T
+        diag = np.sqrt(np.clip(np.diag(clipped), 1e-300, None))
+        repaired = clipped / np.outer(diag, diag)
+        repaired = (repaired + repaired.T) / 2.0
+        np.fill_diagonal(repaired, 1.0)
         within = np.abs(repaired) <= envelope
         np.fill_diagonal(within, True)
         if within.all():
-            return CorrelationMatrix(repaired, validate_psd=False), eig
+            return CorrelationMatrix(repaired, validate_psd=False), None
         c_try *= _LONG_RANGE_SHRINK
-    raise ValueError(
-        f"no amplitude >= {_MIN_LONG_RANGE_AMPLITUDE} yields a PSD matrix within the "
-        f"decay envelope (dimension {dimension}, s = {s}, c = {c})"
-    )
 
 
 def long_range_correlation(dimension: int, s: float, c: float = 0.5) -> CorrelationMatrix:
@@ -204,7 +200,7 @@ def long_range_correlation(dimension: int, s: float, c: float = 0.5) -> Correlat
     eigenvalue clipping followed by diagonal renormalisation; the repaired
     matrix must still satisfy the decay envelope |Sigma_kl| <= c |k-l|^-s,
     otherwise the amplitude is shrunk geometrically (factor 0.8) and the
-    construction retried.  Fails below amplitude 1e-3.
+    construction retried, at most five tries in all (see `_long_range`).
 
     Each try builds one D x D proposal from the D powers |k-l|^-s and runs one
     ``eigh`` on it, which serves the PSD test and the repair;

@@ -27,7 +27,8 @@ Covers:
 10. A calibration constant that is not a finite number above K1, the
    removed key test.c_beta_mode, a lower bound that underflows to 0 and a
    grid a rate law cannot be fitted on are config errors before any output;
-   noise parameters are checked at load
+   noise parameters are checked at load, and a long-range amplitude below
+   1e-3 loads and simulates
 11. Every command computes all its outputs before any is written: a failure
    injected after a table is built, or a check inside a command, leaves no
    output directory, a failed write is a config error, and an adversarial
@@ -715,6 +716,22 @@ class TestDenseNoiseLimit:
         text = text.replace("eps = 0.01", "eps = 0.001")
         cfg = write_config(tmp_path, text + "test.D = 16\n")
         assert cli.main(["simulate", "--config", str(cfg), "--output", str(tmp_path)]) == 0
+
+
+class TestLongRangeAmplitude:
+    """Every long-range amplitude in (0, 1] is usable: one below 1e-3, which
+    the matrix search used to refuse at every dimension, loads and simulates."""
+
+    TEXT = (REPO / "configs" / "simulate.cfg").read_text().replace("noise.c = 0.5", "noise.c = 0.0005")
+
+    def test_small_amplitude_loads(self):
+        block = next(b for b in parse_config(self.TEXT).noise if b.kind == "long_range_gaussian")
+        assert block.params == {"s": 1.0, "c": 0.0005}
+
+    def test_simulate_passes_at_a_small_amplitude(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, self.TEXT)
+        argv = ["simulate", "--config", str(cfg), "--output", str(tmp_path / "out"), "--reps", "2000"]
+        assert cli.main(argv) == 0, capsys.readouterr()
 
 
 class TestCommandPinning:

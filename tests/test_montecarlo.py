@@ -6,7 +6,8 @@ Covers:
    theta = 0 and ellipsoid enforcement; the blocked kernel against a
    row-by-row reference; the type I estimate carried by `estimate_type2`;
    negative controls that the estimates must fail; the exact error rates of
-   Rademacher and scaled-uniform noise, as equalities
+   Rademacher and scaled-uniform noise, as equalities; the reported SE
+   against the spread of p_hat across 40 seeds
 3. The guaranteed-detectable spike signal and its placement rule, whose
    bisection finds the coordinate of a linear walk down from D
 4. The least-favourable signal construction, its norm identity and its
@@ -130,6 +131,31 @@ class TestErrorEstimates:
             assert 0.1 < min(est.p_hat, 1.0 - est.p_hat)
             assert est.std_err == math.sqrt(est.p_hat * (1.0 - est.p_hat) / est.reps)
         assert est2.type1.p_hat == pytest.approx(0.2, abs=0.03)
+
+    @pytest.mark.parametrize(
+        "model, d, q",
+        [
+            # q: the 0.8 quantiles of chi-square(5) and chi-square(64), less D
+            (IidGaussian(), 5, 7.289276 - 5.0),
+            (IidGaussian(), 64, 73.276089 - 64.0),
+            # the 80 % point of T0 / eps^2 from 200,000 draws of default_rng(123)
+            (AdversarialEquicorrelated(INV_SQRT2), 64, 21.28),
+        ],
+        ids=["iid-5", "iid-64", "adversarial-64"],
+    )
+    def test_std_err_matches_the_spread_across_seeds(self, model, d, q):
+        # over 40 seeds fixed in advance, (n - 1) s^2(p_hat) / mean(SE^2) is
+        # chi-square(39) when the blocks' streams are independent and SE is
+        # right; the band is its two-sided 0.999 interval
+        spec = flat_spec(eps=0.2)
+        config = dataclasses.replace(
+            detector.calibrate(spec, 0.1, 0.1, d=d), threshold=spec.eps**2 * q
+        )
+        ests = [montecarlo.estimate_type1(spec, config, model, 2000, seed) for seed in range(7001, 7041)]
+        p_hat = np.array([est.p_hat for est in ests])
+        mean_se_sq = np.mean([est.std_err**2 for est in ests])
+        ratio = (len(ests) - 1) * p_hat.var(ddof=1) / mean_se_sq
+        assert 16.27 <= ratio <= 74.73, ratio
 
     def test_zero_signal_is_exact_complement_of_type1(self):
         # same seed, same draws: accept counts are exactly 1 - reject counts

@@ -2,7 +2,9 @@
 
 Covers:
 1. The equicorrelated adversarial matrix and its sampling representation
-2. Long-range correlation construction, PSD repair, and the decay envelope
+2. Long-range correlation construction, PSD repair, and the decay envelope;
+   every amplitude in (0, 1] builds, in at most five ``eigh`` calls, and the
+   Polya bound on the amplitude that this count rests on
 3. Closed-form moments of every shipped family (validate_moments at 1e5)
 4. The Gaussian squared-noise identities: empirical Cov(xi_k^2, xi_l^2)
    against 2 Sigma_kl^2 and E[(xi_k^2 - 1) xi_l] against 0
@@ -18,6 +20,7 @@ Covers:
 """
 
 import inspect
+import itertools
 import math
 
 import numpy as np
@@ -41,6 +44,13 @@ from seqdetect.noise import (
 from seqdetect.sequences import OperatorFamily, ProblemSpec, SmoothnessFamily
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
+
+#: The long-range grid over which the build loop's bound is checked: the
+#: extreme exponents give all-equal (s = 1e-300) and tridiagonal (s = 1e300)
+#: proposals, the amplitudes run from near the identity to 1.
+LOOP_DIMENSIONS = (1, 2, 3, 7, 64, 128)
+LOOP_EXPONENTS = (1e-300, 0.1, 0.5, 1.0, 10.0, 1e300)
+LOOP_AMPLITUDES = (1e-300, 5e-4, 0.5, 0.7, 0.9, 1.0)
 
 
 def flat_spec(eps=1.0):
@@ -87,6 +97,48 @@ class TestLongRangeCorrelation:
         m = long_range_correlation(6, 1.0, 0.002).entries
         off = m[~np.eye(6, dtype=bool)]
         assert np.all(np.abs(off) <= 0.002 + 1e-12)
+
+    def test_amplitude_below_a_thousandth_builds(self):
+        # every c in (0, 1] is an amplitude; the search used to refuse c < 1e-3
+        # at every dimension, the 1 x 1 identity too
+        m = LongRangeGaussian(8, 1.0, 5e-4).correlation(8).entries
+        assert np.all(m[~np.eye(8, dtype=bool)] <= 5e-4)
+        assert np.array_equal(long_range_correlation(1, 1.0, 5e-4).entries, np.ones((1, 1)))
+
+    def test_at_most_five_eigh_per_build(self, monkeypatch):
+        eigh = np.linalg.eigh
+        calls = []
+
+        def counting_eigh(a):
+            calls.append(a.shape)
+            return eigh(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        tries = {}
+        for case in itertools.product(LOOP_DIMENSIONS, LOOP_EXPONENTS, LOOP_AMPLITUDES):
+            calls.clear()
+            long_range_correlation(*case)
+            tries[case] = len(calls)
+        assert all(1 <= n <= 5 for n in tries.values()), tries
+        # the grid attains the bound: four shrinks at c = 1 with s >= 10, D >= 64
+        assert max(tries.values()) == 5
+
+    def test_polya_bound_gives_a_psd_proposal(self):
+        # Polya's criterion: the row 1, c 1^-s, c 2^-s, ... is convex once
+        # c <= 1/(2 - 2^-s), and then its Toeplitz matrices are PSD at every
+        # D; that bound is at least 1/2, so four shrinks from c <= 1 reach it
+        assert noise._LONG_RANGE_SHRINK**4 <= 0.5
+        for d, s in itertools.product(LOOP_DIMENSIONS, LOOP_EXPONENTS):
+            bound = 1.0 / (2.0 - 2.0**-s)
+            assert bound >= 0.5
+            gaps = np.abs(np.subtract.outer(np.arange(d), np.arange(d))).astype(float)
+            with np.errstate(divide="ignore"):
+                decay = np.where(gaps > 0, gaps ** (-s), 1.0)
+            for c in (*LOOP_AMPLITUDES, bound):
+                if c <= bound:
+                    proposal = c * decay
+                    np.fill_diagonal(proposal, 1.0)
+                    assert np.linalg.eigvalsh(proposal)[0] >= -1e-10, (d, s, c)
 
     def test_repair_keeps_decay_envelope(self):
         cov = long_range_correlation(3, 1.0, 0.9)

@@ -64,6 +64,9 @@ MUTANTS = (
     Mutant("signal_shift", _MONTECARLO,
            "shift = float(s @ ws)", "shift = 1.1 * float(s @ ws)"),
     Mutant("kernel_statistic_centre", _MONTECARLO, "eps2 = eps**2", "eps2 = 0.98 * eps**2"),
+    Mutant("shared_block_stream", _MONTECARLO,
+           "np.random.default_rng((int(seed), int(block)))",
+           "np.random.default_rng((int(seed), 0))"),
     Mutant("std_err_quartered", _MONTECARLO,
            "std_err=math.sqrt(p * (1.0 - p) / reps)",
            "std_err=math.sqrt(p * (1.0 - p) / reps) / 4"),
