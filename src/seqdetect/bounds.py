@@ -56,7 +56,7 @@ def c_alpha_beta(alpha: float, beta: float) -> float:
     if not (0.0 < alpha < 1.0 and 0.0 < beta < 1.0):
         raise ValueError("alpha and beta must lie in (0, 1)")
     if alpha + beta >= 1.0:
-        raise ValueError("the lower bound requires alpha + beta < 1")
+        raise ValueError(f"the lower bound requires alpha + beta < 1, got {alpha!r} + {beta!r}")
     gap = 1.0 - alpha - beta
     return 1.0 + 4.0 * gap * gap
 

@@ -12,7 +12,9 @@ timestamps or wall-clock values (those go to a sidecar .log file), so a rerun
 with the same config and seed is byte-identical at any thread count.
 A command computes all its outputs before any is written, and its .log line
 is written last; `main` alone writes them, creating the output directory
-only then, and a failed write is a config error.
+only then, and a failed write is a config error.  `main` is also the one
+error boundary: a ValueError from any layer is a config error named after
+the command (exit 2); only a fault, a RuntimeError, escapes as a traceback.
 Exit status is 0 only when every asserted check passed.
 """
 
@@ -88,17 +90,11 @@ def _cell_families(cell: str, problem: ProblemSpec) -> tuple[OperatorFamily, Smo
         raise ConfigError(f"cell {cell!r}: {exc}") from exc
 
 
-def _calibration(
-    config: ExperimentConfig, command: str
-) -> tuple[detector.DetectorConstants, float]:
+def _calibration(config: ExperimentConfig) -> tuple[detector.DetectorConstants, float]:
     """The derived constants and the one calibration constant c_beta of the
-    configured C and levels, computed once per command; a c_beta that
-    `detector.solve_c_beta` refuses is a config error."""
+    configured C and levels, computed once per command."""
     constants = detector.derive_constants(config.problem.fourth_moment_bound, config.alpha)
-    try:
-        return constants, detector.solve_c_beta(constants, config.beta)
-    except ValueError as exc:
-        raise ConfigError(f"{command}: {exc}") from exc
+    return constants, detector.solve_c_beta(constants, config.beta)
 
 
 def _cell_table(
@@ -171,10 +167,7 @@ def _cell_table(
 
 def run_bounds(config: ExperimentConfig) -> Outcome:
     """Radius bounds per eps plus, when the grid allows, a rate-fit summary."""
-    _check_lower_bound_levels(config, "bounds")
-    if not config.eps_grid:
-        raise ConfigError("bounds needs a non-empty run.eps_grid")
-    _, c_beta = _calibration(config, "bounds")
+    _, c_beta = _calibration(config)
     table, summary, ok = _cell_table(config, config.problem, c_beta, "bounds")
     n = len(config.eps_grid)
     return Outcome(
@@ -190,7 +183,7 @@ def run_calibrate(config: ExperimentConfig) -> Outcome:
     practical 8 K2/beta, each with its residual and margin, and a threshold
     ladder."""
     problem = config.problem
-    constants, exact = _calibration(config, "calibrate")
+    constants, exact = _calibration(config)
     practical = 8.0 * constants.k2 / config.beta
 
     lines = [
@@ -211,15 +204,10 @@ def run_calibrate(config: ExperimentConfig) -> Outcome:
         lines.append(f"margin_{label} = {_fmt(margin)}")
         lines.append(f"margin_{label}_flag = {'true' if margin < MARGIN_FLAG_LEVEL else 'false'}")
 
-    # the fixed test.D, or the minimiser of the upper bound's objective; one
-    # that is +inf at every bandwidth, which select_bandwidth refuses, is a
-    # config error
+    # the fixed test.D, or the minimiser of the upper bound's objective
     d_star, truncated = config.test_d, False
     if d_star is None:
-        try:
-            d_star, _, truncated = detector.select_bandwidth(problem, exact)
-        except ValueError as exc:
-            raise ConfigError(f"calibrate: {exc}") from exc
+        d_star, _, truncated = detector.select_bandwidth(problem, exact)
     lines.append(f"D_selected = {d_star}")
     lines.append(f"D_truncated = {'true' if truncated else 'false'}")
 
@@ -251,16 +239,11 @@ def run_simulate(config: ExperimentConfig, threads: int = 1) -> Outcome:
             "simulate needs C > 1: at C = 1 the threshold is 0, and the class's "
             "only noise, random signs, is rejected on every null draw"
         )
-    if config.reps < montecarlo.MIN_REPS:
-        raise ConfigError(f"simulate needs run.reps >= {montecarlo.MIN_REPS}")
     if not config.noise:
         raise ConfigError("simulate needs at least one noise block")
     problem = config.problem
-    try:
-        det = detector.calibrate(problem, config.alpha, config.beta, d=config.test_d)
-        models = [settings.build(det.d) for settings in config.noise]
-    except ValueError as exc:
-        raise ConfigError(f"simulate: {exc}") from exc
+    det = detector.calibrate(problem, config.alpha, config.beta, d=config.test_d)
+    models = [settings.build(det.d) for settings in config.noise]
     try:
         alt = montecarlo.guaranteed_detectable_signal(problem, det.c_beta, det.d)
     except ValueError as exc:
@@ -268,8 +251,6 @@ def run_simulate(config: ExperimentConfig, threads: int = 1) -> Outcome:
     # the analytic chain draws nothing, so a loading it cannot use, in any
     # adversarial block, stops the run before any estimate
     ds = [m.loading for m in models if isinstance(m, AdversarialEquicorrelated)]
-    if ds:
-        _check_lower_bound_levels(config, "simulate")
     checks = [_divergence_check(config, d) for d in ds]
     chain: dict[str, str] = {}
     if len(checks) == 1:
@@ -354,12 +335,11 @@ def _divergence_check(config: ExperimentConfig, loading: float) -> tuple[str, bo
 
 def run_rates(config: ExperimentConfig) -> Outcome:
     """Fit the bound decay per benchmark cell against the known rate laws."""
-    _check_lower_bound_levels(config, "rates")
     if len(config.eps_grid) < 5:
         raise ConfigError("rates needs run.eps_grid with at least 5 values")
     problem = config.problem
     cells = [(cell, *_cell_families(cell, problem)) for cell in config.cells]
-    _, c_beta = _calibration(config, "rates")
+    _, c_beta = _calibration(config)
     files: dict[str, str] = {}
     summaries: list[str] = []
     ok = True
@@ -382,16 +362,6 @@ def run_rates(config: ExperimentConfig) -> Outcome:
             f"rates: {n} cells -> {out / 'rates_summary.txt'} ({'ok' if ok else 'FAILED'})"
         ),
     )
-
-
-def _check_lower_bound_levels(config: ExperimentConfig, command: str) -> None:
-    """The lower bound's divergence budget needs alpha + beta < 1; checked
-    by each command that forms the lower bound before it does."""
-    if not config.alpha + config.beta < 1.0:
-        raise ConfigError(
-            f"{command} forms the lower bound, which needs test.alpha + test.beta < 1; "
-            f"got {config.alpha!r} + {config.beta!r}"
-        )
 
 
 #: Each command's help text and how `main` runs it on the config and the
@@ -452,7 +422,13 @@ def main(argv: list[str] | None = None) -> int:
                     overrides[field] = _KEYS[key][0](raw, key)
                 except ValueError as exc:
                     raise ConfigError(f"--{field}: {exc}") from None
-        outcome = _COMMANDS[args.command][1](replace(config, **overrides), args)
+        # the error boundary: a ValueError is an input the command cannot use
+        try:
+            outcome = _COMMANDS[args.command][1](replace(config, **overrides), args)
+        except ConfigError:
+            raise
+        except ValueError as exc:
+            raise ConfigError(f"{args.command}: {exc}") from exc
         out_dir = Path(args.output or config.output_path or ".")
         try:
             out_dir.mkdir(parents=True, exist_ok=True)

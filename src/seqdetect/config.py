@@ -182,10 +182,12 @@ _CELL = _one_of(ALL_CELLS, "cell")
 
 def _items(raw: str, key: str, read: Reader) -> tuple:
     """The comma-separated items of ``raw``, each read by ``read``."""
-    items = tuple(read(item.strip(), key) for item in raw.split(",") if item.strip())
-    if not items:
+    items = [item.strip() for item in raw.split(",")]
+    if not any(items):
         raise ValueError(f"{key} is empty")
-    return items
+    if not all(items):
+        raise ValueError(f"{key} has an empty item")
+    return tuple(read(item, key) for item in items)
 
 
 def _eps_grid(raw: str, key: str) -> tuple[float, ...]:

@@ -96,6 +96,10 @@ class DetectorConfig:
             raise ValueError(f"bandwidth must be a positive integer, got {self.d!r}")
         if not self.constants.k1 < self.c_beta < math.inf:
             raise ValueError("calibration constant must be finite and exceed K1")
+        # b_D^-2 is a term of the threshold's sum, so a finite threshold
+        # also keeps 1/b_D finite
+        if not math.isfinite(self.threshold):
+            raise ValueError(f"threshold at D = {self.d} must be finite, got {self.threshold!r}")
 
 
 def decide(y: np.ndarray, config: DetectorConfig, spec: ProblemSpec) -> bool:

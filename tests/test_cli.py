@@ -34,6 +34,10 @@ Covers:
    output directory, a failed write is a config error, and an adversarial
    loading too close to 1 for the divergence chain, in any adversarial
    block, is a config error before any estimate runs
+12. `main` is the one error boundary: a ValueError from any layer of any
+   command is a config error named after the command, a ConfigError keeps
+   its message, and any other exception escapes; an infinite threshold is
+   one such refusal; a list with an empty item is refused at its line
 """
 
 import math
@@ -176,6 +180,22 @@ class TestConfigParsing:
         # no cell to check would let rates pass without checking anything
         with pytest.raises(ConfigError, match="line 19: run.cells is empty"):
             parse_config(BASE_CONFIG + "run.cells = ,\n")
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "run.eps_grid = 0.1,,0.05",
+            "run.eps_grid = 0.1, 0.05,",
+            "run.cells = well_posed/ordinary_smooth, ,well_posed/super_smooth",
+        ],
+        ids=["gap", "trailing-comma", "cells"],
+    )
+    def test_list_with_an_empty_item_rejected(self, line):
+        # an empty item used to be dropped, so a typo ran a shorter list
+        text = re.sub(r"run\.eps_grid = .*", line, BASE_CONFIG)
+        key = line.partition(" =")[0]
+        with pytest.raises(ConfigError, match=f"line 18: {re.escape(key)} has an empty item"):
+            parse_config(text)
 
     def test_bad_cell_listed(self):
         with pytest.raises(ConfigError, match="unknown cell"):
@@ -1044,7 +1064,8 @@ class TestLowerBoundLevels:
         cfg = write_config(tmp_path, text)
         assert cli.main([command, "--config", str(cfg), "--output", str(out)]) == 2
         err = capsys.readouterr().err
-        assert "test.alpha + test.beta < 1" in err and "0.5 + 0.5" in err
+        message = "the lower bound requires alpha + beta < 1, got 0.5 + 0.5"
+        assert f"config error: {command}: {message}" in err
         assert not out.exists()
 
     def test_simulate_without_an_adversarial_block_runs(self, tmp_path):
@@ -1135,7 +1156,10 @@ class TestNothingWrittenOnFailure:
         out = tmp_path / "out"
         cfg = write_config(tmp_path, BASE_CONFIG.replace("run.reps = 1000", "run.reps = 10"))
         assert cli.main(["simulate", "--config", str(cfg), "--output", str(out)]) == 2
-        assert "simulate needs run.reps >= 1000" in capsys.readouterr().err
+        assert (
+            "config error: simulate: need an integer of at least 1000 replications, got 10"
+            in capsys.readouterr().err
+        )
         assert not out.exists()
 
     def test_a_failed_write_is_a_config_error(self, tmp_path, capsys, monkeypatch):
@@ -1149,6 +1173,69 @@ class TestNothingWrittenOnFailure:
         err = capsys.readouterr().err
         assert f"config error: output directory {tmp_path} is not writable" in err
         assert "Permission denied" in err
+
+
+class TestErrorBoundary:
+    """`main` is the one error boundary: a ValueError that a command lets out
+    of any library call is a config error named after the command (exit 2,
+    no output directory), a ConfigError keeps its own message, and any other
+    exception, an implementation fault, escapes."""
+
+    @staticmethod
+    def run(tmp_path, command):
+        out = tmp_path / "out"
+        argv = [command, "--config", str(REPO / "configs" / f"{command}.cfg"), "--output", str(out)]
+        return cli.main(argv), out
+
+    @pytest.mark.parametrize(
+        "command, module, name",
+        [
+            ("bounds", bounds_mod, "bounds_over_grid"),
+            ("rates", bounds_mod, "bounds_over_grid"),
+            ("calibrate", detector, "threshold"),
+            ("simulate", montecarlo, "estimate_type2"),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "error, message",
+        [
+            (ValueError("injected"), "config error: {command}: injected\n"),
+            (ConfigError("injected"), "config error: injected\n"),
+        ],
+        ids=["value-error", "config-error"],
+    )
+    def test_refusal_is_a_config_error(
+        self, tmp_path, capsys, monkeypatch, command, module, name, error, message
+    ):
+        def failing(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(module, name, failing)
+        code, out = self.run(tmp_path, command)
+        assert code == 2
+        assert capsys.readouterr().err == message.format(command=command)
+        assert not out.exists()
+
+    def test_a_fault_escapes(self, tmp_path, monkeypatch):
+        def failing(*args, **kwargs):
+            raise RuntimeError("injected")
+
+        monkeypatch.setattr(bounds_mod, "bounds_over_grid", failing)
+        with pytest.raises(RuntimeError, match="injected"):
+            self.run(tmp_path, "bounds")
+        assert not (tmp_path / "out").exists()
+
+    def test_an_infinite_threshold_is_a_config_error(self, tmp_path, capsys):
+        # on b_k = e^-k the threshold's sum overflows past D = 354
+        text = BASE_CONFIG.replace(
+            "operator.kind = well_posed", "operator.kind = severely_ill_posed\noperator.t = 1"
+        ).replace("eps = 0.01", "eps = 0.001")
+        cfg = write_config(tmp_path, text + "test.D = 400\n")
+        out = tmp_path / "out"
+        assert cli.main(["simulate", "--config", str(cfg), "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config error: simulate: threshold at D = 400 must be finite, got inf" in err
+        assert not out.exists()
 
 
 class TestLoadingNearOne:

@@ -4,12 +4,14 @@ Covers:
 1. Derived constants (C1, C2, K1, K2) at frozen oracle values
 2. Threshold and statistic arithmetic, boundary rejection convention
 3. The calibration equation: exact root, residual, the refusal of an
-   unusable root, and the residual of the practical 8 K2/beta
+   unusable root, and the residual of the practical 8 K2/beta; a
+   calibrated test's threshold must be finite
 4. Bandwidth selection against a brute-force grid search
 5. Statistical behaviour: type I control, mean of the statistic, the
    variance envelope, and threshold dominance over the null variance
 """
 
+import dataclasses
 import math
 import re
 
@@ -293,6 +295,23 @@ class TestCalibrateConfig:
             "scale or the noise level is too extreme",
         ):
             detector.calibrate(spec, 0.1, 0.1)
+
+    def test_threshold_must_be_finite(self):
+        # on b_k = e^-k the sum of b_k^-2 = e^2k overflows past k = 354: a
+        # test at D = 355 would accept every draw, and 1/b_D would be 0
+        spec = ProblemSpec(
+            OperatorFamily.severely_ill_posed(1.0), SmoothnessFamily.ordinary_smooth(1.0), 1e-3
+        )
+        config = detector.calibrate(spec, 0.1, 0.1, d=354)
+        assert math.isfinite(config.threshold)
+        with pytest.raises(ValueError, match="threshold at D = 355 must be finite, got inf"):
+            detector.calibrate(spec, 0.1, 0.1, d=355)
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_replaced_threshold_must_be_finite(self, value):
+        config = detector.calibrate(flat_spec(), 0.1, 0.1, d=4)
+        with pytest.raises(ValueError, match="threshold at D = 4 must be finite"):
+            dataclasses.replace(config, threshold=value)
 
 
 class TestStatisticalBehaviour:

@@ -101,6 +101,8 @@ MUTANTS = (
     Mutant("alignment_bound", _CLI,
            "rho_sq >= 0.25 * d * s_w", "rho_sq >= 0.125 * d * s_w"),
     Mutant("margin_flag_level", _CLI, "MARGIN_FLAG_LEVEL = 0.1", "MARGIN_FLAG_LEVEL = 0.3"),
+    # the error boundary that turns a refused input into a config error
+    Mutant("error_boundary", _CLI, 'raise ConfigError(f"{args.command}: {exc}") from exc', "raise"),
 )
 
 
