@@ -12,9 +12,11 @@ timestamps or wall-clock values (those go to a sidecar .log file), so a rerun
 with the same config and seed is byte-identical at any thread count.
 A command computes all its outputs before any is written, and its .log line
 is written last; `main` alone writes them, creating the output directory
-only then, and a failed write is a config error.  `main` is also the one
-error boundary: a ValueError from any layer is a config error named after
-the command (exit 2); only a fault, a RuntimeError, escapes as a traceback.
+only then, and a failed write is a config error.  Each run prints one report
+line, ``<command>: <summary> -> <file> (ok|FAILED)``, and appends it after a
+timestamp to ``<command>.log``.  `main` is also the one error boundary: a
+ValueError from any layer is a config error named after the command (exit
+2); only a fault, a RuntimeError, escapes as a traceback.
 Exit status is 0 only when every asserted check passed.
 """
 
@@ -52,13 +54,13 @@ MARGIN_FLAG_LEVEL = 0.1
 @dataclass(frozen=True)
 class Outcome:
     """What one command computed, for `main` to write: its files in writing
-    order (name -> text), whether every asserted check passed, its ``.log``
-    line, and its stdout line for a given output directory."""
+    order (name -> text), whether every asserted check passed, and a summary
+    for the one report line, which names the first file; `main` alone
+    writes them, prints that line and appends it to ``<command>.log``."""
 
     files: dict[str, str]
     ok: bool
-    log: str
-    stdout: Callable[[Path], str]
+    summary: str
 
 
 def _fmt(x: float) -> str:
@@ -169,12 +171,10 @@ def run_bounds(config: ExperimentConfig) -> Outcome:
     """Radius bounds per eps plus, when the grid allows, a rate-fit summary."""
     _, c_beta = _calibration(config)
     table, summary, ok = _cell_table(config, config.problem, c_beta, "bounds")
-    n = len(config.eps_grid)
     return Outcome(
         {"bounds.csv": table, "bounds_fit.txt": _text(summary)},
         ok,
-        f"wrote {n} rows, fit_ok={ok}",
-        lambda out: f"bounds: {n} rows -> {out / 'bounds.csv'} (fit {'ok' if ok else 'FAILED'})",
+        f"{len(config.eps_grid)} rows",
     )
 
 
@@ -215,12 +215,7 @@ def run_calibrate(config: ExperimentConfig) -> Outcome:
     for d in ladder:
         lines.append(f"threshold.D={d} = {_fmt(detector.threshold(constants, problem, d))}")
 
-    return Outcome(
-        {"calibrate.txt": _text(lines)},
-        True,
-        f"D_selected={d_star}",
-        lambda out: f"calibrate: wrote {out / 'calibrate.txt'} (D = {d_star})",
-    )
+    return Outcome({"calibrate.txt": _text(lines)}, True, f"D = {d_star}")
 
 
 def _row_seeds(master_seed: int, count: int) -> list[int]:
@@ -285,12 +280,8 @@ def run_simulate(config: ExperimentConfig, threads: int = 1) -> Outcome:
              "true" if row_ok else "false"]
         )
 
-    n = len(rows)
     return Outcome(
-        {"simulate.csv": _csv(_SIMULATE_HEADER, rows), **chain},
-        ok,
-        f"rows={n} ok={ok}",
-        lambda out: f"simulate: {n} rows -> {out / 'simulate.csv'} ({'ok' if ok else 'FAILED'})",
+        {"simulate.csv": _csv(_SIMULATE_HEADER, rows), **chain}, ok, f"{len(rows)} rows"
     )
 
 
@@ -340,11 +331,11 @@ def run_rates(config: ExperimentConfig) -> Outcome:
     problem = config.problem
     cells = [(cell, *_cell_families(cell, problem)) for cell in config.cells]
     _, c_beta = _calibration(config)
-    files: dict[str, str] = {}
+    tables: dict[str, str] = {}
     summaries: list[str] = []
     ok = True
     for cell, operator, smoothness in cells:
-        files[f"rates_{cell.replace('/', '-')}.csv"], lines, passed = _cell_table(
+        tables[f"rates_{cell.replace('/', '-')}.csv"], lines, passed = _cell_table(
             config,
             replace(problem, operator=operator, smoothness=smoothness),
             c_beta,
@@ -352,16 +343,9 @@ def run_rates(config: ExperimentConfig) -> Outcome:
         )
         summaries.append("\n".join(lines))
         ok = ok and passed
-    files["rates_summary.txt"] = "\n\n".join(summaries) + "\n"
-    n = len(config.cells)
-    return Outcome(
-        files,
-        ok,
-        f"cells={n} ok={ok}",
-        lambda out: (
-            f"rates: {n} cells -> {out / 'rates_summary.txt'} ({'ok' if ok else 'FAILED'})"
-        ),
-    )
+    # the summary comes first: it is the file the report names
+    summary = "\n\n".join(summaries) + "\n"
+    return Outcome({"rates_summary.txt": summary, **tables}, ok, f"{len(config.cells)} cells")
 
 
 #: Each command's help text and how `main` runs it on the config and the
@@ -394,14 +378,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write(out_dir: Path, command: str, outcome: Outcome) -> None:
-    """The only writer: every file of the outcome in order, then its
-    timestamped line appended to ``<command>.log``."""
-    for name, text in outcome.files.items():
+def _write(out_dir: Path, command: str, files: dict[str, str], report: str) -> None:
+    """The only writer: every file in order, then the report line, after a
+    timestamp, appended to ``<command>.log``."""
+    for name, text in files.items():
         (out_dir / name).write_text(text)
     stamp = time.strftime("%Y-%m-%dT%H:%M:%S")
     with (out_dir / f"{command}.log").open("a") as fh:
-        fh.write(f"{stamp} {outcome.log}\n")
+        fh.write(f"{stamp} {report}\n")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -430,15 +414,17 @@ def main(argv: list[str] | None = None) -> int:
         except ValueError as exc:
             raise ConfigError(f"{args.command}: {exc}") from exc
         out_dir = Path(args.output or config.output_path or ".")
+        path = out_dir / next(iter(outcome.files))
+        report = f"{args.command}: {outcome.summary} -> {path} ({'ok' if outcome.ok else 'FAILED'})"
         try:
             out_dir.mkdir(parents=True, exist_ok=True)
-            _write(out_dir, args.command, outcome)
+            _write(out_dir, args.command, outcome.files, report)
         except OSError as exc:
             raise ConfigError(f"output directory {out_dir} is not writable: {exc}") from exc
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    print(outcome.stdout(out_dir))
+    print(report)
     return 0 if outcome.ok else 1
 
 

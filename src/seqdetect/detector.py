@@ -79,6 +79,9 @@ def statistic(y: np.ndarray, spec: ProblemSpec, d: int) -> float:
     if obs.ndim != 1 or obs.shape[0] < d:
         raise ValueError(f"need at least {d} observations, got shape {obs.shape}")
     w = spec.operator.inv_sq_array(np.arange(1, d + 1))
+    # an ill-posed b_k^-2 can overflow to inf, and inf * 0 is nan
+    if not np.isfinite(w).all():
+        raise ValueError(f"the weights b_k^-2 are not finite at every k <= D = {d}")
     return float(w @ (obs[:d] * obs[:d] - spec.eps**2))
 
 

@@ -38,6 +38,9 @@ Covers:
    command is a config error named after the command, a ConfigError keeps
    its message, and any other exception escapes; an infinite threshold is
    one such refusal; a list with an empty item is refused at its line
+13. One report per run: stdout is one line naming the command, its summary,
+   its first file and its verdict, and the last line of `<command>.log` is
+   that line after a timestamp; the negative control's report says FAILED
 """
 
 import math
@@ -863,15 +866,42 @@ class TestGoldenOutputs:
 
 
 class TestNegativeControl:
-    def test_zero_threshold_fails_simulate(self, tmp_path, monkeypatch):
+    def test_zero_threshold_fails_simulate(self, tmp_path, capsys, monkeypatch):
         # a threshold of 0 rejects about half of all null draws, far above
-        # alpha = 0.1, so the type I check must fail and the run exit 1
+        # alpha = 0.1, so the type I check must fail, the run exit 1 and its
+        # report line, printed and logged, say FAILED
         monkeypatch.setattr(detector, "threshold", lambda *args, **kwargs: 0.0)
         cfg = REPO / "configs" / "simulate.cfg"
         argv = ["simulate", "--config", str(cfg), "--output", str(tmp_path), "--reps", "1000"]
         assert cli.main(argv) == 1
         rows = (tmp_path / "simulate.csv").read_text().splitlines()[1:]
         assert any(row.endswith(",false") for row in rows)
+        report = f"simulate: 5 rows -> {tmp_path / 'simulate.csv'} (FAILED)"
+        assert capsys.readouterr().out == report + "\n"
+        assert (tmp_path / "simulate.log").read_text().endswith(f" {report}\n")
+
+
+class TestRunReport:
+    """Each run prints one report line, ``<command>: <summary> -> <file>
+    (ok|FAILED)``, naming its first file, and appends the same line after a
+    timestamp to ``<command>.log``."""
+
+    @pytest.mark.parametrize(
+        "command, summary, name",
+        [
+            ("bounds", "8 rows", "bounds.csv"),
+            ("calibrate", "D = 5", "calibrate.txt"),
+            ("simulate", "5 rows", "simulate.csv"),
+            ("rates", "6 cells", "rates_summary.txt"),
+        ],
+    )
+    def test_shipped_config(self, tmp_path, capsys, command, summary, name):
+        cfg = REPO / "configs" / f"{command}.cfg"
+        assert cli.main([command, "--config", str(cfg), "--output", str(tmp_path)]) == 0
+        report = f"{command}: {summary} -> {tmp_path / name} (ok)"
+        assert capsys.readouterr().out == report + "\n"
+        last = (tmp_path / f"{command}.log").read_text().splitlines()[-1]
+        assert re.fullmatch(r"\d{4}-\d{2}-\d{2}T\d{2}:\d{2}:\d{2} " + re.escape(report), last)
 
 
 

@@ -2,7 +2,8 @@
 
 Covers:
 1. Derived constants (C1, C2, K1, K2) at frozen oracle values
-2. Threshold and statistic arithmetic, boundary rejection convention
+2. Threshold and statistic arithmetic, boundary rejection convention; the
+   statistic refuses a D at which a weight b_k^-2 overflows
 3. The calibration equation: exact root, residual, the refusal of an
    unusable root, and the residual of the practical 8 K2/beta; a
    calibrated test's threshold must be finite
@@ -95,6 +96,23 @@ class TestThresholdAndStatistic:
     def test_statistic_length_check(self):
         with pytest.raises(ValueError, match="observations"):
             detector.statistic(np.array([1.0]), flat_spec(), 2)
+
+    @pytest.mark.parametrize("d", [354, 355, 400])
+    def test_statistic_refuses_an_overflowed_weight(self, d):
+        # b_k = e^-k: b_k^-2 = e^2k is +inf from k = 355 on, where y_k = eps
+        # would give inf * 0 = nan; up to 354 every weight is finite
+        spec = ProblemSpec(
+            OperatorFamily.severely_ill_posed(1.0),
+            SmoothnessFamily.ordinary_smooth(1.0),
+            eps=1e-3,
+        )
+        y = np.full(d, 1e-3)
+        y[0] = 1.0
+        if d < 355:
+            assert detector.statistic(y, spec, d) == pytest.approx(math.e**2 * (1.0 - 1e-6))
+        else:
+            with pytest.raises(ValueError, match=f"not finite at every k <= D = {d}$"):
+                detector.statistic(y, spec, d)
 
     @pytest.mark.parametrize(
         "model",

@@ -56,6 +56,7 @@ MUTANTS = (
     Mutant("k2_coefficient", _DETECTOR, "12.0 * math.sqrt(c1)", "11.0 * math.sqrt(c1)"),
     Mutant("detector_statistic_centre", _DETECTOR,
            "w @ (obs[:d] * obs[:d] - spec.eps**2)", "w @ (obs[:d] * obs[:d] - 0.98 * spec.eps**2)"),
+    Mutant("statistic_overflow", _DETECTOR, "if not np.isfinite(w).all():", "if False:"),
     # the error-rate kernel and its estimates
     Mutant("type1_count_tie", _MONTECARLO,
            "np.count_nonzero(t0 >= thr)", "np.count_nonzero(t0 > thr)"),
@@ -103,6 +104,8 @@ MUTANTS = (
     Mutant("margin_flag_level", _CLI, "MARGIN_FLAG_LEVEL = 0.1", "MARGIN_FLAG_LEVEL = 0.3"),
     # the error boundary that turns a refused input into a config error
     Mutant("error_boundary", _CLI, 'raise ConfigError(f"{args.command}: {exc}") from exc', "raise"),
+    # the one report line's verdict
+    Mutant("report_verdict", _CLI, "'ok' if outcome.ok else 'FAILED'", "'ok'"),
 )
 
 
