@@ -355,7 +355,7 @@ _COMMANDS: dict[str, tuple[str, Callable[[ExperimentConfig, argparse.Namespace],
     "calibrate": ("derived constants and thresholds", lambda config, args: run_calibrate(config)),
     "simulate": (
         "empirical type I/II error rates",
-        lambda config, args: run_simulate(config, threads=max(1, args.threads)),
+        lambda config, args: run_simulate(config, threads=args.threads),
     ),
     "rates": ("rate-law verification per benchmark cell", lambda config, args: run_rates(config)),
 }

@@ -33,6 +33,7 @@ from .sequences import (
     ScanResult,
     _is_count,
     eps_sq_grid,
+    inv_b_sq_weights,
     scan_spectrum,
     sum_inv_b_sq,
 )
@@ -74,14 +75,12 @@ def threshold(constants: DetectorConstants, spec: ProblemSpec, d: int) -> float:
 
 def statistic(y: np.ndarray, spec: ProblemSpec, d: int) -> float:
     """Cut-off statistic T_d = sum_{k<=d} b_k^-2 (y_k^2 - eps^2)."""
-    spec.check_bandwidth(d)
+    w = inv_b_sq_weights(spec, d)
     obs = np.asarray(y, dtype=float)
     if obs.ndim != 1 or obs.shape[0] < d:
         raise ValueError(f"need at least {d} observations, got shape {obs.shape}")
-    w = spec.operator.inv_sq_array(np.arange(1, d + 1))
-    # an ill-posed b_k^-2 can overflow to inf, and inf * 0 is nan
-    if not np.isfinite(w).all():
-        raise ValueError(f"the weights b_k^-2 are not finite at every k <= D = {d}")
+    if not np.isfinite(obs[:d]).all():
+        raise ValueError(f"the observations y_k are not finite at every k <= D = {d}")
     return float(w @ (obs[:d] * obs[:d] - spec.eps**2))
 
 

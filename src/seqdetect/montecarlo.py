@@ -46,6 +46,7 @@ from .sequences import (
     bias_term,
     boundary_signal,
     ellipsoid_membership,
+    inv_b_sq_weights,
     sum_inv_b_sq,
     within_cap,
 )
@@ -169,7 +170,7 @@ def estimate_type1(
 ) -> McEstimate:
     """Fraction of replications rejecting the null under theta = 0: the
     ``type1`` of `estimate_type2` at the zero signal."""
-    return estimate_type2(spec, config, model, Signal.zero(), reps, seed).type1
+    return estimate_type2(spec, config, model, Signal(), reps, seed).type1
 
 
 def estimate_type2(
@@ -190,6 +191,8 @@ def estimate_type2(
     """
     start = time.perf_counter()
     _check_reps(reps)
+    if not _is_count(threads):
+        raise ValueError(f"threads must be an integer of at least 1, got {threads!r}")
     check = ellipsoid_membership(spec.smoothness, theta)
     if not check.inside:
         raise ValueError(
@@ -384,11 +387,10 @@ def direction_stats(
     These are the two quantities the lower-bound argument actually bounds:
     the alignment rho^2 = sum_k b_k^-2 (Sigma v)_k^2 and the quadratic form
     v' Sigma v (at most D, the largest possible eigenvalue)."""
-    spec.check_bandwidth(d)
+    w = inv_b_sq_weights(spec, d)
     sigma = sigma_star.submatrix(d)
     v = np.full(d, 1.0 / math.sqrt(d))
     u = sigma @ v
-    w = spec.operator.inv_sq_array(np.arange(1, d + 1))
     rho_sq = float(w @ (u * u))
     v_sigma_v = float(v @ u)
     return v, u, rho_sq, v_sigma_v
@@ -409,7 +411,7 @@ def worst_case_signal(
     if r < 0 or not math.isfinite(r):
         raise ValueError("radius must be non-negative and finite")
     _, u, rho_sq, _ = direction_stats(spec, d, sigma_star)
-    w = spec.operator.inv_sq_array(np.arange(1, d + 1))
+    w = inv_b_sq_weights(spec, d)
     coeffs = r * np.sqrt(w) * u / math.sqrt(rho_sq)
     return WorstCaseSignal(theta_star=Signal(tuple(float(c) for c in coeffs)), rho_sq=rho_sq)
 

@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .sequences import ProblemSpec, _is_count
+from .sequences import ProblemSpec, _is_count, inv_b_sq_weights
 
 _EIG_TOLERANCE = 1e-10
 _LONG_RANGE_SHRINK = 0.8
@@ -61,11 +61,11 @@ MAX_DENSE_DIMENSION = 4096
 class CorrelationMatrix:
     """Symmetric PSD matrix with unit diagonal.
 
-    Construction validates symmetry, the unit diagonal, and that the smallest
-    eigenvalue is above -1e-10 (tiny negative values from upstream numerics
-    are accepted; anything worse is rejected).  ``validate_psd=False`` skips
-    the eigenvalue check for matrices whose spectrum was just verified by the
-    caller.
+    Construction validates finite entries, symmetry, the unit diagonal, and
+    that the smallest eigenvalue is above -1e-10 (tiny negative values from
+    upstream numerics are accepted; anything worse is rejected).
+    ``validate_psd=False`` skips the eigenvalue check for matrices whose
+    spectrum was just verified by the caller.
     """
 
     entries: np.ndarray
@@ -75,6 +75,8 @@ class CorrelationMatrix:
         m = np.array(self.entries, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("correlation matrix must be square")
+        if not np.isfinite(m).all():
+            raise ValueError("correlation matrix entries must be finite")
         if not np.allclose(m, m.T, atol=1e-10, rtol=0.0):
             raise ValueError("correlation matrix must be symmetric")
         m = (m + m.T) / 2.0
@@ -473,14 +475,15 @@ def null_variance_decomposition(
     S0 = 2 eps^4 sum_{k != l} b_k^-2 b_l^-2 Sigma_kl^2.
     S0 vanishes for independent coordinates.
     """
-    spec.check_bandwidth(d)
+    w = inv_b_sq_weights(spec, d)
     if cov.dimension < d:
         raise ValueError(f"covariance of dimension {cov.dimension} cannot cover bandwidth {d}")
-    w = spec.operator.inv_sq_array(np.arange(1, d + 1))
     eps4 = spec.eps**4
+    # the cross part off the diagonal alone: w M w less its diagonal part
+    # would cancel to rounding noise, or inf - inf, where w is large
     m = isserlis_cov_sq(CorrelationMatrix(cov.submatrix(d), validate_psd=False))
-    with np.errstate(over="ignore", invalid="ignore"):
+    np.fill_diagonal(m, 0.0)
+    with np.errstate(over="ignore"):
         r0 = eps4 * float(np.dot(w, w)) * 2.0
-        cross = float(w @ m @ w) - float(np.dot(w * w, np.diag(m)))
-        s0 = eps4 * cross
+        s0 = eps4 * float(w @ m @ w)
     return r0, s0

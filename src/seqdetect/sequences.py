@@ -261,18 +261,6 @@ class OperatorFamily(_Family):
     #: wraps it family by family
     inv_sq_array = _Family.inv_sq_array
 
-    @classmethod
-    def well_posed(cls, scale: float = 1.0) -> "OperatorFamily":
-        return cls(WELL_POSED, scale=scale)
-
-    @classmethod
-    def mildly_ill_posed(cls, exponent: float, scale: float = 1.0) -> "OperatorFamily":
-        return cls(MILDLY_ILL_POSED, exponent=exponent, scale=scale)
-
-    @classmethod
-    def severely_ill_posed(cls, exponent: float, scale: float = 1.0) -> "OperatorFamily":
-        return cls(SEVERELY_ILL_POSED, exponent=exponent, scale=scale)
-
 
 class SmoothnessFamily(_Family):
     """Non-decreasing positive weights a = (a_k) defining the ellipsoid.
@@ -292,14 +280,6 @@ class SmoothnessFamily(_Family):
         vals = self.values
         if vals is not None and any(b < a for a, b in zip(vals, vals[1:])):
             raise ValueError("smoothness values must be non-decreasing")
-
-    @classmethod
-    def ordinary_smooth(cls, exponent: float, scale: float = 1.0) -> "SmoothnessFamily":
-        return cls(ORDINARY_SMOOTH, exponent=exponent, scale=scale)
-
-    @classmethod
-    def super_smooth(cls, exponent: float, scale: float = 1.0) -> "SmoothnessFamily":
-        return cls(SUPER_SMOOTH, exponent=exponent, scale=scale)
 
 
 @dataclass(frozen=True)
@@ -362,10 +342,6 @@ class Signal:
     def __post_init__(self) -> None:
         if any(not math.isfinite(c) for c in self.coefficients):
             raise ValueError("signal coefficients must be finite")
-
-    @classmethod
-    def zero(cls) -> "Signal":
-        return cls(())
 
     def norm_sq(self) -> float:
         """The exactly rounded sum of squares; +inf once it overflows."""
@@ -472,6 +448,16 @@ def sum_inv_b_4(spec: ProblemSpec, d: int) -> float:
     """
     spec.check_bandwidth(d)
     return _partial_sum(_inv_b_terms(spec.operator, 4), d)
+
+
+def inv_b_sq_weights(spec: ProblemSpec, d: int) -> np.ndarray:
+    """The weights b_k^-2 for k = 1..d, all finite: an ill-posed b_k^-2 can
+    overflow to inf, and inf * 0 is nan."""
+    spec.check_bandwidth(d)
+    w = spec.operator.inv_sq_array(np.arange(1, d + 1))
+    if not np.isfinite(w).all():
+        raise ValueError(f"the weights b_k^-2 are not finite at every k <= D = {d}")
+    return w
 
 
 def bias_term(spec: ProblemSpec, d: int) -> float:

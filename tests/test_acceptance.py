@@ -38,6 +38,7 @@ from seqdetect.noise import (
     isserlis_cov_sq,
 )
 from seqdetect.sequences import (
+    OPERATOR_KINDS,
     OperatorFamily,
     ProblemSpec,
     SmoothnessFamily,
@@ -68,11 +69,11 @@ def shipped_models(d: int):
 class TestCriterion1TypeI:
     def test_type_one_control_all_families(self):
         alpha, d, reps = 0.1, 10, 10_000
-        operators = [OperatorFamily.well_posed(), OperatorFamily.mildly_ill_posed(1.0)]
+        operators = [OperatorFamily("well_posed"), OperatorFamily("mildly_ill_posed", 1.0)]
         failures = []
         for op in operators:
             spec = ProblemSpec(
-                op, SmoothnessFamily.ordinary_smooth(1.0), eps=0.1, fourth_moment_bound=3.0
+                op, SmoothnessFamily("ordinary_smooth", 1.0), eps=0.1, fourth_moment_bound=3.0
             )
             config = detector.calibrate(spec, alpha, 0.1, d=d)
             for i, model in enumerate(shipped_models(d)):
@@ -88,8 +89,8 @@ class TestCriterion2TypeII:
         alpha = beta = 0.1
         reps = 10_000
         spec = ProblemSpec(
-            OperatorFamily.well_posed(),
-            SmoothnessFamily.ordinary_smooth(1.0),
+            OperatorFamily("well_posed"),
+            SmoothnessFamily("ordinary_smooth", 1.0),
             eps=0.01,
             fourth_moment_bound=3.0,
         )
@@ -130,14 +131,14 @@ def _random_spec(rng) -> ProblemSpec:
     t = float(rng.uniform(0.3, 1.2))
     s = float(rng.uniform(0.7, 1.5))
     op = [
-        OperatorFamily.well_posed(),
-        OperatorFamily.mildly_ill_posed(t),
-        OperatorFamily.severely_ill_posed(t),
+        OperatorFamily("well_posed"),
+        OperatorFamily("mildly_ill_posed", t),
+        OperatorFamily("severely_ill_posed", t),
     ][kind]
     sm = (
-        SmoothnessFamily.ordinary_smooth(s)
+        SmoothnessFamily("ordinary_smooth", s)
         if rng.integers(0, 2) == 0
-        else SmoothnessFamily.super_smooth(s)
+        else SmoothnessFamily("super_smooth", s)
     )
     return ProblemSpec(op, sm, eps=0.1, fourth_moment_bound=3.0, d_max=D_MAX)
 
@@ -169,7 +170,7 @@ class TestCriterion3OrderingAndSameOrder:
         # two power-exponential weight sequences: ordering still holds but the
         # ratio-regularity check must reject them
         blowup = [math.exp(min(0.4 * k * k, 700.0)) for k in range(1, 65)]
-        for op in (OperatorFamily.well_posed(), OperatorFamily.mildly_ill_posed(0.8)):
+        for op in (OperatorFamily("well_posed"), OperatorFamily("mildly_ill_posed", 0.8)):
             specs.append(
                 ProblemSpec(
                     op,
@@ -226,15 +227,7 @@ RATE_CELLS = [
 
 
 def _family(kind: str, exponent: float):
-    if kind == "well_posed":
-        return OperatorFamily.well_posed()
-    if kind == "mildly_ill_posed":
-        return OperatorFamily.mildly_ill_posed(exponent)
-    if kind == "severely_ill_posed":
-        return OperatorFamily.severely_ill_posed(exponent)
-    if kind == "ordinary_smooth":
-        return SmoothnessFamily.ordinary_smooth(exponent)
-    return SmoothnessFamily.super_smooth(exponent)
+    return (OperatorFamily if kind in OPERATOR_KINDS else SmoothnessFamily)(kind, exponent)
 
 
 class TestCriterion4RateTable:
@@ -293,8 +286,8 @@ class TestCriterion5LowerBoundChain:
         budget = bounds.c_alpha_beta(alpha, beta)
         coeff = bounds.lower_coefficient(alpha, beta)
         spec = ProblemSpec(
-            OperatorFamily.well_posed(),
-            SmoothnessFamily.ordinary_smooth(1.0),
+            OperatorFamily("well_posed"),
+            SmoothnessFamily("ordinary_smooth", 1.0),
             eps=1.0,
             fourth_moment_bound=3.0,
         )
@@ -348,8 +341,8 @@ class TestCriterion6SecondOrderOracles:
 
         # analytic null variance against the empirical statistic variance
         spec = ProblemSpec(
-            OperatorFamily.mildly_ill_posed(0.5),
-            SmoothnessFamily.ordinary_smooth(1.0),
+            OperatorFamily("mildly_ill_posed", 0.5),
+            SmoothnessFamily("ordinary_smooth", 1.0),
             eps=0.3,
         )
         w = spec.operator.inv_sq_array(np.arange(1, 9))
@@ -389,8 +382,8 @@ class TestCriterion7CrossTermDecay:
     def test_cross_term_share_decays(self):
         s, t = 1.0, 0.5
         spec = ProblemSpec(
-            OperatorFamily.mildly_ill_posed(t),
-            SmoothnessFamily.ordinary_smooth(1.0),
+            OperatorFamily("mildly_ill_posed", t),
+            SmoothnessFamily("ordinary_smooth", 1.0),
             eps=0.1,
         )
         ds, ratios = [], []

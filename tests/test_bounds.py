@@ -48,7 +48,7 @@ class TestRadiusOptimisations:
         coeff = bounds.lower_coefficient(0.05, 0.05)
         eps = math.sqrt(0.001 / coeff)
         spec = make_spec(
-            OperatorFamily.well_posed(), SmoothnessFamily.ordinary_smooth(1.0), eps
+            OperatorFamily("well_posed"), SmoothnessFamily("ordinary_smooth", 1.0), eps
         )
         (rb,) = bounds.bounds_over_grid(spec, [eps], 0.05, 0.05)
         brute = max(range(1, 200), key=lambda k: min(0.001 * k, k**-2.0))
@@ -58,7 +58,7 @@ class TestRadiusOptimisations:
     def test_upper_delegates_to_bandwidth_selection(self):
         # c_beta eps^2 = 0.002 against bias D^-2: minimised at D = 10
         spec = make_spec(
-            OperatorFamily.well_posed(), SmoothnessFamily.ordinary_smooth(1.0), eps=1.0
+            OperatorFamily("well_posed"), SmoothnessFamily("ordinary_smooth", 1.0), eps=1.0
         )
         eps = math.sqrt(0.001)
         (rb,) = bounds.bounds_over_grid(spec, [eps], 0.05, 0.05, c_beta=2.0)
@@ -68,7 +68,7 @@ class TestRadiusOptimisations:
 
     def test_upper_monotone_in_eps(self):
         spec = make_spec(
-            OperatorFamily.mildly_ill_posed(0.5), SmoothnessFamily.ordinary_smooth(1.0), 0.2
+            OperatorFamily("mildly_ill_posed", 0.5), SmoothnessFamily("ordinary_smooth", 1.0), 0.2
         )
         hi, lo = bounds.bounds_over_grid(spec, [0.2, 0.1], 0.05, 0.05, c_beta=50.0)
         assert lo.upper_r2 <= hi.upper_r2
@@ -76,7 +76,8 @@ class TestRadiusOptimisations:
     def test_upper_overflowing_everywhere_raises(self):
         # every weight b_k^-2 is 1e308: no bandwidth has a finite objective
         spec = make_spec(
-            OperatorFamily.well_posed(1e-154), SmoothnessFamily.ordinary_smooth(1.0), 1.0
+            OperatorFamily("well_posed", scale=1e-154), SmoothnessFamily("ordinary_smooth", 1.0),
+            1.0,
         )
         with pytest.raises(ValueError, match="upper bound overflows at every bandwidth"):
             detector.select_bandwidth(spec, 2.0)
@@ -85,7 +86,8 @@ class TestRadiusOptimisations:
         # all three optima lie past D = 256, so each eps warns three times,
         # upper, lower and classical in turn, and every warning names this file
         spec = make_spec(
-            OperatorFamily.well_posed(), SmoothnessFamily.ordinary_smooth(1.0), 1e-30, d_max=256
+            OperatorFamily("well_posed"), SmoothnessFamily("ordinary_smooth", 1.0), 1e-30,
+            d_max=256,
         )
         with pytest.warns(UserWarning, match="scan limit") as record:
             bounds.bounds_over_grid(spec, [1e-30, 1e-31], 0.05, 0.05, c_beta=100.0)
@@ -103,14 +105,14 @@ class TestTheorem1Bounds:
             t = float(rng.uniform(0.3, 1.2))
             s = float(rng.uniform(0.5, 1.5))
             op = [
-                OperatorFamily.well_posed(),
-                OperatorFamily.mildly_ill_posed(t),
-                OperatorFamily.severely_ill_posed(t),
+                OperatorFamily("well_posed"),
+                OperatorFamily("mildly_ill_posed", t),
+                OperatorFamily("severely_ill_posed", t),
             ][kind]
             sm = (
-                SmoothnessFamily.ordinary_smooth(s)
+                SmoothnessFamily("ordinary_smooth", s)
                 if rng.integers(0, 2) == 0
-                else SmoothnessFamily.super_smooth(s)
+                else SmoothnessFamily("super_smooth", s)
             )
             eps = float(10.0 ** rng.uniform(-4, -0.5))
             alpha = float(rng.uniform(0.02, 0.4))
@@ -131,7 +133,7 @@ class TestTheorem1Bounds:
     )
     def test_unusable_calibration_constant_raises(self, c, message):
         spec = make_spec(
-            OperatorFamily.well_posed(), SmoothnessFamily.ordinary_smooth(1.0), 0.1, c=c
+            OperatorFamily("well_posed"), SmoothnessFamily("ordinary_smooth", 1.0), 0.1, c=c
         )
         with pytest.raises(ValueError, match=re.escape(message)):
             bounds.bounds_over_grid(spec, [0.1], 1e-300, 0.1)
@@ -140,7 +142,7 @@ class TestTheorem1Bounds:
     def test_unusable_caller_c_beta_raises(self, c_beta):
         # unchecked, c_beta = inf comes back as upper_r2 = inf, d_upper = 0
         spec = make_spec(
-            OperatorFamily.well_posed(), SmoothnessFamily.ordinary_smooth(1.0), 0.01
+            OperatorFamily("well_posed"), SmoothnessFamily("ordinary_smooth", 1.0), 0.01
         )
         message = f"c_beta must be a positive finite number, got {c_beta!r}"
         for call in (
@@ -160,7 +162,7 @@ class TestTheorem1Bounds:
         # below ln(C_ab)/4 the lower bound can exceed the upper one: here
         # 0.000984 against 0.000189, which is the caller's error, not a bug
         spec = make_spec(
-            OperatorFamily.well_posed(), SmoothnessFamily.ordinary_smooth(1.0), 0.01
+            OperatorFamily("well_posed"), SmoothnessFamily("ordinary_smooth", 1.0), 0.01
         )
         coeff = bounds.lower_coefficient(0.1, 0.1)
         message = f"c_beta = 0.01 is below the lower-bound coefficient ln(C_ab)/4 = {coeff!r}"
@@ -179,8 +181,8 @@ class TestClassicalComparator:
         for _ in range(15):
             t = float(rng.uniform(0.3, 1.0))
             spec = make_spec(
-                OperatorFamily.mildly_ill_posed(t),
-                SmoothnessFamily.ordinary_smooth(1.0),
+                OperatorFamily("mildly_ill_posed", t),
+                SmoothnessFamily("ordinary_smooth", 1.0),
                 eps=float(10.0 ** rng.uniform(-3, -1)),
             )
             (point,) = bounds.bounds_over_grid(spec, [spec.eps], 0.1, 0.1, c_beta=25.0)
@@ -188,7 +190,7 @@ class TestClassicalComparator:
 
     def test_bias_only_limit_hits_truncation(self):
         spec = make_spec(
-            OperatorFamily.well_posed(), SmoothnessFamily.ordinary_smooth(1.0), 1e-300,
+            OperatorFamily("well_posed"), SmoothnessFamily("ordinary_smooth", 1.0), 1e-300,
             d_max=128,
         )
         with pytest.warns(UserWarning, match="scan limit") as record:
@@ -203,7 +205,7 @@ class TestClassicalComparator:
         # D^-2 + eps^2 sqrt(D) at eps = 0.1 is minimised near D = 400^0.4 = 11,
         # well inside d_max = 64, so the scan must not warn
         spec = make_spec(
-            OperatorFamily.well_posed(), SmoothnessFamily.ordinary_smooth(1.0), 0.1, d_max=64
+            OperatorFamily("well_posed"), SmoothnessFamily("ordinary_smooth", 1.0), 0.1, d_max=64
         )
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -216,7 +218,7 @@ class TestClassicalComparator:
     def test_well_posed_rate_exponent(self):
         # balancing eps^2 sqrt(D) against D^-2s gives r^2 ~ eps^(8s/(4s+1))
         spec = make_spec(
-            OperatorFamily.well_posed(), SmoothnessFamily.ordinary_smooth(1.0), 0.1
+            OperatorFamily("well_posed"), SmoothnessFamily("ordinary_smooth", 1.0), 0.1
         )
         eps_grid = [2.0**-k for k in range(6, 17)]
         points = bounds.bounds_over_grid(spec, eps_grid, 0.1, 0.1)
@@ -230,7 +232,8 @@ class TestClassicalComparator:
         s, t = 1.0, 0.5
         c_beta = detector.solve_c_beta(detector.derive_constants(1.0, 0.25), 0.25)
         spec = make_spec(
-            OperatorFamily.mildly_ill_posed(t), SmoothnessFamily.ordinary_smooth(s), 0.1, c=1.0
+            OperatorFamily("mildly_ill_posed", t), SmoothnessFamily("ordinary_smooth", s), 0.1,
+            c=1.0,
         )
         eps_grid = [2.0**-k for k in range(4, 15)]
         points = bounds.bounds_over_grid(spec, eps_grid, 0.25, 0.25, c_beta)
@@ -248,7 +251,8 @@ class TestClassicalComparator:
         s = t = 0.25
         c_beta = detector.solve_c_beta(detector.derive_constants(1.0, 0.25), 0.25)
         spec = make_spec(
-            OperatorFamily.severely_ill_posed(t), SmoothnessFamily.super_smooth(s), 0.1, c=1.0
+            OperatorFamily("severely_ill_posed", t), SmoothnessFamily("super_smooth", s), 0.1,
+            c=1.0,
         )
         eps_grid = [2.0**-k for k in range(4, 15)]
         points = bounds.bounds_over_grid(spec, eps_grid, 0.25, 0.25, c_beta)
@@ -269,20 +273,20 @@ def _grid_specs():
     s, t = 0.75, 0.5
     specs = {}
     for op in (
-        OperatorFamily.well_posed(),
-        OperatorFamily.mildly_ill_posed(t),
-        OperatorFamily.severely_ill_posed(t),
+        OperatorFamily("well_posed"),
+        OperatorFamily("mildly_ill_posed", t),
+        OperatorFamily("severely_ill_posed", t),
     ):
-        for sm in (SmoothnessFamily.ordinary_smooth(s), SmoothnessFamily.super_smooth(s)):
+        for sm in (SmoothnessFamily("ordinary_smooth", s), SmoothnessFamily("super_smooth", s)):
             specs[f"{op.kind}/{sm.kind}"] = make_spec(op, sm, 0.1, c=1.0), grid
     rng = np.random.default_rng(17)
     specs["custom"] = make_spec(
         OperatorFamily.custom(np.sort(rng.uniform(0.05, 1.0, 300))[::-1]),
-        SmoothnessFamily.ordinary_smooth(1.0),
+        SmoothnessFamily("ordinary_smooth", 1.0),
         0.1,
     ), grid
     specs["overflowing"] = make_spec(
-        OperatorFamily.severely_ill_posed(5.0), SmoothnessFamily.super_smooth(0.1), 0.1
+        OperatorFamily("severely_ill_posed", 5.0), SmoothnessFamily("super_smooth", 0.1), 0.1
     ), [10.0**-k for k in range(10, 161, 15)]
     return specs
 
@@ -323,7 +327,7 @@ class TestGridScan:
         # classical minimisers sit at D = 5, 9, ..., 147 for eps = 2^-2..2^-8
         # and at D = 256 for eps = 2^-9; lower maximisers stay below 100
         spec = make_spec(
-            OperatorFamily.well_posed(), SmoothnessFamily.ordinary_smooth(1.0), 0.1, d_max=200
+            OperatorFamily("well_posed"), SmoothnessFamily("ordinary_smooth", 1.0), 0.1, d_max=200
         )
         grid = [2.0**-k for k in range(2, 10)]
         with warnings.catch_warnings(record=True) as caught:
@@ -339,7 +343,7 @@ class TestGridScan:
         # the grid is read by three scans, so a one-shot iterable must be
         # read once
         spec = make_spec(
-            OperatorFamily.mildly_ill_posed(1.0), SmoothnessFamily.ordinary_smooth(1.0), 0.1
+            OperatorFamily("mildly_ill_posed", 1.0), SmoothnessFamily("ordinary_smooth", 1.0), 0.1
         )
         grid = [0.1, 0.01, 0.001]
         want = bounds.bounds_over_grid(spec, grid, 0.1, 0.1)
@@ -353,7 +357,7 @@ class TestGridScan:
     )
     def test_invalid_grid_rejected(self, eps_grid):
         spec = make_spec(
-            OperatorFamily.well_posed(), SmoothnessFamily.ordinary_smooth(1.0), 0.1
+            OperatorFamily("well_posed"), SmoothnessFamily("ordinary_smooth", 1.0), 0.1
         )
         with pytest.raises(ValueError):
             bounds.bounds_over_grid(spec, eps_grid, 0.1, 0.1)
@@ -452,9 +456,11 @@ class TestUpperBoundDeepAsymptotics:
     @pytest.mark.parametrize(
         "op,sm,s,t",
         [
-            (OperatorFamily.severely_ill_posed(1.0), SmoothnessFamily.ordinary_smooth(0.5), 0.5, 1.0),
-            (OperatorFamily.well_posed(), SmoothnessFamily.super_smooth(0.5), 0.5, 0.0),
-            (OperatorFamily.mildly_ill_posed(0.5), SmoothnessFamily.super_smooth(0.5), 0.5, 0.5),
+            (OperatorFamily("severely_ill_posed", 1.0), SmoothnessFamily("ordinary_smooth", 0.5),
+             0.5, 1.0),
+            (OperatorFamily("well_posed"), SmoothnessFamily("super_smooth", 0.5), 0.5, 0.0),
+            (OperatorFamily("mildly_ill_posed", 0.5), SmoothnessFamily("super_smooth", 0.5),
+             0.5, 0.5),
         ],
         ids=["severely-ordinary", "wellposed-super", "mildly-super"],
     )

@@ -231,8 +231,8 @@ class TestConfigParsing:
         problem = parse_config(text).problem
         assert problem.operator == OperatorFamily("well_posed", 0.5)
         assert cli._cell_families("mildly_ill_posed/super_smooth", problem) == (
-            OperatorFamily.mildly_ill_posed(0.5),
-            SmoothnessFamily.super_smooth(1.0),
+            OperatorFamily("mildly_ill_posed", 0.5),
+            SmoothnessFamily("super_smooth", 1.0),
         )
 
 
@@ -1051,6 +1051,20 @@ class TestSimulateOnlyFlags:
         assert f"config error: {message}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_thread_count_must_be_positive(self, tmp_path, capsys, value):
+        # the library refuses the count, so the run is a config error of the
+        # command, with no output directory
+        cfg = write_config(tmp_path)
+        out = tmp_path / "out"
+        argv = ["simulate", "--config", str(cfg), "--output", str(out), "--threads", value]
+        assert cli.main(argv) == 2
+        assert (
+            f"config error: simulate: threads must be an integer of at least 1, got {value}"
+            in capsys.readouterr().err
+        )
+        assert not out.exists()
+
     def test_thread_default_ignores_the_environment(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SEQDETECT_THREADS", "zebra")
         args = cli.build_parser().parse_args(["simulate", "--config", "x.cfg"])
@@ -1138,8 +1152,8 @@ class TestFourthMomentBound:
 
         with pytest.raises(ValueError, match="finite and at least 1"):
             ProblemSpec(
-                OperatorFamily.well_posed(),
-                SmoothnessFamily.ordinary_smooth(1.0),
+                OperatorFamily("well_posed"),
+                SmoothnessFamily("ordinary_smooth", 1.0),
                 eps=0.1,
                 fourth_moment_bound=value,
             )

@@ -3,7 +3,8 @@
 Covers:
 1. Derived constants (C1, C2, K1, K2) at frozen oracle values
 2. Threshold and statistic arithmetic, boundary rejection convention; the
-   statistic refuses a D at which a weight b_k^-2 overflows
+   statistic refuses a D at which a weight b_k^-2 overflows, and a
+   non-finite observation y_k at k <= D
 3. The calibration equation: exact root, residual, the refusal of an
    unusable root, and the residual of the practical 8 K2/beta; a
    calibrated test's threshold must be finite
@@ -43,8 +44,8 @@ from seqdetect.sequences import (
 
 def flat_spec(eps=0.1, c=3.0, **kwargs):
     return ProblemSpec(
-        OperatorFamily.well_posed(),
-        SmoothnessFamily.ordinary_smooth(1.0),
+        OperatorFamily("well_posed"),
+        SmoothnessFamily("ordinary_smooth", 1.0),
         eps=eps,
         fourth_moment_bound=c,
         **kwargs,
@@ -75,8 +76,8 @@ class TestThresholdAndStatistic:
     def test_threshold_uses_partial_sum(self):
         constants = detector.derive_constants(3.0, 0.04)  # K1 = 10
         spec = ProblemSpec(
-            OperatorFamily.mildly_ill_posed(1.0),
-            SmoothnessFamily.ordinary_smooth(1.0),
+            OperatorFamily("mildly_ill_posed", 1.0),
+            SmoothnessFamily("ordinary_smooth", 1.0),
             eps=0.1,
         )
         assert detector.threshold(constants, spec, 3) == pytest.approx(1.4)
@@ -97,13 +98,30 @@ class TestThresholdAndStatistic:
         with pytest.raises(ValueError, match="observations"):
             detector.statistic(np.array([1.0]), flat_spec(), 2)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_statistic_refuses_a_non_finite_observation(self, value):
+        # a NaN statistic would accept the null without a word, and an
+        # infinite one reject it; y_k past D is not read
+        spec = flat_spec(eps=0.01)
+        config = detector.calibrate(spec, 0.1, 0.1)
+        d = config.d
+        assert d == 3
+        for k in (1, d):
+            y = np.ones(d + 1)
+            y[k - 1] = value
+            with pytest.raises(ValueError, match=f"y_k are not finite at every k <= D = {d}$"):
+                detector.decide(y, config, spec)
+        y = np.ones(d + 1)
+        y[d] = value
+        assert detector.decide(y, config, spec)
+
     @pytest.mark.parametrize("d", [354, 355, 400])
     def test_statistic_refuses_an_overflowed_weight(self, d):
         # b_k = e^-k: b_k^-2 = e^2k is +inf from k = 355 on, where y_k = eps
         # would give inf * 0 = nan; up to 354 every weight is finite
         spec = ProblemSpec(
-            OperatorFamily.severely_ill_posed(1.0),
-            SmoothnessFamily.ordinary_smooth(1.0),
+            OperatorFamily("severely_ill_posed", 1.0),
+            SmoothnessFamily("ordinary_smooth", 1.0),
             eps=1e-3,
         )
         y = np.full(d, 1e-3)
@@ -253,8 +271,8 @@ class TestBandwidthSelection:
             t = float(rng.uniform(0.3, 1.2))
             s = float(rng.uniform(0.5, 1.5))
             spec = ProblemSpec(
-                OperatorFamily.mildly_ill_posed(t),
-                SmoothnessFamily.ordinary_smooth(s),
+                OperatorFamily("mildly_ill_posed", t),
+                SmoothnessFamily("ordinary_smooth", s),
                 eps=float(rng.uniform(0.01, 0.3)),
             )
             c_beta = float(rng.uniform(1.0, 50.0))
@@ -305,7 +323,8 @@ class TestCalibrateConfig:
         # every weight b_k^-2 is 1e308, so c_beta eps^2 sum b^-2 overflows
         # at every bandwidth: none is left to select
         spec = ProblemSpec(
-            OperatorFamily.well_posed(1e-154), SmoothnessFamily.ordinary_smooth(1.0), 1.0
+            OperatorFamily("well_posed", scale=1e-154), SmoothnessFamily("ordinary_smooth", 1.0),
+            1.0,
         )
         with pytest.raises(
             ValueError,
@@ -318,7 +337,8 @@ class TestCalibrateConfig:
         # on b_k = e^-k the sum of b_k^-2 = e^2k overflows past k = 354: a
         # test at D = 355 would accept every draw, and 1/b_D would be 0
         spec = ProblemSpec(
-            OperatorFamily.severely_ill_posed(1.0), SmoothnessFamily.ordinary_smooth(1.0), 1e-3
+            OperatorFamily("severely_ill_posed", 1.0), SmoothnessFamily("ordinary_smooth", 1.0),
+            1e-3,
         )
         config = detector.calibrate(spec, 0.1, 0.1, d=354)
         assert math.isfinite(config.threshold)
@@ -362,8 +382,8 @@ class TestStatisticalBehaviour:
         # covariance, by the envelope R0 + S0 <= 2 C1 eps^4 (sum b^-2)^2
         rng = np.random.default_rng(55)
         spec = ProblemSpec(
-            OperatorFamily.mildly_ill_posed(0.6),
-            SmoothnessFamily.ordinary_smooth(1.0),
+            OperatorFamily("mildly_ill_posed", 0.6),
+            SmoothnessFamily("ordinary_smooth", 1.0),
             eps=0.4,
         )
         constants = detector.derive_constants(3.0, 0.07)

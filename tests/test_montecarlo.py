@@ -13,7 +13,8 @@ Covers:
 4. The least-favourable signal construction, its norm identity and its
    radius checks
 5. Chi-square divergence in closed form: 1 at r = 0, +inf where it
-   overflows or eps^2 = 0
+   overflows or eps^2 = 0; it and the other sums weighted by b_k^-2 refuse
+   a D at which a weight overflows
 6. Empirical separation radius: bracketing, monotonicity in beta, and the
    noise-level scaling implied by the well-posed rate; the exact endpoint
    sweep on handcrafted replications, agreement with the type II kernel,
@@ -25,6 +26,7 @@ import dataclasses
 import itertools
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -38,6 +40,7 @@ from seqdetect.noise import (
     IidScaledUniform,
     LongRangeGaussian,
     adversarial_sigma,
+    null_variance_decomposition,
 )
 from seqdetect.sequences import (
     OperatorFamily,
@@ -56,8 +59,8 @@ INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 def flat_spec(eps=0.1, c=3.0, s=1.0):
     return ProblemSpec(
-        OperatorFamily.well_posed(),
-        SmoothnessFamily.ordinary_smooth(s),
+        OperatorFamily("well_posed"),
+        SmoothnessFamily("ordinary_smooth", s),
         eps=eps,
         fourth_moment_bound=c,
     )
@@ -108,6 +111,15 @@ class TestErrorEstimates:
         with pytest.raises(ValueError, match="replications"):
             montecarlo.estimate_type1(spec, config, IidGaussian(), 10, 0)
 
+    @pytest.mark.parametrize("threads", [0, -3, True, 2.0])
+    def test_thread_count_must_be_a_positive_integer(self, threads):
+        spec = flat_spec()
+        config = detector.calibrate(spec, 0.1, 0.1, d=4)
+        with pytest.raises(
+            ValueError, match=re.escape(f"threads must be an integer of at least 1, got {threads!r}")
+        ):
+            montecarlo.estimate_type2(spec, config, IidGaussian(), Signal(), 1000, 0, threads=threads)
+
     @pytest.mark.parametrize("reps", [1000.5, 2000.0, math.nan, "1000"])
     def test_reps_must_be_an_integer(self, reps):
         # a float count used to reach range() in the replication blocks
@@ -126,7 +138,7 @@ class TestErrorEstimates:
         config = dataclasses.replace(
             detector.calibrate(spec, 0.1, 0.1, d=5), threshold=spec.eps**2 * (7.289 - 5.0)
         )
-        est2 = montecarlo.estimate_type2(spec, config, IidGaussian(), Signal.zero(), 4000, 3)
+        est2 = montecarlo.estimate_type2(spec, config, IidGaussian(), Signal(), 4000, 3)
         for est in (est2.type1, est2):
             assert 0.1 < min(est.p_hat, 1.0 - est.p_hat)
             assert est.std_err == math.sqrt(est.p_hat * (1.0 - est.p_hat) / est.reps)
@@ -163,7 +175,7 @@ class TestErrorEstimates:
         config = detector.calibrate(spec, 0.1, 0.1, d=5)
         model = AdversarialEquicorrelated()
         p1 = montecarlo.estimate_type1(spec, config, model, 2000, 99).p_hat
-        p2 = montecarlo.estimate_type2(spec, config, model, Signal.zero(), 2000, 99).p_hat
+        p2 = montecarlo.estimate_type2(spec, config, model, Signal(), 2000, 99).p_hat
         assert p1 + p2 == pytest.approx(1.0)
 
     def test_out_of_ellipsoid_signal_rejected(self):
@@ -180,7 +192,7 @@ class TestErrorEstimates:
         model = IidGaussian()
         single, pooled = (
             montecarlo.estimate_type2(
-                spec, config, model, Signal.zero(), 3000, 5, threads=threads
+                spec, config, model, Signal(), 3000, 5, threads=threads
             ).type1
             for threads in (1, 4)
         )
@@ -221,8 +233,8 @@ class TestBlockedKernelReference:
         counts check the identity T0 + s'Ws + 2 y'Ws itself."""
         flat = flat_spec(eps=0.1)
         mild = ProblemSpec(
-            OperatorFamily.mildly_ill_posed(0.5),
-            SmoothnessFamily.ordinary_smooth(1.0),
+            OperatorFamily("mildly_ill_posed", 0.5),
+            SmoothnessFamily("ordinary_smooth", 1.0),
             eps=0.1,
             fourth_moment_bound=3.0,
         )
@@ -275,7 +287,7 @@ class TestBlockedKernelReference:
         # the pool class is imported where a pool starts
         monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", recording_pool)
         got = montecarlo.estimate_type2(
-            spec, config, IidGaussian(), Signal.zero(), reps, 5, threads=64
+            spec, config, IidGaussian(), Signal(), reps, 5, threads=64
         ).type1
         assert workers and max(workers) <= 3
         assert got.p_hat == want.p_hat
@@ -343,7 +355,7 @@ class TestNegativeControls:
     def test_zero_signal_fails_type2_check(self, index):
         spec, config = self._setup()
         model = _shipped_models(config.d)[index]
-        est = montecarlo.estimate_type2(spec, config, model, Signal.zero(), 2000, 51 + index)
+        est = montecarlo.estimate_type2(spec, config, model, Signal(), 2000, 51 + index)
         assert est.p_hat > self.BETA + 3.0 * est.std_err, model.kind
 
 
@@ -363,7 +375,7 @@ class TestBoundedFamiliesExact:
     CASES = pytest.mark.parametrize(
         "operator, d, eps",
         list(itertools.product(
-            [OperatorFamily.well_posed(), OperatorFamily.mildly_ill_posed(0.5)],
+            [OperatorFamily("well_posed"), OperatorFamily("mildly_ill_posed", 0.5)],
             [1, 7, 200],
             [1e-3, 1e-5, 1e-9],
         )),
@@ -374,7 +386,7 @@ class TestBoundedFamiliesExact:
     def _setup(operator, d, eps, c=3.0, alpha=0.1):
         # s = 0.1 keeps every spike below inside the ellipsoid
         spec = ProblemSpec(
-            operator, SmoothnessFamily.ordinary_smooth(0.1), eps=eps, fourth_moment_bound=c
+            operator, SmoothnessFamily("ordinary_smooth", 0.1), eps=eps, fourth_moment_bound=c
         )
         return spec, detector.calibrate(spec, alpha, 0.1, d=d)
 
@@ -436,12 +448,12 @@ class TestMarkovSlackOneSided:
             d = int(rng.integers(2, 12))
             eps = float(10.0 ** rng.uniform(-2, 0))
             t = float(rng.uniform(0.2, 1.0))
-            op = OperatorFamily.well_posed() if rng.integers(0, 2) == 0 else (
-                OperatorFamily.mildly_ill_posed(t)
+            op = OperatorFamily("well_posed") if rng.integers(0, 2) == 0 else (
+                OperatorFamily("mildly_ill_posed", t)
             )
             spec = ProblemSpec(
                 op,
-                SmoothnessFamily.ordinary_smooth(1.0),
+                SmoothnessFamily("ordinary_smooth", 1.0),
                 eps=eps,
                 fourth_moment_bound=3.0,
             )
@@ -465,11 +477,11 @@ class TestGuaranteedDetectableSignal:
         [
             *itertools.product(
                 [
-                    OperatorFamily.well_posed(),
-                    OperatorFamily.mildly_ill_posed(1.0),
-                    OperatorFamily.severely_ill_posed(0.5),
+                    OperatorFamily("well_posed"),
+                    OperatorFamily("mildly_ill_posed", 1.0),
+                    OperatorFamily("severely_ill_posed", 0.5),
                 ],
-                [SmoothnessFamily.ordinary_smooth(1.0), SmoothnessFamily.super_smooth(0.2)],
+                [SmoothnessFamily("ordinary_smooth", 1.0), SmoothnessFamily("super_smooth", 0.2)],
             ),
             (
                 OperatorFamily.custom(np.arange(1.0, 2001.0) ** -0.5),
@@ -509,9 +521,9 @@ class TestGuaranteedDetectableSignal:
     @pytest.mark.parametrize(
         "smoothness",
         [
-            SmoothnessFamily.ordinary_smooth(1.0),
-            SmoothnessFamily.ordinary_smooth(0.25),
-            SmoothnessFamily.super_smooth(0.2),
+            SmoothnessFamily("ordinary_smooth", 1.0),
+            SmoothnessFamily("ordinary_smooth", 0.25),
+            SmoothnessFamily("super_smooth", 0.2),
             # plateaus: equal caps on runs of coordinates
             SmoothnessFamily.custom(np.repeat(np.arange(1.0, 33.0) ** 0.75, 4)),
         ],
@@ -523,7 +535,7 @@ class TestGuaranteedDetectableSignal:
         # the largest coordinate j <= D whose cap a_j^-2 holds the radius, by
         # walking down from D; eps = 1 puts the radius beyond a_1^-2
         spec = ProblemSpec(
-            OperatorFamily.well_posed(), smoothness, eps=eps, fourth_moment_bound=3.0
+            OperatorFamily("well_posed"), smoothness, eps=eps, fourth_moment_bound=3.0
         )
         c_beta = 30.0
         r_sq = c_beta * eps**2 * sum_inv_b_sq(spec, d) + bias_term(spec, d)
@@ -579,8 +591,8 @@ class TestWorstCaseSignal:
         for _ in range(20):
             d = int(rng.integers(1, 9))
             t = float(rng.uniform(0.0, 1.0))
-            op = OperatorFamily.well_posed() if t < 0.2 else OperatorFamily.mildly_ill_posed(t)
-            spec = ProblemSpec(op, SmoothnessFamily.ordinary_smooth(1.0), eps=0.5)
+            op = OperatorFamily("well_posed") if t < 0.2 else OperatorFamily("mildly_ill_posed", t)
+            spec = ProblemSpec(op, SmoothnessFamily("ordinary_smooth", 1.0), eps=0.5)
             f = rng.normal(size=(d, d + 2))
             m = f @ f.T
             scale = np.sqrt(np.diag(m))
@@ -660,6 +672,32 @@ class TestChiSquareDivergence:
         with pytest.raises(ValueError, match="bandwidth 5 exceeds the usable index range"):
             montecarlo.chi_sq_divergence(spec, 5, 0.1, sigma)
 
+    @pytest.mark.parametrize("d", [354, 355, 400])
+    def test_every_weighted_sum_refuses_an_overflowed_weight(self, d):
+        # b_k = e^-k: b_k^-2 = e^2k is +inf from k = 355 on, where it would
+        # make the alignment rho^2 inf, the divergence 1 and the worst-case
+        # signal inf / inf; up to 354 each returns without a warning
+        spec = ProblemSpec(
+            OperatorFamily("severely_ill_posed", 1.0),
+            SmoothnessFamily("ordinary_smooth", 1.0),
+            eps=1e-3,
+        )
+        sigma = CorrelationMatrix.identity(d)
+        calls = (
+            lambda: montecarlo.direction_stats(spec, d, sigma),
+            lambda: montecarlo.chi_sq_divergence(spec, d, 1e-3, sigma),
+            lambda: montecarlo.worst_case_signal(spec, d, 1e-5, sigma),
+            lambda: null_variance_decomposition(spec, sigma, d),
+        )
+        for call in calls:
+            if d < 355:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    call()
+            else:
+                with pytest.raises(ValueError, match=f"not finite at every k <= D = {d}$"):
+                    call()
+
     def test_nan_radius_rejected_and_infinite_radius_is_inf(self):
         spec = flat_spec(eps=1.0)
         sigma = adversarial_sigma(3, 0.8)
@@ -702,8 +740,8 @@ class TestSeparationRadius:
         # the spike at r = a_D^-1 has weighted mass one ulp above 1 here, so
         # the cap probe relies on the membership slack to accept it
         spec = ProblemSpec(
-            OperatorFamily.well_posed(),
-            SmoothnessFamily.ordinary_smooth(2.0273208137425875),
+            OperatorFamily("well_posed"),
+            SmoothnessFamily("ordinary_smooth", 2.0273208137425875),
             eps=0.1,
         )
         est = montecarlo.empirical_separation_radius(
@@ -721,7 +759,8 @@ class TestSeparationRadius:
 
     def test_upper_bound_overflowing_everywhere_raises(self):
         spec = ProblemSpec(
-            OperatorFamily.well_posed(1e-154), SmoothnessFamily.ordinary_smooth(1.0), 1.0
+            OperatorFamily("well_posed", scale=1e-154), SmoothnessFamily("ordinary_smooth", 1.0),
+            1.0,
         )
         with pytest.raises(ValueError, match="upper bound overflows at every bandwidth"):
             montecarlo.empirical_separation_radius(spec, 0.1, 0.1, IidGaussian(), 1000, 1)
@@ -796,8 +835,8 @@ class TestLastDownCrossing:
 def _pinned_radius_cases():
     d = 8
     mild = ProblemSpec(
-        OperatorFamily.mildly_ill_posed(0.5),
-        SmoothnessFamily.ordinary_smooth(1.0),
+        OperatorFamily("mildly_ill_posed", 0.5),
+        SmoothnessFamily("ordinary_smooth", 1.0),
         eps=0.005,
         fourth_moment_bound=3.0,
     )

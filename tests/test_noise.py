@@ -8,8 +8,9 @@ Covers:
 3. Closed-form moments of every shipped family (validate_moments at 1e5)
 4. The Gaussian squared-noise identities: empirical Cov(xi_k^2, xi_l^2)
    against 2 Sigma_kl^2 and E[(xi_k^2 - 1) xi_l] against 0
-5. The null variance split R0 + S0, its exact small cases, and the
-   class-wide envelope 2 C1 eps^4 (sum b^-2)^2
+5. The null variance split R0 + S0, its exact small cases, the
+   class-wide envelope 2 C1 eps^4 (sum b^-2)^2, and S0 = 0 for independent
+   noise however large the weights
 6. The size limit of the dense correlated families
 7. The long-range family builds each matrix once: its matrix, sampling
    factor and draws equal those of the dense c |k-l|^-s construction bit
@@ -55,7 +56,7 @@ LOOP_AMPLITUDES = (1e-300, 5e-4, 0.5, 0.7, 0.9, 1.0)
 
 def flat_spec(eps=1.0):
     return ProblemSpec(
-        OperatorFamily.well_posed(), SmoothnessFamily.ordinary_smooth(1.0), eps=eps
+        OperatorFamily("well_posed"), SmoothnessFamily("ordinary_smooth", 1.0), eps=eps
     )
 
 
@@ -177,6 +178,17 @@ class TestCorrelationMatrixValidation:
         bad = np.array([[1.0, 0.8, -0.8], [0.8, 1.0, 0.8], [-0.8, 0.8, 1.0]])
         with pytest.raises(ValueError, match="positive semidefinite"):
             CorrelationMatrix(bad)
+
+    @pytest.mark.parametrize("validate_psd", [True, False])
+    @pytest.mark.parametrize("entry", [(0, 0), (0, 1)], ids=["diagonal", "off-diagonal"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite_entries(self, value, entry, validate_psd):
+        # an infinite entry makes eigvalsh return NaN, which no PSD check
+        # refuses, and the Gaussian draws of the matrix all NaN
+        m = np.eye(2)
+        m[entry] = m[entry[::-1]] = value
+        with pytest.raises(ValueError, match="correlation matrix entries must be finite"):
+            CorrelationMatrix(m, validate_psd=validate_psd)
 
 
 class TestSampling:
@@ -317,8 +329,8 @@ class TestNullVarianceDecomposition:
 
     def test_matches_empirical_variance(self):
         spec = ProblemSpec(
-            OperatorFamily.mildly_ill_posed(0.5),
-            SmoothnessFamily.ordinary_smooth(1.0),
+            OperatorFamily("mildly_ill_posed", 0.5),
+            SmoothnessFamily("ordinary_smooth", 1.0),
             eps=0.5,
         )
         cov = adversarial_sigma(6, 0.75)
@@ -334,8 +346,8 @@ class TestNullVarianceDecomposition:
         # R0 + S0 <= 2 C1 eps^4 (sum b^-2)^2 with C1 = 2 for Gaussian noise
         rng = np.random.default_rng(43)
         spec = ProblemSpec(
-            OperatorFamily.mildly_ill_posed(0.8),
-            SmoothnessFamily.ordinary_smooth(1.0),
+            OperatorFamily("mildly_ill_posed", 0.8),
+            SmoothnessFamily("ordinary_smooth", 1.0),
             eps=0.7,
         )
         for _ in range(20):
@@ -352,6 +364,18 @@ class TestNullVarianceDecomposition:
     def test_dimension_guard(self):
         with pytest.raises(ValueError, match="cannot cover"):
             null_variance_decomposition(flat_spec(), CorrelationMatrix.identity(3), 4)
+
+    @pytest.mark.parametrize("d", [177, 178, 300])
+    def test_large_weights_leave_no_cross_part_for_independent_noise(self, d):
+        # b_k = e^-k: w M w less its diagonal part would cancel to about
+        # 1e280 at D = 177, and to inf - inf = nan from D = 178 on
+        spec = ProblemSpec(
+            OperatorFamily("severely_ill_posed", 1.0),
+            SmoothnessFamily("ordinary_smooth", 1.0),
+            eps=1e-3,
+        )
+        _, s0 = null_variance_decomposition(spec, CorrelationMatrix.identity(d), d)
+        assert s0 == 0.0
 
 
 class TestDenseDimensionLimit:

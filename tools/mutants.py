@@ -56,7 +56,8 @@ MUTANTS = (
     Mutant("k2_coefficient", _DETECTOR, "12.0 * math.sqrt(c1)", "11.0 * math.sqrt(c1)"),
     Mutant("detector_statistic_centre", _DETECTOR,
            "w @ (obs[:d] * obs[:d] - spec.eps**2)", "w @ (obs[:d] * obs[:d] - 0.98 * spec.eps**2)"),
-    Mutant("statistic_overflow", _DETECTOR, "if not np.isfinite(w).all():", "if False:"),
+    Mutant("statistic_overflow", _SEQUENCES, "if not np.isfinite(w).all():", "if False:"),
+    Mutant("observation_finite", _DETECTOR, "if not np.isfinite(obs[:d]).all():", "if False:"),
     # the error-rate kernel and its estimates
     Mutant("type1_count_tie", _MONTECARLO,
            "np.count_nonzero(t0 >= thr)", "np.count_nonzero(t0 > thr)"),
@@ -75,6 +76,7 @@ MUTANTS = (
            "r_sq = c_beta * spec.eps**2", "r_sq = 0.05 * c_beta * spec.eps**2"),
     Mutant("worst_case_negative_radius", _MONTECARLO,
            "if r < 0 or not math.isfinite(r):", "if not math.isfinite(r):"),
+    Mutant("thread_count", _MONTECARLO, "if not _is_count(threads):", "if False:"),
     # noise samplers
     Mutant("gaussian_scale", _NOISE,
            "return rng.standard_normal((n, d))", "return 1.05 * rng.standard_normal((n, d))"),
@@ -84,6 +86,16 @@ MUTANTS = (
     Mutant("adversarial_scale", _NOISE, "xi *= self._residual", "xi *= 1.05 * self._residual"),
     Mutant("long_range_square_root", _NOISE,
            "self._factor = _symmetric_sqrt(*eig)", "self._factor = cov.entries"),
+    # correlation matrices and the null variance split
+    Mutant("correlation_finite", _NOISE, "if not np.isfinite(m).all():", "if False:"),
+    Mutant("cross_part_off_diagonal", _NOISE,
+           """    np.fill_diagonal(m, 0.0)
+    with np.errstate(over="ignore"):
+        r0 = eps4 * float(np.dot(w, w)) * 2.0
+        s0 = eps4 * float(w @ m @ w)""",
+           """    with np.errstate(over="ignore", invalid="ignore"):
+        r0 = eps4 * float(np.dot(w, w)) * 2.0
+        s0 = eps4 * (float(w @ m @ w) - float(np.dot(w * w, np.diag(m))))"""),
     # radius bounds and scans
     Mutant("lower_coefficient", _BOUNDS,
            "math.log(c_alpha_beta(alpha, beta)) / 4.0",
