@@ -8,7 +8,9 @@ them).  The criteria:
 3. Radius-bound ordering on a randomized spec grid, and boundedness of the
    upper/lower ratio (no trend in log eps) whenever the ratio-regularity
    check holds
-4. Rate-table reproduction for all six operator x smoothness cells
+4. Rate-table reproduction for all six operator x smoothness cells, and
+   every bound scan of those cells next to the continuous optimum of its
+   closed-form interpolant
 5. The adversarial lower-bound chain: divergence budget, spectral bound,
    alignment bound, and the Monte Carlo divergence cross-check
 6. Gaussian squared-noise covariance identity and the analytic null variance
@@ -20,6 +22,7 @@ them).  The criteria:
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -43,6 +46,7 @@ from seqdetect.sequences import (
     ProblemSpec,
     SmoothnessFamily,
     bias_term,
+    sum_inv_b_4,
     sum_inv_b_sq,
 )
 
@@ -230,6 +234,54 @@ def _family(kind: str, exponent: float):
     return (OperatorFamily if kind in OPERATOR_KINDS else SmoothnessFamily)(kind, exponent)
 
 
+def _sum_interpolant(op_kind: str, t: float, power: int):
+    """S(x) and S'(x), elementary functions of a real x >= 1 that equal the
+    partial sum of b_k^-power (scale 1) at every integer: x for a constant
+    term, Faulhaber's sums for b_k^-2 = k (t = 1/2), and a geometric sum for
+    b_k^-power = e^(r k)."""
+    if op_kind == "well_posed":
+        return (lambda x: x), (lambda x: 1.0)
+    if op_kind == "mildly_ill_posed":
+        assert t == 0.5
+        if power == 2:
+            return (lambda x: x * (x + 1) / 2), (lambda x: x + 0.5)
+        return (lambda x: x * (x + 1) * (2 * x + 1) / 6), (lambda x: x * x + x + 1 / 6)
+    r = power * t
+    q = math.exp(r) / math.expm1(r)
+    return (lambda x: q * math.expm1(r * x)), (lambda x: q * r * math.exp(r * x))
+
+
+def _bias_interpolant(sm_kind: str, s: float):
+    """a_x^-2 and its derivative: x^-2s or e^-2sx."""
+    if sm_kind == "ordinary_smooth":
+        return (lambda x: x ** (-2 * s)), (lambda x: -2 * s * x ** (-2 * s - 1))
+    return (lambda x: math.exp(-2 * s * x)), (lambda x: -2 * s * math.exp(-2 * s * x))
+
+
+def _sign_change(f, lo: float, hi: float) -> float:
+    """Where f, negative and then positive on [lo, hi], changes sign, by
+    bisection; an end of the range when f keeps one sign there.  An
+    overflow counts as positive: only the variance term grows."""
+
+    def positive(x):
+        try:
+            return f(x) > 0
+        except OverflowError:
+            return True
+
+    if positive(lo) or not positive(hi):
+        return lo if positive(lo) else hi
+    while lo < (mid := (lo + hi) / 2) < hi:
+        lo, hi = (lo, mid) if positive(mid) else (mid, hi)
+    return hi
+
+
+def _next_to(x: float, d_max: int) -> set[int]:
+    """The integers next to x, clamped to [1, d_max]: where a one-valley
+    (or one-peak) objective that is optimal at x takes its integer optimum."""
+    return {min(max(math.floor(x), 1), d_max), min(max(math.ceil(x), 1), d_max)}
+
+
 class TestCriterion4RateTable:
     def test_all_six_cells(self):
         # alpha = beta = 0.25 with class constant 1 keeps the bound constants
@@ -262,6 +314,66 @@ class TestCriterion4RateTable:
                     )
         report("4 rate table", not failures, "6 cells, eps 2^-4..2^-14")
         assert not failures, failures
+
+    #: the well-posed, ordinary-smooth cell at s = 1/2: its classical scan
+    #: reaches the limit D_max = 2^22 from eps = 2^-16 on
+    TRUNCATING_CELL = ("well_posed", "ordinary_smooth", 0.5, 0.0)
+
+    @pytest.mark.parametrize(
+        "cell", [*RATE_CELLS, TRUNCATING_CELL], ids=lambda c: f"{c[0]}/{c[1]}/{c[2]}"
+    )
+    def test_every_scan_is_next_to_its_continuous_optimum(self, cell):
+        # every bound objective of these cells equals, at each integer k, an
+        # elementary function of a real x with one valley (one peak for the
+        # lower bound): its integer optimum lies next to the continuous one,
+        # found here by bisection in plain floats; past the limit the scan
+        # returns D_max and warns.  Each value is its objective at D,
+        # recomputed through the public partial sums and bias term.
+        op_kind, sm_kind, s, t = cell
+        alpha = beta = 0.25
+        d_max = 1 << 22
+        c_beta = detector.solve_c_beta(detector.derive_constants(1.0, alpha), beta)
+        c_low = bounds.lower_coefficient(alpha, beta)
+        eps_grid = [2.0**-k for k in range(4, 21)]
+        spec = ProblemSpec(_family(op_kind, t), _family(sm_kind, s), eps=eps_grid[0],
+                           fourth_moment_bound=1.0, d_max=d_max)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            points = bounds.bounds_over_grid(spec, eps_grid, alpha, beta, c_beta=c_beta)
+        s2, ds2 = _sum_interpolant(op_kind, t, 2)
+        s4, ds4 = _sum_interpolant(op_kind, t, 4)
+        bias, dbias = _bias_interpolant(sm_kind, s)
+        truncated = []
+        for eps, rb in zip(eps_grid, points):
+            u = c_beta * eps**2
+            x_upper = _sign_change(lambda x: u * ds2(x) + dbias(x), 1.0, d_max)
+            x_lower = _sign_change(lambda x: c_low * eps**2 * s2(x) - bias(x), 1.0, d_max)
+            x_classical = _sign_change(
+                lambda x: eps**2 * ds4(x) / (2 * math.sqrt(s4(x))) + dbias(x), 1.0, d_max
+            )
+            assert rb.d_upper in _next_to(x_upper, d_max), (eps, x_upper, rb)
+            assert rb.d_lower in _next_to(x_lower, d_max), (eps, x_lower, rb)
+            assert rb.d_classical in _next_to(x_classical, d_max), (eps, x_classical, rb)
+            assert rb.upper_r2 == (
+                c_beta * eps**2 * sum_inv_b_sq(spec, rb.d_upper) + bias_term(spec, rb.d_upper)
+            )
+            assert rb.lower_r2 == min(
+                c_low * eps**2 * sum_inv_b_sq(spec, rb.d_lower), bias_term(spec, rb.d_lower)
+            )
+            assert rb.classical_r2 == (
+                eps**2 * math.sqrt(sum_inv_b_4(spec, rb.d_classical))
+                + bias_term(spec, rb.d_classical)
+            )
+            truncated += [
+                f"{name}-bound {role} hit the scan limit D = {d_max}"
+                for name, role, d in (("upper", "minimiser", rb.d_upper),
+                                      ("lower", "maximiser", rb.d_lower),
+                                      ("classical", "minimiser", rb.d_classical))
+                if d == d_max
+            ]
+        assert sorted(str(w.message).split(";")[0] for w in caught) == sorted(truncated)
+        if cell == self.TRUNCATING_CELL:
+            assert truncated
 
 
 def _mc_divergence(spec: ProblemSpec, d: int, r: float, sigma, reps: int, seed: int) -> float:
