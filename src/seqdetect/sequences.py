@@ -18,19 +18,15 @@ exactly rounded sum of the previous carry and the chunk's terms
 ill-posed spectra overflow to ``+inf`` instead of raising, so optimisation
 loops can simply skip past the overflowed tail.
 
-Every optimisation over the bandwidth is one `scan_spectrum` call, a
-`scan_bandwidths` pass: the prefix sums of a spectrum are formed once per
-chunk and shared by any number of objectives (one per noise level of an eps
-grid, say), each of which freezes on its own once it stops improving.  Every
-objective is monotone in k and in the sum, so a block of bandwidths is
-bounded by one value at its corner, and only the bandwidths that can change
-an answer are evaluated.  Over a constant term, whose sum is known at any k,
-each objective skips every chunk it can certify (`_skip_ahead`: the chunk's
-last value beats the bounds on everything before its tail) and is evaluated
-densely only from its first uncertified chunk, near its optimum.  On the
-first chunk, an objective is evaluated past a short prefix only where a
-bound says it can still improve (`_first_chunk`).  The results are those of
-the dense pass.
+Every optimisation over the bandwidth is one `scan_spectrum` call.  Its
+chunked pass, `scan_bandwidths`, forms the prefix sums of a spectrum once per
+chunk and shares them among any number of objectives (one per noise level of
+an eps grid, say), each of which freezes on its own once it stops improving.
+Over a constant term, whose sum is known at any k, an objective with one
+valley is instead searched by bisection on that same stall rule
+(`_valleys`), all objectives in lockstep, so a scan whose optimum lies
+millions of bandwidths deep costs a few dozen evaluations per objective.
+Both give the results of the chunk-by-chunk pass.
 """
 
 from __future__ import annotations
@@ -72,23 +68,16 @@ DEFAULT_D_MAX = 1 << 16
 _SCAN_CHUNK = 4096
 #: Consecutive non-improving bandwidths after which a scan stops.
 _SCAN_STALL_LIMIT = 64
-#: Bandwidths of the first chunk at which every objective is evaluated
-#: before the rest of that chunk is bounded (see `_first_chunk`).
-_SCAN_PREFIX = 256
-#: Block bounds (see `_block_bounds`): the blocks widen by this factor away
-#: from a chunk's tail (or the first chunk's prefix), `_skip_ahead` certifies
-#: at most this many chunks per objective evaluation, and each bound is
-#: shrunk by this relative slack before it is compared.
-_SKIP_GROWTH = 1.05
-_SKIP_MAX_BATCH = 32
-_SKIP_SLACK = 2.0**-40
-#: A minimising objective that `_skip_ahead`'s lockstep pass stops at least
-#: this many chunks deep retries its next chunks one at a time with blocks
-#: widening by the finer factor.  A shallower objective has a sharper optimum,
-#: which the lockstep pass certifies nearly up to, so its retries would mostly
-#: fail and cost more than they save.
-_REFINE_DEPTH = 16
-_REFINE_GROWTH = 1.004
+#: The least super-smooth exponent s at which the classical objective
+#: eps^2 sqrt(S) + e^-2sk, S the sum of b^-4, provably has one valley.  Per
+#: step, the fall of e^-2sk shrinks by the factor e^-2s, and the rise of
+#: sqrt(S) by a factor of no less than (sqrt(2) + 1)/(sqrt(3) + sqrt(2)),
+#: about 0.767: that worst case is a constant term at k = 1 (numerically,
+#: the largest ratio of consecutive rises for b_k^-2 = k^2t falls at k = 1
+#: for t in [0, 1/2], and it shrinks as t grows).  So once a step rises,
+#: every later one does when e^-2s <= 0.767, that is for s >= s0, about
+#: 0.1324.
+_ONE_VALLEY_S = 0.5 * math.log((math.sqrt(3.0) + math.sqrt(2.0)) / (math.sqrt(2.0) + 1.0))
 _MEMBERSHIP_SLACK = 1e-12
 
 
@@ -360,9 +349,7 @@ class Signal:
 Terms = Union[Callable[[np.ndarray], np.ndarray], float]
 
 
-def _prefix_sums(
-    terms: Terms, limit: int, first_chunk: int = 0
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+def _prefix_sums(terms: Terms, limit: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Running sums of the terms over k = 1..limit, one chunk at a time.
 
     Yields ``(ks, sums)`` for consecutive chunks of at most ``_SCAN_CHUNK``
@@ -371,9 +358,7 @@ def _prefix_sums(
 
     A constant term c needs no summing: the exact sum of k copies of c is
     k * c, and every k below 2^53 converts to a float exactly, so
-    ``ks * c`` is the exactly rounded sum, and the chunks may start at any
-    ``first_chunk``.  A term function's chunks must start at the first (the
-    carry starts at 0).
+    ``ks * c`` is the exactly rounded sum.
 
     A term function is summed by a numpy cumsum inside each chunk, which
     adds up to ``_SCAN_CHUNK`` (4096) roundings to the running sums; the
@@ -386,7 +371,7 @@ def _prefix_sums(
     is requested, so a consumer that stops early never pays for it.
     """
     carry = 0.0
-    for k0 in range(1 + first_chunk * _SCAN_CHUNK, limit + 1, _SCAN_CHUNK):
+    for k0 in range(1, limit + 1, _SCAN_CHUNK):
         ks = np.arange(k0, min(k0 + _SCAN_CHUNK, limit + 1))
         if not callable(terms):
             with np.errstate(over="ignore"):
@@ -538,14 +523,13 @@ def scan_spectrum(
     maximize: bool = False,
 ) -> list[ScanResult]:
     """Optimise ``count`` objectives over the bandwidths 1..``spec.bandwidth_limit``
-    in one `scan_bandwidths` pass over the partial sums of b_k^-power (power
-    2 or 4), with ``value_fn`` and ``maximize`` as there: the one scan behind
-    every bound.
+    of the partial sums of b_k^-power (power 2 or 4), with ``value_fn`` and
+    ``maximize`` as in `scan_bandwidths`: the one scan behind every bound.
 
-    The pass stalls only when neither family is custom.  For the named
-    kinds the three bound objectives have one valley (one peak, when
-    maximising) in k, as b_k^-2 is a constant, k^2t or e^2tk (times the
-    scale) and a_k^-2 is k^-2s or e^-2sk, so it falls ever more slowly:
+    For the named kinds, b_k^-2 is a constant, k^2t or e^2tk (times the
+    scale) and a_k^-2 is k^-2s or e^-2sk, so it falls ever more slowly.  The
+    three bound objectives then have one valley (one peak, when maximising)
+    in k, with one exception:
 
     * the step of ``c eps^2 S + a_k^-2`` from k to k+1, ``c eps^2 b_{k+1}^-2``
       less the fall of a_k^-2, is non-decreasing in k: it is convex;
@@ -553,20 +537,41 @@ def scan_spectrum(
       non-increasing sequence: it rises up to their crossing, then falls;
     * in ``eps^2 sqrt(S) + a_k^-2``, with S the sum of b^-4, the rise of the
       first term per step shrinks no faster than k^-1/2, and the fall of
-      a_k^-2 like k^(-2s-1) or e^-2sk; their ratio grows with k, so the
-      objective falls until the rise outweighs the fall, then rises.
+      a_k^-2 = k^-2s like k^(-2s-1); their ratio grows with k, so the
+      objective falls until the rise outweighs the fall, then rises.  The
+      fall of a_k^-2 = e^-2sk shrinks by the factor e^-2s per step, and the
+      rise by a factor of no less than 0.767; for s below `_ONE_VALLEY_S`
+      (about 0.13) the fall can shrink faster, and a second valley, worse
+      or better, can follow the first.
 
-    Custom values need not have one: a plateau of a_k hides a later drop of
-    a_k^-2 from the stall rule, so a custom family is scanned to its limit.
+    So the scans go three ways:
+
+    * over a constant term (the well-posed kind), whose S(k) = fl(k c) costs
+      O(1) at any k, the upper and lower bounds (power 2) and the classical
+      bound against ``ordinary_smooth`` find their first optimum by
+      bisection on the stall rule (`_valleys`), in O(log D) evaluations
+      where the chunked pass takes O(D): their optima lie at D up to the
+      millions;
+    * every other scan of named kinds runs chunk by chunk and stalls
+      (`scan_bandwidths`): a term function's sums (the ill-posed kinds) are
+      formed chunk by chunk anyway, and the classical optimum against
+      ``super_smooth`` lies at D of order log(1/eps)/s, within a chunk or
+      two.  The exception is that classical scan below `_ONE_VALLEY_S`,
+      which runs to the limit;
+    * a custom family need not have one valley either: a plateau of a_k
+      hides a later drop of a_k^-2 from the stall rule, so it is scanned to
+      its limit.
     """
-    return scan_bandwidths(
-        _inv_b_terms(spec.operator, power),
-        value_fn,
-        spec.bandwidth_limit,
-        count,
-        maximize=maximize,
-        stall=CUSTOM not in (spec.operator.kind, spec.smoothness.kind),
-    )
+    operator, smooth = spec.operator, spec.smoothness
+    terms = _inv_b_terms(operator, power)
+    limit = spec.bandwidth_limit
+    named = CUSTOM not in (operator.kind, smooth.kind)
+    # one valley at any exponent: all but the classical scans against super smoothness
+    proven = power == 2 or smooth.kind == ORDINARY_SMOOTH
+    if named and proven and not callable(terms):
+        return _valleys(terms, value_fn, limit, count, maximize)
+    stall = named and (proven or smooth.exponent >= _ONE_VALLEY_S)
+    return scan_bandwidths(terms, value_fn, limit, count, maximize=maximize, stall=stall)
 
 
 def scan_bandwidths(
@@ -578,77 +583,97 @@ def scan_bandwidths(
     maximize: bool = False,
     stall: bool = True,
 ) -> list[ScanResult]:
-    """Optimise ``count`` objectives over integer bandwidths 1..limit in one pass.
+    """Optimise ``count`` objectives over integer bandwidths 1..limit in one
+    pass, chunk by chunk.
 
     ``value_fn(ks, sums, rows)`` gets indices, sums of ``terms`` and the
     indices of the objectives to evaluate, and returns one row of values per
     entry of ``rows``.  ``ks`` and ``sums`` are 1-d, shared by every row, or
-    2-d, one row of points per entry of ``rows``; a row's values may depend
-    only on its own objective and on each (k, sum) pair, not on the other
-    pairs passed with it, so a 2-d call equals the 1-d calls of its rows
-    (numpy broadcasting of ``coeffs[rows, np.newaxis] * sums`` gives both).
-    Each objective keeps its own incumbent.  With ``stall`` set, it
-    freezes once ``_SCAN_STALL_LIMIT`` consecutive bandwidths fail to improve
-    on it; frozen objectives are never evaluated again, and the pass ends
-    when all are frozen.  Without it, every objective runs to the limit.
-    Ties keep the smaller bandwidth, a NaN is never an optimum, and
-    `truncated` is set when an optimiser lands on the scan limit.  The stall
-    rule finds the optimum of an objective with one valley (one peak, when
-    maximising) in k; `scan_spectrum` says which scans may use it.
+    2-d, one row of points per entry of ``rows`` (as `_valleys` passes
+    them); a row's values may depend only on its own objective and on each
+    (k, sum) pair, not on the other pairs passed with it, so a 2-d call
+    equals the 1-d calls of its rows (numpy broadcasting of
+    ``coeffs[rows, np.newaxis] * sums`` gives both).
 
-    Precondition, for every scan: each objective is non-decreasing in the
-    sum and non-increasing in k, the shape of all three bound objectives
-    (``c eps^2 S + a_k^-2``, ``min(c eps^2 S, a_k^-2)`` and
-    ``eps^2 sqrt(S) + a_k^-2``).  Prefix sums are non-decreasing in k, so an
-    objective's value at the corner (hi, S(lo)) of a block of bandwidths
-    lo..hi is at most each of its values over the block (at (lo, S(hi)), at
-    least each, when maximising; see `_block_bounds`), and ``value_fn`` also
-    sees such mixed points.  Under it the results are exactly those of
-    evaluating every running objective on every chunk of ``_SCAN_CHUNK``
-    prefix sums until it freezes (or to the limit, without ``stall``), while
-    only the bandwidths that can change a result are evaluated:
-
-    * over a constant term, each objective first skips the chunks that
-      `_skip_ahead` certifies from one witness each (all objectives in
-      lockstep, then each deep one on its own, with finer blocks and 2-d
-      points), and joins the pass at its first uncertified chunk with the
-      incumbent the chunk-by-chunk pass would have there;
-    * on the scan's first chunk, where no objective has an incumbent yet,
-      each is evaluated on the first ``_SCAN_PREFIX`` bandwidths only
-      (`_first_chunk`); the rest of the chunk is bounded block by block, and
-      evaluated only for the objectives that bound cannot settle.
-
-    Both only prove where the running optimum lies, so they hold with or
-    without ``stall``.
+    Every running objective is evaluated on each chunk of ``_SCAN_CHUNK``
+    prefix sums and keeps its own incumbent.  With ``stall`` set, it freezes
+    at the end of the first chunk that ends ``_SCAN_STALL_LIMIT`` or more
+    bandwidths past its incumbent; frozen objectives are never evaluated
+    again, and the pass ends when all are frozen.  Without it, every
+    objective runs to the limit.  Ties keep the smaller bandwidth, a NaN is
+    never an optimum, an objective that is never better than +inf (-inf,
+    when maximising) reports D = 0, and `truncated` is set when an optimiser
+    lands on the scan limit.  The stall rule finds the optimum of an
+    objective with one valley (one peak, when maximising) in k;
+    `scan_spectrum` says which scans may use it.
     """
     if limit < 1:
         raise ValueError("bandwidth limit must be at least 1")
     best_d = np.zeros(count, dtype=np.int64)
     best = np.full(count, -math.inf if maximize else math.inf)
-    if callable(terms):
-        first = np.zeros(count, dtype=np.int64)
-    else:
-        first = _skip_ahead(terms, value_fn, limit, best, best_d, maximize)
-    # objectives join the pass at their first dense chunk, in that order
-    waiting = np.argsort(first, kind="stable")
-    rows = np.empty(0, dtype=np.int64)
-    while rows.size or waiting.size:
-        if not rows.size:
-            chunk = int(first[waiting[0]])
-            chunks = _prefix_sums(terms, limit, chunk)
-        ks, sums = next(chunks)
-        joining = int(np.searchsorted(first[waiting], chunk, side="right"))
-        rows, waiting = np.concatenate((rows, waiting[:joining])), waiting[joining:]
-        if chunk:
-            _fold(value_fn, ks, sums, rows, best, best_d, maximize)
-        else:  # no objective has an incumbent yet
-            _first_chunk(value_fn, ks, sums, rows, best, best_d, maximize)
+    rows = np.arange(count)
+    for ks, sums in _prefix_sums(terms, limit):
+        _fold(value_fn, ks, sums, rows, best, best_d, maximize)
         if stall:
             rows = rows[ks[-1] - best_d[rows] < _SCAN_STALL_LIMIT]
-        if ks[-1] == limit:
+        if not rows.size:
             break
-        chunk += 1
     return [ScanResult(int(d), float(v), int(d) == limit) for d, v in zip(best_d, best)]
+
+
+def _valleys(
+    c: float,
+    value_fn: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
+    limit: int,
+    count: int,
+    maximize: bool,
+) -> list[ScanResult]:
+    """`scan_bandwidths` with ``stall`` set over a constant term c, for
+    objectives with one valley (one peak, when maximising) in k: the same
+    results from O(log D) evaluations per objective.
+
+    With S(k) = fl(k * c) known at any k, the stall rule's own predicate can
+    be tested at any k: none of k+1..k+64 (up to the limit) improves on k, a
+    NaN counting as the worst value.  Under one valley it fails before an
+    objective's first optimum and holds from there on, so that optimum is
+    the first k where it holds, found by galloping over k = 1, 2, 4, ...
+    until it holds and then bisecting.  The chunked pass freezes 64 or more
+    past the same optimum and returns it too.  All objectives move in
+    lockstep, with one 2-d ``value_fn`` call of shape (rows, 65) per round.
+    An objective whose value there is the worst one (which, under one
+    valley, it then is everywhere) reports D = 0, as in the chunked pass.
+    """
+    sign = -1.0 if maximize else 1.0
+    steps = np.arange(_SCAN_STALL_LIMIT + 1)
+
+    def stalls(rows: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Whether the predicate holds at each row's k, and the row's
+        (signed) value there."""
+        ks = np.minimum(k[:, np.newaxis] + steps, limit)
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals = sign * value_fn(ks, ks * c, rows)
+        vals[np.isnan(vals)] = math.inf
+        return (vals[:, 1:] >= vals[:, :1]).all(axis=1), vals[:, 0]
+
+    # the predicate fails at lo (at lo = 0 by convention) and holds at hi,
+    # where best is the value; at the limit it holds, as every k+j is clamped
+    # to the limit, and the gallop stops there in any case
+    lo, hi = np.zeros(count, dtype=np.int64), np.ones(count, dtype=np.int64)
+    best = np.empty(count)
+    rows = np.arange(count)
+    while rows.size:
+        held, best[rows] = stalls(rows, hi[rows])
+        rows = rows[~held & (hi[rows] < limit)]
+        lo[rows], hi[rows] = hi[rows], np.minimum(2 * hi[rows], limit)
+    rows = np.flatnonzero(hi - lo > 1)
+    while rows.size:
+        mid = (lo[rows] + hi[rows]) // 2
+        held, vals = stalls(rows, mid)
+        hi[rows[held]], best[rows[held]] = mid[held], vals[held]
+        lo[rows[~held]] = mid[~held]
+        rows = rows[hi[rows] - lo[rows] > 1]
+    d = np.where(best < math.inf, hi, 0)
+    return [ScanResult(int(k), float(sign * v), int(k) == limit) for k, v in zip(d, best)]
 
 
 def _fold(
@@ -688,187 +713,3 @@ def _chunk_optima(vals: np.ndarray, maximize: bool) -> tuple[np.ndarray, np.ndar
         idx[nan] = pick(fixed, axis=1)
         candidates[nan] = fixed[np.arange(fixed.shape[0]), idx[nan]]
     return idx, candidates
-
-
-def _growing_blocks(n: int, growth: float) -> tuple[np.ndarray, np.ndarray]:
-    """First and last offset of consecutive blocks covering offsets 0..n-1:
-    the first is one index wide, and each next one ``growth`` times wider
-    (rounded down).  A chunk takes about 110 blocks at ``_SKIP_GROWTH`` and
-    about 735 at ``_REFINE_GROWTH``."""
-    los, his = [], []
-    lo, width = 0, 1.0
-    while lo < n:
-        los.append(lo)
-        his.append(min(n - 1, lo + int(width) - 1))
-        lo, width = his[-1] + 1, width * growth
-    return np.array(los), np.array(his)
-
-
-#: Offsets below a chunk's witness, its last index e, of the blocks that
-#: `_skip_ahead` bounds: the 4096 indices from e-64 down, in blocks that widen
-#: away from the tail.  They cover the previous chunk's tail and this chunk's
-#: head, in 110 blocks (the lockstep pass) or 735 (the retries of deep
-#: objectives).
-_SKIP_BELOW_LO, _SKIP_BELOW_HI = (
-    _SCAN_STALL_LIMIT + b for b in _growing_blocks(_SCAN_CHUNK, _SKIP_GROWTH)
-)
-_FINE_BELOW_LO, _FINE_BELOW_HI = (
-    _SCAN_STALL_LIMIT + b for b in _growing_blocks(_SCAN_CHUNK, _REFINE_GROWTH)
-)
-_TAIL = np.arange(_SCAN_CHUNK - _SCAN_STALL_LIMIT, _SCAN_CHUNK)
-#: The blocks that bound the first chunk past its prefix, widening away from it.
-_REST_LO, _REST_HI = (
-    _SCAN_PREFIX + b for b in _growing_blocks(_SCAN_CHUNK - _SCAN_PREFIX, _SKIP_GROWTH)
-)
-_NO_POINTS = np.empty(0, dtype=np.int64)
-
-
-def _block_bounds(
-    value_fn: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
-    rows: np.ndarray,
-    lo: np.ndarray,
-    hi: np.ndarray,
-    sum_at: Callable[[np.ndarray], np.ndarray],
-    maximize: bool,
-    points: np.ndarray = _NO_POINTS,
-) -> tuple[np.ndarray, np.ndarray]:
-    """A bound on each row's values over each group of blocks of bandwidths
-    lo..hi, and its exact values at ``points``, from one ``value_fn`` call;
-    ``sum_at`` gives the prefix sum at any bandwidth.
-
-    The blocks are shared by all rows, with ``lo`` and ``hi`` of shape
-    (groups, blocks) and ``points`` 1-d, or each row has its own, with
-    shapes (rows, groups, blocks) and (rows, points); ``value_fn`` then gets
-    2-d indices and sums, one row per entry of ``rows``.  The bounds have
-    shape (rows, groups), the values (rows, points).
-
-    Both are returned negated when maximising, so that they always read as
-    minimising: a group's bound is then at most every value in its blocks.
-    A block is bounded by the objective at (hi, S(lo)), or at (lo, S(hi))
-    when maximising: under the scan's precondition that is its extreme value
-    over the block, as S is non-decreasing in k.  A group's bound, the least
-    of its blocks' (NaN if any is NaN), is shrunk by the relative
-    ``_SKIP_SLACK``, so a value a few ulps off cannot pass it; a bound of
-    +inf becomes NaN, which no comparison passes.
-    """
-    sign = -1.0 if maximize else 1.0
-    corner_k, corner_s = (lo, hi) if maximize else (hi, lo)
-    shape = (*points.shape[:-1], -1)
-    ks = np.concatenate((points, corner_k.reshape(shape)), axis=-1)
-    at = np.concatenate((points, corner_s.reshape(shape)), axis=-1)
-    n = points.shape[-1]
-    with np.errstate(over="ignore", invalid="ignore"):
-        vals = sign * value_fn(ks, sum_at(at), rows)
-        bounds = vals[:, n:].reshape(rows.size, *lo.shape[-2:]).min(axis=2)
-        bounds -= np.abs(bounds) * _SKIP_SLACK
-    return bounds, vals[:, :n]
-
-
-def _first_chunk(
-    value_fn: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
-    ks: np.ndarray,
-    sums: np.ndarray,
-    rows: np.ndarray,
-    best: np.ndarray,
-    best_d: np.ndarray,
-    maximize: bool,
-) -> None:
-    """Fold the scan's first chunk into objectives with no incumbent yet,
-    evaluating it past its first ``_SCAN_PREFIX`` bandwidths only where that
-    can change an incumbent.
-
-    After the prefix, an objective whose incumbent lies within
-    ``_SCAN_STALL_LIMIT`` of the prefix end is evaluated on the rest of the
-    chunk.  Every other one is first bounded over the rest, in blocks that
-    widen away from the prefix (`_block_bounds`), and evaluated only when
-    some bound does not beat its incumbent strictly.  When every bound does,
-    no value past the prefix improves on the incumbent, and the
-    chunk-by-chunk pass freezes at the chunk's end with that incumbent too.
-    """
-    prefix = _SCAN_PREFIX
-    _fold(value_fn, ks[:prefix], sums[:prefix], rows, best, best_d, maximize)
-    if ks.size <= prefix:
-        return
-    evaluate = ks[prefix - 1] - best_d[rows] < _SCAN_STALL_LIMIT
-    far = rows[~evaluate]
-    if far.size:
-        keep = _REST_LO < ks.size
-        lo = ks[_REST_LO[keep]][np.newaxis]
-        hi = ks[np.minimum(_REST_HI[keep], ks.size - 1)][np.newaxis]
-        bounds, _ = _block_bounds(value_fn, far, lo, hi, lambda k: sums[k - ks[0]], maximize)
-        evaluate[~evaluate] = ~((-best[far] if maximize else best[far]) < bounds[:, 0])
-    rest = rows[evaluate]
-    if rest.size:
-        _fold(value_fn, ks[prefix:], sums[prefix:], rest, best, best_d, maximize)
-
-
-def _skip_ahead(
-    c: float,
-    value_fn: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
-    limit: int,
-    best: np.ndarray,
-    best_d: np.ndarray,
-    maximize: bool,
-) -> np.ndarray:
-    """The chunk from which each objective of a constant-term scan must be
-    evaluated densely; ``best`` and ``best_d`` get the chunk-by-chunk pass's
-    state just before that chunk.
-
-    Stated for minimising (maximising mirrors it), with S(k) = fl(k * c).
-    Chunk i, with last index e, is certified from one witness, the value
-    f(e): it must be strictly below the bound (`_block_bounds`) on the 4096
-    values at k = e-4159..e-64, which are chunk i's head and chunk i-1's
-    64-value tail (for the first chunk, its head alone).  Then the least
-    value of chunk i's tail, at most f(e), is strictly below every value at
-    k <= e-64: below those by the bound, and below everything before chunk
-    i-1's tail as chunk i-1 was certified, which put its least value in its
-    tail.  The chunk-by-chunk pass therefore does not freeze on a certified
-    chunk, and its incumbent after one is the first optimum of that chunk's
-    tail.  A certified chunk costs 111 values (110 blocks and the witness);
-    each objective's incumbent is read once, from the 64-value tail of its
-    last certified chunk, with NaNs ranked as `_chunk_optima` ranks them.
-
-    Chunks are tried in lockstep, in doubling batches of up to
-    ``_SKIP_MAX_BATCH``, one ``value_fn`` call per batch for all objectives
-    still skipping.  Near a deep, flat optimum the 110 blocks are too wide:
-    the bound on the widest, about 200 bandwidths each, is loose by more than
-    the objective falls over a chunk.  So an objective stopped at least
-    ``_REFINE_DEPTH`` chunks deep then retries its next chunk with the same
-    proof over 735 blocks that widen by ``_REFINE_GROWTH``, and advances one
-    chunk per success, all such objectives in one ``value_fn`` call per round
-    with each row's own indices.  Only minimising objectives retry.  The one
-    maximised objective, the lower bound's min(c S, a^-2), equals c S below
-    its kink, where the corner (lo, S(hi)) bounds a block exactly, so the
-    lockstep pass stops only at its peak and no finer cover moves it.  The
-    last chunk is never certified, nor is a chunk whose witness or bound is
-    NaN (every comparison with it fails).
-    """
-    first = np.zeros(best.size, dtype=np.int64)
-    certifiable = (limit - 1) // _SCAN_CHUNK
-    rows = np.arange(best.size)
-    chunk, batch = 0, 1
-    while rows.size and chunk < certifiable:
-        n = min(batch, certifiable - chunk)
-        ends = (chunk + 1 + np.arange(n)) * _SCAN_CHUNK
-        # only the first chunk's blocks reach below k = 1; they shrink to k = 1
-        lo = np.maximum(ends[:, np.newaxis] - _SKIP_BELOW_HI, 1)
-        hi = np.maximum(ends[:, np.newaxis] - _SKIP_BELOW_LO, 1)
-        bounds, witness = _block_bounds(value_fn, rows, lo, hi, lambda k: k * c, maximize, ends)
-        certified = witness < bounds
-        run = np.where(certified.all(axis=1), n, certified.argmin(axis=1))
-        first[rows] = chunk + run
-        rows = rows[run == n]
-        chunk, batch = chunk + n, min(2 * batch, _SKIP_MAX_BATCH)
-    rows = np.flatnonzero((first >= _REFINE_DEPTH) & (first < certifiable))
-    while rows.size and not maximize:
-        ends = (first[rows, np.newaxis] + 1) * _SCAN_CHUNK
-        lo = (ends - _FINE_BELOW_HI)[:, np.newaxis]
-        hi = (ends - _FINE_BELOW_LO)[:, np.newaxis]
-        bounds, witness = _block_bounds(value_fn, rows, lo, hi, lambda k: k * c, maximize, ends)
-        rows = rows[witness[:, 0] < bounds[:, 0]]
-        first[rows] += 1
-        rows = rows[first[rows] < certifiable]
-    for last in np.unique(first[first > 0]) - 1:
-        ks = last * _SCAN_CHUNK + 1 + _TAIL
-        _fold(value_fn, ks, ks * c, np.flatnonzero(first == last + 1), best, best_d, maximize)
-    return first

@@ -17,16 +17,18 @@ Covers:
 9. The carry at the edge of the double range, against an exact fraction sum
 10. Constant (well-posed) spectra: exactly rounded closed-form prefix sums,
     the same scans as the chunked sum of the same constant, and overflow
-11. The constant-term skip-ahead and the bounded first chunk against the
-    chunk-by-chunk scan kept here as the oracle: the freeze rule's edges,
-    custom families scanned to the limit, a seeded randomised set of
-    production and synthetic objectives, deep ones that retry their chunks
-    over finer blocks, every scan of the shipped configs and of deep rates
-    grids, and the work it saves
+11. Both scan paths against the chunk-by-chunk scan kept here as the oracle:
+    the chunked pass at the freeze rule's edges, custom families scanned to
+    the limit, and the constant-term bisection (`_valleys`) on one-valley
+    objectives, a seeded randomised set of production and synthetic
+    objectives, every scan of the shipped configs and of deep rates grids,
+    and the work the bisection saves
 12. A NaN objective value is never a scan's optimum
 13. The bound objectives' 2-d (per-row) calls equal their 1-d calls bitwise
 14. Every bound scan goes through `scan_spectrum`, to the spec's bandwidth
-    limit, and stalls only when neither family is custom
+    limit: it bisects, stalls or runs to the limit as the families allow,
+    and the super-smooth classical scans with a second valley run to the
+    limit
 """
 
 import dataclasses
@@ -129,8 +131,6 @@ REPO = Path(__file__).resolve().parents[1]
 _CHUNK = 4096
 #: Consecutive non-improving bandwidths after which a scan objective freezes.
 _STALL = 64
-#: Bandwidths of the first chunk evaluated before the rest of it is bounded.
-_PREFIX = 256
 #: Fixed from float64 before measuring: a chunk adds at most 4096 terms in
 #: sequence (relative error <= 4096 u, u = 2^-53), the carry between chunks is
 #: exactly rounded, and a closed-form term may differ from its vectorised twin
@@ -688,33 +688,9 @@ class TestScanBandwidths:
     """The multi-objective pass: per-objective freezing, exact agreement
     with one-objective scans."""
 
-    #: row 0 is optimal at D = 10 (first chunk's prefix); row 1 at D = 10000
-    #: (third chunk); row 2 at D = 5000 (second chunk)
+    #: row 0 is optimal at D = 10 (first chunk); row 1 at D = 10000 (third
+    #: chunk); row 2 at D = 5000 (second chunk)
     TARGETS = [10, 10000, 5000]
-
-    def test_frozen_objectives_are_not_evaluated(self):
-        seen = []
-        objectives = _peaks(self.TARGETS, maximize=False)
-
-        def value_fn(ks, sums, rows):
-            seen.append((int(ks[0]), ks.size, rows.tolist()))
-            return objectives(ks, sums, rows)
-
-        results = scan_bandwidths(lambda ks: np.ones(len(ks)), value_fn, 1 << 16, 3)
-        assert [r.d for r in results] == [10, 10000, 5000]
-        assert [r.value for r in results] == [2.0, 2.0, 2.0]
-        assert not any(r.truncated for r in results)
-        # the first chunk's prefix for all rows; the bound on the rest of it
-        # settles row 0 (one value per block: 109 blocks widening by 1.05
-        # from 257 on); rows 1 and 2, still improving at the prefix end, get
-        # the rest of the chunk
-        assert seen == [
-            (1, _PREFIX, [0, 1, 2]),
-            (_PREFIX + 1, 109, [0]),
-            (_PREFIX + 1, _CHUNK - _PREFIX, [1, 2]),
-            (4097, _CHUNK, [1, 2]),
-            (8193, _CHUNK, [1]),
-        ]
 
     def test_rows_match_single_objective_scans(self):
         value_fn = _peaks(self.TARGETS, maximize=False)
@@ -806,8 +782,8 @@ class TestConstantSpectra:
 def _dense_reference(terms, value_fn, limit, count, maximize=False, stall=True):
     """The chunk-by-chunk scan: every running objective is evaluated on every
     chunk of prefix sums until it freezes (without ``stall``, to the limit).
-    The oracle of the skip-ahead.  A NaN value is never an optimum: it counts
-    as the worst value."""
+    The oracle of both scan paths.  A NaN value is never an optimum: it
+    counts as the worst value."""
     best_d = np.zeros(count, dtype=np.int64)
     best = np.full(count, -math.inf if maximize else math.inf)
     rows = np.arange(count)
@@ -860,9 +836,9 @@ _ONES = pytest.param(lambda ks: np.ones(len(ks)), id="callable")
 @pytest.mark.parametrize("maximize", [False, True], ids=["min", "max"])
 @pytest.mark.parametrize("terms", [pytest.param(1.0, id="constant"), _ONES])
 class TestFreezeRuleEdges:
-    """The scan's freeze rule at its edges, for constant terms (which skip
-    ahead over certified chunks) and a term function (evaluated densely):
-    each result is fixed by hand and equals the chunk-by-chunk oracle."""
+    """The chunked pass's freeze rule at its edges, for a constant term and
+    a term function: each result is fixed by hand and equals the
+    chunk-by-chunk oracle."""
 
     @staticmethod
     def check(terms, value_fn, limit, count, maximize, expected):
@@ -870,22 +846,19 @@ class TestFreezeRuleEdges:
         assert results == expected
         assert results == _dense_reference(terms, value_fn, limit, count, maximize)
 
-    @pytest.mark.parametrize(
-        "end", [_PREFIX, _PREFIX + _STALL, _PREFIX + 2 * _STALL, _CHUNK, 2 * _CHUNK, 5 * _CHUNK]
-    )
+    @pytest.mark.parametrize("end", [256, 320, 384, _CHUNK, 2 * _CHUNK, 5 * _CHUNK])
     def test_optimum_at_the_tail_edge(self, terms, maximize, end):
-        # e - 64 freezes at the chunk end e, e - 63 one chunk later; on the
-        # first chunk's prefix end e = 256, e - 64 is settled by the bound on
-        # the rest of the chunk and e - 63 is evaluated past it
+        # e - 64 freezes at the chunk end e, e - 63 one chunk later; inside
+        # the first chunk, both freeze at its end
         targets = [end - _STALL, end - _STALL + 1]
         opt = 1.0 if maximize else 2.0
         expected = [(t, opt, False) for t in targets]
         self.check(terms, _peaks(targets, maximize), 1 << 16, 2, maximize, expected)
 
-    @pytest.mark.parametrize("lo", [_PREFIX, _CHUNK, 2 * _CHUNK, 3 * _CHUNK - 1])
+    @pytest.mark.parametrize("lo", [256, _CHUNK, 2 * _CHUNK, 3 * _CHUNK - 1])
     def test_ties_across_a_chunk_boundary(self, terms, maximize, lo):
         # the optimum is attained at lo and at lo + 1; the smaller one wins,
-        # across a chunk boundary or the first chunk's prefix end
+        # inside a chunk or across a chunk boundary
         self.check(terms, _plateaus(lo, lo + 1, maximize), 1 << 15, 1, maximize,
                    [(lo, 1.0, False)])
 
@@ -967,48 +940,70 @@ class TestFreezeRuleEdges:
         self.check(terms, value_fn, limit, 1, maximize, [(*local, False)])
 
 
-def _checked_scans(monkeypatch, stalls=None):
-    """Patch `sequences.scan_bandwidths`, which every bound scan goes
-    through, so that every scan is also run chunk by chunk and must agree
-    exactly; returns the list of checked scans as (limit, count, maximize),
-    and appends each scan's ``stall`` to ``stalls`` when one is given."""
+def _checked_scans(monkeypatch, paths=None):
+    """Patch the two paths of every bound scan, `sequences.scan_bandwidths`
+    and `sequences._valleys`, so that every scan is also run chunk by chunk
+    and must agree exactly; returns the list of checked scans as (limit,
+    count, maximize), and appends each scan's path to ``paths`` when one is
+    given: "bisect", "stall" or "limit"."""
     checked = []
+    chunked, valleys = sequences.scan_bandwidths, sequences._valleys
 
-    def scan(terms, value_fn, limit, count, *, maximize=False, stall=True):
-        results = scan_bandwidths(terms, value_fn, limit, count, maximize=maximize, stall=stall)
+    def check(results, terms, value_fn, limit, count, maximize, stall, path):
         assert results == _dense_reference(terms, value_fn, limit, count, maximize, stall)
         checked.append((limit, count, maximize))
-        if stalls is not None:
-            stalls.append(stall)
+        if paths is not None:
+            paths.append(path)
         return results
 
+    def scan(terms, value_fn, limit, count, *, maximize=False, stall=True):
+        results = chunked(terms, value_fn, limit, count, maximize=maximize, stall=stall)
+        path = "stall" if stall else "limit"
+        return check(results, terms, value_fn, limit, count, maximize, stall, path)
+
+    def bisect(c, value_fn, limit, count, maximize):
+        results = valleys(c, value_fn, limit, count, maximize)
+        return check(results, c, value_fn, limit, count, maximize, True, "bisect")
+
     monkeypatch.setattr(sequences, "scan_bandwidths", scan)
+    monkeypatch.setattr(sequences, "_valleys", bisect)
     return checked
 
 
 @pytest.mark.parametrize(
-    "op, smooth, limit, named",
+    "op, smooth, limit, expected",
     [
         (OperatorFamily("mildly_ill_posed", 0.5), SmoothnessFamily("ordinary_smooth", 1.0),
-         5000, True),
-        (OperatorFamily("well_posed"), SmoothnessFamily.custom(np.arange(1.0, 3001.0)), 3000, False),
+         5000, ["stall"] * 4),
+        (OperatorFamily("well_posed"), SmoothnessFamily.custom(np.arange(1.0, 3001.0)), 3000,
+         ["limit"] * 4),
         (OperatorFamily.custom(np.arange(1.0, 2001.0) ** -0.5),
-         SmoothnessFamily("super_smooth", 0.01), 2000, False),
+         SmoothnessFamily("super_smooth", 0.01), 2000, ["limit"] * 4),
+        (OperatorFamily("well_posed"), SmoothnessFamily("ordinary_smooth", 1.0), 5000,
+         ["bisect"] * 4),
+        (OperatorFamily("well_posed"), SmoothnessFamily("super_smooth", 0.5), 5000,
+         ["bisect", "bisect", "stall", "bisect"]),
+        (OperatorFamily("mildly_ill_posed", 0.5), SmoothnessFamily("super_smooth", 0.1),
+         5000, ["stall", "stall", "limit", "stall"]),
     ],
-    ids=["named", "custom_smoothness", "short_custom_operator"],
+    ids=["named", "custom_smoothness", "short_custom_operator", "well_posed",
+         "well_posed_super_smooth", "second_classical_valley"],
 )
-def test_every_bound_scan_goes_through_scan_spectrum(monkeypatch, op, smooth, limit, named):
+def test_every_bound_scan_goes_through_scan_spectrum(monkeypatch, op, smooth, limit, expected):
     """`scan_spectrum` owns the scan policy: the three bounds of a grid and
-    the bandwidth of a calibration all scan to the spec's bandwidth limit,
-    and stall only when neither family is custom."""
-    stalls = []
-    checked = _checked_scans(monkeypatch, stalls)
+    the bandwidth of a calibration all scan to the spec's bandwidth limit.
+    A constant term bisects where one valley is proven (power 2, and power 4
+    against ordinary smoothness); any other scan stalls when neither family
+    is custom, except a classical one against super smoothness below
+    `_ONE_VALLEY_S`, which runs to the limit like a custom family's."""
+    paths = []
+    checked = _checked_scans(monkeypatch, paths)
     spec = ProblemSpec(op, smooth, eps=0.01, d_max=5000)
     assert spec.bandwidth_limit == limit
     bounds.bounds_over_grid(spec, [0.1, 0.01, 1e-3], 0.1, 0.1)
     detector.calibrate(spec, 0.1, 0.1)
     assert checked == [(limit, 3, False), (limit, 3, True), (limit, 3, False), (limit, 1, False)]
-    assert stalls == [named] * 4
+    assert paths == expected
 
 
 class TestCustomScansRunToTheLimit:
@@ -1047,9 +1042,10 @@ class TestCustomScansRunToTheLimit:
 
 @pytest.mark.filterwarnings("ignore:.*hit the scan limit:UserWarning")
 class TestSkipAheadMatchesTheDenseScan:
-    """Seeded randomised cases: the constant-term scans equal the
-    chunk-by-chunk oracle exactly, for the three production objectives and
-    for synthetic monotone ones with many ties."""
+    """Seeded randomised cases: the constant-term scans, bisected or
+    chunked, equal the chunk-by-chunk oracle exactly, for the three
+    production objectives; so does the chunked pass for synthetic monotone
+    ones with many ties, NaNs and jumps, which need not have one valley."""
 
     @staticmethod
     def random_spec(rng, limit):
@@ -1132,8 +1128,7 @@ class TestSkipAheadMatchesTheDenseScan:
 
     def test_synthetic_objectives(self):
         # quantised sums and weights: long runs of ties in both directions;
-        # every third case sums the constant as a term function, which
-        # skips nothing but bounds its first chunk past the prefix
+        # every third case sums the constant as a term function
         rng = np.random.default_rng(4242)
         for case in range(60):
             c = float(rng.choice([1.0, 1 / 0.49, 1 / 2.25, 10 ** rng.uniform(-5, 5)]))
@@ -1159,18 +1154,13 @@ class TestSkipAheadMatchesTheDenseScan:
             results = scan_bandwidths(terms, value_fn, limit, count, maximize=maximize)
             assert results == _dense_reference(terms, value_fn, limit, count, maximize), case
 
-    @pytest.mark.parametrize("maximize", [False, True], ids=["min", "max"])
+    @pytest.mark.parametrize("maximize", [True], ids=["max"])
     def test_deep_objectives(self, maximize):
         # limits of 64 chunks or more and optima from 8 chunks deep to past
-        # the limit, so that many objectives stop 16 or more chunks deep;
-        # minimised ones retry their next chunks over the finer blocks, one
-        # 2-d call per round, and a second round follows a certified retry.
-        # A maximised min(var, bias) makes none: the coarse blocks already
-        # certify it up to its peak, a kink.  About a third of the rows are quantised, with
-        # long runs of ties, and about a third turn NaN from a bandwidth near
-        # their optimum on
+        # the limit.  About a third of the rows are quantised, with long runs
+        # of ties, and about a third turn NaN from a bandwidth near their
+        # optimum on
         rng = np.random.default_rng(2016 + maximize)
-        rounds = []
         for case in range(6):
             c = float(rng.choice([1.0, 1 / 0.49, 10 ** rng.uniform(-3, 3)]))
             limit = int(rng.integers(64 * _CHUNK, 128 * _CHUNK))
@@ -1196,20 +1186,14 @@ class TestSkipAheadMatchesTheDenseScan:
                 vals = np.minimum(var, bias) if maximize else var + bias
                 return np.where(ks >= nan_from[rows, np.newaxis], math.nan, vals)
 
-            def counted(ks, sums, rows):
-                rounds[-1] += ks.ndim == 2
-                return value_fn(ks, sums, rows)
-
-            rounds.append(0)
-            results = scan_bandwidths(c, counted, limit, count, maximize=maximize)
+            results = scan_bandwidths(c, value_fn, limit, count, maximize=maximize)
             assert results == _dense_reference(c, value_fn, limit, count, maximize), case
-        assert (max(rounds) == 0) if maximize else (max(rounds) >= 2), rounds
 
     @pytest.mark.parametrize("maximize", [False, True], ids=["min", "max"])
     def test_deep_ties_at_zero(self, maximize):
         # the optimum 0 holds from the 20th chunk's tail to past the 21st
-        # chunk's end; the tied 0 in the 21st chunk's tail must not certify
-        # it, as no relative slack separates two zeros, so a stays first
+        # chunk's end; the tied zeros after a do not improve on it, so a
+        # stays first
         a, b = 20 * _CHUNK - _STALL + 1, 21 * _CHUNK + 100
 
         def value_fn(ks, sums, rows):
@@ -1228,7 +1212,7 @@ class TestSkipAheadMatchesTheDenseScan:
         # the objective improves steadily up to a, the 20th chunk's last
         # index, jumps away from the optimum just after it and improves
         # again; the 21st chunk's last value beats the rest of that chunk but
-        # not a, so every bound for the 21st chunk must count a
+        # not a, so a stays the incumbent
         a, jump = 20 * _CHUNK, 2.0 * _CHUNK
 
         def value_fn(ks, sums, rows):
@@ -1243,6 +1227,119 @@ class TestSkipAheadMatchesTheDenseScan:
         assert results == _dense_reference(1.0, value_fn, 64 * _CHUNK, 1, maximize)
 
 
+@pytest.mark.parametrize("maximize", [False, True], ids=["min", "max"])
+class TestValleys:
+    """The constant-term bisection on objectives with one valley (one peak,
+    when maximising): each result is fixed by hand and equals the
+    chunk-by-chunk oracle, from one (rows, 65) call per round."""
+
+    @staticmethod
+    def check(value_fn, limit, count, maximize, expected=None):
+        def shaped(ks, sums, rows):
+            assert ks.shape == sums.shape == (rows.size, _STALL + 1)
+            return value_fn(ks, sums, rows)
+
+        results = sequences._valleys(1.0, shaped, limit, count, maximize)
+        assert results == _dense_reference(1.0, value_fn, limit, count, maximize)
+        if expected is not None:
+            assert results == expected
+        return results
+
+    @pytest.mark.parametrize("limit", [1, 64, 65])
+    def test_short_limits(self, maximize, limit):
+        # optima inside, on and beyond the limit; beyond it the objective
+        # improves up to the limit, which is then flagged truncated
+        targets = [1, 32, 64, 65, 200]
+        results = self.check(_peaks(targets, maximize), limit, len(targets), maximize)
+        assert [(r.d, r.truncated) for r in results] == [
+            (min(t, limit), t >= limit) for t in targets
+        ]
+
+    def test_optimum_on_the_limit(self, maximize):
+        limit = 3 * _CHUNK + 100
+        opt = 1.0 if maximize else 2.0
+        self.check(_peaks([limit], maximize), limit, 1, maximize, [(limit, opt, True)])
+
+    def test_nan_from_a_bandwidth_on(self, maximize):
+        # NaN from k = 5001 on, past the first optimum (3000) and before the
+        # second (9000), which then ends its descent at 5000
+        peaks = _peaks([3000, 9000], maximize)
+
+        def value_fn(ks, sums, rows):
+            return np.where(ks > 5000, math.nan, peaks(ks, sums, rows))
+
+        results = self.check(value_fn, 1 << 15, 2, maximize)
+        assert [r.d for r in results] == [3000, 5000]
+
+    def test_worst_value_everywhere(self, maximize):
+        # +inf (-inf, when maximising) everywhere, or NaN: D = 0
+        worst = -math.inf if maximize else math.inf
+
+        def value_fn(ks, sums, rows):
+            vals = np.where(rows[:, np.newaxis] == 0, worst, math.nan)
+            return np.broadcast_to(vals, (rows.size, ks.shape[-1]))
+
+        self.check(value_fn, 1 << 15, 2, maximize, [(0, worst, False)] * 2)
+
+    @pytest.mark.parametrize("lo, hi", [(300, 301), (5000, 9000)])
+    def test_ties_on_the_valley_floor(self, maximize, lo, hi):
+        # the optimum holds at lo..hi (one pair, or a floor wider than 64
+        # that crosses chunk ends): the smaller bandwidth wins
+        def value_fn(ks, sums, rows):
+            if maximize:
+                vals = np.minimum(0.0, sums - lo) - (ks > hi)
+            else:
+                vals = np.maximum(0.0, lo - ks) + (sums > hi)
+            return np.broadcast_to(vals, (rows.size, ks.shape[-1]))
+
+        self.check(value_fn, 1 << 15, 1, maximize, [(lo, 0.0, False)])
+
+
+class TestSecondClassicalValley:
+    """Against a_k^-2 = e^-2sk with s below `_ONE_VALLEY_S`, the classical
+    objective eps^2 sqrt(S) + a_k^-2 can have a second valley after the
+    first, worse or better; its scan runs to the limit and finds the
+    better one.  A bisection on the stall rule would not."""
+
+    @staticmethod
+    def classical(monkeypatch, scale, s, smooth_scale, d_max, eps):
+        checked = _checked_scans(monkeypatch)
+        spec = ProblemSpec(OperatorFamily("well_posed", scale=scale),
+                           SmoothnessFamily("super_smooth", s, scale=smooth_scale),
+                           eps=eps, d_max=d_max)
+        (rb,) = bounds.bounds_over_grid(spec, [eps], 0.1, 0.1)
+        assert checked[2] == (d_max, 1, False)
+        return rb.d_classical, rb.classical_r2
+
+    @pytest.mark.parametrize(
+        "scale, s, smooth_scale, d_max, eps, value",
+        [(1.0320514164185892, 0.0010627263969339863, 44.94210722384246, 104728,
+          0.0041889517287740765, 0.0005105233860867034),
+         (0.09566018846149892, 0.01711202702062522, 64.9469522659945, 209603,
+          0.0005625571188246408, 0.00026368050320653094)],
+    )
+    def test_first_valley_is_the_better(self, monkeypatch, scale, s, smooth_scale, d_max, eps,
+                                        value):
+        # a bisection over the whole range lands on the worse second valley
+        # (at D = 488 and 25); the stall rule and the full scan keep D = 1
+        assert self.classical(monkeypatch, scale, s, smooth_scale, d_max, eps) == (1, value)
+
+    @pytest.mark.parametrize(
+        "scale, s, smooth_scale, d_max, eps, d, value",
+        [(0.04072521735955964, 0.0016342056005247355, 30.095951457409278, 130787,
+          0.00024001858092137157, 456, 0.0009904505991471214),
+         (1.0, 1e-6, 1.0, 1 << 22, math.sqrt(1.5e-4), 1_786_816, 0.22856153256398845)],
+        ids=["first_chunk", "deep"],
+    )
+    def test_second_valley_is_the_better(self, monkeypatch, scale, s, smooth_scale, d_max, eps,
+                                         d, value):
+        # both first valleys lie at D = 1, where a bisection stops: in the
+        # first case with 0.001135, while the chunked pass also finds the
+        # second valley, inside the first chunk; in the second, with
+        # 1.000148, where the stall rule froze too, far above the infimum
+        assert self.classical(monkeypatch, scale, s, smooth_scale, d_max, eps) == (d, value)
+
+
 @pytest.mark.parametrize(
     "smooth",
     [SmoothnessFamily("ordinary_smooth", 0.75, scale=1.3),
@@ -1250,16 +1347,24 @@ class TestSkipAheadMatchesTheDenseScan:
     ids=["ordinary_smooth", "custom"],
 )
 def test_per_row_calls_match_shared_calls(monkeypatch, smooth):
-    """The `scan_bandwidths` contract on the three bound objectives: a call
+    """The `scan_bandwidths` contract on the three bound objectives, as
+    either path of `scan_spectrum` gets them (the bisection for the
+    ordinary-smooth family, the chunked pass for the custom one): a call
     with 2-d indices and sums, one row per entry of ``rows``, equals the
-    1-d calls of its rows bitwise, at dense and at mixed points alike."""
+    1-d calls of its rows bitwise."""
     value_fns = []
+    valleys = sequences._valleys
 
     def capture(terms, value_fn, limit, count, *, maximize=False, stall=True):
         value_fns.append(value_fn)
         return scan_bandwidths(terms, value_fn, limit, count, maximize=maximize, stall=stall)
 
+    def capture_valleys(c, value_fn, limit, count, maximize):
+        value_fns.append(value_fn)
+        return valleys(c, value_fn, limit, count, maximize)
+
     monkeypatch.setattr(sequences, "scan_bandwidths", capture)
+    monkeypatch.setattr(sequences, "_valleys", capture_valleys)
     spec = ProblemSpec(OperatorFamily("well_posed", scale=0.7), smooth, eps=0.1, d_max=5000)
     # eps^2 underflows to 0 at 1e-170, so 0 * inf is NaN at an inf sum
     grid = [0.3, 1e-2, 1e-4, 1e-7, 1e-170]
@@ -1284,66 +1389,34 @@ def test_per_row_calls_match_shared_calls(monkeypatch, smooth):
 
 def test_deep_classical_scan_skips_most_points(monkeypatch):
     """The well-posed classical scan of a 48-point grid down to 5e-7 at
-    D_max = 2^22 (minimiser sqrt(3)/eps, near 3.46M) evaluates under 10 % of
-    the points of the chunk-by-chunk scan, with equal results, and folds at
-    most 40 whole chunks into an objective densely: the deep objectives are
-    certified close to their optima."""
+    D_max = 2^22 (minimiser sqrt(3)/eps, near 3.46M) bisects: with equal
+    results, it evaluates at most 90,000 points (85,800 measured: 48 rows of
+    65 points over about 27 rounds each), where the chunk-by-chunk scan
+    evaluates 846 chunks of 4096, 3.47M points."""
     spec = ProblemSpec(OperatorFamily("well_posed"), SmoothnessFamily("ordinary_smooth", 0.75),
                        eps=0.1, d_max=1 << 22)
     grid = np.geomspace(0.0625, 5e-7, 48).tolist()
-    counts, seen = {"skip": 0, "dense": 0, "folds": 0}, {}
+    counts, seen = {"bisect": 0, "dense": 0}, {}
+    valleys = sequences._valleys
 
-    def counting(terms, value_fn, limit, count, *, maximize=False, stall=True):
-        def counted(key):
-            def fn(ks, sums, rows):
-                # shared points count once, per-row (2-d) points once per row
-                counts[key] += ks.size
-                if key == "skip" and ks.shape == (_CHUNK,):
-                    counts["folds"] += rows.size
-                return value_fn(ks, sums, rows)
+    def counted(key, value_fn):
+        def fn(ks, sums, rows):
+            # shared points count once, per-row (2-d) points once per row
+            counts[key] += ks.size
+            return value_fn(ks, sums, rows)
 
-            return fn
+        return fn
 
-        seen["dense"] = _dense_reference(terms, counted("dense"), limit, count, maximize, stall)
-        return scan_bandwidths(
-            terms, counted("skip"), limit, count, maximize=maximize, stall=stall
-        )
+    def counting(c, value_fn, limit, count, maximize):
+        seen["dense"] = _dense_reference(c, counted("dense", value_fn), limit, count, maximize)
+        return valleys(c, counted("bisect", value_fn), limit, count, maximize)
 
-    monkeypatch.setattr(sequences, "scan_bandwidths", counting)
+    monkeypatch.setattr(sequences, "_valleys", counting)
     results = bounds._classical_scans(spec, grid)
     assert results == seen["dense"]
     assert results[-1].d == 3_464_102 and not results[-1].truncated
     assert counts["dense"] == 846 * _CHUNK
-    assert counts["skip"] < 0.10 * counts["dense"]
-    assert counts["folds"] <= 40
-
-
-def test_deep_lower_scan_makes_no_retries(monkeypatch):
-    """The well-posed lower scan of a 48-point grid down to 5e-7 at
-    D_max = 2^22 stops its lockstep pass deep into the spectrum for some
-    objectives, but a maximising scan never retries with the finer, per-row
-    blocks (a 3-d `_block_bounds` call): it equals the chunk-by-chunk scan
-    without them."""
-    spec = ProblemSpec(OperatorFamily("well_posed"), SmoothnessFamily("ordinary_smooth", 0.75),
-                       eps=0.1, d_max=1 << 22)
-    grid = np.geomspace(0.0625, 5e-7, 48).tolist()
-    block_dims, seen = [], {}
-
-    def recording(value_fn, rows, lo, *args):
-        block_dims.append(lo.ndim)
-        return block_bounds(value_fn, rows, lo, *args)
-
-    def scan(terms, value_fn, limit, count, *, maximize=False, stall=True):
-        seen["dense"] = _dense_reference(terms, value_fn, limit, count, maximize, stall)
-        return scan_bandwidths(terms, value_fn, limit, count, maximize=maximize, stall=stall)
-
-    block_bounds = sequences._block_bounds
-    monkeypatch.setattr(sequences, "_block_bounds", recording)
-    monkeypatch.setattr(sequences, "scan_bandwidths", scan)
-    results = bounds._lower_scans(spec, grid, 0.25, 0.25)
-    assert results == seen["dense"]
-    assert max(r.d for r in results) > sequences._REFINE_DEPTH * _CHUNK
-    assert block_dims and set(block_dims) == {2}
+    assert counts["bisect"] <= 90_000
 
 
 class TestNanIsNeverAnOptimum:
@@ -1364,10 +1437,8 @@ class TestNanIsNeverAnOptimum:
     @pytest.mark.parametrize("maximize", [False, True])
     @pytest.mark.parametrize("at", [1, 5, 60, 300, 4000])
     def test_finite_value_among_nans(self, maximize, at):
-        # the skip-ahead must not certify a chunk of NaNs, and the dense pass
-        # must find the one finite value among a chunk's NaNs (before the
-        # scan freezes, 64 bandwidths on), in the first chunk's prefix or in
-        # the rest of it, which NaN bounds cannot settle
+        # the chunked pass must find the one finite value among a chunk's
+        # NaNs, before the scan freezes 64 bandwidths on
         limit = 3 * _CHUNK + 7
 
         def value_fn(ks, sums, rows):
@@ -1380,9 +1451,9 @@ class TestNanIsNeverAnOptimum:
 
     @pytest.mark.parametrize("maximize", [False, True])
     def test_nans_inside_a_certified_tail(self, maximize):
-        # optimum 2 (or 1) at 22480 in the sixth chunk; chunks 1-5 are
-        # certified by their last values, and the incumbent read from the
-        # fifth chunk's tail 20417..20480 must pass over its NaNs
+        # optimum 2 (or 1) at 22480 in the sixth chunk; the NaNs in the tails
+        # of the fourth and fifth chunks never become the incumbent, and
+        # the bisection passes over them too
         peaks = _peaks([5 * _CHUNK + 2000], maximize)
         holes = [5 * _CHUNK - 63, 5 * _CHUNK - 40, 5 * _CHUNK - 1, 4 * _CHUNK - 5]
 
@@ -1393,3 +1464,4 @@ class TestNanIsNeverAnOptimum:
         results = scan_bandwidths(1.0, value_fn, 1 << 15, 1, maximize=maximize)
         assert results == [(5 * _CHUNK + 2000, 1.0 if maximize else 2.0, False)]
         assert results == _dense_reference(1.0, value_fn, 1 << 15, 1, maximize)
+        assert sequences._valleys(1.0, value_fn, 1 << 15, 1, maximize) == results

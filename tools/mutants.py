@@ -101,8 +101,13 @@ MUTANTS = (
            "math.log(c_alpha_beta(alpha, beta)) / 4.0",
            "math.log(c_alpha_beta(alpha, beta)) / 3.5"),
     Mutant("classical_objective", _BOUNDS, "np.sqrt(sums)", "np.sqrt(1.1 * sums)"),
-    Mutant("skip_slack", _SEQUENCES, "_SKIP_SLACK = 2.0**-40", "_SKIP_SLACK = 2.0**-8"),
+    Mutant("upper_objective", _DETECTOR,
+           "vals += smooth.inv_sq_array(ks)", "vals += 1.1 * smooth.inv_sq_array(ks)"),
     Mutant("stall_limit", _SEQUENCES, "_SCAN_STALL_LIMIT = 64", "_SCAN_STALL_LIMIT = 8"),
+    Mutant("bisect_tie", _SEQUENCES,
+           "(vals[:, 1:] >= vals[:, :1]).all(axis=1)", "(vals[:, 1:] > vals[:, :1]).all(axis=1)"),
+    Mutant("valley_guard", _SEQUENCES,
+           "if named and proven and not callable(terms):", "if named and not callable(terms):"),
     # the verdicts the commands print
     Mutant("type1_gate", _CLI,
            "est1.p_hat <= config.alpha + 3.0 * est1.std_err",
