@@ -21,12 +21,15 @@ loops can simply skip past the overflowed tail.
 Every optimisation over the bandwidth is one `scan_spectrum` call.  Its
 chunked pass, `scan_bandwidths`, forms the prefix sums of a spectrum once per
 chunk and shares them among any number of objectives (one per noise level of
-an eps grid, say), each of which freezes on its own once it stops improving.
-Over a constant term, whose sum is known at any k, an objective with one
-valley is instead searched by bisection on that same stall rule
-(`_valleys`), all objectives in lockstep, so a scan whose optimum lies
-millions of bandwidths deep costs a few dozen evaluations per objective.
-Both give the results of the chunk-by-chunk pass.
+an eps grid, say).  Every objective is non-decreasing in the sum and
+non-increasing in k, so after each chunk one value at a corner point bounds
+all later bandwidths, and an objective freezes once that bound cannot beat
+its incumbent: the pass returns the optimum of the full scan.  Over a
+constant term, whose sum is known at any k, an objective with one valley is
+instead searched by bisection on a stall rule (`_valleys`), all objectives
+in lockstep, so a scan whose optimum lies millions of bandwidths deep costs a
+few dozen evaluations per objective.  Under one valley both give the same
+optimum.
 """
 
 from __future__ import annotations
@@ -66,18 +69,8 @@ _LAWS: dict[str, tuple[str, int]] = {
 DEFAULT_D_MAX = 1 << 16
 
 _SCAN_CHUNK = 4096
-#: Consecutive non-improving bandwidths after which a scan stops.
+#: Consecutive non-improving bandwidths after which `_valleys` stops.
 _SCAN_STALL_LIMIT = 64
-#: The least super-smooth exponent s at which the classical objective
-#: eps^2 sqrt(S) + e^-2sk, S the sum of b^-4, provably has one valley.  Per
-#: step, the fall of e^-2sk shrinks by the factor e^-2s, and the rise of
-#: sqrt(S) by a factor of no less than (sqrt(2) + 1)/(sqrt(3) + sqrt(2)),
-#: about 0.767: that worst case is a constant term at k = 1 (numerically,
-#: the largest ratio of consecutive rises for b_k^-2 = k^2t falls at k = 1
-#: for t in [0, 1/2], and it shrinks as t grows).  So once a step rises,
-#: every later one does when e^-2s <= 0.767, that is for s >= s0, about
-#: 0.1324.
-_ONE_VALLEY_S = 0.5 * math.log((math.sqrt(3.0) + math.sqrt(2.0)) / (math.sqrt(2.0) + 1.0))
 _MEMBERSHIP_SLACK = 1e-12
 
 
@@ -527,9 +520,9 @@ def scan_spectrum(
     ``maximize`` as in `scan_bandwidths`: the one scan behind every bound.
 
     For the named kinds, b_k^-2 is a constant, k^2t or e^2tk (times the
-    scale) and a_k^-2 is k^-2s or e^-2sk, so it falls ever more slowly.  The
-    three bound objectives then have one valley (one peak, when maximising)
-    in k, with one exception:
+    scale) and a_k^-2 is k^-2s or e^-2sk, so it falls ever more slowly.
+    Two bound objectives then have one valley (one peak, when maximising)
+    in k, and so does the third against ``ordinary_smooth``:
 
     * the step of ``c eps^2 S + a_k^-2`` from k to k+1, ``c eps^2 b_{k+1}^-2``
       less the fall of a_k^-2, is non-decreasing in k: it is convex;
@@ -538,29 +531,15 @@ def scan_spectrum(
     * in ``eps^2 sqrt(S) + a_k^-2``, with S the sum of b^-4, the rise of the
       first term per step shrinks no faster than k^-1/2, and the fall of
       a_k^-2 = k^-2s like k^(-2s-1); their ratio grows with k, so the
-      objective falls until the rise outweighs the fall, then rises.  The
-      fall of a_k^-2 = e^-2sk shrinks by the factor e^-2s per step, and the
-      rise by a factor of no less than 0.767; for s below `_ONE_VALLEY_S`
-      (about 0.13) the fall can shrink faster, and a second valley, worse
-      or better, can follow the first.
+      objective falls until the rise outweighs the fall, then rises.
 
-    So the scans go three ways:
-
-    * over a constant term (the well-posed kind), whose S(k) = fl(k c) costs
-      O(1) at any k, the upper and lower bounds (power 2) and the classical
-      bound against ``ordinary_smooth`` find their first optimum by
-      bisection on the stall rule (`_valleys`), in O(log D) evaluations
-      where the chunked pass takes O(D): their optima lie at D up to the
-      millions;
-    * every other scan of named kinds runs chunk by chunk and stalls
-      (`scan_bandwidths`): a term function's sums (the ill-posed kinds) are
-      formed chunk by chunk anyway, and the classical optimum against
-      ``super_smooth`` lies at D of order log(1/eps)/s, within a chunk or
-      two.  The exception is that classical scan below `_ONE_VALLEY_S`,
-      which runs to the limit;
-    * a custom family need not have one valley either: a plateau of a_k
-      hides a later drop of a_k^-2 from the stall rule, so it is scanned to
-      its limit.
+    Over a constant term (the well-posed kind), whose S(k) = fl(k c) costs
+    O(1) at any k, those scans find their optimum by bisection (`_valleys`),
+    in O(log D) evaluations where the chunked pass takes O(D): their optima
+    lie at D up to the millions.  Every other scan, of a term function, a
+    custom family or the classical objective against ``super_smooth``,
+    goes chunk by chunk (`scan_bandwidths`) and freezes on the corner rule,
+    which needs no valley.
     """
     operator, smooth = spec.operator, spec.smoothness
     terms = _inv_b_terms(operator, power)
@@ -570,8 +549,7 @@ def scan_spectrum(
     proven = power == 2 or smooth.kind == ORDINARY_SMOOTH
     if named and proven and not callable(terms):
         return _valleys(terms, value_fn, limit, count, maximize)
-    stall = named and (proven or smooth.exponent >= _ONE_VALLEY_S)
-    return scan_bandwidths(terms, value_fn, limit, count, maximize=maximize, stall=stall)
+    return scan_bandwidths(terms, value_fn, limit, count, maximize=maximize)
 
 
 def scan_bandwidths(
@@ -581,7 +559,6 @@ def scan_bandwidths(
     count: int,
     *,
     maximize: bool = False,
-    stall: bool = True,
 ) -> list[ScanResult]:
     """Optimise ``count`` objectives over integer bandwidths 1..limit in one
     pass, chunk by chunk.
@@ -593,19 +570,28 @@ def scan_bandwidths(
     them); a row's values may depend only on its own objective and on each
     (k, sum) pair, not on the other pairs passed with it, so a 2-d call
     equals the 1-d calls of its rows (numpy broadcasting of
-    ``coeffs[rows, np.newaxis] * sums`` gives both).
+    ``coeffs[rows, np.newaxis] * sums`` gives both).  Each objective must be
+    non-decreasing in the sum and non-increasing in k, as the three bounds
+    are.
 
     Every running objective is evaluated on each chunk of ``_SCAN_CHUNK``
-    prefix sums and keeps its own incumbent.  With ``stall`` set, it freezes
-    at the end of the first chunk that ends ``_SCAN_STALL_LIMIT`` or more
-    bandwidths past its incumbent; frozen objectives are never evaluated
-    again, and the pass ends when all are frozen.  Without it, every
-    objective runs to the limit.  Ties keep the smaller bandwidth, a NaN is
-    never an optimum, an objective that is never better than +inf (-inf,
-    when maximising) reports D = 0, and `truncated` is set when an optimiser
-    lands on the scan limit.  The stall rule finds the optimum of an
-    objective with one valley (one peak, when maximising) in k;
-    `scan_spectrum` says which scans may use it.
+    prefix sums and keeps its own incumbent.  Before the next chunk, each
+    is evaluated once more at a corner point that bounds every later
+    bandwidth: k = ``limit`` with the chunk's last sum when minimising (a
+    later sum is no smaller, a later k no larger), k one past the chunk with
+    the sum +inf when maximising.  An objective freezes when its corner is
+    no better than its incumbent (a NaN corner never freezes it); frozen
+    objectives are never evaluated again, and the pass ends when all are
+    frozen.  Ties keep the smaller bandwidth, a NaN is never an optimum, an
+    objective that is never better than +inf (-inf, when maximising)
+    reports D = 0, and `truncated` is set when an optimiser lands on the
+    scan limit.  So the pass returns the optimum of the full scan.
+
+    A minimising corner relies on the later sums being no smaller than the
+    chunk's last one, which carries up to ``_SCAN_CHUNK`` cumsum roundings
+    that the next carry does not.  A named kind's next term, at least S/k,
+    outweighs them at any k below 2^41; a custom operator's term may be
+    smaller than those roundings.
     """
     if limit < 1:
         raise ValueError("bandwidth limit must be at least 1")
@@ -613,9 +599,21 @@ def scan_bandwidths(
     best = np.full(count, -math.inf if maximize else math.inf)
     rows = np.arange(count)
     for ks, sums in _prefix_sums(terms, limit):
-        _fold(value_fn, ks, sums, rows, best, best_d, maximize)
-        if stall:
-            rows = rows[ks[-1] - best_d[rows] < _SCAN_STALL_LIMIT]
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals = value_fn(ks, sums, rows)
+        idx, candidates = _chunk_optima(vals, maximize)
+        improved = candidates > best[rows] if maximize else candidates < best[rows]
+        best[rows[improved]] = candidates[improved]
+        best_d[rows[improved]] = ks[idx[improved]]
+        if ks[-1] == limit:
+            break
+        if maximize:
+            corner = ks[-1:] + 1, np.array([math.inf])
+        else:
+            corner = np.array([limit]), sums[-1:]
+        with np.errstate(over="ignore", invalid="ignore"):
+            bound = value_fn(*corner, rows)[:, 0]
+        rows = rows[~(bound <= best[rows] if maximize else bound >= best[rows])]
         if not rows.size:
             break
     return [ScanResult(int(d), float(v), int(d) == limit) for d, v in zip(best_d, best)]
@@ -628,20 +626,20 @@ def _valleys(
     count: int,
     maximize: bool,
 ) -> list[ScanResult]:
-    """`scan_bandwidths` with ``stall`` set over a constant term c, for
-    objectives with one valley (one peak, when maximising) in k: the same
-    results from O(log D) evaluations per objective.
+    """The optimum of `scan_bandwidths` over a constant term c, for
+    objectives with one valley (one peak, when maximising) in k, from
+    O(log D) evaluations per objective.
 
-    With S(k) = fl(k * c) known at any k, the stall rule's own predicate can
-    be tested at any k: none of k+1..k+64 (up to the limit) improves on k, a
-    NaN counting as the worst value.  Under one valley it fails before an
-    objective's first optimum and holds from there on, so that optimum is
-    the first k where it holds, found by galloping over k = 1, 2, 4, ...
-    until it holds and then bisecting.  The chunked pass freezes 64 or more
-    past the same optimum and returns it too.  All objectives move in
-    lockstep, with one 2-d ``value_fn`` call of shape (rows, 65) per round.
-    An objective whose value there is the worst one (which, under one
-    valley, it then is everywhere) reports D = 0, as in the chunked pass.
+    With S(k) = fl(k * c) known at any k, a stall rule can be tested at any
+    k: none of k+1..k+64 (up to the limit) improves on k, a NaN counting as
+    the worst value.  Under one valley it fails before an objective's
+    optimum and holds from there on, so the optimum is the first k where it
+    holds, found by galloping over k = 1, 2, 4, ... until it holds and then
+    bisecting.  All objectives move
+    in lockstep, with one 2-d ``value_fn`` call of shape (rows, 65) per
+    round.  An objective whose value there is the worst one (which, under
+    one valley, it then is everywhere) reports D = 0, as in the chunked
+    pass.
     """
     sign = -1.0 if maximize else 1.0
     steps = np.arange(_SCAN_STALL_LIMIT + 1)
@@ -674,26 +672,6 @@ def _valleys(
         rows = rows[hi[rows] - lo[rows] > 1]
     d = np.where(best < math.inf, hi, 0)
     return [ScanResult(int(k), float(sign * v), int(k) == limit) for k, v in zip(d, best)]
-
-
-def _fold(
-    value_fn: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
-    ks: np.ndarray,
-    sums: np.ndarray,
-    rows: np.ndarray,
-    best: np.ndarray,
-    best_d: np.ndarray,
-    maximize: bool,
-) -> None:
-    """Evaluate the rows at ``ks`` and take each row's first optimum there
-    as its incumbent where it is strictly better, so ties keep the smaller
-    bandwidth."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        vals = value_fn(ks, sums, rows)
-    idx, candidates = _chunk_optima(vals, maximize)
-    improved = candidates > best[rows] if maximize else candidates < best[rows]
-    best[rows[improved]] = candidates[improved]
-    best_d[rows[improved]] = ks[idx[improved]]
 
 
 def _chunk_optima(vals: np.ndarray, maximize: bool) -> tuple[np.ndarray, np.ndarray]:

@@ -17,18 +17,20 @@ Covers:
 9. The carry at the edge of the double range, against an exact fraction sum
 10. Constant (well-posed) spectra: exactly rounded closed-form prefix sums,
     the same scans as the chunked sum of the same constant, and overflow
-11. Both scan paths against the chunk-by-chunk scan kept here as the oracle:
-    the chunked pass at the freeze rule's edges, custom families scanned to
-    the limit, and the constant-term bisection (`_valleys`) on one-valley
-    objectives, a seeded randomised set of production and synthetic
-    objectives, every scan of the shipped configs and of deep rates grids,
-    and the work the bisection saves
+11. Both scan paths against the chunk-by-chunk scans kept here as oracles:
+    the chunked pass against the full scan at the freeze rule's edges, past
+    a custom family's plateau and on synthetic objectives with no valley
+    structure; the constant-term bisection (`_valleys`) against the stall
+    reference on one-valley objectives; a seeded randomised set of
+    production and synthetic objectives, every scan of the shipped configs
+    and of deep rates grids, and the work the bisection and the corner rule
+    save
 12. A NaN objective value is never a scan's optimum
 13. The bound objectives' 2-d (per-row) calls equal their 1-d calls bitwise
 14. Every bound scan goes through `scan_spectrum`, to the spec's bandwidth
-    limit: it bisects, stalls or runs to the limit as the families allow,
-    and the super-smooth classical scans with a second valley run to the
-    limit
+    limit: it bisects where one valley is proven over a constant term and
+    goes chunk by chunk otherwise, and the super-smooth classical scans with
+    a second valley find the better one
 """
 
 import dataclasses
@@ -129,7 +131,8 @@ REPO = Path(__file__).resolve().parents[1]
 
 #: Chunk length of the prefix-sum primitive; the reference bandwidths straddle it.
 _CHUNK = 4096
-#: Consecutive non-improving bandwidths after which a scan objective freezes.
+#: Consecutive non-improving bandwidths after which the stall rule of
+#: `_valleys` holds.
 _STALL = 64
 #: Fixed from float64 before measuring: a chunk adds at most 4096 terms in
 #: sequence (relative error <= 4096 u, u = 2^-53), the carry between chunks is
@@ -748,7 +751,7 @@ class TestConstantSpectra:
             seen = []
 
             def value_fn(ks, sums, rows):
-                seen.append((int(ks.min()), rows.tolist()))
+                seen.append((ks.size, int(ks.min()), rows.tolist()))
                 ratio, inverse = sums / targets[rows], targets[rows] / ks
                 return np.minimum(ratio, inverse) if maximize else ratio + inverse
 
@@ -759,11 +762,17 @@ class TestConstantSpectra:
         assert closed == scan(lambda ks: np.ones(len(ks)))[0]
         assert [r.d for r in closed] == [10, 10000, 5000]
         assert [r.value for r in closed] == [1.0 if maximize else 2.0] * 3
-        # a row freezes at the end of the chunk 64 or more past its optimum,
-        # and is never passed to value_fn after that chunk
-        for d, row in zip((10, 10000, 5000), range(3)):
-            frozen_at = -(-(d + _STALL) // _CHUNK) * _CHUNK
-            assert all(k0 <= frozen_at for k0, rows in seen if row in rows)
+        # a row freezes at the first chunk end e past its optimum whose corner
+        # is no better than 1 or 2: e + 1 >= T when maximising, e/T + T/2^16
+        # >= 2 when minimising; it is passed to value_fn on no later chunk,
+        # and its corner is evaluated once after each chunk but the last
+        last = [_CHUNK, 3 * _CHUNK, 2 * _CHUNK] if maximize else [_CHUNK, 5 * _CHUNK, 3 * _CHUNK]
+        for row, end in enumerate(last):
+            chunks = [k0 for size, k0, rows in seen if row in rows and size == _CHUNK]
+            corners = [k0 for size, k0, rows in seen if row in rows and size == 1]
+            assert chunks == list(range(1, end, _CHUNK))
+            assert corners == ([e + 1 for e in range(_CHUNK, end + 1, _CHUNK)] if maximize
+                               else [1 << 16] * len(chunks))
 
     def test_overflow_maps_to_inf(self):
         big = np.finfo(float).max / 6000.0
@@ -779,11 +788,14 @@ class TestConstantSpectra:
             assert math.isinf(sum_inv_b_4(spec, 1))
 
 
-def _dense_reference(terms, value_fn, limit, count, maximize=False, stall=True):
-    """The chunk-by-chunk scan: every running objective is evaluated on every
-    chunk of prefix sums until it freezes (without ``stall``, to the limit).
-    The oracle of both scan paths.  A NaN value is never an optimum: it
-    counts as the worst value."""
+def _dense_reference(terms, value_fn, limit, count, maximize=False, stall=False):
+    """The chunk-by-chunk scan: every objective is evaluated on every chunk
+    of prefix sums up to the limit, the full scan and the oracle of the
+    chunked pass.  With ``stall``, an objective instead freezes at the end
+    of the first chunk that ends 64 or more bandwidths past its incumbent:
+    the stall reference, the oracle of the bisection, whose first optimum
+    is the full scan's under one valley.  A NaN value is never an optimum:
+    it counts as the worst value."""
     best_d = np.zeros(count, dtype=np.int64)
     best = np.full(count, -math.inf if maximize else math.inf)
     rows = np.arange(count)
@@ -837,8 +849,8 @@ _ONES = pytest.param(lambda ks: np.ones(len(ks)), id="callable")
 @pytest.mark.parametrize("terms", [pytest.param(1.0, id="constant"), _ONES])
 class TestFreezeRuleEdges:
     """The chunked pass's freeze rule at its edges, for a constant term and
-    a term function: each result is fixed by hand and equals the
-    chunk-by-chunk oracle."""
+    a term function: each result is fixed by hand and equals the full
+    scan."""
 
     @staticmethod
     def check(terms, value_fn, limit, count, maximize, expected):
@@ -848,8 +860,7 @@ class TestFreezeRuleEdges:
 
     @pytest.mark.parametrize("end", [256, 320, 384, _CHUNK, 2 * _CHUNK, 5 * _CHUNK])
     def test_optimum_at_the_tail_edge(self, terms, maximize, end):
-        # e - 64 freezes at the chunk end e, e - 63 one chunk later; inside
-        # the first chunk, both freeze at its end
+        # optima 64 and 63 before a chunk end e, and inside the first chunk
         targets = [end - _STALL, end - _STALL + 1]
         opt = 1.0 if maximize else 2.0
         expected = [(t, opt, False) for t in targets]
@@ -911,12 +922,14 @@ class TestFreezeRuleEdges:
         opt = 1.0 if maximize else 2.0
         self.check(terms, _peaks([limit], maximize), limit, 1, maximize, [(limit, opt, True)])
 
-    def test_freezes_at_the_first_local_optimum(self, terms, maximize):
-        # a_k^-2 drops late (k > 9000 and k > 8000), after the first local
-        # optimum has frozen; the later, better values are never found
+    def test_finds_the_optimum_past_a_later_drop(self, terms, maximize):
+        # a_k^-2 drops late (k > 9000 and k > 8000), long after a first local
+        # optimum, where a stall rule would freeze; the corner rule finds
+        # the later, better values
         if maximize:
             # S a_k^-2 = k h(k): rises to 100 at k = 100, falls to 50 at
-            # k = 8000, then grows on the flat tail of h past 100 at 16000
+            # k = 8000, then grows on the flat tail of h past 100 at 16000,
+            # up to 250 on the limit
             ks = np.arange(1, 40_001, dtype=float)
             h = np.where(ks <= 100, 1.0, (100.0 - 50.0 * (ks - 100) / 7900) / ks)
             h[8000:] = h[7999]
@@ -936,17 +949,26 @@ class TestFreezeRuleEdges:
             local, better = (1, 1.00001), 9001
         limit = smooth.max_index
         whole = value_fn(np.arange(1, limit + 1), np.arange(1.0, limit + 1), np.arange(1))[0]
+        assert whole[local[0] - 1] == local[1]
         assert (whole[better - 1] > local[1]) if maximize else (whole[better - 1] < local[1])
-        self.check(terms, value_fn, limit, 1, maximize, [(*local, False)])
+        self.check(terms, value_fn, limit, 1, maximize,
+                   [(better, whole[better - 1], better == limit)])
 
 
-def _checked_scans(monkeypatch, paths=None):
+def _checked_scans(monkeypatch, paths=None, one_valley=False):
     """Patch the two paths of every bound scan, `sequences.scan_bandwidths`
-    and `sequences._valleys`, so that every scan is also run chunk by chunk
-    and must agree exactly; returns the list of checked scans as (limit,
-    count, maximize), and appends each scan's path to ``paths`` when one is
-    given: "bisect", "stall" or "limit"."""
-    checked = []
+    and `sequences._valleys`, so that every scan is also run by its oracle
+    and must agree exactly: the full scan for the chunked pass, the stall
+    reference for the bisection.  Returns the list of checked scans as
+    (limit, count, maximize), and appends each scan's path to ``paths``
+    when one is given: "bisect" or "chunked".
+
+    With ``one_valley``, a chunked scan of named kinds whose objective has
+    one valley (power 2, or power 4 against ordinary smoothness, as
+    `scan_spectrum` proves) is checked against the stall reference instead:
+    one valley makes its first optimum the full scan's, and on a deep grid
+    the stall reference costs a fraction of the full scan."""
+    checked, proven = [], []
     chunked, valleys = sequences.scan_bandwidths, sequences._valleys
 
     def check(results, terms, value_fn, limit, count, maximize, stall, path):
@@ -956,17 +978,29 @@ def _checked_scans(monkeypatch, paths=None):
             paths.append(path)
         return results
 
-    def scan(terms, value_fn, limit, count, *, maximize=False, stall=True):
-        results = chunked(terms, value_fn, limit, count, maximize=maximize, stall=stall)
-        path = "stall" if stall else "limit"
-        return check(results, terms, value_fn, limit, count, maximize, stall, path)
+    def scan(terms, value_fn, limit, count, *, maximize=False):
+        results = chunked(terms, value_fn, limit, count, maximize=maximize)
+        stall = one_valley and proven.pop()
+        return check(results, terms, value_fn, limit, count, maximize, stall, "chunked")
 
     def bisect(c, value_fn, limit, count, maximize):
+        if one_valley:
+            proven.pop()
         results = valleys(c, value_fn, limit, count, maximize)
         return check(results, c, value_fn, limit, count, maximize, True, "bisect")
 
     monkeypatch.setattr(sequences, "scan_bandwidths", scan)
     monkeypatch.setattr(sequences, "_valleys", bisect)
+    if one_valley:
+        spectrum = sequences.scan_spectrum
+
+        def scan_spectrum(spec, power, *args, **kwargs):
+            kinds = (spec.operator.kind, spec.smoothness.kind)
+            proven.append("custom" not in kinds and (power == 2 or "ordinary_smooth" in kinds))
+            return spectrum(spec, power, *args, **kwargs)
+
+        for module in (bounds, detector):
+            monkeypatch.setattr(module, "scan_spectrum", scan_spectrum)
     return checked
 
 
@@ -974,28 +1008,27 @@ def _checked_scans(monkeypatch, paths=None):
     "op, smooth, limit, expected",
     [
         (OperatorFamily("mildly_ill_posed", 0.5), SmoothnessFamily("ordinary_smooth", 1.0),
-         5000, ["stall"] * 4),
+         5000, ["chunked"] * 4),
         (OperatorFamily("well_posed"), SmoothnessFamily.custom(np.arange(1.0, 3001.0)), 3000,
-         ["limit"] * 4),
+         ["chunked"] * 4),
         (OperatorFamily.custom(np.arange(1.0, 2001.0) ** -0.5),
-         SmoothnessFamily("super_smooth", 0.01), 2000, ["limit"] * 4),
+         SmoothnessFamily("super_smooth", 0.01), 2000, ["chunked"] * 4),
         (OperatorFamily("well_posed"), SmoothnessFamily("ordinary_smooth", 1.0), 5000,
          ["bisect"] * 4),
         (OperatorFamily("well_posed"), SmoothnessFamily("super_smooth", 0.5), 5000,
-         ["bisect", "bisect", "stall", "bisect"]),
+         ["bisect", "bisect", "chunked", "bisect"]),
         (OperatorFamily("mildly_ill_posed", 0.5), SmoothnessFamily("super_smooth", 0.1),
-         5000, ["stall", "stall", "limit", "stall"]),
+         5000, ["chunked"] * 4),
     ],
     ids=["named", "custom_smoothness", "short_custom_operator", "well_posed",
-         "well_posed_super_smooth", "second_classical_valley"],
+         "well_posed_super_smooth", "small_s_super_smooth"],
 )
 def test_every_bound_scan_goes_through_scan_spectrum(monkeypatch, op, smooth, limit, expected):
     """`scan_spectrum` owns the scan policy: the three bounds of a grid and
     the bandwidth of a calibration all scan to the spec's bandwidth limit.
     A constant term bisects where one valley is proven (power 2, and power 4
-    against ordinary smoothness); any other scan stalls when neither family
-    is custom, except a classical one against super smoothness below
-    `_ONE_VALLEY_S`, which runs to the limit like a custom family's."""
+    against ordinary smoothness) and neither family is custom; every other
+    scan goes chunk by chunk, whatever the exponents."""
     paths = []
     checked = _checked_scans(monkeypatch, paths)
     spec = ProblemSpec(op, smooth, eps=0.01, d_max=5000)
@@ -1006,11 +1039,11 @@ def test_every_bound_scan_goes_through_scan_spectrum(monkeypatch, op, smooth, li
     assert paths == expected
 
 
-class TestCustomScansRunToTheLimit:
-    """A custom a_k may hold still past the stall rule's reach and then jump,
-    so the scans of a custom family run to its limit: each finds the optimum
-    just past a plateau of a_k = 1 and equals the chunk-by-chunk oracle run
-    to the limit."""
+class TestCustomScansPastAPlateau:
+    """A custom a_k may hold still for thousands of bandwidths and then
+    jump, past the reach of any stall rule; the corner at the limit sees the
+    later drop of a_k^-2, so each scan finds the optimum just past a plateau
+    of a_k = 1 and equals the full scan."""
 
     @pytest.mark.parametrize(
         "op, value",
@@ -1020,7 +1053,7 @@ class TestCustomScansRunToTheLimit:
     )
     def test_optimum_past_a_plateau(self, monkeypatch, op, value):
         # the radius objective is 1 + 1e-6 S up to k = 5000 and 1e-6 (S + 1)
-        # after it; a stalling scan freezes at D = 1 with 1.000001
+        # after it; a stall rule would freeze at D = 1 with 1.000001
         checked = _checked_scans(monkeypatch)
         spec = ProblemSpec(op, SmoothnessFamily.custom([1.0] * 5000 + [1000.0] * 7000), eps=1e-3)
         result = detector.select_bandwidth(spec, 1.0)
@@ -1041,11 +1074,12 @@ class TestCustomScansRunToTheLimit:
 
 
 @pytest.mark.filterwarnings("ignore:.*hit the scan limit:UserWarning")
-class TestSkipAheadMatchesTheDenseScan:
-    """Seeded randomised cases: the constant-term scans, bisected or
-    chunked, equal the chunk-by-chunk oracle exactly, for the three
-    production objectives; so does the chunked pass for synthetic monotone
-    ones with many ties, NaNs and jumps, which need not have one valley."""
+class TestScansMatchTheirOracles:
+    """Seeded randomised cases: the constant-term scans equal their oracles
+    exactly (the stall reference when bisected, the full scan when
+    chunked), for the three production objectives; so does the chunked pass
+    for synthetic monotone ones with many ties, NaNs and jumps, which need
+    not have one valley."""
 
     @staticmethod
     def random_spec(rng, limit):
@@ -1113,18 +1147,24 @@ class TestSkipAheadMatchesTheDenseScan:
             before = len(checked)
             assert cli.main(argv + (["--reps", "1000"] if command == "simulate" else [])) == 0
             assert len(checked) > before, command
+
+    def test_every_scan_of_a_deep_rates_grid(self, monkeypatch, tmp_path):
         # rates on all six cells down to eps = 5e-7 at D_max = 2^22, the
-        # deepest grid at which no scan of the six cells truncates
+        # deepest grid at which no scan of the six cells truncates.  The
+        # scans with one valley are checked against the stall reference,
+        # the super-smooth classical scans against the full scan; the
+        # former are also pinned on their own, next to their continuous
+        # optima, by test_acceptance.py's TestCriterion4RateTable
+        checked = _checked_scans(monkeypatch, one_valley=True)
         grid = ", ".join(map(repr, np.geomspace(0.0625, 5e-7, 48).tolist()))
-        text = (configs / "rates.cfg").read_text()
+        text = (REPO / "configs" / "rates.cfg").read_text()
         text = re.sub(r"(?m)^D_max = .*$", f"D_max = {1 << 22}", text)
         text = re.sub(r"(?m)^run.eps_grid = .*$", f"run.eps_grid = {grid}", text)
         cfg = tmp_path / "deep.cfg"
         cfg.write_text(text)
-        before = len(checked)
         assert cli.main(["rates", "--config", str(cfg), "--output", str(tmp_path / "deep")]) == 0
         # the lower, upper and classical scans of each cell
-        assert checked[before:] == [(1 << 22, 48, m) for m in (False, True, False)] * 6
+        assert checked == [(1 << 22, 48, m) for m in (False, True, False)] * 6
 
     def test_synthetic_objectives(self):
         # quantised sums and weights: long runs of ties in both directions;
@@ -1208,12 +1248,13 @@ class TestSkipAheadMatchesTheDenseScan:
         assert results == _dense_reference(1.0, value_fn, 64 * _CHUNK, 1, maximize)
 
     @pytest.mark.parametrize("maximize", [False, True], ids=["min", "max"])
-    def test_deep_optimum_before_a_jump(self, maximize):
+    def test_deep_optimum_after_a_jump(self, maximize):
         # the objective improves steadily up to a, the 20th chunk's last
-        # index, jumps away from the optimum just after it and improves
-        # again; the 21st chunk's last value beats the rest of that chunk but
-        # not a, so a stays the incumbent
-        a, jump = 20 * _CHUNK, 2.0 * _CHUNK
+        # index, jumps away from it just after it and improves again; the
+        # 21st chunk's values do not beat a, where a stall rule would keep
+        # it, but from the 22nd chunk on they do, up to the optimum on the
+        # limit
+        a, jump, limit = 20 * _CHUNK, 2.0 * _CHUNK, 64 * _CHUNK
 
         def value_fn(ks, sums, rows):
             if maximize:
@@ -1222,16 +1263,16 @@ class TestSkipAheadMatchesTheDenseScan:
                 vals = jump * (sums > a) - ks
             return np.broadcast_to(vals, (rows.size, ks.shape[-1]))
 
-        results = scan_bandwidths(1.0, value_fn, 64 * _CHUNK, 1, maximize=maximize)
-        assert results == [(a, a if maximize else -a, False)]
-        assert results == _dense_reference(1.0, value_fn, 64 * _CHUNK, 1, maximize)
+        results = scan_bandwidths(1.0, value_fn, limit, 1, maximize=maximize)
+        assert results == [(limit, (limit - jump) * (1 if maximize else -1), True)]
+        assert results == _dense_reference(1.0, value_fn, limit, 1, maximize)
 
 
 @pytest.mark.parametrize("maximize", [False, True], ids=["min", "max"])
 class TestValleys:
     """The constant-term bisection on objectives with one valley (one peak,
-    when maximising): each result is fixed by hand and equals the
-    chunk-by-chunk oracle, from one (rows, 65) call per round."""
+    when maximising): each result is fixed by hand and equals the stall
+    reference, from one (rows, 65) call per round."""
 
     @staticmethod
     def check(value_fn, limit, count, maximize, expected=None):
@@ -1240,7 +1281,7 @@ class TestValleys:
             return value_fn(ks, sums, rows)
 
         results = sequences._valleys(1.0, shaped, limit, count, maximize)
-        assert results == _dense_reference(1.0, value_fn, limit, count, maximize)
+        assert results == _dense_reference(1.0, value_fn, limit, count, maximize, stall=True)
         if expected is not None:
             assert results == expected
         return results
@@ -1296,10 +1337,10 @@ class TestValleys:
 
 
 class TestSecondClassicalValley:
-    """Against a_k^-2 = e^-2sk with s below `_ONE_VALLEY_S`, the classical
-    objective eps^2 sqrt(S) + a_k^-2 can have a second valley after the
-    first, worse or better; its scan runs to the limit and finds the
-    better one.  A bisection on the stall rule would not."""
+    """Against a_k^-2 = e^-2sk with a small s, the classical objective
+    eps^2 sqrt(S) + a_k^-2 can have a second valley after the first, worse
+    or better; its chunked scan finds the better one.  A bisection on the
+    stall rule would not."""
 
     @staticmethod
     def classical(monkeypatch, scale, s, smooth_scale, d_max, eps):
@@ -1336,7 +1377,7 @@ class TestSecondClassicalValley:
         # both first valleys lie at D = 1, where a bisection stops: in the
         # first case with 0.001135, while the chunked pass also finds the
         # second valley, inside the first chunk; in the second, with
-        # 1.000148, where the stall rule froze too, far above the infimum
+        # 1.000148, where a stall rule freezes too, far above the infimum
         assert self.classical(monkeypatch, scale, s, smooth_scale, d_max, eps) == (d, value)
 
 
@@ -1355,9 +1396,9 @@ def test_per_row_calls_match_shared_calls(monkeypatch, smooth):
     value_fns = []
     valleys = sequences._valleys
 
-    def capture(terms, value_fn, limit, count, *, maximize=False, stall=True):
+    def capture(terms, value_fn, limit, count, *, maximize=False):
         value_fns.append(value_fn)
-        return scan_bandwidths(terms, value_fn, limit, count, maximize=maximize, stall=stall)
+        return scan_bandwidths(terms, value_fn, limit, count, maximize=maximize)
 
     def capture_valleys(c, value_fn, limit, count, maximize):
         value_fns.append(value_fn)
@@ -1391,7 +1432,7 @@ def test_deep_classical_scan_skips_most_points(monkeypatch):
     """The well-posed classical scan of a 48-point grid down to 5e-7 at
     D_max = 2^22 (minimiser sqrt(3)/eps, near 3.46M) bisects: with equal
     results, it evaluates at most 90,000 points (85,800 measured: 48 rows of
-    65 points over about 27 rounds each), where the chunk-by-chunk scan
+    65 points over about 27 rounds each), where the stall reference
     evaluates 846 chunks of 4096, 3.47M points."""
     spec = ProblemSpec(OperatorFamily("well_posed"), SmoothnessFamily("ordinary_smooth", 0.75),
                        eps=0.1, d_max=1 << 22)
@@ -1408,7 +1449,8 @@ def test_deep_classical_scan_skips_most_points(monkeypatch):
         return fn
 
     def counting(c, value_fn, limit, count, maximize):
-        seen["dense"] = _dense_reference(c, counted("dense", value_fn), limit, count, maximize)
+        seen["dense"] = _dense_reference(c, counted("dense", value_fn), limit, count, maximize,
+                                         stall=True)
         return valleys(c, counted("bisect", value_fn), limit, count, maximize)
 
     monkeypatch.setattr(sequences, "_valleys", counting)
@@ -1417,6 +1459,55 @@ def test_deep_classical_scan_skips_most_points(monkeypatch):
     assert results[-1].d == 3_464_102 and not results[-1].truncated
     assert counts["dense"] == 846 * _CHUNK
     assert counts["bisect"] <= 90_000
+
+
+
+def _chunked_points(monkeypatch):
+    """Patch `sequences.scan_bandwidths` to count the points of its value_fn
+    calls, one count per row and point; returns the list of the counts of
+    each scan."""
+    counts = []
+    chunked = sequences.scan_bandwidths
+
+    def counting(terms, value_fn, limit, count, **kwargs):
+        counts.append(0)
+
+        def counted(ks, sums, rows):
+            counts[-1] += rows.size * ks.shape[-1]
+            return value_fn(ks, sums, rows)
+
+        return chunked(terms, counted, limit, count, **kwargs)
+
+    monkeypatch.setattr(sequences, "scan_bandwidths", counting)
+    return counts
+
+
+@pytest.mark.parametrize("op", [OperatorFamily("mildly_ill_posed", 0.5),
+                                OperatorFamily("severely_ill_posed", 0.25)],
+                         ids=["mildly_ill_posed", "severely_ill_posed"])
+def test_small_s_classical_scans_freeze_early(monkeypatch, op):
+    """The classical scans against super smoothness with s = 0.1 over an
+    ill-posed operator, 8 eps down to 5e-7 at D_max = 2^22: every row
+    freezes after its first chunk (its optimum lies below D = 150), with
+    one corner point, where a scan to the limit evaluates all 1024 chunks."""
+    counts = _chunked_points(monkeypatch)
+    spec = ProblemSpec(op, SmoothnessFamily("super_smooth", 0.1), eps=0.1, d_max=1 << 22)
+    results = bounds._classical_scans(spec, np.geomspace(0.0625, 5e-7, 8).tolist())
+    assert counts == [8 * (_CHUNK + 1)]
+    assert max(r.d for r in results) < 150
+
+
+def test_custom_plateau_scans_freeze_before_the_limit(monkeypatch):
+    """The plateau of `TestCustomScansPastAPlateau::test_plateau_past_the_second_chunk`
+    followed by a tail 2^18 long: the three scans find the same optima and
+    freeze after the third chunk of 64."""
+    counts = _chunked_points(monkeypatch)
+    smooth = SmoothnessFamily.custom([1.0] * 9000 + [1000.0] * ((1 << 18) - 9000))
+    spec = ProblemSpec(OperatorFamily("well_posed"), smooth, eps=1e-3, d_max=1 << 20)
+    assert spec.bandwidth_limit == 1 << 18
+    (grid,) = bounds.bounds_over_grid(spec, [1e-3], 0.1, 0.1, c_beta=1.0)
+    assert (grid.d_lower, grid.d_upper, grid.d_classical) == (9000, 9001, 9001)
+    assert counts == [3 * (_CHUNK + 1)] * 3
 
 
 class TestNanIsNeverAnOptimum:
@@ -1438,7 +1529,7 @@ class TestNanIsNeverAnOptimum:
     @pytest.mark.parametrize("at", [1, 5, 60, 300, 4000])
     def test_finite_value_among_nans(self, maximize, at):
         # the chunked pass must find the one finite value among a chunk's
-        # NaNs, before the scan freezes 64 bandwidths on
+        # NaNs; a NaN corner never freezes it
         limit = 3 * _CHUNK + 7
 
         def value_fn(ks, sums, rows):

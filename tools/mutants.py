@@ -108,6 +108,10 @@ MUTANTS = (
            "(vals[:, 1:] >= vals[:, :1]).all(axis=1)", "(vals[:, 1:] > vals[:, :1]).all(axis=1)"),
     Mutant("valley_guard", _SEQUENCES,
            "if named and proven and not callable(terms):", "if named and not callable(terms):"),
+    Mutant("corner_min", _SEQUENCES,
+           "corner = np.array([limit]), sums[-1:]", "corner = ks[-1:], sums[-1:]"),
+    Mutant("corner_max", _SEQUENCES,
+           "corner = ks[-1:] + 1, np.array([math.inf])", "corner = ks[-1:] + 1, sums[-1:]"),
     # the verdicts the commands print
     Mutant("type1_gate", _CLI,
            "est1.p_hat <= config.alpha + 3.0 * est1.std_err",
