@@ -90,6 +90,10 @@ def _lower_scans(
 
     def value_fn(ks: np.ndarray, sums: np.ndarray, rows: np.ndarray) -> np.ndarray:
         vals = coeffs[rows, np.newaxis] * sums
+        # a coefficient whose eps^2 underflows to 0 is 0 at an inf sum too,
+        # not 0 * inf = NaN, so the maximising corner can freeze its row
+        if np.isinf(sums).any():
+            vals[np.isnan(vals)] = 0.0
         return np.minimum(vals, smooth.inv_sq_array(ks), out=vals)
 
     return scan_spectrum(spec, 2, value_fn, coeffs.size, maximize=True)

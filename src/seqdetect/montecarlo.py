@@ -7,7 +7,7 @@ block size depends on the bandwidth alone, so estimates are identical for any
 thread count and any reduction order.
 
 Every estimate reads the statistic off two numbers per replication of a
-block y = eps xi (`_statistics`): the null statistic
+block y = eps xi (`_null_blocks`): the null statistic
 T0 = sum_{k<=D} w_k (y_k^2 - eps^2), w_k = b_k^-2, and a projection
 L = y . v.  Since w_k b_k^2 = 1, the same noise under a signal theta has the
 statistic T0 + s'Ws + 2 y'Ws, with s = b theta and W = diag(w).  So with
@@ -32,7 +32,7 @@ import bisect
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable, TypeVar
+from typing import Iterator
 
 import numpy as np
 
@@ -50,8 +50,6 @@ from .sequences import (
     sum_inv_b_sq,
     within_cap,
 )
-
-_R = TypeVar("_R")
 
 _U64_MASK = (1 << 64) - 1
 #: Fewest replications an estimate accepts.
@@ -94,57 +92,45 @@ def _check_reps(reps: int) -> None:
         raise ValueError(f"need an integer of at least {MIN_REPS} replications, got {reps!r}")
 
 
-def _map_blocks(
+def _null_blocks(
     model: NoiseModel,
-    d: int,
+    w: np.ndarray,
     eps: float,
+    v: np.ndarray,
     reps: int,
     seed: int,
-    threads: int,
-    reduce: Callable[[np.ndarray], _R],
-) -> list[_R]:
-    """``reduce(y)`` of every replication block, in block order.
+    threads: int = 1,
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(T0, L) of every replication block, in block order.
 
-    Replications come in blocks of ``max(1, _MC_BLOCK_ELEMENTS // D)`` rows
-    (the last block may be shorter); block b draws all its rows from
-    ``replication_rng(seed, b)`` and holds y = eps xi, one row per
-    replication.  Up to ``threads`` workers, never more than there are
-    blocks, split the block indices into contiguous ranges and the results
-    are returned in block order, so they are the same at any thread count.
+    Replications come in blocks of ``max(1, _MC_BLOCK_ELEMENTS // D)`` rows,
+    D = len(w) (the last block may be shorter); block b draws all its rows
+    from ``replication_rng(seed, b)`` and holds y = eps xi, one row per
+    replication.  Row i gives the null statistic
+    T0[i] = sum_k w_k (y_ik^2 - eps^2), for the weights w_k = b_k^-2, and the
+    projection L[i] = y_i . v; every estimate of this module is a function of
+    these two numbers.  Up to ``threads`` workers, never more than there are
+    blocks, draw whole blocks, and a block is the same whichever worker draws
+    it, so the blocks are the same at any thread count.
     """
+    d = w.size
     rows = max(1, _MC_BLOCK_ELEMENTS // d)
     n_blocks = -(-reps // rows)
+    eps2 = eps**2
 
-    def run_blocks(lo: int, hi: int) -> list[_R]:
-        out = []
-        for b in range(lo, hi):
-            n = min(rows, reps - b * rows)
-            out.append(reduce(eps * model.sample_block(n, d, replication_rng(seed, b))))
-        return out
+    def block(b: int) -> tuple[np.ndarray, np.ndarray]:
+        y = eps * model.sample_block(min(rows, reps - b * rows), d, replication_rng(seed, b))
+        return (y * y - eps2) @ w, y @ v
 
     workers = min(threads, n_blocks)
     if workers <= 1:
-        return run_blocks(0, n_blocks)
+        yield from map(block, range(n_blocks))
+        return
     # imported here, where a pool starts, to keep it off every import
     from concurrent.futures import ThreadPoolExecutor
 
-    bounds = np.linspace(0, n_blocks, workers + 1).astype(int)
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(run_blocks, int(lo), int(hi)) for lo, hi in zip(bounds, bounds[1:])]
-        return [r for f in futures for r in f.result()]
-
-
-def _statistics(
-    w: np.ndarray, eps: float, v: np.ndarray
-) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
-    """Block reducer y -> (T0, L) for the weights w_k = b_k^-2, k <= D.
-
-    Row i of a block y = eps xi gives the null statistic
-    T0[i] = sum_k w_k (y_ik^2 - eps^2) and the projection L[i] = y_i . v;
-    every estimate of this module is a function of these two numbers.
-    """
-    eps2 = eps**2
-    return lambda y: ((y * y - eps2) @ w, y @ v)
+        yield from pool.map(block, range(n_blocks))
 
 
 def _estimate(
@@ -199,21 +185,15 @@ def estimate_type2(
             f"signal lies outside the ellipsoid (weighted mass {check.value:.6g} > 1)"
         )
     d = config.d
-    spec.check_bandwidth(d)
-    ks = np.arange(1, d + 1)
-    w = spec.operator.inv_sq_array(ks)
-    s = spec.operator.value_array(ks) * theta.array(d)
+    w = inv_b_sq_weights(spec, d)
+    s = spec.operator.value_array(np.arange(1, d + 1)) * theta.array(d)
     ws = w * s
     shift = float(s @ ws)
-    statistics = _statistics(w, spec.eps, 2.0 * ws)
     thr = config.threshold
-
-    def reduce(y: np.ndarray) -> tuple[int, int]:
-        t0, proj = statistics(y)
-        return int(np.count_nonzero(t0 >= thr)), int(np.count_nonzero(t0 + (proj + shift) >= thr))
-
-    counts = _map_blocks(model, d, spec.eps, reps, seed, threads, reduce)
-    null, count = (sum(column) for column in zip(*counts))
+    null = count = 0
+    for t0, proj in _null_blocks(model, w, spec.eps, 2.0 * ws, reps, seed, threads):
+        null += int(np.count_nonzero(t0 >= thr))
+        count += int(np.count_nonzero(t0 + (proj + shift) >= thr))
     return _estimate(reps - count, reps, seed, start, _estimate(null, reps, seed, start))
 
 
@@ -350,19 +330,12 @@ def empirical_separation_radius(
     _check_reps(reps)
     config = detector.calibrate(spec, alpha, beta, d=d)
     d = config.d
-    ks = np.arange(1, d + 1)
     v = np.zeros(d)
-    v[-1] = 1.0 / spec.operator.value_array(ks[-1:])[0]
-    parts = _map_blocks(
-        model, d, spec.eps, reps, seed, 1,
-        _statistics(spec.operator.inv_sq_array(ks), spec.eps, v),
-    )
+    v[-1] = 1.0 / spec.operator.value_array(np.array([d]))[0]
+    w = inv_b_sq_weights(spec, d)
+    t0, proj = map(np.concatenate, zip(*_null_blocks(model, w, spec.eps, v, reps, seed)))
     radius, bracketed = _last_down_crossing(
-        np.concatenate([t0 for t0, _ in parts]),
-        np.concatenate([proj for _, proj in parts]),
-        threshold=config.threshold,
-        beta=beta,
-        r_cap=math.sqrt(bias_term(spec, d)),
+        t0, proj, threshold=config.threshold, beta=beta, r_cap=math.sqrt(bias_term(spec, d))
     )
     return SeparationEstimate(radius=radius, bracketed=bracketed, d=d, iterations=0)
 

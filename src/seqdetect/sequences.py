@@ -211,10 +211,12 @@ class _Family:
         """``factor`` times the unscaled values to the ``power`` (1 or -2), a
         named kind's law at the multiplier ``power * sign * exponent``.  Only
         a result that may grow (custom values too) runs under
-        ``np.errstate(over="ignore")``; a decaying one underflows quietly."""
+        ``np.errstate(over="ignore")``; a decaying one underflows quietly.  A
+        custom value whose square underflows to 0 has the inverse square +inf,
+        as a named spectrum's overflow does."""
         if self.kind == CUSTOM:
             vals = _custom_at(self._array, ks)
-            with np.errstate(over="ignore"):
+            with np.errstate(over="ignore", divide="ignore"):
                 return factor * vals if power == 1 else factor / (vals * vals)
         law, sign = _LAWS[self.kind]
         if law == _CONSTANT:

@@ -385,10 +385,11 @@ def _mc_divergence(spec: ProblemSpec, d: int, r: float, sigma, reps: int, seed: 
     m = np.linalg.solve(sigma.submatrix(d), b_theta)
     eps2 = spec.eps**2
     quad = float(b_theta @ m) / eps2
-    sums = montecarlo._map_blocks(
-        CorrelatedGaussian(sigma), d, spec.eps, reps, seed, 1,
-        lambda y: float(np.exp(2.0 * ((y @ m) / eps2 - 0.5 * quad)).sum()),
+    # the projections L = y . m of each block; its null statistics go unused
+    blocks = montecarlo._null_blocks(
+        CorrelatedGaussian(sigma), np.zeros(d), spec.eps, m, reps, seed
     )
+    sums = [float(np.exp(2.0 * (proj / eps2 - 0.5 * quad)).sum()) for _, proj in blocks]
     return math.fsum(sums) / reps
 
 

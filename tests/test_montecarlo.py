@@ -894,20 +894,18 @@ class TestExactSeparationRadius:
         montecarlo.empirical_separation_radius(flat_spec(eps=0.01), 0.1, 0.1, model, 5000, 3, d=8)
         assert model.calls == 5
 
-    def test_null_statistics_match_row_by_row(self):
+    @pytest.mark.parametrize("threads", [1, 2, 64])
+    def test_null_statistics_match_row_by_row(self, threads):
         # D = 7 does not divide the block budget: three full blocks of 1170
-        # rows and a ragged last block of 17
+        # rows and a ragged last block of 17; 64 threads are more than blocks
         d, reps, seed = 7, 3 * (8192 // 7) + 17, 11
         spec = flat_spec(eps=0.1)
         model = AdversarialEquicorrelated(INV_SQRT2)
         v = np.zeros(d)
         v[-1] = 1.0  # b_D = 1 on the flat spectrum, so L = y_D
         w = spec.operator.inv_sq_array(np.arange(1, d + 1))
-        parts = montecarlo._map_blocks(
-            model, d, spec.eps, reps, seed, 2, montecarlo._statistics(w, spec.eps, v)
-        )
-        t0 = np.concatenate([t0 for t0, _ in parts])
-        z = np.concatenate([z for _, z in parts])
+        blocks = montecarlo._null_blocks(model, w, spec.eps, v, reps, seed, threads)
+        t0, z = map(np.concatenate, zip(*blocks))
         rows = max(1, montecarlo._MC_BLOCK_ELEMENTS // d)
         ref_t0, ref_z, scale = [], [], []
         for b in range(-(-reps // rows)):

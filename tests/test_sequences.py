@@ -511,6 +511,15 @@ class TestRangesAndValidation:
         with pytest.raises(ValueError):
             sum_inv_b_sq(spec, 4)
 
+    def test_custom_value_whose_square_underflows(self):
+        # 1e-200 squared underflows to 0: the inverse square is +inf, quietly,
+        # as a named spectrum's overflow is
+        op = OperatorFamily.custom([1e-200])
+        assert op.inv_sq_array(np.array([1])).tolist() == [math.inf]
+
+    def test_partial_sum_over_an_underflowing_custom_square(self):
+        assert sum_inv_b_sq(make_spec(OperatorFamily.custom([1.0, 1e-200])), 2) == math.inf
+
     def test_invalid_families_rejected(self):
         with pytest.raises(ValueError):
             OperatorFamily("mildly_ill_posed", 0.0)
@@ -1508,6 +1517,17 @@ def test_custom_plateau_scans_freeze_before_the_limit(monkeypatch):
     (grid,) = bounds.bounds_over_grid(spec, [1e-3], 0.1, 0.1, c_beta=1.0)
     assert (grid.d_lower, grid.d_upper, grid.d_classical) == (9000, 9001, 9001)
     assert counts == [3 * (_CHUNK + 1)] * 3
+
+
+def test_lower_scan_at_a_vanishing_noise_square_freezes(monkeypatch):
+    """eps = 1e-170, so eps^2 underflows to 0: the lower objective is 0 at
+    every bandwidth, at the maximising corner's +inf sum too, so the row
+    freezes after its first chunk where a NaN corner ran all 1024 chunks."""
+    counts = _chunked_points(monkeypatch)
+    spec = ProblemSpec(OperatorFamily("mildly_ill_posed", 0.5),
+                       SmoothnessFamily("ordinary_smooth", 1.0), eps=0.1, d_max=1 << 22)
+    assert bounds._lower_scans(spec, [1e-170], 0.1, 0.1) == [(1, 0.0, False)]
+    assert counts == [_CHUNK + 1]
 
 
 class TestNanIsNeverAnOptimum:

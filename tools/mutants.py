@@ -66,6 +66,7 @@ MUTANTS = (
     Mutant("signal_shift", _MONTECARLO,
            "shift = float(s @ ws)", "shift = 1.1 * float(s @ ws)"),
     Mutant("kernel_statistic_centre", _MONTECARLO, "eps2 = eps**2", "eps2 = 0.98 * eps**2"),
+    Mutant("ragged_last_block", _MONTECARLO, "min(rows, reps - b * rows)", "rows"),
     Mutant("shared_block_stream", _MONTECARLO,
            "np.random.default_rng((int(seed), int(block)))",
            "np.random.default_rng((int(seed), 0))"),
