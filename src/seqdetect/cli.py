@@ -92,21 +92,16 @@ def _cell_families(cell: str, problem: ProblemSpec) -> tuple[OperatorFamily, Smo
         raise ConfigError(f"cell {cell!r}: {exc}") from exc
 
 
-def _calibration(config: ExperimentConfig) -> tuple[detector.DetectorConstants, float]:
-    """The derived constants and the one calibration constant c_beta of the
-    configured C and levels, computed once per command."""
-    constants = detector.derive_constants(config.problem.fourth_moment_bound, config.alpha)
-    return constants, detector.solve_c_beta(constants, config.beta)
-
-
 def _cell_table(
-    config: ExperimentConfig, problem: ProblemSpec, c_beta: float, where: str
+    config: ExperimentConfig, problem: ProblemSpec, where: str
 ) -> tuple[str, list[str], bool]:
     """The bounds CSV of one cell over the eps grid, with its rate-fit
     summary lines and verdict; a grid of fewer than 5 eps gets a comment line
     in place of a fit, and passes.
 
-    One `bounds_over_grid` call covers the whole grid.  A bound whose
+    One `bounds_over_grid` call covers the whole grid; it derives the upper
+    bound's calibration constant from the problem's C and the configured
+    levels, as `detector.calibrate` does.  A bound whose
     objective is +inf at every bandwidth (its scan then reports D = 0), or a
     lower bound that underflows to 0 at every bandwidth, which no rate fit
     can use, is a config error reported at ``where``; so is a grid the rate
@@ -115,9 +110,7 @@ def _cell_table(
     asymptotic decay already at desk-scale eps, while the upper bound's
     calibration constant delays convergence of log-factor cells far beyond
     double-precision grids."""
-    grid = bounds_mod.bounds_over_grid(
-        problem, config.eps_grid, config.alpha, config.beta, c_beta=c_beta
-    )
+    grid = bounds_mod.bounds_over_grid(problem, config.eps_grid, config.alpha, config.beta)
     for eps, point in zip(config.eps_grid, grid):
         for name, value in (
             ("lower", point.lower_r2),
@@ -169,8 +162,7 @@ def _cell_table(
 
 def run_bounds(config: ExperimentConfig) -> Outcome:
     """Radius bounds per eps plus, when the grid allows, a rate-fit summary."""
-    _, c_beta = _calibration(config)
-    table, summary, ok = _cell_table(config, config.problem, c_beta, "bounds")
+    table, summary, ok = _cell_table(config, config.problem, "bounds")
     return Outcome(
         {"bounds.csv": table, "bounds_fit.txt": _text(summary)},
         ok,
@@ -183,7 +175,8 @@ def run_calibrate(config: ExperimentConfig) -> Outcome:
     practical 8 K2/beta, each with its residual and margin, and a threshold
     ladder."""
     problem = config.problem
-    constants, exact = _calibration(config)
+    constants = detector.derive_constants(problem.fourth_moment_bound, config.alpha)
+    exact = detector.solve_c_beta(constants, config.beta)
     practical = 8.0 * constants.k2 / config.beta
 
     lines = [
@@ -240,7 +233,7 @@ def run_simulate(config: ExperimentConfig, threads: int = 1) -> Outcome:
     det = detector.calibrate(problem, config.alpha, config.beta, d=config.test_d)
     models = [settings.build(det.d) for settings in config.noise]
     try:
-        alt = montecarlo.guaranteed_detectable_signal(problem, det.c_beta, det.d)
+        alt = montecarlo.guaranteed_detectable_signal(problem, det)
     except ValueError as exc:
         raise ConfigError(f"simulate at D = {det.d}: {exc}") from exc
     # the analytic chain draws nothing, so a loading it cannot use, in any
@@ -330,7 +323,6 @@ def run_rates(config: ExperimentConfig) -> Outcome:
         raise ConfigError("rates needs run.eps_grid with at least 5 values")
     problem = config.problem
     cells = [(cell, *_cell_families(cell, problem)) for cell in config.cells]
-    _, c_beta = _calibration(config)
     tables: dict[str, str] = {}
     summaries: list[str] = []
     ok = True
@@ -338,7 +330,6 @@ def run_rates(config: ExperimentConfig) -> Outcome:
         tables[f"rates_{cell.replace('/', '-')}.csv"], lines, passed = _cell_table(
             config,
             replace(problem, operator=operator, smoothness=smoothness),
-            c_beta,
             f"cell {cell!r}",
         )
         summaries.append("\n".join(lines))

@@ -208,24 +208,22 @@ class AlternativeSignal:
 
 
 def guaranteed_detectable_signal(
-    spec: ProblemSpec, c_beta: float, d: int | None = None
+    spec: ProblemSpec, config: detector.DetectorConfig
 ) -> AlternativeSignal:
-    """Spike signal at the radius where the type II guarantee kicks in.
+    """Spike signal at the radius where the type II guarantee of the
+    calibrated test ``config`` kicks in.
 
-    The squared norm is c_beta eps^2 sum_{k<=D} b_k^-2 + a_D^-2 at the chosen
-    bandwidth (the radius-objective minimiser by default).  That norm always
-    exceeds the ellipsoid cap a_D^-2 at coordinate D itself, so the spike is
-    placed at the largest coordinate <= D that keeps it inside the ellipsoid;
-    the statistic's mean shift only involves the total mass below D, so the
+    The squared norm is c_beta eps^2 sum_{k<=D} b_k^-2 + a_D^-2 at the
+    test's constant c_beta and bandwidth D.  That norm always exceeds the
+    ellipsoid cap a_D^-2 at coordinate D itself, so the spike is placed at
+    the largest coordinate <= D that keeps it inside the ellipsoid; the
+    statistic's mean shift only involves the total mass below D, so the
     guarantee is unaffected by the placement.  Since a is non-decreasing, the
     caps a_j^-2 do not grow with j, so the coordinates that keep the spike
-    inside form a prefix 1..j, whose end is found by bisection.  A
-    ``c_beta`` that is not a positive finite number raises ValueError.
+    inside form a prefix 1..j, whose end is found by bisection.
     """
-    detector._check_c_beta(c_beta)
-    if d is None:
-        d = detector.select_bandwidth(spec, c_beta).d
-    r_sq = c_beta * spec.eps**2 * sum_inv_b_sq(spec, d) + bias_term(spec, d)
+    d = config.d
+    r_sq = config.c_beta * spec.eps**2 * sum_inv_b_sq(spec, d) + bias_term(spec, d)
     j = bisect.bisect_left(
         range(1, d + 1), True, key=lambda k: not within_cap(r_sq, bias_term(spec, k))
     )
@@ -364,7 +362,9 @@ def direction_stats(
     sigma = sigma_star.submatrix(d)
     v = np.full(d, 1.0 / math.sqrt(d))
     u = sigma @ v
-    rho_sq = float(w @ (u * u))
+    with np.errstate(over="ignore"):
+        # past the largest double, rho^2 is +inf, as the partial sums are
+        rho_sq = float(w @ (u * u))
     v_sigma_v = float(v @ u)
     return v, u, rho_sq, v_sigma_v
 
@@ -376,7 +376,8 @@ def worst_case_signal(
 
     Requires r^2 <= a_D^-2 so the signal stays inside the ellipsoid, and r
     itself non-negative and finite: the cap alone, a test of r^2, would let
-    a negative radius through.
+    a negative radius through.  An alignment rho^2 that is 0 (every b_k^-2
+    underflows) or +inf (its sum overflows) raises ValueError.
     """
     cap = bias_term(spec, d)
     if not within_cap(r * r, cap):
@@ -384,6 +385,8 @@ def worst_case_signal(
     if r < 0 or not math.isfinite(r):
         raise ValueError("radius must be non-negative and finite")
     _, u, rho_sq, _ = direction_stats(spec, d, sigma_star)
+    if not 0.0 < rho_sq < math.inf:
+        raise ValueError(f"alignment rho^2 = {rho_sq!r} at D={d} is not positive and finite")
     w = inv_b_sq_weights(spec, d)
     coeffs = r * np.sqrt(w) * u / math.sqrt(rho_sq)
     return WorstCaseSignal(theta_star=Signal(tuple(float(c) for c in coeffs)), rho_sq=rho_sq)
@@ -397,9 +400,9 @@ def chi_sq_divergence(
     L is the likelihood ratio between the worst-case signal at radius r and
     the null, both under Gaussian noise with covariance sigma_star; the
     matrix must be strictly positive definite for the densities to exist.
-    It is 1 at r = 0 and +inf where the exponential overflows, so also for
-    r > 0 at eps^2 = 0, the noise-free limit, where the two laws are
-    mutually singular.
+    It is 1 at r = 0 and where rho^2 overflows to +inf, and +inf where the
+    exponential overflows, so also for r > 0 at eps^2 = 0, the noise-free
+    limit, where the two laws are mutually singular.
     """
     spec.check_bandwidth(d)
     if not r >= 0:  # NaN too

@@ -47,8 +47,9 @@ _D_MIN_EQUICORRELATED = 1.0 / math.sqrt(2.0)
 
 GAUSSIAN_FOURTH_MOMENT = 3.0
 
-#: Largest dimension for which the dense correlated families
-#: (`long_range_correlation`, `adversarial_sigma`) build their D x D matrices.
+#: Largest dimension for which the dense matrix builders
+#: (`long_range_correlation`, `adversarial_sigma`, `CorrelationMatrix.identity`)
+#: build their D x D matrices.
 #: Memory grows as D^2 and the eigendecomposition as D^3: building a
 #: long-range model raises peak RSS by about 47 MB and takes 0.5-0.6 s at
 #: D = 1024, and 176 MB and 3.7 s at D = 2048 (one BLAS thread), so this limit
@@ -90,6 +91,9 @@ class CorrelationMatrix:
 
     @classmethod
     def identity(cls, dimension: int) -> "CorrelationMatrix":
+        """The D x D identity, the correlation of iid noise, within
+        `MAX_DENSE_DIMENSION`."""
+        check_dense_dimension("iid_gaussian", dimension)
         return cls(np.eye(dimension), validate_psd=False)
 
     @property

@@ -99,7 +99,7 @@ class TestCriterion2TypeII:
             fourth_moment_bound=3.0,
         )
         config = detector.calibrate(spec, alpha, beta)
-        alt = montecarlo.guaranteed_detectable_signal(spec, config.c_beta, config.d)
+        alt = montecarlo.guaranteed_detectable_signal(spec, config)
         assert alt.norm_sq == pytest.approx(
             config.c_beta * spec.eps**2 * sum_inv_b_sq(spec, config.d)
             + bias_term(spec, config.d)

@@ -11,7 +11,7 @@ Covers:
 5. The null variance split R0 + S0, its exact small cases, the
    class-wide envelope 2 C1 eps^4 (sum b^-2)^2, and S0 = 0 for independent
    noise however large the weights
-6. The size limit of the dense correlated families
+6. The size limit of the dense matrix builders, the identity among them
 7. The long-range family builds each matrix once: its matrix, sampling
    factor and draws equal those of the dense c |k-l|^-s construction bit
    for bit.  The adversarial model checks its one loading at construction,
@@ -389,6 +389,7 @@ class TestDenseDimensionLimit:
             lambda n: long_range_correlation(n, 1.0),
             lambda n: adversarial_sigma(n, 0.8),
             lambda n: noise.build_noise("long_range_gaussian", n),
+            CorrelationMatrix.identity,
         ],
     )
     @pytest.mark.parametrize("dimension", [20.0, math.nan, "20"])
@@ -409,8 +410,14 @@ class TestDenseDimensionLimit:
             adversarial_sigma(9, INV_SQRT2)
         with pytest.raises(ValueError, match="adversarial_equicorrelated noise .* D = 9"):
             AdversarialEquicorrelated().correlation(9)
+        # the iid Gaussian correlation is a dense D x D identity too
+        with pytest.raises(ValueError, match="iid_gaussian noise .* D = 9 exceeds the limit 8"):
+            IidGaussian().correlation(9)
+        with pytest.raises(ValueError, match="iid_gaussian noise .* D = 9 exceeds the limit 8"):
+            CorrelationMatrix.identity(9)
         assert long_range_correlation(8, 1.0).dimension == 8
         assert AdversarialEquicorrelated().correlation(8).dimension == 8
+        assert IidGaussian().correlation(8).dimension == 8
 
 
 def _dense_long_range(dimension, s, c):

@@ -74,9 +74,10 @@ MUTANTS = (
            "std_err=math.sqrt(p * (1.0 - p) / reps)",
            "std_err=math.sqrt(p * (1.0 - p) / reps) / 4"),
     Mutant("guaranteed_signal", _MONTECARLO,
-           "r_sq = c_beta * spec.eps**2", "r_sq = 0.05 * c_beta * spec.eps**2"),
+           "r_sq = config.c_beta * spec.eps**2", "r_sq = 0.05 * config.c_beta * spec.eps**2"),
     Mutant("worst_case_negative_radius", _MONTECARLO,
            "if r < 0 or not math.isfinite(r):", "if not math.isfinite(r):"),
+    Mutant("worst_case_alignment", _MONTECARLO, "if not 0.0 < rho_sq < math.inf:", "if False:"),
     Mutant("thread_count", _MONTECARLO, "if not _is_count(threads):", "if False:"),
     # noise samplers
     Mutant("gaussian_scale", _NOISE,
@@ -89,6 +90,9 @@ MUTANTS = (
            "self._factor = _symmetric_sqrt(*eig)", "self._factor = cov.entries"),
     # correlation matrices and the null variance split
     Mutant("correlation_finite", _NOISE, "if not np.isfinite(m).all():", "if False:"),
+    Mutant("identity_limit", _NOISE,
+           'check_dense_dimension("iid_gaussian", dimension)',
+           "_check_positive_dimension(dimension)"),
     Mutant("cross_part_off_diagonal", _NOISE,
            """    np.fill_diagonal(m, 0.0)
     with np.errstate(over="ignore"):
