@@ -22,7 +22,8 @@ Every optimisation over the bandwidth is one `scan_spectrum` call.  Its
 chunked pass, `scan_bandwidths`, forms the prefix sums of a spectrum once per
 chunk and shares them among any number of objectives (one per noise level of
 an eps grid, say).  Every objective is non-decreasing in the sum and
-non-increasing in k, so after each chunk one value at a corner point bounds
+non-increasing in k, so after each window of bandwidths (a chunk, the first
+one cut at every power of two from 64) one value at a corner point bounds
 all later bandwidths, and an objective freezes once that bound cannot beat
 its incumbent: the pass returns the optimum of the full scan.  Over a
 constant term, whose sum is known at any k, an objective with one valley is
@@ -69,6 +70,10 @@ _LAWS: dict[str, tuple[str, int]] = {
 DEFAULT_D_MAX = 1 << 16
 
 _SCAN_CHUNK = 4096
+#: Inside the first chunk, `scan_bandwidths` also tries its freeze rule
+#: after each of these bandwidths: every power of two from 64 below the
+#: chunk's end.  Every later chunk ends on a multiple of ``_SCAN_CHUNK``.
+_WINDOW_ENDS = (64, 128, 256, 512, 1024, 2048)
 #: Consecutive non-improving bandwidths after which `_valleys` stops.
 _SCAN_STALL_LIMIT = 64
 _MEMBERSHIP_SLACK = 1e-12
@@ -398,8 +403,10 @@ def _inv_b_terms(operator: OperatorFamily, power: int) -> Terms:
     A well-posed spectrum's terms are one float, ``w`` or ``w * w`` with
     ``w = 1/scale^2``, the same value as each entry of
     ``operator.inv_sq_array`` or its square; any other spectrum gets a term
-    function.  Overflow maps to +inf.
+    function.  Overflow maps to +inf.  Any other power is a ValueError.
     """
+    if power not in (2, 4):
+        raise ValueError(f"spectrum power must be 2 or 4, got {power!r}")
     if operator.kind == WELL_POSED:
         w = 1.0 / (operator.scale * operator.scale)
         return w if power == 2 else w * w
@@ -518,8 +525,9 @@ def scan_spectrum(
     maximize: bool = False,
 ) -> list[ScanResult]:
     """Optimise ``count`` objectives over the bandwidths 1..``spec.bandwidth_limit``
-    of the partial sums of b_k^-power (power 2 or 4), with ``value_fn`` and
-    ``maximize`` as in `scan_bandwidths`: the one scan behind every bound.
+    of the partial sums of b_k^-power, with ``value_fn`` and ``maximize`` as
+    in `scan_bandwidths`: the one scan behind every bound.  The power is 2
+    or 4; any other is a ValueError.
 
     For the named kinds, b_k^-2 is a constant, k^2t or e^2tk (times the
     scale) and a_k^-2 is k^-2s or e^-2sk, so it falls ever more slowly.
@@ -540,8 +548,10 @@ def scan_spectrum(
     in O(log D) evaluations where the chunked pass takes O(D): their optima
     lie at D up to the millions.  Every other scan, of a term function, a
     custom family or the classical objective against ``super_smooth``,
-    goes chunk by chunk (`scan_bandwidths`) and freezes on the corner rule,
-    which needs no valley.
+    goes window by window (`scan_bandwidths`) and freezes on the corner
+    rule, which needs no valley.  Its optima mostly lie in the first chunk,
+    where windows end at every power of two from 64, so such a scan stops
+    after a few hundred bandwidths, not 4096.
     """
     operator, smooth = spec.operator, spec.smoothness
     terms = _inv_b_terms(operator, power)
@@ -563,7 +573,7 @@ def scan_bandwidths(
     maximize: bool = False,
 ) -> list[ScanResult]:
     """Optimise ``count`` objectives over integer bandwidths 1..limit in one
-    pass, chunk by chunk.
+    pass, window by window.
 
     ``value_fn(ks, sums, rows)`` gets indices, sums of ``terms`` and the
     indices of the objectives to evaluate, and returns one row of values per
@@ -576,47 +586,59 @@ def scan_bandwidths(
     non-decreasing in the sum and non-increasing in k, as the three bounds
     are.
 
-    Every running objective is evaluated on each chunk of ``_SCAN_CHUNK``
-    prefix sums and keeps its own incumbent.  Before the next chunk, each
-    is evaluated once more at a corner point that bounds every later
-    bandwidth: k = ``limit`` with the chunk's last sum when minimising (a
-    later sum is no smaller, a later k no larger), k one past the chunk with
-    the sum +inf when maximising.  An objective freezes when its corner is
-    no better than its incumbent (a NaN corner never freezes it); frozen
-    objectives are never evaluated again, and the pass ends when all are
-    frozen.  Ties keep the smaller bandwidth, a NaN is never an optimum, an
-    objective that is never better than +inf (-inf, when maximising)
-    reports D = 0, and `truncated` is set when an optimiser lands on the
-    scan limit.  So the pass returns the optimum of the full scan.
+    The windows are the chunks of ``_SCAN_CHUNK`` prefix sums from
+    `_prefix_sums`, the first one cut after every power of two from 64 (at
+    64, 128, ..., 2048); every later chunk ends on a multiple of
+    ``_SCAN_CHUNK``.  A window's sums are a slice of its chunk's, never
+    summed again, so the windows move no rounding.  Every running objective
+    is evaluated on each window and keeps its own incumbent.  Before the
+    next window, each is evaluated once more at a corner point that bounds
+    every later bandwidth: k = ``limit`` with the window's last sum when
+    minimising (a later sum is no smaller, a later k no larger), k one past
+    the window with the sum +inf when maximising.  An objective freezes
+    when its corner is no better than its incumbent (a NaN corner never
+    freezes it); frozen objectives are never evaluated again, and the pass
+    ends when all are frozen.  Ties keep the smaller bandwidth, a NaN is
+    never an optimum, an objective that is never better than +inf (-inf,
+    when maximising) reports D = 0, and `truncated` is set when an
+    optimiser lands on the scan limit.  So the pass returns the optimum of
+    the full scan.
 
     A minimising corner relies on the later sums being no smaller than the
-    chunk's last one, which carries up to ``_SCAN_CHUNK`` cumsum roundings
-    that the next carry does not.  A named kind's next term, at least S/k,
-    outweighs them at any k below 2^41; a custom operator's term may be
-    smaller than those roundings.
+    window's last one.  Inside its chunk they are, as a cumsum of
+    non-negative terms never falls.  A chunk's last sum carries up to
+    ``_SCAN_CHUNK`` cumsum roundings that the next carry does not.  A named
+    kind's next term, at least S/k, outweighs them at any k below 2^41; a
+    custom operator's term may be smaller than those roundings.
     """
     if limit < 1:
         raise ValueError("bandwidth limit must be at least 1")
     best_d = np.zeros(count, dtype=np.int64)
     best = np.full(count, -math.inf if maximize else math.inf)
     rows = np.arange(count)
-    for ks, sums in _prefix_sums(terms, limit):
-        with np.errstate(over="ignore", invalid="ignore"):
-            vals = value_fn(ks, sums, rows)
-        idx, candidates = _chunk_optima(vals, maximize)
-        improved = candidates > best[rows] if maximize else candidates < best[rows]
-        best[rows[improved]] = candidates[improved]
-        best_d[rows[improved]] = ks[idx[improved]]
-        if ks[-1] == limit:
-            break
-        if maximize:
-            corner = ks[-1:] + 1, np.array([math.inf])
-        else:
-            corner = np.array([limit]), sums[-1:]
-        with np.errstate(over="ignore", invalid="ignore"):
-            bound = value_fn(*corner, rows)[:, 0]
-        rows = rows[~(bound <= best[rows] if maximize else bound >= best[rows])]
-        if not rows.size:
+    for chunk_ks, chunk_sums in _prefix_sums(terms, limit):
+        stops = [w for w in _WINDOW_ENDS if w < chunk_ks.size] if chunk_ks[0] == 1 else []
+        for start, stop in zip([0, *stops], [*stops, chunk_ks.size]):
+            ks, sums = chunk_ks[start:stop], chunk_sums[start:stop]
+            with np.errstate(over="ignore", invalid="ignore"):
+                vals = value_fn(ks, sums, rows)
+            idx, candidates = _chunk_optima(vals, maximize)
+            improved = candidates > best[rows] if maximize else candidates < best[rows]
+            best[rows[improved]] = candidates[improved]
+            best_d[rows[improved]] = ks[idx[improved]]
+            if ks[-1] == limit:
+                break
+            if maximize:
+                corner = ks[-1:] + 1, np.array([math.inf])
+            else:
+                corner = np.array([limit]), sums[-1:]
+            with np.errstate(over="ignore", invalid="ignore"):
+                bound = value_fn(*corner, rows)[:, 0]
+            rows = rows[~(bound <= best[rows] if maximize else bound >= best[rows])]
+            if not rows.size:
+                break
+        # done: stop before the next chunk's carry is summed
+        if ks[-1] == limit or not rows.size:
             break
     return [ScanResult(int(d), float(v), int(d) == limit) for d, v in zip(best_d, best)]
 
@@ -637,23 +659,32 @@ def _valleys(
     the worst value.  Under one valley it fails before an objective's
     optimum and holds from there on, so the optimum is the first k where it
     holds, found by galloping over k = 1, 2, 4, ... until it holds and then
-    bisecting.  All objectives move
-    in lockstep, with one 2-d ``value_fn`` call of shape (rows, 65) per
-    round.  An objective whose value there is the worst one (which, under
-    one valley, it then is everywhere) reports D = 0, as in the chunked
-    pass.
+    bisecting.  All objectives move in lockstep, with one 2-d ``value_fn``
+    call of shape (rows, 65) per round.  An objective whose value there is
+    the worst one (which, under one valley, it then is everywhere) reports
+    D = 0, as in the chunked pass.
+
+    A failed probe rules out more than its own k.  If the values at
+    k, k+1, ... fall strictly for J steps, each of k..k+J-1 has a better
+    value next to it, so the predicate fails there by its own definition,
+    valley or none.  The next probe then starts from lo = k + max(J-1, 0)
+    instead of k, in the gallop (which goes on to hi = 2 lo) and in the
+    bisection alike.
     """
     sign = -1.0 if maximize else 1.0
     steps = np.arange(_SCAN_STALL_LIMIT + 1)
 
-    def stalls(rows: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Whether the predicate holds at each row's k, and the row's
-        (signed) value there."""
+    def stalls(rows: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Whether the predicate holds at each row's k, the row's (signed)
+        value there, and k + max(J-1, 0), the last bandwidth at which the
+        J strict falls from k rule it out."""
         ks = np.minimum(k[:, np.newaxis] + steps, limit)
         with np.errstate(over="ignore", invalid="ignore"):
             vals = sign * value_fn(ks, ks * c, rows)
         vals[np.isnan(vals)] = math.inf
-        return (vals[:, 1:] >= vals[:, :1]).all(axis=1), vals[:, 0]
+        run = np.logical_and.accumulate(vals[:, 1:] < vals[:, :-1], axis=1).sum(axis=1)
+        held = (vals[:, 1:] >= vals[:, :1]).all(axis=1)
+        return held, vals[:, 0], k + np.maximum(run - 1, 0)
 
     # the predicate fails at lo (at lo = 0 by convention) and holds at hi,
     # where best is the value; at the limit it holds, as every k+j is clamped
@@ -662,15 +693,16 @@ def _valleys(
     best = np.empty(count)
     rows = np.arange(count)
     while rows.size:
-        held, best[rows] = stalls(rows, hi[rows])
-        rows = rows[~held & (hi[rows] < limit)]
-        lo[rows], hi[rows] = hi[rows], np.minimum(2 * hi[rows], limit)
+        held, best[rows], failed = stalls(rows, hi[rows])
+        keep = ~held & (hi[rows] < limit)
+        rows, failed = rows[keep], failed[keep]
+        lo[rows], hi[rows] = failed, np.minimum(2 * failed, limit)
     rows = np.flatnonzero(hi - lo > 1)
     while rows.size:
         mid = (lo[rows] + hi[rows]) // 2
-        held, vals = stalls(rows, mid)
+        held, vals, failed = stalls(rows, mid)
         hi[rows[held]], best[rows[held]] = mid[held], vals[held]
-        lo[rows[~held]] = mid[~held]
+        lo[rows[~held]] = failed[~held]
         rows = rows[hi[rows] - lo[rows] > 1]
     d = np.where(best < math.inf, hi, 0)
     return [ScanResult(int(k), float(sign * v), int(k) == limit) for k, v in zip(d, best)]

@@ -771,17 +771,20 @@ class TestConstantSpectra:
         assert closed == scan(lambda ks: np.ones(len(ks)))[0]
         assert [r.d for r in closed] == [10, 10000, 5000]
         assert [r.value for r in closed] == [1.0 if maximize else 2.0] * 3
-        # a row freezes at the first chunk end e past its optimum whose corner
-        # is no better than 1 or 2: e + 1 >= T when maximising, e/T + T/2^16
-        # >= 2 when minimising; it is passed to value_fn on no later chunk,
-        # and its corner is evaluated once after each chunk but the last
-        last = [_CHUNK, 3 * _CHUNK, 2 * _CHUNK] if maximize else [_CHUNK, 5 * _CHUNK, 3 * _CHUNK]
+        # windows end at the powers of two 64..2048 inside the first chunk
+        # and at every chunk end; a row freezes at the first window end e
+        # past its optimum whose corner is no better than 1 or 2: e + 1 >= T
+        # when maximising, e/T + T/2^16 >= 2 when minimising.  It is passed
+        # to value_fn on no later window, and its corner is evaluated once
+        # after each of its windows
+        ends = [64 << i for i in range(6)] + list(range(_CHUNK, (1 << 16) + 1, _CHUNK))
+        last = [64, 3 * _CHUNK, 2 * _CHUNK] if maximize else [64, 5 * _CHUNK, 3 * _CHUNK]
         for row, end in enumerate(last):
-            chunks = [k0 for size, k0, rows in seen if row in rows and size == _CHUNK]
+            mine = ends[: ends.index(end) + 1]
+            windows = [(size, k0) for size, k0, rows in seen if row in rows and size > 1]
             corners = [k0 for size, k0, rows in seen if row in rows and size == 1]
-            assert chunks == list(range(1, end, _CHUNK))
-            assert corners == ([e + 1 for e in range(_CHUNK, end + 1, _CHUNK)] if maximize
-                               else [1 << 16] * len(chunks))
+            assert windows == [(e - s, s + 1) for s, e in zip([0, *mine], mine)]
+            assert corners == ([e + 1 for e in mine] if maximize else [1 << 16] * len(mine))
 
     def test_overflow_maps_to_inf(self):
         big = np.finfo(float).max / 6000.0
@@ -1048,6 +1051,52 @@ def test_every_bound_scan_goes_through_scan_spectrum(monkeypatch, op, smooth, li
     assert paths == expected
 
 
+@pytest.mark.parametrize("power", [0, 1, 3, 8, 2.5])
+@pytest.mark.parametrize(
+    "op", [OperatorFamily("well_posed"), OperatorFamily("mildly_ill_posed", 0.5)],
+    ids=["well_posed", "mildly_ill_posed"],
+)
+def test_scan_spectrum_refuses_other_powers(op, power):
+    """Only the partial sums of b^-2 and b^-4 are scanned: any other power
+    is refused before an objective is evaluated, not scanned as b^-4."""
+    spec = ProblemSpec(op, SmoothnessFamily("ordinary_smooth", 1.0), eps=0.1, d_max=100)
+
+    def value_fn(ks, sums, rows):
+        raise AssertionError("no objective may be evaluated")
+
+    with pytest.raises(ValueError, match=f"spectrum power must be 2 or 4, got {power!r}"):
+        sequences.scan_spectrum(spec, power, value_fn, 1)
+
+
+@pytest.mark.parametrize("maximize, seen_129", [(False, 512 + 4), (True, 256 + 3)],
+                         ids=["min", "max"])
+@pytest.mark.parametrize("terms", [pytest.param(1.0, id="constant"), _ONES])
+def test_optima_at_the_window_edges(terms, maximize, seen_129):
+    """Inside the first chunk the freeze rule also runs after every power of
+    two from 64 on.  Optima on both sides of those window ends and of the
+    first chunk's end, with NaNs on the window ends 256 and 1024, equal the
+    full scan.  A row is evaluated on each window up to the one whose
+    corner freezes it, plus one corner point per window: the optimum at 129
+    freezes after 257..512 when minimising (512/129 + 129/2^16 >= 2) and
+    after 129..256 when maximising (129/257 <= 1)."""
+    targets = [1, 63, 64, 65, 127, 128, 129, 2048, 2049, 4095, 4096, 4097]
+    peaks = _peaks(targets, maximize)
+    seen = np.zeros(len(targets), dtype=np.int64)
+
+    def value_fn(ks, sums, rows):
+        return np.where(np.isin(ks, [256, 1024]), math.nan, peaks(ks, sums, rows))
+
+    def counted(ks, sums, rows):
+        seen[rows] += ks.size
+        return value_fn(ks, sums, rows)
+
+    limit = 1 << 16
+    results = scan_bandwidths(terms, counted, limit, len(targets), maximize=maximize)
+    assert results == [(t, 1.0 if maximize else 2.0, False) for t in targets]
+    assert results == _dense_reference(terms, value_fn, limit, len(targets), maximize)
+    assert seen[targets.index(129)] == seen_129
+
+
 class TestCustomScansPastAPlateau:
     """A custom a_k may hold still for thousands of bandwidths and then
     jump, past the reach of any stall rule; the corner at the limit sees the
@@ -1306,9 +1355,12 @@ class TestValleys:
         ]
 
     def test_optimum_on_the_limit(self, maximize):
+        # optima next to the limit and on it, where every probe past the
+        # limit is clamped to it: a run of strict falls ends there
         limit = 3 * _CHUNK + 100
         opt = 1.0 if maximize else 2.0
-        self.check(_peaks([limit], maximize), limit, 1, maximize, [(limit, opt, True)])
+        self.check(_peaks([limit - 1, limit], maximize), limit, 2, maximize,
+                   [(limit - 1, opt, False), (limit, opt, True)])
 
     def test_nan_from_a_bandwidth_on(self, maximize):
         # NaN from k = 5001 on, past the first optimum (3000) and before the
@@ -1343,6 +1395,43 @@ class TestValleys:
             return np.broadcast_to(vals, (rows.size, ks.shape[-1]))
 
         self.check(value_fn, 1 << 15, 1, maximize, [(lo, 0.0, False)])
+
+    def test_plateau_longer_than_the_stall_limit(self, maximize):
+        # the values fall strictly to a, hold still up to b, past the end of
+        # a's chunk, and then fall again to the full scan's optimum at t.
+        # The stall rule first holds at a; the plateau runs past 2a + 64, so
+        # the gallop's first holding probe lies on it, and a failed probe's
+        # run of strict falls ends at a instead of running on along it
+        a, b, t = (np.array(col)[:, np.newaxis] for col in ([100, 3000], [5000, 6100],
+                                                            [9000, 12000]))
+        sign = -1.0 if maximize else 1.0
+
+        def value_fn(ks, sums, rows):
+            ar, br, tr = a[rows], b[rows], t[rows]
+            vals = np.where(ks <= ar, 2.0 + (ar - ks),
+                            np.where(ks <= br, 2.0, 1.0 + np.abs(ks - tr) / (tr - br)))
+            return sign * vals
+
+        self.check(value_fn, 1 << 15, 2, maximize, [(100, 2.0 * sign, False),
+                                                     (3000, 2.0 * sign, False)])
+
+    def test_nan_islands(self, maximize):
+        # islands of NaN shorter than 64 on the way down to each optimum,
+        # just before the first (3000) and across the second (9000), whose
+        # nearest finite values are 8989 and 9006: the stall rule passes
+        # over each island, and a run of strict falls ends at it.  (An
+        # island past an optimum would break the stall rule's one valley.)
+        peaks = _peaks([3000, 9000], maximize)
+        los = np.array([[500, 2990, 1], [500, 6000, 8990]])
+        his = np.array([[530, 2995, 0], [530, 6040, 9005]])
+
+        def value_fn(ks, sums, rows):
+            k = np.broadcast_to(ks, (rows.size, ks.shape[-1]))[:, :, np.newaxis]
+            hole = ((k >= los[rows, np.newaxis]) & (k <= his[rows, np.newaxis])).any(axis=2)
+            return np.where(hole, math.nan, peaks(ks, sums, rows))
+
+        results = self.check(value_fn, 1 << 15, 2, maximize)
+        assert [r.d for r in results] == [3000, 9006]
 
 
 class TestSecondClassicalValley:
@@ -1440,19 +1529,22 @@ def test_per_row_calls_match_shared_calls(monkeypatch, smooth):
 def test_deep_classical_scan_skips_most_points(monkeypatch):
     """The well-posed classical scan of a 48-point grid down to 5e-7 at
     D_max = 2^22 (minimiser sqrt(3)/eps, near 3.46M) bisects: with equal
-    results, it evaluates at most 90,000 points (85,800 measured: 48 rows of
-    65 points over about 27 rounds each), where the stall reference
-    evaluates 846 chunks of 4096, 3.47M points."""
+    results, it takes at most 36 rounds of one value_fn call each and
+    evaluates at most 61,000 points (60,710 measured: 934 rows of 65
+    points), where the stall reference evaluates 846 chunks of 4096, 3.47M
+    points.  Without the run rule, which moves past the strict falls a
+    failed probe has seen, it took 44 rounds and 85,800 points."""
     spec = ProblemSpec(OperatorFamily("well_posed"), SmoothnessFamily("ordinary_smooth", 0.75),
                        eps=0.1, d_max=1 << 22)
     grid = np.geomspace(0.0625, 5e-7, 48).tolist()
-    counts, seen = {"bisect": 0, "dense": 0}, {}
+    counts, seen = {"bisect": 0, "dense": 0, "rounds": 0}, {}
     valleys = sequences._valleys
 
     def counted(key, value_fn):
         def fn(ks, sums, rows):
             # shared points count once, per-row (2-d) points once per row
             counts[key] += ks.size
+            counts["rounds"] += key == "bisect"
             return value_fn(ks, sums, rows)
 
         return fn
@@ -1467,7 +1559,8 @@ def test_deep_classical_scan_skips_most_points(monkeypatch):
     assert results == seen["dense"]
     assert results[-1].d == 3_464_102 and not results[-1].truncated
     assert counts["dense"] == 846 * _CHUNK
-    assert counts["bisect"] <= 90_000
+    assert counts["bisect"] <= 61_000
+    assert counts["rounds"] <= 36
 
 
 
@@ -1491,43 +1584,50 @@ def _chunked_points(monkeypatch):
     return counts
 
 
-@pytest.mark.parametrize("op", [OperatorFamily("mildly_ill_posed", 0.5),
-                                OperatorFamily("severely_ill_posed", 0.25)],
-                         ids=["mildly_ill_posed", "severely_ill_posed"])
-def test_small_s_classical_scans_freeze_early(monkeypatch, op):
+@pytest.mark.parametrize(
+    "op, windows",
+    [(OperatorFamily("mildly_ill_posed", 0.5), [1, 1, 1, 2, 2, 2, 2, 3]),
+     (OperatorFamily("severely_ill_posed", 0.25), [1] * 8)],
+    ids=["mildly_ill_posed", "severely_ill_posed"],
+)
+def test_small_s_classical_scans_freeze_early(monkeypatch, op, windows):
     """The classical scans against super smoothness with s = 0.1 over an
     ill-posed operator, 8 eps down to 5e-7 at D_max = 2^22: every row
-    freezes after its first chunk (its optimum lies below D = 150), with
-    one corner point, where a scan to the limit evaluates all 1024 chunks."""
+    freezes inside the first chunk (its optimum lies below D = 150), after
+    the window 1..64, 65..128 or 129..256 and one corner point per window,
+    where a scan to the limit evaluates all 1024 chunks.  That is 974 and
+    520 points, where freezing only at chunk ends took 8 * 4097."""
     counts = _chunked_points(monkeypatch)
     spec = ProblemSpec(op, SmoothnessFamily("super_smooth", 0.1), eps=0.1, d_max=1 << 22)
     results = bounds._classical_scans(spec, np.geomspace(0.0625, 5e-7, 8).tolist())
-    assert counts == [8 * (_CHUNK + 1)]
+    assert counts == [sum((64 << (n - 1)) + n for n in windows)]
     assert max(r.d for r in results) < 150
 
 
 def test_custom_plateau_scans_freeze_before_the_limit(monkeypatch):
     """The plateau of `TestCustomScansPastAPlateau::test_plateau_past_the_second_chunk`
     followed by a tail 2^18 long: the three scans find the same optima and
-    freeze after the third chunk of 64."""
+    freeze after the third chunk of 64, with one corner point after each of
+    the seven windows of the first chunk and after the next two chunks."""
     counts = _chunked_points(monkeypatch)
     smooth = SmoothnessFamily.custom([1.0] * 9000 + [1000.0] * ((1 << 18) - 9000))
     spec = ProblemSpec(OperatorFamily("well_posed"), smooth, eps=1e-3, d_max=1 << 20)
     assert spec.bandwidth_limit == 1 << 18
     (grid,) = bounds.bounds_over_grid(spec, [1e-3], 0.1, 0.1, c_beta=1.0)
     assert (grid.d_lower, grid.d_upper, grid.d_classical) == (9000, 9001, 9001)
-    assert counts == [3 * (_CHUNK + 1)] * 3
+    assert counts == [3 * _CHUNK + 9] * 3
 
 
 def test_lower_scan_at_a_vanishing_noise_square_freezes(monkeypatch):
     """eps = 1e-170, so eps^2 underflows to 0: the lower objective is 0 at
     every bandwidth, at the maximising corner's +inf sum too, so the row
-    freezes after its first chunk where a NaN corner ran all 1024 chunks."""
+    freezes after its first window, 1..64, where a NaN corner ran all 1024
+    chunks."""
     counts = _chunked_points(monkeypatch)
     spec = ProblemSpec(OperatorFamily("mildly_ill_posed", 0.5),
                        SmoothnessFamily("ordinary_smooth", 1.0), eps=0.1, d_max=1 << 22)
     assert bounds._lower_scans(spec, [1e-170], 0.1, 0.1) == [(1, 0.0, False)]
-    assert counts == [_CHUNK + 1]
+    assert counts == [64 + 1]
 
 
 class TestNanIsNeverAnOptimum:

@@ -117,6 +117,9 @@ MUTANTS = (
            "corner = np.array([limit]), sums[-1:]", "corner = ks[-1:], sums[-1:]"),
     Mutant("corner_max", _SEQUENCES,
            "corner = ks[-1:] + 1, np.array([math.inf])", "corner = ks[-1:] + 1, sums[-1:]"),
+    Mutant("window_corner", _SEQUENCES,
+           "corner = np.array([limit]), sums[-1:]", "corner = np.array([limit]), chunk_sums[-1:]"),
+    Mutant("run_rule", _SEQUENCES, "k + np.maximum(run - 1, 0)", "k + run"),
     # the verdicts the commands print
     Mutant("type1_gate", _CLI,
            "est1.p_hat <= config.alpha + 3.0 * est1.std_err",
